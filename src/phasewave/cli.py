@@ -29,7 +29,10 @@ _TIME_RE = re.compile(r"^([0-9]*\.?[0-9]*)\s*T\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
 
 
 def parse_time(token: str, period: float | None):
-    """Parse '0.25', 'T', 'T/4' or '3T/4'; fractions of T need a known period."""
+    """Parse '0.25', 'T', 'T/4' or '3T/4'; fractions of T need a known period.
+
+    Raises ``ValueError`` unless the time is finite.
+    """
     token = token.strip()
     m = _TIME_RE.match(token)
     if m:
@@ -37,8 +40,14 @@ def parse_time(token: str, period: float | None):
             raise ValueError(f"time {token!r} uses the wave period; --ell is required")
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
-        return num * period / den
-    return float(token)
+        if den == 0.0:
+            raise ValueError(f"time {token!r} divides by zero")
+        value = num * period / den
+    else:
+        value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"time {token!r} is not finite")
+    return value
 
 
 @dataclass
@@ -181,12 +190,17 @@ def _extra_meta(cfg: RunConfig) -> dict:
     return extra
 
 
-def _export_path(cfg: RunConfig, stem: str) -> str:
+def _export_path(cfg: RunConfig, stem: str, tag: str | None = None) -> str:
+    """Path of one export: ``<stem>.<fmt>`` inside the output directory.
+
+    An output path ending in .csv or .json names the file itself; ``tag``,
+    given when a command writes several files, goes before its extension.
+    """
     out = cfg.out_dir()
     root, ext = os.path.splitext(out)
     if ext.lower() in (".csv", ".json"):
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        return out
+        return f"{root}_{tag}{ext}" if tag else out
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, f"{stem}.{cfg.fmt}")
 
@@ -213,11 +227,8 @@ def _cmd_grid(cfg: RunConfig) -> int:
     multi = len(times) > 1
     for idx, t in enumerate(times):
         fld = sample_field(W, grid, t, params)
-        stem = f"field_t{idx}" if multi else "field"
-        path = _export_path(cfg, stem)
-        if multi and os.path.splitext(cfg.out_dir())[1].lower() in (".csv", ".json"):
-            root, ext = os.path.splitext(path)
-            path = f"{root}_t{idx}{ext}"
+        tag = f"t{idx}" if multi else None
+        path = _export_path(cfg, f"field_{tag}" if multi else "field", tag)
         export_field(fld, params, cfg.fmt, path, extra=_extra_meta(cfg))
         print(path)
     return 0
@@ -243,14 +254,15 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     grid = _grid_from(cfg, params)
     start = sample_field(W, grid, 0.0, params)
     snapshot0 = lambda x, p: W(x, p, 0.0)
-    for idx, t in enumerate(cfg.parsed_times(params)):
+    times = cfg.parsed_times(params)
+    for idx, t in enumerate(times):
         evolved = evolve_fd(start, params, t)
         exact = propagate_exact(snapshot0, params, t)
         target = sample_field(lambda x, p, _t: exact(x, p), grid, t, params)
         err = float(np.max(np.abs(evolved.values - target.values)))
         print(f"t={t:.17g} steps={evolved.meta['steps']} max|fd-exact|={err:.6e}")
         if cfg.out:
-            path = _export_path(cfg, f"evolved_t{idx}")
+            path = _export_path(cfg, f"evolved_t{idx}", f"t{idx}" if len(times) > 1 else None)
             export_field(evolved, params, cfg.fmt, path, extra=_extra_meta(cfg))
             print(path)
     return 0
@@ -273,13 +285,11 @@ def _cmd_figures(cfg: RunConfig) -> int:
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     grid = GridSpec(rho_max=cfg.rho_max, n_rho=cfg.n_rho, n_phi=cfg.n_phi)
     period = spec.period(params.omega)
-    out = cfg.out or os.environ.get("PHASEWAVE_OUT") or "."
-    os.makedirs(out, exist_ok=True)
     for n in (0, 5):
         W = standing_wave_field(params, n, spec)
         for tag, t in (("0", 0.0), ("T4", period / 4.0), ("T2", period / 2.0)):
             fld = sample_field(W, grid, t, params)
-            path = os.path.join(out, f"wigner_n{n}_t{tag}.{cfg.fmt}")
+            path = _export_path(cfg, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
             export_field(fld, params, cfg.fmt, path,
                          extra={"n": n, "ell": 3, "A": 2.0, "C": 5.0})
             print(path)

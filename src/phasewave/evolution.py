@@ -122,6 +122,8 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
             f"Courant number {c:.6g} exceeds 1; reduce dt below "
             f"{grid.delta_phi / params.omega:.6g}"
         )
+    if not math.isfinite(t_final):
+        raise ConfigurationError(f"t_final must be finite, got {t_final}")
     span = float(t_final) - field0.time_tag
     if span < 0.0:
         raise ConfigurationError("t_final precedes the field's time tag")

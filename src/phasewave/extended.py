@@ -15,7 +15,7 @@ the position and momentum densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -227,14 +227,7 @@ def extended_eval(params: OscillatorParams, n, profile: WaveProfile, pt: PhasePo
     The angular factor is undefined at rho = 0; the value there is fixed by
     the node-line convention to N * C * kernel_n(0).
     """
-    n = check_order(n)
-    if norm is None:
-        norm = normalization(profile, quad or DEFAULT_QUAD)
-    rho, phi = polar_from_xy(params, pt.x, pt.p)
-    kern = radial_kernel(params, n, float(rho))
-    if float(rho) == 0.0:
-        return norm.N * kern * profile.C
-    return float(norm.N * kern * profile.bracket(float(phi), t, params.omega))
+    return float(extended_field(params, n, profile, norm, quad)(pt.x, pt.p, t))
 
 
 @dataclass(frozen=True)
@@ -263,11 +256,7 @@ def standing_wave_eval(params: OscillatorParams, n, spec: StandingWaveSpec,
     The origin needs no special casing: its conventional angle 0 lies on a
     node line, where the factor is already 1.
     """
-    n = check_order(n)
-    rho, phi = polar_from_xy(params, pt.x, pt.p)
-    kern = radial_kernel(params, n, float(rho))
-    factor = 1.0 + float(standing_wave_factor(spec, float(phi), t, params.omega)) / spec.C
-    return kern * factor
+    return float(standing_wave_field(params, n, spec)(pt.x, pt.p, t))
 
 
 def node_angles(spec: StandingWaveSpec) -> np.ndarray:
@@ -320,11 +309,8 @@ def check_parity(params: OscillatorParams, wave, samples: int = 200,
     else:
         times = tuple(float(t) for t in times)
 
-    def angle(xbar, mom):
-        u = params.omega * xbar
-        v = mom / params.m
-        phi = np.arctan2(v, u) % TWO_PI
-        return np.where(phi >= TWO_PI, 0.0, phi)
+    def angle(xbar, mom):  # the samples are xbar, so no shift applies
+        return polar_from_xy(replace(params, alpha=0.0), xbar, mom)[1]
 
     def wave_part(phi, t):
         th = omega_w * t

@@ -18,12 +18,17 @@ from .quadrature import DEFAULT_QUAD, QuadratureSpec, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
 
+def _kernel(params: OscillatorParams, n: int, eps):
+    """Gaussian-Laguerre kernel ((-1)^n / (pi hbar)) exp(-2 eps) L_n(4 eps) of the energy eps."""
+    sign = -1.0 if n % 2 else 1.0
+    return sign / (math.pi * params.hbar) * np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps)
+
+
 def radial_kernel(params: OscillatorParams, n, rho):
     """Radial factor ((-1)^n / (pi hbar)) exp(-m rho^2/(hbar omega)) L_n(2 m rho^2/(hbar omega))."""
     n = check_order(n)
-    s = params.m * np.asarray(rho, dtype=float) ** 2 / (params.hbar * params.omega)
-    sign = -1.0 if n % 2 else 1.0
-    out = sign / (math.pi * params.hbar) * np.exp(-s) * laguerre(n, 2.0 * s)
+    eps = 0.5 * params.m * np.asarray(rho, dtype=float) ** 2 / (params.hbar * params.omega)
+    out = _kernel(params, n, eps)
     return out if np.ndim(rho) else float(out)
 
 
@@ -44,9 +49,7 @@ class StationaryWigner:
         check_order(self.n)
 
     def __call__(self, x, p, t=0.0):
-        eps = energy_xy(self.params, x, p)
-        sign = -1.0 if self.n % 2 else 1.0
-        return sign / (math.pi * self.params.hbar) * np.exp(-2.0 * eps) * laguerre(self.n, 4.0 * eps)
+        return _kernel(self.params, self.n, energy_xy(self.params, x, p))
 
     def _p_polynomial(self, x):
         """Coefficients q with W(x, p) = K exp(-b p^2) q(p), plus K and b."""
@@ -82,22 +85,20 @@ def stationary_field(params: OscillatorParams, n) -> StationaryWigner:
 
 
 def wigner_stationary(params: OscillatorParams, n, pt: PhasePoint) -> float:
-    """Stationary Wigner value ((-1)^n/(pi hbar)) exp(-2 eps) L_n(4 eps)."""
-    n = check_order(n)
-    eps = energy_xy(params, pt.x, pt.p)
-    sign = -1.0 if n % 2 else 1.0
-    return float(sign / (math.pi * params.hbar) * np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps))
+    """Stationary Wigner value ((-1)^n/(pi hbar)) exp(-2 eps) L_n(4 eps) at a point."""
+    return float(stationary_field(params, n)(pt.x, pt.p))
+
+
+def _hermite_gauss(n: int, xi):
+    """H_n(xi) exp(-xi^2/2) / sqrt(2^n n!), the weight folded into the exponent for large n."""
+    return hermite(n, xi) * np.exp(0.5 * (log_weight(n) - xi**2))
 
 
 def position_density(params: OscillatorParams, n, x):
-    """Position density |Psi_n(xbar)|^2 of eigenstate ``n``.
-
-    Evaluated as (scaled Hermite amplitude)^2 with the 1/(2^n n!) weight
-    folded into the exponent for stability at large order.
-    """
+    """Position density |Psi_n(xbar)|^2 of eigenstate ``n``."""
     n = check_order(n)
     xi = np.sqrt(params.m * params.omega / params.hbar) * (np.asarray(x, dtype=float) + params.shift)
-    amp = hermite(n, xi) * np.exp(0.5 * (log_weight(n) - xi**2))
+    amp = _hermite_gauss(n, xi)
     out = math.sqrt(params.m * params.omega / (math.pi * params.hbar)) * np.asarray(amp) ** 2
     return out if np.ndim(x) else float(out)
 
@@ -111,7 +112,7 @@ def momentum_density(params: OscillatorParams, n, p):
     """
     n = check_order(n)
     eta = np.asarray(p, dtype=float) / math.sqrt(params.m * params.hbar * params.omega)
-    amp = hermite(n, eta) * np.exp(0.5 * (log_weight(n) - eta**2))
+    amp = _hermite_gauss(n, eta)
     out = np.asarray(amp) ** 2 / math.sqrt(math.pi * params.m * params.hbar * params.omega)
     return out if np.ndim(p) else float(out)
 
@@ -121,7 +122,7 @@ def wavefunction(params: OscillatorParams, n, x):
     n = check_order(n)
     xi = np.sqrt(params.m * params.omega / params.hbar) * (np.asarray(x, dtype=float) + params.shift)
     norm = (params.m * params.omega / (math.pi * params.hbar)) ** 0.25
-    out = norm * hermite(n, xi) * np.exp(0.5 * log_weight(n) - 0.5 * xi**2)
+    out = norm * _hermite_gauss(n, xi)
     return out if np.ndim(x) else float(out)
 
 

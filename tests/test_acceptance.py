@@ -5,6 +5,8 @@ the ``phasewave check`` command runs) and prints one pass/fail line; run
 with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
+import dataclasses
+
 from phasewave import verify
 
 
@@ -58,6 +60,16 @@ def test_criterion_10_residual_discrimination():
 
 def test_criterion_11_solver_convergence_order():
     _run(verify.check_solver_convergence)
+
+
+def test_criterion_11_rejects_a_half_speed_solver(monkeypatch):
+    solver = verify.evolve_fd
+
+    def half_speed(field0, params, t_final):
+        return solver(field0, dataclasses.replace(params, omega=params.omega / 2.0), t_final)
+
+    monkeypatch.setattr(verify, "evolve_fd", half_speed)
+    assert not verify.check_solver_convergence().passed
 
 
 def test_criterion_12_running_wave_rejected():

@@ -24,6 +24,28 @@ def test_parse_time_forms():
         parse_time("T/4", None)
     with pytest.raises(ValueError):
         parse_time("abc", T)
+    for token in ("nan", "inf", "-inf", "1e400", "T/0", "1e308T"):
+        with pytest.raises(ValueError):
+            parse_time(token, T)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--t", "nan"],
+    ["eval", "--t", "inf"],
+    ["eval", "--ell", "3", "--t", "T/0"],
+    ["evolve", "--n-rho", "4", "--n-phi", "32", "--t", "inf"],
+])
+def test_nonfinite_time_is_usage_error(argv, capsys):
+    assert invoke(argv) == 2
+    assert "phasewave: error: time" in capsys.readouterr().err
+
+
+def test_grid_nonfinite_time_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "field.csv"
+    assert invoke(["grid", "--n-rho", "4", "--n-phi", "16", "--t", "nan",
+                   "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nodes_text_output(capsys):
@@ -135,6 +157,17 @@ def test_check_report_written(tmp_path, capsys):
     assert "tolerance" in doc["checks"][0]
 
 
+def test_check_report_carries_energy_spectrum_details(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert invoke(["check", "--suite", "energy_spectrum", "--out", str(path)]) == 0
+    capsys.readouterr()
+    details = json.loads(path.read_text())["checks"][0]["details"]
+    assert sorted(details) == sorted([f"stationary n={n}" for n in range(9)]
+                                     + ["standing n=0", "standing n=5"])
+    assert details["stationary n=3"] == pytest.approx(3.5, abs=1e-6)
+    assert details["standing n=5"] == pytest.approx([5.5] * 4, abs=1e-6)
+
+
 def test_check_forced_failure_sets_exit_code(capsys):
     assert invoke(["check", "--suite", "stationary_normalization", "--tol", "1e-30"]) == 1
     out = capsys.readouterr().out
@@ -152,6 +185,15 @@ def test_evolve_reports_error_and_exports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max|fd-exact|" in out
     assert (tmp_path / "evolved_t0.csv").exists()
+
+
+def test_evolve_several_times_to_one_file_name(tmp_path, capsys):
+    out = tmp_path / "evolved.csv"
+    assert invoke(["evolve", "--n-rho", "4", "--n-phi", "32", "--t", "0.5,1.0",
+                   "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["evolved_t0.csv", "evolved_t1.csv"]
+    assert read_field(tmp_path / "evolved_t1.csv")[0].time_tag == 1.0
 
 
 def test_unknown_command_is_usage_error():

@@ -118,6 +118,14 @@ def test_evolve_rejects_backward_time():
         evolve_fd(f0, P, 0.5)
 
 
+@pytest.mark.parametrize("t_final", [math.nan, math.inf])
+def test_evolve_rejects_nonfinite_time(t_final):
+    grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
+    f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
+    with pytest.raises(ConfigurationError, match="finite"):
+        evolve_fd(f0, P, t_final)
+
+
 def test_evolve_detects_nonfinite_values():
     grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
     f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
