@@ -68,7 +68,7 @@ class RunConfig:
     n_phi: int = 128
     dt: float | None = None
     times: tuple = ("0",)
-    fmt: str = "csv"
+    fmt: str | None = None
     out: str | None = None
     tol: float | None = None
     suite: str = "all"
@@ -96,6 +96,19 @@ class RunConfig:
 
     def out_dir(self) -> str:
         return self.out or os.environ.get("PHASEWAVE_OUT") or "."
+
+    def export_format(self) -> str:
+        """Format of exported files: ``--format``, else the output's extension, else csv.
+
+        Raises ``ValueError`` when ``--format`` contradicts a .csv or .json output path.
+        """
+        ext = os.path.splitext(self.out_dir())[1].lower().lstrip(".")
+        if ext not in ("csv", "json"):
+            return self.fmt or "csv"
+        if self.fmt not in (None, ext):
+            raise ValueError(f"--format {self.fmt} contradicts the output path "
+                             f"{self.out_dir()!r}")
+        return ext
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(sp):
         sp.add_argument("--t", default="0", help="comma-separated times; accepts T/4 etc.")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        sp.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt",
+                        help="file format; default from the --out extension, else csv")
         sp.add_argument("--out", default=None, help="output file or directory")
 
     sp = sub.add_parser("eval", help="evaluate W at a phase point")
@@ -159,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("figures", help="export the six standing-wave demonstration grids")
     add_grid(sp)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    sp.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt",
+                    help="file format; default from the --out extension, else csv")
     sp.add_argument("--out", default=None, help="output directory")
 
     return parser
@@ -190,7 +205,7 @@ def _extra_meta(cfg: RunConfig) -> dict:
     return extra
 
 
-def _export_path(cfg: RunConfig, stem: str, tag: str | None = None) -> str:
+def _export_path(cfg: RunConfig, fmt: str, stem: str, tag: str | None = None) -> str:
     """Path of one export: ``<stem>.<fmt>`` inside the output directory.
 
     An output path ending in .csv or .json names the file itself; ``tag``,
@@ -202,7 +217,7 @@ def _export_path(cfg: RunConfig, stem: str, tag: str | None = None) -> str:
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         return f"{root}_{tag}{ext}" if tag else out
     os.makedirs(out, exist_ok=True)
-    return os.path.join(out, f"{stem}.{cfg.fmt}")
+    return os.path.join(out, f"{stem}.{fmt}")
 
 
 def _cmd_eval(cfg: RunConfig) -> int:
@@ -220,6 +235,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
 
 
 def _cmd_grid(cfg: RunConfig) -> int:
+    fmt = cfg.export_format()
     params = cfg.params()
     W = cfg.field(params)
     grid = _grid_from(cfg, params)
@@ -228,8 +244,8 @@ def _cmd_grid(cfg: RunConfig) -> int:
     for idx, t in enumerate(times):
         fld = sample_field(W, grid, t, params)
         tag = f"t{idx}" if multi else None
-        path = _export_path(cfg, f"field_{tag}" if multi else "field", tag)
-        export_field(fld, params, cfg.fmt, path, extra=_extra_meta(cfg))
+        path = _export_path(cfg, fmt, f"field_{tag}" if multi else "field", tag)
+        export_field(fld, params, fmt, path, extra=_extra_meta(cfg))
         print(path)
     return 0
 
@@ -249,6 +265,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 
 def _cmd_evolve(cfg: RunConfig) -> int:
+    fmt = cfg.export_format()
     params = cfg.params()
     W = cfg.field(params)
     grid = _grid_from(cfg, params)
@@ -262,8 +279,9 @@ def _cmd_evolve(cfg: RunConfig) -> int:
         err = float(np.max(np.abs(evolved.values - target.values)))
         print(f"t={t:.17g} steps={evolved.meta['steps']} max|fd-exact|={err:.6e}")
         if cfg.out:
-            path = _export_path(cfg, f"evolved_t{idx}", f"t{idx}" if len(times) > 1 else None)
-            export_field(evolved, params, cfg.fmt, path, extra=_extra_meta(cfg))
+            tag = f"t{idx}" if len(times) > 1 else None
+            path = _export_path(cfg, fmt, f"evolved_t{idx}", tag)
+            export_field(evolved, params, fmt, path, extra=_extra_meta(cfg))
             print(path)
     return 0
 
@@ -281,6 +299,7 @@ def _cmd_nodes(cfg: RunConfig) -> int:
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
+    fmt = cfg.export_format()
     params = cfg.params()
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     grid = GridSpec(rho_max=cfg.rho_max, n_rho=cfg.n_rho, n_phi=cfg.n_phi)
@@ -289,8 +308,8 @@ def _cmd_figures(cfg: RunConfig) -> int:
         W = standing_wave_field(params, n, spec)
         for tag, t in (("0", 0.0), ("T4", period / 4.0), ("T2", period / 2.0)):
             fld = sample_field(W, grid, t, params)
-            path = _export_path(cfg, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
-            export_field(fld, params, cfg.fmt, path,
+            path = _export_path(cfg, fmt, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
+            export_field(fld, params, fmt, path,
                          extra={"n": n, "ell": 3, "A": 2.0, "C": 5.0})
             print(path)
     return 0
@@ -324,3 +343,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
     sys.exit(run(config_from_args(args)))
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,8 @@
 
 Series oracles run in exact rational arithmetic so they are immune to the
 cancellation that motivates the recurrences in the library; the quadrature
-helpers are deliberately separate from the library's integration code.
+helpers are deliberately separate from the library's integration code, and
+the upwind loop steps the scheme the library applies in closed form.
 """
 
 import math
@@ -56,3 +57,17 @@ def gauss_legendre(f, a, b, n_nodes):
     xg, wg = np.polynomial.legendre.leggauss(n_nodes)
     xs = 0.5 * (b - a) * (xg + 1.0) + a
     return float(0.5 * (b - a) * np.dot(wg, np.asarray(f(xs), dtype=float)))
+
+
+def upwind_roll_loop(values, c, steps, c_rem=0.0):
+    """First-order upwind advection stepped one ``np.roll`` pass at a time.
+
+    Applies v += c (roll(v, -1) - v) ``steps`` times along axis 1, then one
+    partial step with Courant number ``c_rem`` if it is nonzero.
+    """
+    vals = np.array(values, dtype=float)
+    for _ in range(steps):
+        vals += c * (np.roll(vals, -1, axis=1) - vals)
+    if c_rem:
+        vals += c_rem * (np.roll(vals, -1, axis=1) - vals)
+    return vals

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phasewave
 from phasewave import NATURAL_UNITS, StandingWaveSpec, read_field, standing_wave_field
 from phasewave.cli import build_parser, config_from_args, parse_time, run
 
@@ -11,6 +16,15 @@ from phasewave.cli import build_parser, config_from_args, parse_time, run
 def invoke(argv):
     args = build_parser().parse_args(argv)
     return run(config_from_args(args))
+
+
+def run_module(argv, timeout=60):
+    """Run ``python -m phasewave.cli`` in a fresh interpreter; returns the completed process."""
+    src = os.path.dirname(os.path.dirname(phasewave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "phasewave.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_parse_time_forms():
@@ -200,3 +214,49 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(["bogus"])
     assert err.value.code == 2
+
+
+def test_module_entry_point_runs_commands():
+    done = run_module(["eval", "--n", "0"])
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "t,W"
+    assert float(done.stdout.splitlines()[1].split(",")[1]) == pytest.approx(1 / math.pi)
+    assert run_module(["eval", "--n", "-1"]).returncode == 2
+
+
+def test_evolve_long_time_finishes():
+    done = run_module(["evolve", "--n", "0", "--ell", "3", "--n-rho", "4", "--n-phi", "64",
+                       "--t", "1e7"])
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    match = re.fullmatch(r"t=(\S+) steps=(\d+) max\|fd-exact\|=(\S+)", lines[0])
+    assert match and float(match.group(1)) == 1e7
+    dt = 0.5 * (2.0 * math.pi / 64)
+    whole = math.floor(1e7 / dt + 1e-9)
+    assert 1e7 - whole * dt > 1e-12  # a partial step runs
+    assert int(match.group(2)) == whole + 1
+    assert math.isfinite(float(match.group(3)))
+
+
+def test_out_extension_sets_format(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert invoke(["grid", "--n-rho", "2", "--n-phi", "16", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["params"]["n_phi"] == 16
+    assert invoke(["evolve", "--n-rho", "2", "--n-phi", "16", "--t", "0.5",
+                   "--out", str(tmp_path / "e.json")]) == 0
+    capsys.readouterr()
+    json.loads((tmp_path / "e.json").read_text())
+
+
+@pytest.mark.parametrize("command", [
+    ["grid"], ["evolve", "--t", "0.5"], ["figures"],
+])
+def test_format_contradicting_out_extension_is_usage_error(command, tmp_path, capsys):
+    argv = command + ["--n-rho", "2", "--n-phi", "16", "--format", "csv",
+                      "--out", str(tmp_path / "f.json")]
+    assert invoke(argv) == 2
+    assert "contradicts" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

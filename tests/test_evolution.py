@@ -10,6 +10,8 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, Field2D, 
                        wave_residual, StandingWaveSpec, standing_wave_field)
 from phasewave.evolution import _fd_weights
 
+from oracles import upwind_roll_loop
+
 P = NATURAL_UNITS
 
 
@@ -156,6 +158,54 @@ def test_evolve_conserves_ring_sums():
     f1 = evolve_fd(f0, P, 2.0 * math.pi / P.omega)
     drift = np.max(np.abs(f1.values.sum(axis=1) - f0.values.sum(axis=1)))
     assert drift <= 1e-8
+    assert f1.meta["ring_sum_drift"] == drift
+
+
+def _ring_field(n_phi, courant, time_tag=0.0):
+    """Rough random rings on a grid whose time step has the given Courant number."""
+    dphi = 2.0 * math.pi / n_phi
+    grid = GridSpec(rho_max=3.0, n_rho=3, n_phi=n_phi, dt=courant * dphi / P.omega)
+    values = np.random.default_rng(n_phi).uniform(-1.0, 1.0, (3, n_phi))
+    return Field2D(grid=grid, values=values, time_tag=time_tag)
+
+
+@pytest.mark.parametrize("n_phi", [32, 33])
+@pytest.mark.parametrize("courant", [0.5, 0.9, 1.0])
+@pytest.mark.parametrize("whole, fraction", [(40, 0.0), (40, 0.37), (0, 0.6)])
+def test_evolve_matches_roll_loop(n_phi, courant, whole, fraction):
+    # even n_phi at c = 0.5 has a Nyquist multiplier of exactly 0
+    f0 = _ring_field(n_phi, courant)
+    out = evolve_fd(f0, P, (whole + fraction) * f0.grid.dt)
+    c = out.meta["courant"]
+    expected = upwind_roll_loop(f0.values, c, whole, fraction * c)
+    assert out.meta["steps"] == whole + (fraction > 0.0)
+    assert np.max(np.abs(out.values - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_phi", [32, 33])
+def test_evolve_to_own_time_tag_is_identity(n_phi):
+    f0 = _ring_field(n_phi, 0.5, time_tag=1.25)
+    out = evolve_fd(f0, P, 1.25)
+    assert out.meta["steps"] == 0
+    assert np.array_equal(out.values, f0.values)
+
+
+def test_evolve_courant_one_is_ring_shift_at_long_times():
+    n_phi = 32
+    f0 = _ring_field(n_phi, 1.0)
+    steps = 10**6
+    out = evolve_fd(f0, P, steps * f0.grid.dt)
+    assert out.meta["steps"] == steps
+    shifted = np.roll(f0.values, -(steps % n_phi), axis=1)
+    assert np.max(np.abs(out.values - shifted)) <= 1e-9
+
+
+@pytest.mark.parametrize("n_phi", [64, 65])
+def test_evolve_half_courant_decays_to_ring_means(n_phi):
+    f0 = _ring_field(n_phi, 0.5)
+    out = evolve_fd(f0, P, 1e7)
+    means = f0.values.mean(axis=1, keepdims=True)
+    assert np.max(np.abs(out.values - means)) <= 1e-12
 
 
 def test_evolve_first_order_convergence():
