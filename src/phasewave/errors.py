@@ -23,4 +23,9 @@ class BlowupError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Non-finite value encountered while sampling a field."""
+    """Bad field data: a non-finite sampled value, or a field file that is malformed.
+
+    ``read_field`` raises it, naming the file, for a missing header or
+    metadata, a ragged, short or non-numeric body, a value array that does
+    not match the grid, and a non-finite time or value.
+    """

@@ -8,6 +8,8 @@ parameter block.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -62,31 +64,39 @@ def _metadata(field: Field2D, params: OscillatorParams, extra=None) -> dict:
     return {k: meta[k] for k in _META_KEYS if k in meta}
 
 
+def _write_rows(fh, field: Field2D, params: OscillatorParams) -> None:
+    """Stream the CSV rows one ring at a time.
+
+    Each ring is one ``%``-format: the rho and phi decimals repeat down the
+    rows, so they are formatted once and baked into the format, and only
+    x, p and W are filled in.  ``"%.17g" % v`` is the same conversion as
+    :func:`_fmt` applies to a float.
+    """
+    rho = field.grid.rho_nodes()
+    phi = field.grid.phi_nodes()
+    x, p = xy_from_polar(params, rho[:, None], phi[None, :])
+    xpw = np.stack((x, p, field.values), axis=-1)
+    tail = ["%.17g" % v + ",%.17g,%.17g,%.17g\n" for v in phi.tolist()]
+    for i, r in enumerate(rho.tolist()):
+        lead = "%.17g" % r + ","
+        fh.write((lead + lead.join(tail)) % tuple(xpw[i].ravel().tolist()))
+
+
 def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,
                  extra=None) -> str:
     """Write a field to ``path`` as CSV or JSON; returns the path written.
 
     CSV: '#'-prefixed key=value parameter block, one ``rho,phi,x,p,W``
-    header line, one row per node.  JSON: parameter block plus nested value
-    array.  ``extra`` may carry identifying keys (n, ell, A, C).
+    header line, one row per node, streamed ring by ring.  JSON: parameter
+    block plus nested value array.  ``extra`` may carry identifying keys
+    (n, ell, A, C).
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     meta = _metadata(field, params, extra)
     path = os.fspath(path)
     if fmt == "csv":
-        rho = field.grid.rho_nodes()
-        phi = field.grid.phi_nodes()
-        x, p = xy_from_polar(params, rho[:, None], phi[None, :])
-        lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-        lines.append("rho,phi,x,p,W")
-        for i in range(field.grid.n_rho):
-            for j in range(field.grid.n_phi):
-                lines.append(",".join(_fmt(v) for v in
-                                      (rho[i], phi[j], x[i, j], p[i, j], field.values[i, j])))
-        payload = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(payload)
+        head = "".join(f"# {k}={_fmt(v)}\n" for k, v in meta.items()) + "rho,phi,x,p,W\n"
     else:
         doc = {
             "kind": "phasewave-field",
@@ -96,55 +106,107 @@ def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,
             "time": field.time_tag,
             "values": field.values.tolist(),
         }
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        # json.dumps runs the C encoder; json.dump streams through the
+        # pure-Python one.  Both give the same bytes.
+        head = json.dumps(doc) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(head)
+        if fmt == "csv":
+            _write_rows(fh, field, params)
     return path
+
+
+def _check_time(t: float, path: str) -> None:
+    if not math.isfinite(t):
+        raise DataError(f"field file {path} has a non-finite time tag {t!r}")
+
+
+@contextlib.contextmanager
+def _checks_of(path: str):
+    """Re-raise a failed GridSpec or Field2D check as a DataError naming ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"field file {path}: {exc}") from exc
+
+
+def _read_json(text: str, path: str):
+    try:
+        doc = json.loads(text)
+        g = doc["grid"]
+        grid = GridSpec(rho_max=g["rho_max"], n_rho=g["n_rho"], n_phi=g["n_phi"],
+                        dt=g.get("dt"))
+        values = np.asarray(doc["values"], dtype=float)
+        t = float(doc["time"])
+        meta = dict(doc["params"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed JSON field file {path}: {exc!r}") from exc
+    _check_time(t, path)
+    with _checks_of(path):
+        return Field2D(grid=grid, values=values, time_tag=t), meta
+
+
+def _read_csv(lines, path: str):
+    """Parse the parameter block and header line by line, the body with np.loadtxt."""
+    meta = {}
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if not line.startswith("#"):
+            break
+        key, _, raw = line[1:].strip().partition("=")
+        key = key.strip()
+        try:
+            meta[key] = int(raw) if key in ("n", "ell", "n_rho", "n_phi") else float(raw)
+        except ValueError:
+            raise DataError(f"malformed parameter line {line!r} in {path}") from None
+    else:
+        raise DataError(f"CSV field file {path} has no rho,phi,x,p,W header")
+    if line != "rho,phi,x,p,W":
+        raise DataError(f"unexpected CSV header {line!r} in {path}")
+    for key in ("rho_max", "n_rho", "n_phi", "t"):
+        if key not in meta:
+            raise DataError(f"CSV field file {path} lacks required metadata {key!r}")
+    _check_time(meta["t"], path)
+    with _checks_of(path):
+        grid = GridSpec(rho_max=meta["rho_max"], n_rho=meta["n_rho"], n_phi=meta["n_phi"],
+                        dt=meta.get("dt"))
+    n_rows = grid.n_rho * grid.n_phi
+    # np.loadtxt warns on an empty body, so the first row is taken here;
+    # like np.loadtxt, it skips blank lines.
+    first = next((ln for ln in lines if ln != "\n"), None)
+    if first is None:
+        raise DataError(f"CSV field file {path} has 0 rows, expected {n_rows}")
+    # comments=None: a '#' line in the body is a malformed row, not metadata.
+    try:
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
+                          comments=None)
+    except ValueError as exc:
+        raise DataError(f"CSV field file {path} has a malformed row: {exc}") from None
+    if data.shape[1] != 5:
+        raise DataError(f"CSV field file {path} has {data.shape[1]} columns, expected 5")
+    if data.shape[0] != n_rows:
+        raise DataError(f"CSV field file {path} has {data.shape[0]} rows, expected {n_rows}")
+    values = np.ascontiguousarray(data[:, 4]).reshape(grid.n_rho, grid.n_phi)
+    with _checks_of(path):
+        return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
 
 
 def read_field(path):
     """Parse a field written by :func:`export_field`.
 
     Returns ``(Field2D, metadata_dict)``; values reproduce the exported
-    doubles bit-exactly in both formats.
+    doubles bit-exactly in both formats.  A CSV body streams from the file
+    into ``np.loadtxt``; no copy of the whole text is held.  A malformed file
+    raises :class:`~phasewave.errors.DataError` naming it.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        grid = GridSpec(rho_max=doc["grid"]["rho_max"], n_rho=doc["grid"]["n_rho"],
-                        n_phi=doc["grid"]["n_phi"], dt=doc["grid"].get("dt"))
-        values = np.asarray(doc["values"], dtype=float)
-        return Field2D(grid=grid, values=values, time_tag=doc["time"]), dict(doc["params"])
-
-    meta = {}
-    rows = []
-    header_seen = False
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, raw = line[1:].strip().partition("=")
-            key = key.strip()
-            meta[key] = int(raw) if key in ("n", "ell", "n_rho", "n_phi") else float(raw)
-            continue
-        if not header_seen:
-            if line != "rho,phi,x,p,W":
-                raise ValueError(f"unexpected CSV header {line!r} in {path}")
-            header_seen = True
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    for key in ("rho_max", "n_rho", "n_phi", "t"):
-        if key not in meta:
-            raise ValueError(f"CSV field file {path} lacks required metadata {key!r}")
-    grid = GridSpec(rho_max=meta["rho_max"], n_rho=meta["n_rho"], n_phi=meta["n_phi"],
-                    dt=meta.get("dt"))
-    data = np.asarray(rows, dtype=float)
-    if data.shape != (grid.n_rho * grid.n_phi, 5):
-        raise ValueError(f"CSV field file {path} has {data.shape[0]} rows, "
-                         f"expected {grid.n_rho * grid.n_phi}")
-    values = data[:, 4].reshape(grid.n_rho, grid.n_phi)
-    if not math.isfinite(meta["t"]):
-        raise ValueError("non-finite time tag in metadata")
-    return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
+        try:
+            line = next((ln for ln in fh if ln.strip()), "")
+            if line.lstrip().startswith("{"):
+                return _read_json(line + fh.read(), path)
+            return _read_csv(itertools.chain([line], fh), path)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"field file {path} is not ASCII text: {exc}") from None

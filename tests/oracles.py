@@ -3,9 +3,12 @@
 Series oracles run in exact rational arithmetic so they are immune to the
 cancellation that motivates the recurrences in the library; the quadrature
 helpers are deliberately separate from the library's integration code, and
-the upwind loop steps the scheme the library applies in closed form.
+the upwind loop steps the scheme the library applies in closed form, and
+the field writer and reader format and parse one value at a time where the
+library streams whole rings and hands the body to ``np.loadtxt``.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -71,3 +74,77 @@ def upwind_roll_loop(values, c, steps, c_rem=0.0):
     if c_rem:
         vals += c_rem * (np.roll(vals, -1, axis=1) - vals)
     return vals
+
+
+_FIELD_META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",
+                    "rho_max", "n_rho", "n_phi", "dt")
+
+
+def _fmt17(v) -> str:
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+def export_field_per_value(field, params, fmt, path, extra=None):
+    """Write a field as CSV or JSON, formatting each value on its own."""
+    meta = {
+        "m": params.m, "omega": params.omega, "hbar": params.hbar,
+        "alpha": params.alpha, "t": field.time_tag,
+        "rho_max": field.grid.rho_max, "n_rho": field.grid.n_rho,
+        "n_phi": field.grid.n_phi,
+    }
+    if field.grid.dt is not None:
+        meta["dt"] = field.grid.dt
+    if extra:
+        meta.update({k: v for k, v in extra.items() if v is not None})
+    meta = {k: meta[k] for k in _FIELD_META_KEYS if k in meta}
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if fmt == "csv":
+            rho = field.grid.rho_nodes()
+            phi = field.grid.phi_nodes()
+            x = rho[:, None] / params.omega * np.cos(phi[None, :]) - params.shift
+            p = params.m * rho[:, None] * np.sin(phi[None, :])
+            lines = [f"# {k}={_fmt17(v)}" for k, v in meta.items()]
+            lines.append("rho,phi,x,p,W")
+            for i in range(field.grid.n_rho):
+                for j in range(field.grid.n_phi):
+                    lines.append(",".join(_fmt17(v) for v in (
+                        rho[i], phi[j], x[i, j], p[i, j], field.values[i, j])))
+            fh.write("\n".join(lines) + "\n")
+        else:
+            json.dump({
+                "kind": "phasewave-field",
+                "params": meta,
+                "grid": {"rho_max": field.grid.rho_max, "n_rho": field.grid.n_rho,
+                         "n_phi": field.grid.n_phi, "dt": field.grid.dt},
+                "time": field.time_tag,
+                "values": field.values.tolist(),
+            }, fh)
+            fh.write("\n")
+
+
+def read_field_line_by_line(path):
+    """Parse a field file with ``float()`` per token; returns (values, time, meta).
+
+    Values come back as an (n_rho, n_phi) array.  Only well-formed files are
+    handled: this is a reference for contents, not for error reporting.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        doc = json.loads(text)
+        return np.asarray(doc["values"], dtype=float), doc["time"], dict(doc["params"])
+    meta = {}
+    rows = []
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, raw = line[1:].strip().partition("=")
+            key = key.strip()
+            meta[key] = int(raw) if key in ("n", "ell", "n_rho", "n_phi") else float(raw)
+        elif line != "rho,phi,x,p,W":
+            rows.append([float(tok) for tok in line.split(",")])
+    values = np.asarray(rows, dtype=float)[:, 4].reshape(meta["n_rho"], meta["n_phi"])
+    return values, meta["t"], meta

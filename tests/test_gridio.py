@@ -1,12 +1,17 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from phasewave import (NATURAL_UNITS, DataError, GridSpec, StandingWaveSpec, export_field,
-                       radial_kernel, read_field, sample_field, standing_wave_field,
-                       stationary_field)
+from oracles import export_field_per_value, read_field_line_by_line
+from phasewave import (NATURAL_UNITS, DataError, Field2D, GridSpec, OscillatorParams,
+                       StandingWaveSpec, export_field, radial_kernel, read_field, sample_field,
+                       standing_wave_field, stationary_field)
 
 P = NATURAL_UNITS
 SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
@@ -106,3 +111,126 @@ def test_read_field_missing_metadata(tmp_path):
     path.write_text("rho,phi,x,p,W\n1,0,1,0,0.3\n")
     with pytest.raises(ValueError, match="metadata"):
         read_field(path)
+
+
+# Doubles at the edges of the format: signed zero, the smallest subnormal,
+# a tiny normal and the largest finite magnitudes.
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+               -1.7976931348623157e308)
+_positive = st.floats(0.05, 20.0)
+
+
+@st.composite
+def exported_fields(draw):
+    n_rho = draw(st.integers(1, 5))
+    n_phi = draw(st.integers(2, 9))
+    dt = draw(st.one_of(st.none(), st.floats(1e-6, 1.0)))
+    grid = GridSpec(rho_max=draw(_positive), n_rho=n_rho, n_phi=n_phi, dt=dt)
+    params = OscillatorParams(m=draw(_positive), omega=draw(_positive), hbar=draw(_positive),
+                              alpha=draw(st.floats(-10.0, 10.0)))
+    value = st.one_of(st.sampled_from(EDGE_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    values = np.array(draw(st.lists(value, min_size=n_rho * n_phi, max_size=n_rho * n_phi)),
+                      dtype=float).reshape(n_rho, n_phi)
+    t = draw(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e6, 1e6)))
+    extra = draw(st.sampled_from((None, {"n": 7, "ell": 3, "A": 2.5, "C": -0.125})))
+    return Field2D(grid=grid, values=values, time_tag=t), params, extra
+
+
+@given(exported_fields(), st.sampled_from(("csv", "json")))
+def test_export_matches_per_value_oracle(case, fmt):
+    fld, params, extra = case
+    with tempfile.TemporaryDirectory() as tmp:
+        ours = export_field(fld, params, fmt, Path(tmp) / f"a.{fmt}", extra=extra)
+        oracle = Path(tmp) / f"b.{fmt}"
+        export_field_per_value(fld, params, fmt, oracle, extra=extra)
+        assert open(ours, "rb").read() == oracle.read_bytes()
+        back, meta = read_field(ours)
+        values, t, oracle_meta = read_field_line_by_line(oracle)
+    assert back.values.tobytes() == values.tobytes()
+    assert back.values.tobytes() == fld.values.tobytes()
+    assert math.copysign(1.0, back.time_tag) == math.copysign(1.0, t)
+    assert back.time_tag == t == fld.time_tag
+    assert meta == oracle_meta
+    assert back.grid == fld.grid
+
+
+def _valid_csv(tmp_path):
+    fld = sample_field(standing_wave_field(P, 5, SPEC), small_grid(), 0.21, P)
+    path = export_field(fld, P, "csv", tmp_path / "w.csv", extra={"n": 5})
+    return fld, Path(path).read_text().splitlines(keepends=True)
+
+
+def _header_index(lines):
+    return lines.index("rho,phi,x,p,W\n")
+
+
+def test_csv_with_crlf_and_blank_lines_reads_bit_exact(tmp_path):
+    fld, lines = _valid_csv(tmp_path)
+    h = _header_index(lines)
+    text = "\n" + "".join(lines[:h]) + "\n" + lines[h] + "".join(ln + "\n" for ln in lines[h + 1:])
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    back, _ = read_field(path)
+    assert back.values.tobytes() == fld.values.tobytes()
+    assert back.time_tag == fld.time_tag
+
+
+def _broken_csv(tmp_path, edit):
+    _, lines = _valid_csv(tmp_path)
+    path = tmp_path / "broken.csv"
+    path.write_text("".join(edit(lines, _header_index(lines))), encoding="utf-8")
+    return path
+
+
+def _replace_row(k, row):
+    return lambda lines, h: lines[:h + 1 + k] + [row] + lines[h + 2 + k:]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_replace_row(3, "1,2,3,4\n"), "malformed row"),
+    (_replace_row(3, "1,2,3,4,5,6\n"), "malformed row"),
+    (lambda lines, h: [ln.replace(",", ",6,", 1) if i > h else ln
+                       for i, ln in enumerate(lines)], "6 columns"),
+    (_replace_row(0, "1,2,abc,4,5\n"), "malformed row"),
+    (lambda lines, h: lines + ["# t=5\n"], "malformed row"),
+    (lambda lines, h: lines[:-1], "rows, expected"),
+    (lambda lines, h: lines[:h + 1], "0 rows"),
+    (lambda lines, h: lines[:h] + lines[h + 1:], "header"),
+    (lambda lines, h: lines[:h], "header"),
+    (lambda lines, h: [ln.replace("# t=0.20999999999999999", "# t=nan") for ln in lines],
+     "non-finite time"),
+    (_replace_row(2, "1,2,3,4,nan\n"), "finite"),
+    (lambda lines, h: ["# n_rho=four\n"] + lines, "parameter line"),
+    (lambda lines, h: ["# note=\u00e9\n"] + lines, "ASCII"),
+], ids=["ragged-row", "long-row", "extra-column", "non-numeric", "hash-line-in-body",
+        "short", "no-rows", "missing-header", "no-header-or-rows", "nan-time", "nan-value",
+        "bad-parameter", "non-ascii"])
+def test_malformed_csv_raises_data_error_naming_the_file(tmp_path, edit, match):
+    path = _broken_csv(tmp_path, edit)
+    with pytest.raises(DataError, match=match) as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
+def _json_doc(tmp_path):
+    fld = sample_field(standing_wave_field(P, 0, SPEC), small_grid(), 0.11, P)
+    path = export_field(fld, P, "json", tmp_path / "w.json")
+    return json.loads(Path(path).read_text())
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc.update(time=float("nan")), "non-finite time"),
+    (lambda doc: doc.update(time=float("inf")), "non-finite time"),
+    (lambda doc: doc.update(values=doc["values"][:-1]), "does not match grid"),
+    (lambda doc: doc["values"][1].pop(), "malformed JSON"),
+    (lambda doc: doc.pop("grid"), "malformed JSON"),
+], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid"])
+def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match):
+    doc = _json_doc(tmp_path)
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=match) as info:
+        read_field(path)
+    assert str(path) in str(info.value)
