@@ -26,6 +26,7 @@ class DataError(ValueError):
     """Bad field data: a non-finite sampled value, or a field file that is malformed.
 
     ``read_field`` raises it, naming the file, for a missing header or
-    metadata, a ragged, short or non-numeric body, a value array that does
-    not match the grid, and a non-finite time or value.
+    metadata, a ragged, short or non-numeric body, a CSV row that is not at
+    its grid node, a value array that does not match the grid, and a
+    non-finite time or value.
     """

@@ -190,7 +190,20 @@ def _read_csv(lines, path: str):
         raise DataError(f"CSV field file {path} has {data.shape[0]} rows, expected {n_rows}")
     values = np.ascontiguousarray(data[:, 4]).reshape(grid.n_rho, grid.n_phi)
     with _checks_of(path):
-        return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
+        field = Field2D(grid=grid, values=values, time_tag=meta["t"])
+    # Values are placed by row order, so each row must sit at its own node;
+    # exported decimals round-trip, so the match is exact.
+    rho = grid.rho_nodes()
+    phi = grid.phi_nodes()
+    shape = (grid.n_rho, grid.n_phi)
+    bad = (data[:, 0].reshape(shape) != rho[:, None]) | (data[:, 1].reshape(shape) != phi)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(
+            f"CSV field file {path}: row {i} has rho={data[i, 0]!r}, phi={data[i, 1]!r}, "
+            f"expected node rho={rho[i // grid.n_phi]!r}, phi={phi[i % grid.n_phi]!r}"
+        )
+    return field, meta
 
 
 def read_field(path):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .special import _blocked
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -86,14 +88,27 @@ def shifted_x(params: OscillatorParams, x):
 
 
 def polar_from_xy(params: OscillatorParams, x, p):
-    """Vectorized (x, p) -> (rho, phi) with phi in [0, 2pi), phi(origin) = 0."""
-    u = params.omega * (np.asarray(x, dtype=float) + params.shift)
-    v = np.asarray(p, dtype=float) / params.m
-    rho = np.hypot(u, v)
-    phi = np.arctan2(v, u) % TWO_PI
-    phi = np.where(phi >= TWO_PI, 0.0, phi)
-    phi = np.where(rho == 0.0, 0.0, phi)
-    return rho, phi
+    """Vectorized (x, p) -> (rho, phi) with phi in [0, 2pi), phi(origin) = 0.
+
+    Runs over blocks of ``_BLOCK`` elements.
+    """
+    def kernel(outs, ins, work):
+        (rho, phi), (x, p), (v,) = outs, ins, work
+        u = rho
+        np.add(x, params.shift, out=u)
+        u *= params.omega
+        np.divide(p, params.m, out=v)
+        np.arctan2(v, u, out=phi)
+        np.hypot(u, v, out=rho)
+        # arctan2 lies in [-pi, pi]: adding 2pi to a negative angle rounds as
+        # ``% TWO_PI`` would, and adding 0.0 to -0.0 gives +0.0.  A tiny
+        # negative angle can round up to 2pi, which wraps to 0.
+        np.multiply(phi < 0.0, TWO_PI, out=v)
+        phi += v
+        phi[(phi >= TWO_PI) | (rho == 0.0)] = 0.0
+
+    rho, phi = _blocked(kernel, [x, p], n_out=2, n_work=1)
+    return rho[()], phi
 
 
 def xy_from_polar(params: OscillatorParams, rho, phi):
@@ -123,12 +138,31 @@ def from_polar(params: OscillatorParams, pt: PolarPoint) -> PhasePoint:
 
 
 def energy_xy(params: OscillatorParams, x, p):
-    """Vectorized dimensionless energy eps(xbar, p) in units of hbar omega."""
-    xb = np.asarray(x, dtype=float) + params.shift
-    pp = np.asarray(p, dtype=float)
-    kinetic = pp**2 / (2.0 * params.m)
-    potential = 0.5 * params.m * params.omega**2 * xb**2
-    return (kinetic + potential) / (params.hbar * params.omega)
+    """Vectorized dimensionless energy eps(xbar, p) in units of hbar omega.
+
+    Runs over blocks of ``_BLOCK`` elements.
+    """
+    scale = 0.5 * params.m * params.omega**2
+    x = np.asarray(x, dtype=float)
+    # numpy squares a 0-d xbar with its scalar power, which rounds unlike
+    # xbar * xbar about once in a thousand values; a scalar x keeps those
+    # bits by entering as its whole potential term.
+    whole = x.ndim == 0
+
+    def kernel(outs, ins, work):
+        (eps,), (a, p), (potential,) = outs, ins, work
+        if not whole:
+            np.add(a, params.shift, out=potential)
+            np.square(potential, out=potential)
+            potential *= scale
+            a = potential
+        np.square(p, out=eps)
+        eps /= 2.0 * params.m
+        eps += a
+        eps /= params.hbar * params.omega
+
+    (eps,) = _blocked(kernel, [scale * (x + params.shift)**2 if whole else x, p], n_work=1)
+    return eps[()]
 
 
 def energy(params: OscillatorParams, pt: PhasePoint) -> float:

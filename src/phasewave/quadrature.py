@@ -118,29 +118,46 @@ def _disk_integral(W, params, quad, t, radial_weight, label):
 
 
 def _simpson(vals, h):
-    return h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
+    """Composite Simpson over the last axis; one value per leading index."""
+    return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                      + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+
+
+def _simpson_pair(f, a, b, n):
+    """Simpson on n panels, per line, and its distance from Simpson on n/2."""
+    xs = np.linspace(a, b, n + 1)
+    vals = np.asarray(f(xs), dtype=float)
+    vals = np.broadcast_to(vals, vals.shape[:-1] + xs.shape)
+    h = (b - a) / n
+    fine = _simpson(vals, h)
+    return fine, abs(fine - _simpson(vals[..., ::2], 2.0 * h))
 
 
 def _line_integral(f, a, b, n_panels, tol, label):
-    """Composite Simpson with one halving-based refinement and error estimate."""
+    """Composite Simpson with one halving-based refinement and error estimate.
+
+    ``f(xs)`` returns the integrand at the nodes ``xs`` along its last
+    axis; leading axes, if any, index independent lines, and the result
+    has their shape.  Each line is estimated on its own.  If some fail,
+    ``f`` runs once more on the halved mesh and only the failing lines take
+    its value and estimate, so a line integrates exactly as it would alone.
+    """
     n = int(n_panels)
     n += n % 2
-    for _ in range(2):
-        xs = np.linspace(a, b, n + 1)
-        vals = np.asarray(f(xs), dtype=float)
-        vals = np.broadcast_to(vals, xs.shape)
-        h = (b - a) / n
-        fine = _simpson(vals, h)
-        coarse = _simpson(vals[::2], 2.0 * h)
-        est = abs(fine - coarse)
-        if est <= tol:
-            return float(fine), float(est)
-        n *= 2
-    raise AccuracyError(
-        f"{label}: estimate {est:.3e} above tol {tol:g} after refinement",
-        value=float(fine),
-        estimate=float(est),
-    )
+    value, est = _simpson_pair(f, a, b, n)
+    failed = est > tol
+    if np.any(failed):
+        fine, fine_est = _simpson_pair(f, a, b, 2 * n)
+        value = np.where(failed, fine, value)
+        est = np.where(failed, fine_est, est)
+        if np.any(est > tol):
+            worst = np.unravel_index(np.argmax(est), est.shape)
+            raise AccuracyError(
+                f"{label}: estimate {est[worst]:.3e} above tol {tol:g} after refinement",
+                value=float(value[worst]),
+                estimate=float(est[worst]),
+            )
+    return (value, est) if np.ndim(value) else (float(value), float(est))
 
 
 def phase_space_integral(W, params: OscillatorParams, quad: QuadratureSpec | None = None,
@@ -174,29 +191,34 @@ def mean_energy(W, params: OscillatorParams, t: float = 0.0,
 
 def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
                     quad: QuadratureSpec | None = None, return_error: bool = False):
-    """Integral of W over p at fixed x.
+    """Integral of W over p at fixed x, for one position or an array of them.
 
     Runs in Cartesian variables over a window of ``line_window`` Gaussian
-    momentum widths sqrt(m hbar omega).
+    momentum widths sqrt(m hbar omega).  An array ``x`` evaluates W once
+    for all its lines and returns arrays of its shape; each line gets the
+    value and estimate a call with that position alone would give.
     """
     quad = quad or DEFAULT_QUAD
     half = quad.line_window * math.sqrt(params.m * params.hbar * params.omega)
-    value, est = _line_integral(lambda ps: W(x, ps, t), -half, half, quad.n_line,
+    lines = np.asarray(x, dtype=float)[..., None]
+    value, est = _line_integral(lambda ps: W(lines, ps, t), -half, half, quad.n_line,
                                 quad.tol, "marginal_over_p")
     return (value, est) if return_error else value
 
 
 def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
                     quad: QuadratureSpec | None = None, return_error: bool = False):
-    """Integral of W over x at fixed p.
+    """Integral of W over x at fixed p, for one momentum or an array of them.
 
     The window is centered on the shifted origin xbar = 0 and spans
-    ``line_window`` Gaussian position widths sqrt(hbar/(m omega)).
+    ``line_window`` Gaussian position widths sqrt(hbar/(m omega)).  An
+    array ``p`` is batched as in :func:`marginal_over_p`.
     """
     quad = quad or DEFAULT_QUAD
     half = quad.line_window * math.sqrt(params.hbar / (params.m * params.omega))
     center = -params.shift
-    value, est = _line_integral(lambda xs: W(xs, p, t), center - half, center + half,
+    lines = np.asarray(p, dtype=float)[..., None]
+    value, est = _line_integral(lambda xs: W(xs, lines, t), center - half, center + half,
                                 quad.n_line, quad.tol, "marginal_over_x")
     return (value, est) if return_error else value
 

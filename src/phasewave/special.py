@@ -31,37 +31,93 @@ def _finite_values(x, name):
     return vals
 
 
+#: Elements per block of the blocked kernels: a block's few working arrays
+#: (8 bytes an element) stay in a core's L2 cache while a recurrence runs.
+_BLOCK = 16384
+
+
+def _blocked(kernel, inputs, n_out=1, n_work=0):
+    """Evaluate an elementwise kernel over flat blocks of its broadcast inputs.
+
+    ``kernel(outs, ins, work)`` receives lists of views of one block each:
+    the outputs to fill, the inputs (read only; a one-element input comes
+    as a 0-d array for the kernel's ufuncs to broadcast) and scratch
+    arrays.  Buffers are allocated per call, so concurrent calls share
+    nothing.  Returns the outputs as arrays of the broadcast shape.
+    """
+    ins = [np.asarray(a, dtype=float) for a in inputs]
+    shape = np.broadcast(*ins).shape
+    outs = [np.empty(shape) for _ in range(n_out)]
+    flat = [o.reshape(-1) for o in outs]
+    size = flat[0].size
+    ins = [a.reshape(()) if a.size == 1
+           else (a if a.shape == shape else np.broadcast_to(a, shape)).ravel() for a in ins]
+    work = [np.empty(min(size, _BLOCK)) for _ in range(n_work)]
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        kernel([o[lo:hi] for o in flat], [a if a.ndim == 0 else a[lo:hi] for a in ins],
+               [w[:hi - lo] for w in work])
+    return outs
+
+
 def laguerre(n, x):
     """Evaluate the Laguerre polynomial L_n(x).
 
-    Uses (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.  Accepts scalars or
-    arrays; scalar input returns a float.
+    Uses (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, in place over blocks of
+    ``_BLOCK`` elements.  Accepts scalars or arrays; scalar input returns a
+    float.
     """
     n = check_order(n)
     xs = _finite_values(x, "laguerre")
-    prev = np.ones_like(xs)
     if n == 0:
-        return prev if xs.ndim else 1.0
-    cur = 1.0 - xs
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 - xs) * cur - k * prev) / (k + 1.0)
-    return cur if xs.ndim else float(cur)
+        return np.ones_like(xs) if xs.ndim else 1.0
+
+    def kernel(outs, ins, work):
+        (out,), (x,), (prev, nxt) = outs, ins, work
+        cur = out
+        np.subtract(1.0, x, out=cur)
+        prev.fill(1.0)
+        for k in range(1, n):
+            np.subtract(2.0 * k + 1.0, x, out=nxt)
+            nxt *= cur
+            prev *= k
+            nxt -= prev
+            nxt /= k + 1.0
+            prev, cur, nxt = cur, nxt, prev
+        if cur is not out:
+            out[...] = cur
+
+    (out,) = _blocked(kernel, [xs], n_work=2)
+    return out if xs.ndim else float(out)
 
 
 def hermite(n, x):
     """Evaluate the physicists' Hermite polynomial H_n(x).
 
-    Uses H_{k+1} = 2x H_k - 2k H_{k-1}.
+    Uses H_{k+1} = 2x H_k - 2k H_{k-1}, in place over blocks of ``_BLOCK``
+    elements.
     """
     n = check_order(n)
     xs = _finite_values(x, "hermite")
-    prev = np.ones_like(xs)
     if n == 0:
-        return prev if xs.ndim else 1.0
-    cur = 2.0 * xs
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * xs * cur - 2.0 * k * prev
-    return cur if xs.ndim else float(cur)
+        return np.ones_like(xs) if xs.ndim else 1.0
+
+    def kernel(outs, ins, work):
+        (out,), (x,), (two_x, prev, nxt) = outs, ins, work
+        np.multiply(2.0, x, out=two_x)
+        cur = out
+        cur[...] = two_x
+        prev.fill(1.0)
+        for k in range(1, n):
+            np.multiply(two_x, cur, out=nxt)
+            prev *= 2.0 * k
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+        if cur is not out:
+            out[...] = cur
+
+    (out,) = _blocked(kernel, [xs], n_work=3)
+    return out if xs.ndim else float(out)
 
 
 def log_weight(n):

@@ -5,7 +5,9 @@ cancellation that motivates the recurrences in the library; the quadrature
 helpers are deliberately separate from the library's integration code, and
 the upwind loop steps the scheme the library applies in closed form, and
 the field writer and reader format and parse one value at a time where the
-library streams whole rings and hands the body to ``np.loadtxt``.
+library streams whole rings and hands the body to ``np.loadtxt``.  The
+whole-array kernels evaluate each formula over the full input at once,
+the form the library's blocked kernels must reproduce bit for bit.
 """
 
 import json
@@ -13,6 +15,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+TWO_PI = 2.0 * math.pi
 
 
 def lag_series(n, x):
@@ -148,3 +152,47 @@ def read_field_line_by_line(path):
             rows.append([float(tok) for tok in line.split(",")])
     values = np.asarray(rows, dtype=float)[:, 4].reshape(meta["n_rho"], meta["n_phi"])
     return values, meta["t"], meta
+
+
+def laguerre_whole_array(n, x):
+    """L_n(x) by (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} over the whole array."""
+    xs = np.asarray(x, dtype=float)
+    prev = np.ones_like(xs)
+    if n == 0:
+        return prev if xs.ndim else 1.0
+    cur = 1.0 - xs
+    for k in range(1, n):
+        prev, cur = cur, ((2.0 * k + 1.0 - xs) * cur - k * prev) / (k + 1.0)
+    return cur if xs.ndim else float(cur)
+
+
+def hermite_whole_array(n, x):
+    """H_n(x) by H_{k+1} = 2x H_k - 2k H_{k-1} over the whole array."""
+    xs = np.asarray(x, dtype=float)
+    prev = np.ones_like(xs)
+    if n == 0:
+        return prev if xs.ndim else 1.0
+    cur = 2.0 * xs
+    for k in range(1, n):
+        prev, cur = cur, 2.0 * xs * cur - 2.0 * k * prev
+    return cur if xs.ndim else float(cur)
+
+
+def polar_from_xy_whole_array(params, x, p):
+    """(x, p) -> (rho, phi) with a float remainder for the angle, phi(origin) = 0."""
+    u = params.omega * (np.asarray(x, dtype=float) + params.shift)
+    v = np.asarray(p, dtype=float) / params.m
+    rho = np.hypot(u, v)
+    phi = np.arctan2(v, u) % TWO_PI
+    phi = np.where(phi >= TWO_PI, 0.0, phi)
+    phi = np.where(rho == 0.0, 0.0, phi)
+    return rho, phi
+
+
+def energy_xy_whole_array(params, x, p):
+    """Dimensionless energy (p^2/2m + m omega^2 xbar^2/2) / (hbar omega)."""
+    xb = np.asarray(x, dtype=float) + params.shift
+    pp = np.asarray(p, dtype=float)
+    kinetic = pp**2 / (2.0 * params.m)
+    potential = 0.5 * params.m * params.omega**2 * xb**2
+    return (kinetic + potential) / (params.hbar * params.omega)

@@ -234,3 +234,19 @@ def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match)
     with pytest.raises(DataError, match=match) as info:
         read_field(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("i, j, row", [(0, 7, 0), (1, 2, 1), (4, 5, 4)],
+                         ids=["first-and-last", "within-a-ring", "ring-start"])
+def test_csv_with_swapped_rows_names_the_first_misplaced_row(tmp_path, i, j, row):
+    grid = GridSpec(rho_max=2.0, n_rho=2, n_phi=4)
+    fld = sample_field(stationary_field(P, 1), grid, 0.0, P)
+    lines = Path(export_field(fld, P, "csv", tmp_path / "w.csv")).read_text().splitlines(True)
+    h = _header_index(lines)
+    body = lines[h + 1:]
+    body[i], body[j] = body[j], body[i]
+    path = tmp_path / "swapped.csv"
+    path.write_text("".join(lines[:h + 1] + body), encoding="ascii")
+    with pytest.raises(DataError, match=rf"row {row} has rho=") as info:
+        read_field(path)
+    assert str(path) in str(info.value)

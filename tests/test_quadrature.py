@@ -156,3 +156,63 @@ def test_laguerre_energy_identity_full_range():
     for n in range(9):
         expected = (-1.0) ** n * (2 * n + 1) / 4.0
         assert laguerre_energy_identity(n) == pytest.approx(expected, abs=1e-9)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("marginal", [marginal_over_p, marginal_over_x])
+@pytest.mark.parametrize("params", [P, GENERAL], ids=["natural", "general"])
+def test_batched_marginal_lines_equal_scalar_calls(marginal, params):
+    lines = np.linspace(-2.9, 3.1, 12).reshape(3, 4)
+    fields = [stationary_field(params, 3),
+              standing_wave_field(params, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0)),
+              extended_field(params, 1, running_wave_profile(A=0.4, C=1.0, kappa=2))]
+    for W in fields:
+        values, ests = marginal(W, params, lines, 0.3, return_error=True)
+        assert values.shape == ests.shape == lines.shape
+        for value, est, pos in zip(values.ravel(), ests.ravel(), lines.ravel()):
+            alone = marginal(W, params, float(pos), 0.3, return_error=True)
+            assert (_bits(value), _bits(est)) == (_bits(alone[0]), _bits(alone[1]))
+
+
+def _counting(W, calls):
+    def f(x, p, t):
+        calls.append(np.broadcast_shapes(np.shape(x), np.shape(p)))
+        return W(x, p, t)
+    return f
+
+
+def test_batch_keeps_each_line_at_its_own_refinement_level():
+    W = stationary_field(P, 5)
+    quad = QuadratureSpec(n_line=64, tol=1e-6)
+    xs = np.linspace(-4.5, 4.5, 11)
+    alone, refined = [], []
+    for x in xs:
+        calls = []
+        alone.append(marginal_over_p(_counting(W, calls), P, float(x), quad=quad,
+                                     return_error=True))
+        refined.append(len(calls) == 2)
+    assert any(refined) and not all(refined)
+    calls = []
+    values, ests = marginal_over_p(_counting(W, calls), P, xs, quad=quad, return_error=True)
+    assert calls == [(11, 65), (11, 129)]
+    for value, est, (v, e) in zip(values, ests, alone):
+        assert (_bits(value), _bits(est)) == (_bits(v), _bits(e))
+
+
+def test_batch_accuracy_error_reports_the_worst_line():
+    W = stationary_field(P, 5)
+    quad = QuadratureSpec(n_line=48, tol=1e-6)
+    xs = np.linspace(-4.5, 4.5, 11)
+    failures = []
+    for x in xs:
+        try:
+            marginal_over_p(W, P, float(x), quad=quad)
+        except AccuracyError as err:
+            failures.append((err.estimate, err.value))
+    assert 0 < len(failures) < len(xs)
+    with pytest.raises(AccuracyError) as err:
+        marginal_over_p(W, P, xs, quad=quad)
+    assert (err.value.estimate, err.value.value) == max(failures)
