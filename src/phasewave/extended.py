@@ -188,12 +188,6 @@ def normalization(profile: WaveProfile, quad: QuadratureSpec | None = None) -> N
     return Normalization(N=1.0 / den, mean_f=mean_f, mean_g=mean_g)
 
 
-def _bracket_masked(profile, rho, phi, t, omega):
-    """Angular factor with the node-line convention C at the origin."""
-    vals = np.asarray(profile.bracket(phi, t, omega), dtype=float)
-    return np.where(np.asarray(rho) == 0.0, profile.C, vals)
-
-
 @dataclass(frozen=True)
 class ExtendedWigner:
     """Callable field W(x, p, t) for a kernel modulated by a wave profile."""
@@ -205,8 +199,18 @@ class ExtendedWigner:
 
     def __call__(self, x, p, t=0.0):
         rho, phi = polar_from_xy(self.params, x, p)
-        kern = radial_kernel(self.params, self.n, rho)
-        return self.norm.N * kern * _bracket_masked(self.profile, rho, phi, t, self.params.omega)
+        radial, angular = self.polar_factors(rho, phi, t)
+        # node-line convention: the angular factor is C at the origin
+        return radial * np.where(np.asarray(rho) == 0.0, self.profile.C, angular)
+
+    def polar_factors(self, rho, phi, t=0.0):
+        """Radial factor N kernel_n(rho) and angular factor C + f(.) + g(.) at ``phi``.
+
+        W(rho_i, phi_j, t) = radial[i] * angular[j] away from the origin.
+        """
+        radial = self.norm.N * radial_kernel(self.params, self.n, rho)
+        angular = np.asarray(self.profile.bracket(phi, t, self.params.omega), dtype=float)
+        return radial, angular
 
 
 def extended_field(params: OscillatorParams, n, profile: WaveProfile,
@@ -239,10 +243,13 @@ class StandingWaveWigner:
     spec: StandingWaveSpec
 
     def __call__(self, x, p, t=0.0):
-        rho, phi = polar_from_xy(self.params, x, p)
-        kern = radial_kernel(self.params, self.n, rho)
-        factor = 1.0 + standing_wave_factor(self.spec, phi, t, self.params.omega) / self.spec.C
-        return kern * factor
+        radial, angular = self.polar_factors(*polar_from_xy(self.params, x, p), t)
+        return radial * angular
+
+    def polar_factors(self, rho, phi, t=0.0):
+        """Radial factor kernel_n(rho) and angular factor 1 + (2A/C) cos(Omega t) sin(2 ell phi)."""
+        return (radial_kernel(self.params, self.n, rho),
+                1.0 + standing_wave_factor(self.spec, phi, t, self.params.omega) / self.spec.C)
 
 
 def standing_wave_field(params: OscillatorParams, n, spec: StandingWaveSpec) -> StandingWaveWigner:

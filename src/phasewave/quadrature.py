@@ -8,6 +8,11 @@ failure as :class:`~phasewave.errors.AccuracyError` instead of returning a
 value it cannot back with an error estimate.
 
 Fields are callables ``W(x, p, t)`` accepting numpy arrays in ``x, p``.
+A field that also has ``polar_factors(rho, phi, t)``, returning a radial
+factor on 1-d radii and an angular factor on 1-d angles whose outer
+product is W on the polar grid, is integrated over the disk as one radial
+sum times one angular sum on the same nodes; its truncation tail is then
+measured from its own radial factor, not from the Gaussian alone.
 """
 
 from __future__ import annotations
@@ -20,10 +25,13 @@ import numpy as np
 
 from .errors import AccuracyError, ConfigurationError
 from .oscillator import TWO_PI, OscillatorParams, xy_from_polar
-from .special import check_order, laguerre
+from .special import MAX_ORDER, check_order, laguerre
 
 #: Largest admissible ratio between the radial kernel tail and its peak.
 _TAIL_BOUND = 1e-14
+
+#: Gauss-Legendre nodes of the rule that measures a factored field's tail.
+_TAIL_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,9 @@ class QuadratureSpec:
     rho_max : float
         Truncation radius of the polar disk.  Must leave the Gaussian
         kernel tail exp(-m rho_max^2 / (hbar omega)) below 1e-14 of its
-        peak for the parameters in use; the disk integrators enforce this.
+        peak for the parameters in use, and, for a field with
+        ``polar_factors``, its integral beyond ``rho_max`` below ``tol``;
+        the disk integrators enforce both.
     n_rho, n_phi : int
         Radial (Gauss-Legendre) and angular (periodic trapezoid) node
         counts for disk integrals.
@@ -84,12 +94,60 @@ def _check_tail(params, rho_max):
         )
 
 
+def _gl_nodes(n, a, b):
+    """Gauss-Legendre nodes and weights of order ``n`` on [a, b]."""
+    xg, wg = _leggauss(n)
+    return 0.5 * (b - a) * (xg + 1.0) + a, 0.5 * (b - a) * wg
+
+
+def _angles(n_phi):
+    return TWO_PI * np.arange(n_phi) / n_phi
+
+
+def _factored_integrand(W, rho, phi, t, radial_weight):
+    """Radial part rho g(rho) radial(rho) and angular part of a field with ``polar_factors``."""
+    radial, angular = W.polar_factors(rho, phi, t)
+    radial = np.broadcast_to(np.asarray(radial, dtype=float), rho.shape) * rho
+    if radial_weight is not None:
+        radial = radial * radial_weight(rho)
+    return radial, np.broadcast_to(np.asarray(angular, dtype=float), phi.shape)
+
+
+def _check_factored_tail(W, params, quad, t, radial_weight):
+    """Refuse a disk that truncates a factored field by more than ``quad.tol``.
+
+    Bounds the integral left out beyond ``rho_max`` by (m/omega) times the
+    Gauss-Legendre integral of |radial rho weight| over [rho_max, R] times
+    dphi sum |angular| on the fine angular nodes.  R lies past rho_max by
+    at least the turning radius sqrt((2n+1) hbar omega/m) of the highest
+    admissible order, out to which a kernel oscillates before its Gaussian
+    decay sets in.
+    """
+    turning = math.sqrt((2 * MAX_ORDER + 1) * params.hbar * params.omega / params.m)
+    rho, wr = _gl_nodes(_TAIL_NODES, quad.rho_max, quad.rho_max + max(quad.rho_max, turning))
+    radial, angular = _factored_integrand(W, rho, _angles(quad.n_phi), t, radial_weight)
+    tail = (params.m / params.omega * float(np.dot(wr, np.abs(radial)))
+            * float(np.abs(angular).sum()) * (TWO_PI / quad.n_phi))
+    if tail > quad.tol:
+        raise ConfigurationError(
+            f"rho_max={quad.rho_max} leaves an integrand tail {tail:.3e} above "
+            f"tol {quad.tol:g}; enlarge rho_max"
+        )
+
+
 def _disk_sum(W, params, n_rho, n_phi, rho_max, t, radial_weight):
-    """One fixed-size evaluation of (m/omega) * integral of W rho drho dphi."""
-    xg, wg = _leggauss(n_rho)
-    rho = 0.5 * rho_max * (xg + 1.0)
-    wr = 0.5 * rho_max * wg
-    phi = TWO_PI * np.arange(n_phi) / n_phi
+    """One fixed-size evaluation of (m/omega) * integral of W rho drho dphi.
+
+    A field with ``polar_factors`` takes the factored form
+    (sum_i w_i rho_i g(rho_i) radial_i) (dphi sum_j angular_j) of the same
+    tensor-product rule; any other callable is evaluated on the full grid.
+    """
+    rho, wr = _gl_nodes(n_rho, 0.0, rho_max)
+    phi = _angles(n_phi)
+    if hasattr(W, "polar_factors"):
+        radial, angular = _factored_integrand(W, rho, phi, t, radial_weight)
+        ring = float(angular.sum()) * (TWO_PI / n_phi)
+        return params.m / params.omega * (float(np.dot(wr, radial)) * ring)
     x, p = xy_from_polar(params, rho[:, None], phi[None, :])
     vals = np.asarray(W(x, p, t), dtype=float)
     vals = np.broadcast_to(vals, x.shape) * rho[:, None]
@@ -101,6 +159,8 @@ def _disk_sum(W, params, n_rho, n_phi, rho_max, t, radial_weight):
 
 def _disk_integral(W, params, quad, t, radial_weight, label):
     _check_tail(params, quad.rho_max)
+    if hasattr(W, "polar_factors"):
+        _check_factored_tail(W, params, quad, t, radial_weight)
     coarse = _disk_sum(W, params, quad.n_rho // 2, quad.n_phi // 2, quad.rho_max, t, radial_weight)
     fine = _disk_sum(W, params, quad.n_rho, quad.n_phi, quad.rho_max, t, radial_weight)
     est = abs(fine - coarse)

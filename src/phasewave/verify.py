@@ -27,10 +27,10 @@ from .extended import (StandingWaveSpec, WaveProfile, antinode_angles, check_par
                        standing_wave_eval, standing_wave_field)
 from .gridio import sample_field
 from .oscillator import NATURAL_UNITS, PhasePoint, PolarPoint, from_polar, polar_from_xy
-from .quadrature import (QuadratureSpec, laguerre_energy_identity, marginal_over_p,
-                         marginal_over_x, mean_energy, phase_space_integral)
-from .wigner import (momentum_density, position_density, radial_kernel,
-                     stationary_field, wigner_from_wavefunction, wigner_stationary)
+from .quadrature import (DEFAULT_QUAD, QuadratureSpec, laguerre_energy_identity,
+                         marginal_over_p, marginal_over_x, mean_energy, phase_space_integral)
+from .wigner import (_transform_lines, momentum_density, position_density, radial_kernel,
+                     stationary_field, wigner_stationary)
 
 
 @dataclass(kw_only=True)
@@ -221,13 +221,13 @@ def check_transform_oracle_agreement(params=NATURAL_UNITS, tol: float = 1e-7,
                                      quad: QuadratureSpec | None = None) -> CheckResult:
     """Fourier-transform construction agrees with the closed form on a grid."""
     pts = np.linspace(-3.0, 3.0, 9)
+    quad = quad or DEFAULT_QUAD
     worst = 0.0
     for n in (0, 1, 2, 3, 5):
         for x in pts:
-            for p in pts:
-                pt = PhasePoint(float(x), float(p))
-                dev = abs(wigner_from_wavefunction(params, n, pt, quad)
-                          - wigner_stationary(params, n, pt))
+            transform, _ = _transform_lines(params, n, float(x), pts, quad)
+            for p, value in zip(pts, transform.tolist()):
+                dev = abs(value - wigner_stationary(params, n, PhasePoint(float(x), float(p))))
                 worst = max(worst, dev)
     return CheckResult(
         provenance="independent eigenfunction Fourier transform of the same state",

@@ -51,6 +51,14 @@ class StationaryWigner:
     def __call__(self, x, p, t=0.0):
         return _kernel(self.params, self.n, energy_xy(self.params, x, p))
 
+    def polar_factors(self, rho, phi, t=0.0):
+        """Radial factor at the radii ``rho`` and angular factor at the angles ``phi``.
+
+        W(rho_i, phi_j, t) = radial[i] * angular[j]; an eigenstate has no
+        angular dependence, so its angular factor is 1.
+        """
+        return radial_kernel(self.params, self.n, rho), np.ones(np.shape(phi))
+
     def _p_polynomial(self, x):
         """Coefficients q with W(x, p) = K exp(-b p^2) q(p), plus K and b."""
         pr = self.params
@@ -137,17 +145,26 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
     closed form, hence usable as an oracle for it.  Raises
     ``AccuracyError`` when the mesh-halving estimate exceeds ``quad.tol``.
     """
-    n = check_order(n)
-    quad = quad or DEFAULT_QUAD
-    xb = shifted_x(params, pt.x)
+    value, est = _transform_lines(params, check_order(n), pt.x, pt.p, quad or DEFAULT_QUAD)
+    return (value, est) if return_error else value
+
+
+def _transform_lines(params: OscillatorParams, n: int, x: float, p, quad: QuadratureSpec):
+    """Transform values and estimates at position ``x`` for one momentum or an array of them.
+
+    The momenta share the integration window, which depends on ``x`` only,
+    so their lines run as one batch of :func:`_line_integral`; each gets
+    the bits a call with that momentum alone would give.
+    """
+    xb = shifted_x(params, x)
     width = math.sqrt(params.hbar / (params.m * params.omega))
     s_max = 2.0 * (abs(xb) + quad.line_window * width)
+    lines = np.asarray(p, dtype=float)[..., None]
 
     def integrand(s):
-        left = wavefunction(params, n, pt.x + s / 2.0)
-        right = wavefunction(params, n, pt.x - s / 2.0)
-        return np.cos(pt.p * s / params.hbar) * left * right / (2.0 * math.pi * params.hbar)
+        left = wavefunction(params, n, x + s / 2.0)
+        right = wavefunction(params, n, x - s / 2.0)
+        return np.cos(lines * s / params.hbar) * left * right / (2.0 * math.pi * params.hbar)
 
-    value, est = _line_integral(integrand, -s_max, s_max, quad.n_line, quad.tol,
-                                "wigner_from_wavefunction")
-    return (value, est) if return_error else value
+    return _line_integral(integrand, -s_max, s_max, quad.n_line, quad.tol,
+                          "wigner_from_wavefunction")

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, OscillatorParams,
-                       QuadratureSpec, StandingWaveSpec, extended_field,
-                       laguerre_energy_identity, marginal_over_p, marginal_over_x,
-                       mean_energy, momentum_density, phase_space_integral,
-                       position_density, radial_kernel, running_wave_profile,
-                       standing_wave_field, stationary_field, polar_from_xy)
+from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, ExtendedWigner,
+                       OscillatorParams, QuadratureSpec, StandingWaveSpec, StandingWaveWigner,
+                       StationaryWigner, energy_xy, extended_field, laguerre_energy_identity,
+                       marginal_over_p, marginal_over_x, mean_energy, momentum_density,
+                       phase_space_integral, position_density, radial_kernel, run_suite,
+                       running_wave_profile, standing_wave_field, stationary_field,
+                       polar_from_xy, xy_from_polar)
 
-from oracles import cartesian_integral
+from oracles import cartesian_integral, gauss_legendre
 
 P = NATURAL_UNITS
 GENERAL = OscillatorParams(m=2.0, omega=0.5, hbar=1.3, alpha=0.7)
+SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
 
 
 def test_spec_validation():
@@ -216,3 +218,126 @@ def test_batch_accuracy_error_reports_the_worst_line():
     with pytest.raises(AccuracyError) as err:
         marginal_over_p(W, P, xs, quad=quad)
     assert (err.value.estimate, err.value.value) == max(failures)
+
+
+# -- factored disk rule and the order-aware tail guard ------------------------
+
+def _separable_fields(params):
+    return [stationary_field(params, 4),
+            standing_wave_field(params, 2, StandingWaveSpec(ell=1, A=0.4, C=1.0)),
+            standing_wave_field(params, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0)),
+            extended_field(params, 1, running_wave_profile(A=0.4, C=1.0, kappa=2)),
+            extended_field(params, 3, StandingWaveSpec(ell=2, A=1.0, C=2.0).to_profile())]
+
+
+def _bare(W):
+    """The same field without ``polar_factors``: integrated on the full tensor grid."""
+    return lambda x, p, t: W(x, p, t)
+
+
+FACTORED_TIMES = (0.0, 0.37, 2.9)
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+def test_factored_rule_matches_tensor_rule(params):
+    for W in _separable_fields(params):
+        for t in FACTORED_TIMES:
+            assert phase_space_integral(W, params, t=t) == pytest.approx(
+                phase_space_integral(_bare(W), params, t=t), abs=1e-13)
+            assert mean_energy(W, params, t) == pytest.approx(
+                mean_energy(_bare(W), params, t), abs=1e-13)
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+def test_factored_rule_matches_cartesian_oracle(params):
+    # Simpson on a square grid in u = omega xbar, v = p/m, where dx dp = (m/omega) du dv;
+    # its symmetry cancels the angular jump of a modulated field at the origin
+    jacobian = params.m / params.omega
+    half = 11.0 * math.sqrt(params.hbar * params.omega / params.m)
+    t = 0.37
+    for W in _separable_fields(params):
+        def in_uv(u, v, t):
+            return W(u / params.omega - params.shift, params.m * v, t)
+
+        def energy_weighted(u, v, t):
+            return params.m * (u * u + v * v) / (2.0 * params.hbar * params.omega) * in_uv(u, v, t)
+
+        assert phase_space_integral(W, params, t=t) == pytest.approx(
+            jacobian * cartesian_integral(in_uv, half, 600, t), abs=1e-8)
+        assert mean_energy(W, params, t) == pytest.approx(
+            jacobian * cartesian_integral(energy_weighted, half, 600, t), abs=1e-8)
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+def test_polar_factors_outer_product_is_the_field(params):
+    xg, _ = np.polynomial.legendre.leggauss(64)
+    rho = 3.5 * (xg + 1.0)
+    phi = 2.0 * math.pi * np.arange(48) / 48
+    x, p = xy_from_polar(params, rho[:, None], phi[None, :])
+    for W in _separable_fields(params):
+        for t in FACTORED_TIMES:
+            radial, angular = W.polar_factors(rho, phi, t)
+            assert np.shape(radial) == rho.shape and np.shape(angular) == phi.shape
+            direct = W(x, p, t)
+            scale = float(np.max(np.abs(direct)))
+            assert np.max(np.abs(np.outer(radial, angular) - direct)) <= 1e-11 * scale
+
+
+def test_disk_integrals_of_the_suite_never_call_a_field(monkeypatch):
+    calls = []
+    for cls in (StationaryWigner, StandingWaveWigner, ExtendedWigner):
+        def counted(self, x, p, t=0.0, _call=cls.__call__):
+            calls.append(type(self).__name__)
+            return _call(self, x, p, t)
+        monkeypatch.setattr(cls, "__call__", counted)
+    report = run_suite(["stationary_normalization", "energy_spectrum"])
+    assert report.passed
+    assert calls == []
+
+
+def test_bare_callable_keeps_tensor_levels():
+    calls = []
+    val = phase_space_integral(_counting(stationary_field(P, 2), calls), P)
+    assert calls == [(256, 256), (512, 512)]
+    assert val == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [11, 16, 24, 64])
+def test_tail_guard_refuses_orders_the_disk_truncates(n):
+    W = stationary_field(P, n)
+    with pytest.raises(ConfigurationError, match="enlarge rho_max"):
+        phase_space_integral(W, P)
+    with pytest.raises(ConfigurationError, match="enlarge rho_max"):
+        mean_energy(W, P)
+
+
+def _true_tail(params, n, rho_max):
+    """(m/omega) 2 pi * integral of |kernel_n| rho beyond rho_max, by an independent rule."""
+    def f(rho):
+        return np.abs(radial_kernel(params, n, rho)) * rho
+    return params.m / params.omega * 2.0 * math.pi * gauss_legendre(f, rho_max, 3.0 * rho_max, 400)
+
+
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_tail_guard_measures_the_tail_to_one_percent(n):
+    tail = _true_tail(P, n, 7.0)
+    phase_space_integral(stationary_field(P, n), P, QuadratureSpec(tol=1.01 * tail))
+    with pytest.raises(ConfigurationError):
+        phase_space_integral(stationary_field(P, n), P, QuadratureSpec(tol=0.99 * tail))
+
+
+def test_tail_guard_sees_the_angular_factor():
+    # |1 + 20 sin(2 phi)| averages 12.7 over the circle, so the tail is that much larger
+    quad = QuadratureSpec(tol=2.0 * _true_tail(P, 11, 7.0))
+    phase_space_integral(stationary_field(P, 11), P, quad)
+    with pytest.raises(ConfigurationError):
+        phase_space_integral(standing_wave_field(P, 11, StandingWaveSpec(ell=1, A=10.0, C=1.0)),
+                             P, quad)
+
+
+@pytest.mark.parametrize("rho_max, n", [(12.0, 16), (14.0, 24), (15.0, 32), (20.0, 64)])
+def test_high_orders_integrate_exactly_on_a_wide_disk(rho_max, n):
+    quad = QuadratureSpec(rho_max=rho_max)
+    W = stationary_field(P, n)
+    assert phase_space_integral(W, P, quad) == pytest.approx(1.0, abs=1e-12)
+    assert mean_energy(W, P, quad=quad) == pytest.approx(n + 0.5, abs=1e-12)

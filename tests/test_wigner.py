@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, OscillatorParams, PhasePoint, momentum_density,
-                       position_density, stationary_field, wavefunction,
+from phasewave import (DEFAULT_QUAD, NATURAL_UNITS, OscillatorParams, PhasePoint,
+                       momentum_density, position_density, stationary_field, wavefunction,
                        wigner_from_wavefunction, wigner_stationary)
+from phasewave.wigner import _transform_lines
 
 from oracles import lag_series, simpson
 
@@ -107,6 +108,19 @@ def test_transform_matches_closed_form_general_params():
     pt = PhasePoint(0.4, -0.6)
     assert wigner_from_wavefunction(GENERAL, 2, pt) == pytest.approx(
         wigner_stationary(GENERAL, 2, pt), abs=1e-7)
+
+
+@pytest.mark.parametrize("params", [NATURAL_UNITS, GENERAL], ids=["natural", "general"])
+def test_transform_momentum_batch_equals_single_calls(params):
+    momenta = np.linspace(-3.0, 3.0, 9)
+    for n in (0, 3):
+        for x in (-1.1, 0.4):
+            values, ests = _transform_lines(params, n, x, momenta, DEFAULT_QUAD)
+            for p, value, est in zip(momenta, values, ests):
+                alone = wigner_from_wavefunction(params, n, PhasePoint(x, float(p)),
+                                                 return_error=True)
+                assert (value.tobytes(), est.tobytes()) == (
+                    np.float64(alone[0]).tobytes(), np.float64(alone[1]).tobytes())
 
 
 def test_stationary_field_ignores_time():
