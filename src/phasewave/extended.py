@@ -22,13 +22,15 @@ import numpy as np
 
 from .errors import DegenerateProfileError
 from .oscillator import TWO_PI, OscillatorParams, PhasePoint, polar_from_xy
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .special import check_order
 from .wigner import radial_kernel
 
 _PERIOD_TOL = 1e-10
 _PERIOD_SAMPLES = 128
 _PROFILE_SEED = 20200828
+
+#: Periodic trapezoid panels of the profile means in :func:`normalization`.
+_MEAN_PANELS = 4096
 
 
 def _sample_periodic(h, name, kappa):
@@ -153,7 +155,7 @@ class Normalization:
     mean_g: float
 
 
-def normalization(profile: WaveProfile, quad: QuadratureSpec | None = None) -> Normalization:
+def normalization(profile: WaveProfile) -> Normalization:
     """Compute the profile means and N = 1/(C + <f> + <g>).
 
     The means are angular averages of f(Omega t + kappa phi) and
@@ -161,8 +163,7 @@ def normalization(profile: WaveProfile, quad: QuadratureSpec | None = None) -> N
     periodicity makes them independent of the phase Omega t, which is
     verified by recomputing at a second phase.
     """
-    panels = max(4096, quad.n_phi if quad is not None else 0)
-    phi = TWO_PI * np.arange(panels) / panels
+    phi = TWO_PI * np.arange(_MEAN_PANELS) / _MEAN_PANELS
 
     def angular_mean(h, sign, name):
         def at(phase):
@@ -214,24 +215,22 @@ class ExtendedWigner:
 
 
 def extended_field(params: OscillatorParams, n, profile: WaveProfile,
-                   norm: Normalization | None = None,
-                   quad: QuadratureSpec | None = None) -> ExtendedWigner:
+                   norm: Normalization | None = None) -> ExtendedWigner:
     """Field factory; computes the normalization once unless supplied."""
     n = check_order(n)
     if norm is None:
-        norm = normalization(profile, quad or DEFAULT_QUAD)
+        norm = normalization(profile)
     return ExtendedWigner(params, n, profile, norm)
 
 
 def extended_eval(params: OscillatorParams, n, profile: WaveProfile, pt: PhasePoint,
-                  t: float, norm: Normalization | None = None,
-                  quad: QuadratureSpec | None = None) -> float:
+                  t: float, norm: Normalization | None = None) -> float:
     """Modulated Wigner value N * kernel_n(rho) * [C + f(.) + g(.)] at a point.
 
     The angular factor is undefined at rho = 0; the value there is fixed by
     the node-line convention to N * C * kernel_n(0).
     """
-    return float(extended_field(params, n, profile, norm, quad)(pt.x, pt.p, t))
+    return float(extended_field(params, n, profile, norm)(pt.x, pt.p, t))
 
 
 @dataclass(frozen=True)

@@ -140,29 +140,14 @@ def from_polar(params: OscillatorParams, pt: PolarPoint) -> PhasePoint:
 def energy_xy(params: OscillatorParams, x, p):
     """Vectorized dimensionless energy eps(xbar, p) in units of hbar omega.
 
-    Runs over blocks of ``_BLOCK`` elements.
+    The squares are products, which round the same for a 0-d point as for
+    the point inside an array; numpy's scalar power does not.
     """
-    scale = 0.5 * params.m * params.omega**2
-    x = np.asarray(x, dtype=float)
-    # numpy squares a 0-d xbar with its scalar power, which rounds unlike
-    # xbar * xbar about once in a thousand values; a scalar x keeps those
-    # bits by entering as its whole potential term.
-    whole = x.ndim == 0
-
-    def kernel(outs, ins, work):
-        (eps,), (a, p), (potential,) = outs, ins, work
-        if not whole:
-            np.add(a, params.shift, out=potential)
-            np.square(potential, out=potential)
-            potential *= scale
-            a = potential
-        np.square(p, out=eps)
-        eps /= 2.0 * params.m
-        eps += a
-        eps /= params.hbar * params.omega
-
-    (eps,) = _blocked(kernel, [scale * (x + params.shift)**2 if whole else x, p], n_work=1)
-    return eps[()]
+    xb = np.asarray(x, dtype=float) + params.shift
+    pp = np.asarray(p, dtype=float)
+    kinetic = pp * pp / (2.0 * params.m)
+    potential = 0.5 * params.m * params.omega**2 * (xb * xb)
+    return (kinetic + potential) / (params.hbar * params.omega)
 
 
 def energy(params: OscillatorParams, pt: PhasePoint) -> float:

@@ -95,9 +95,14 @@ def _check_tail(params, rho_max):
 
 
 def _gl_nodes(n, a, b):
-    """Gauss-Legendre nodes and weights of order ``n`` on [a, b]."""
+    """Gauss-Legendre nodes of order ``n`` on [a, b], the half-width (b - a)/2 and the unit weights.
+
+    The disk rule scales its weights by the half-width and the energy
+    identity scales its sum, which round differently.
+    """
     xg, wg = _leggauss(n)
-    return 0.5 * (b - a) * (xg + 1.0) + a, 0.5 * (b - a) * wg
+    half = 0.5 * (b - a)
+    return half * (xg + 1.0) + a, half, wg
 
 
 def _angles(n_phi):
@@ -124,9 +129,9 @@ def _check_factored_tail(W, params, quad, t, radial_weight):
     decay sets in.
     """
     turning = math.sqrt((2 * MAX_ORDER + 1) * params.hbar * params.omega / params.m)
-    rho, wr = _gl_nodes(_TAIL_NODES, quad.rho_max, quad.rho_max + max(quad.rho_max, turning))
+    rho, half, wg = _gl_nodes(_TAIL_NODES, quad.rho_max, quad.rho_max + max(quad.rho_max, turning))
     radial, angular = _factored_integrand(W, rho, _angles(quad.n_phi), t, radial_weight)
-    tail = (params.m / params.omega * float(np.dot(wr, np.abs(radial)))
+    tail = (params.m / params.omega * float(np.dot(half * wg, np.abs(radial)))
             * float(np.abs(angular).sum()) * (TWO_PI / quad.n_phi))
     if tail > quad.tol:
         raise ConfigurationError(
@@ -142,39 +147,49 @@ def _disk_sum(W, params, n_rho, n_phi, rho_max, t, radial_weight):
     (sum_i w_i rho_i g(rho_i) radial_i) (dphi sum_j angular_j) of the same
     tensor-product rule; any other callable is evaluated on the full grid.
     """
-    rho, wr = _gl_nodes(n_rho, 0.0, rho_max)
+    rho, half, wg = _gl_nodes(n_rho, 0.0, rho_max)
     phi = _angles(n_phi)
     if hasattr(W, "polar_factors"):
         radial, angular = _factored_integrand(W, rho, phi, t, radial_weight)
         ring = float(angular.sum()) * (TWO_PI / n_phi)
-        return params.m / params.omega * (float(np.dot(wr, radial)) * ring)
+        return params.m / params.omega * (float(np.dot(half * wg, radial)) * ring)
     x, p = xy_from_polar(params, rho[:, None], phi[None, :])
     vals = np.asarray(W(x, p, t), dtype=float)
     vals = np.broadcast_to(vals, x.shape) * rho[:, None]
     if radial_weight is not None:
         vals = vals * radial_weight(rho)[:, None]
     ring = vals.sum(axis=1) * (TWO_PI / n_phi)
-    return params.m / params.omega * float(np.dot(wr, ring))
+    return params.m / params.omega * float(np.dot(half * wg, ring))
+
+
+def _refined(rule, tol, label):
+    """Value and estimate of ``rule(size)``, which runs with each node count k as size(k).
+
+    Counts k are estimated against k // 2; above ``tol``, 2k against k,
+    and ``AccuracyError`` if that is still above ``tol``.
+    """
+    coarse, fine = rule(lambda k: k // 2), rule(lambda k: k)
+    est = abs(fine - coarse)
+    if est <= tol:
+        return fine, est
+    finer = rule(lambda k: 2 * k)
+    est = abs(finer - fine)
+    if est > tol:
+        raise AccuracyError(
+            f"{label}: estimate {est:.3e} above tol {tol:g} after refinement",
+            value=finer,
+            estimate=est,
+        )
+    return finer, est
 
 
 def _disk_integral(W, params, quad, t, radial_weight, label):
     _check_tail(params, quad.rho_max)
     if hasattr(W, "polar_factors"):
         _check_factored_tail(W, params, quad, t, radial_weight)
-    coarse = _disk_sum(W, params, quad.n_rho // 2, quad.n_phi // 2, quad.rho_max, t, radial_weight)
-    fine = _disk_sum(W, params, quad.n_rho, quad.n_phi, quad.rho_max, t, radial_weight)
-    est = abs(fine - coarse)
-    if est <= quad.tol:
-        return fine, est
-    finer = _disk_sum(W, params, 2 * quad.n_rho, 2 * quad.n_phi, quad.rho_max, t, radial_weight)
-    est = abs(finer - fine)
-    if est > quad.tol:
-        raise AccuracyError(
-            f"{label}: estimate {est:.3e} above tol {quad.tol:g} after refinement",
-            value=finer,
-            estimate=est,
-        )
-    return finer, est
+    return _refined(lambda size: _disk_sum(W, params, size(quad.n_rho), size(quad.n_phi),
+                                           quad.rho_max, t, radial_weight),
+                    quad.tol, label)
 
 
 def _simpson(vals, h):
@@ -283,12 +298,6 @@ def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
     return (value, est) if return_error else value
 
 
-def _gl_line(f, a, b, n):
-    xg, wg = _leggauss(n)
-    xs = 0.5 * (b - a) * (xg + 1.0) + a
-    return 0.5 * (b - a) * float(np.dot(wg, np.asarray(f(xs), dtype=float)))
-
-
 def laguerre_energy_identity(n, quad: QuadratureSpec | None = None,
                              return_error: bool = False):
     """Numerically evaluate integral_0^inf exp(-2 eps) L_n(4 eps) eps d(eps).
@@ -299,20 +308,9 @@ def laguerre_energy_identity(n, quad: QuadratureSpec | None = None,
     n = check_order(n)
     quad = quad or DEFAULT_QUAD
 
-    def f(eps):
-        return np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps) * eps
+    def rule(size):
+        eps, half, wg = _gl_nodes(size(max(quad.n_rho, 128)), 0.0, 40.0)
+        return half * float(np.dot(wg, np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps) * eps))
 
-    n_nodes = max(quad.n_rho, 128)
-    coarse = _gl_line(f, 0.0, 40.0, n_nodes // 2)
-    fine = _gl_line(f, 0.0, 40.0, n_nodes)
-    est = abs(fine - coarse)
-    if est > quad.tol:
-        finer = _gl_line(f, 0.0, 40.0, 2 * n_nodes)
-        est = abs(finer - fine)
-        if est > quad.tol:
-            raise AccuracyError(
-                f"laguerre_energy_identity: estimate {est:.3e} above tol {quad.tol:g}",
-                value=finer, estimate=est,
-            )
-        fine = finer
-    return (fine, est) if return_error else fine
+    value, est = _refined(rule, quad.tol, "laguerre_energy_identity")
+    return (value, est) if return_error else value

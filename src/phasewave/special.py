@@ -94,30 +94,18 @@ def laguerre(n, x):
 def hermite(n, x):
     """Evaluate the physicists' Hermite polynomial H_n(x).
 
-    Uses H_{k+1} = 2x H_k - 2k H_{k-1}, in place over blocks of ``_BLOCK``
-    elements.
+    Uses H_{k+1} = 2x H_k - 2k H_{k-1}.
     """
     n = check_order(n)
     xs = _finite_values(x, "hermite")
+    prev = np.ones_like(xs)
     if n == 0:
-        return np.ones_like(xs) if xs.ndim else 1.0
-
-    def kernel(outs, ins, work):
-        (out,), (x,), (two_x, prev, nxt) = outs, ins, work
-        np.multiply(2.0, x, out=two_x)
-        cur = out
-        cur[...] = two_x
-        prev.fill(1.0)
-        for k in range(1, n):
-            np.multiply(two_x, cur, out=nxt)
-            prev *= 2.0 * k
-            nxt -= prev
-            prev, cur, nxt = cur, nxt, prev
-        if cur is not out:
-            out[...] = cur
-
-    (out,) = _blocked(kernel, [xs], n_work=3)
-    return out if xs.ndim else float(out)
+        return prev if xs.ndim else 1.0
+    two_x = 2.0 * xs
+    cur = two_x
+    for k in range(1, n):
+        prev, cur = cur, two_x * cur - 2.0 * k * prev
+    return cur if xs.ndim else float(cur)
 
 
 def log_weight(n):

@@ -6,8 +6,9 @@ helpers are deliberately separate from the library's integration code, and
 the upwind loop steps the scheme the library applies in closed form, and
 the field writer and reader format and parse one value at a time where the
 library streams whole rings and hands the body to ``np.loadtxt``.  The
-whole-array kernels evaluate each formula over the full input at once,
-the form the library's blocked kernels must reproduce bit for bit.
+whole-array kernels evaluate each formula over the full input at once:
+the library's blocked ``laguerre`` and ``polar_from_xy`` must reproduce
+them bit for bit, and its ``hermite`` and ``energy_xy`` take the same form.
 """
 
 import json
@@ -193,6 +194,6 @@ def energy_xy_whole_array(params, x, p):
     """Dimensionless energy (p^2/2m + m omega^2 xbar^2/2) / (hbar omega)."""
     xb = np.asarray(x, dtype=float) + params.shift
     pp = np.asarray(p, dtype=float)
-    kinetic = pp**2 / (2.0 * params.m)
-    potential = 0.5 * params.m * params.omega**2 * xb**2
+    kinetic = pp * pp / (2.0 * params.m)
+    potential = 0.5 * params.m * params.omega**2 * (xb * xb)
     return (kinetic + potential) / (params.hbar * params.omega)

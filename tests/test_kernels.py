@@ -1,4 +1,4 @@
-"""The blocked elementwise kernels against their whole-array forms, bit for bit."""
+"""The elementwise kernels against their whole-array forms, and 0-d points against arrays, bit for bit."""
 
 import sys
 import threading
@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import phasewave
-from phasewave import (NATURAL_UNITS, OscillatorParams, StandingWaveSpec, hermite, laguerre,
-                       run_suite, standing_wave_field)
+from phasewave import (NATURAL_UNITS, ExtendedWigner, OscillatorParams, StandingWaveSpec,
+                       StandingWaveWigner, StationaryWigner, extended_field, hermite, laguerre,
+                       run_suite, running_wave_profile, standing_wave_field, stationary_field)
 from phasewave.oscillator import energy_xy, polar_from_xy
 from phasewave.special import _BLOCK
 
@@ -87,14 +88,52 @@ def test_every_order_matches_whole_array_across_a_block_edge(params):
         _check_kernels(params, n, x, p)
 
 
-def test_scalar_points_match_whole_array():
-    # x = m / 2**26 with m odd and below 2**27 makes x*x an exact tie between
-    # two doubles; numpy's scalar power rounds about a quarter of those
-    # unlike x*x, so a 0-d x must keep the whole-array formula's rounding
+def _tie_points():
+    """Odd m in [2**26, 2**27) and points (m / 2**26, p): each x*x is an exact tie between two doubles."""
     rng = np.random.default_rng(7)
-    for m in rng.integers(2**26, 2**27, 200) | 1:
-        x, p = float(m) / 2**26, float(rng.uniform(-3.0, 3.0))
-        _check_kernels(NATURAL_UNITS, int(m) % 65, x, p)
+    m = rng.integers(2**26, 2**27, 200) | 1
+    return m, m / 2**26, rng.uniform(-3.0, 3.0, m.size)
+
+
+def test_scalar_points_match_whole_array():
+    # numpy's scalar power rounds about a quarter of the ties unlike x*x, so
+    # a 0-d x must square by the product, as an array does
+    m, xs, ps = _tie_points()
+    eps = energy_xy(NATURAL_UNITS, xs, ps)
+    for i, (x, p) in enumerate(zip(xs.tolist(), ps.tolist())):
+        _check_kernels(NATURAL_UNITS, int(m[i]) % 65, x, p)
+        _same(energy_xy(NATURAL_UNITS, x, p), eps[i])
+
+
+def _fields(params):
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+    return (stationary_field(params, 5), standing_wave_field(params, 5, spec),
+            extended_field(params, 5, running_wave_profile(A=0.4, C=1.0, kappa=2)))
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["natural", "general"])
+def test_fields_give_a_0d_point_its_bits_inside_an_array(params):
+    _, tx, tp = _tie_points()
+    x, p = _coords(params, 300, 20201018)
+    x, p = np.concatenate([tx, x]), np.concatenate([tp, p])
+    for W in _fields(params) + (lambda x, p, t: energy_xy(params, x, p),):
+        whole = W(x, p, 0.3)
+        for i, (a, b) in enumerate(zip(x.tolist(), p.tolist())):
+            point = W(a, b, 0.3)
+            assert np.shape(point) == ()
+            assert np.asarray(point).tobytes() == whole[i].tobytes()
+
+
+def test_suite_evaluates_no_field_at_a_0d_point(monkeypatch):
+    scalar_calls = []
+    for cls in (StationaryWigner, StandingWaveWigner, ExtendedWigner):
+        def counted(self, x, p, t=0.0, _call=cls.__call__):
+            if np.ndim(x) == 0 and np.ndim(p) == 0:
+                scalar_calls.append(type(self).__name__)
+            return _call(self, x, p, t)
+        monkeypatch.setattr(cls, "__call__", counted)
+    assert run_suite().passed
+    assert scalar_calls == []
 
 
 def test_concurrent_evaluations_match_serial():
