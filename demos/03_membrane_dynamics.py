@@ -16,12 +16,12 @@ import numpy as np
 
 from phasewave import (NATURAL_UNITS, GridSpec, StandingWaveSpec, evolve_fd,
                        polar_from_xy, propagate_exact, radial_kernel, sample_field,
-                       standing_wave_field, transport_residual, wave_residual)
+                       snapshot, standing_wave_field, transport_residual, wave_residual)
 
 params = NATURAL_UNITS
 
 
-def initial(x, p):
+def initial(x, p, t=0.0):
     rho, phi = polar_from_xy(params, x, p)
     return radial_kernel(params, 0, rho) * np.sin(2 * phi)
 
@@ -33,7 +33,7 @@ prev = None
 for n_phi in (128, 256, 512):
     dphi = 2 * math.pi / n_phi
     grid = GridSpec(rho_max=4.0, n_rho=16, n_phi=n_phi, dt=0.5 * dphi / params.omega)
-    start = sample_field(lambda x, p, t: initial(x, p), grid, 0.0, params)
+    start = sample_field(initial, grid, 0.0, params)
     evolved = evolve_fd(start, params, period)
     err = float(np.max(np.abs(evolved.values - start.values)))
     order = "" if prev is None else f"{math.log2(prev / err):14.3f}"
@@ -72,6 +72,6 @@ for n_phi in (64, 128, 256):
     print(f"  {n_phi:5d}   {wres:22.3e}   {tres:18.3e}")
 
 print("\nexact rotation of the single-chirality wave advances its phase:")
-adv = propagate_exact(lambda x, p: single(x, p, 0.0), params, 0.4)
+adv = propagate_exact(snapshot(single, 0.0), params, 0.4)
 x, p = 0.8, 0.5
 print(f"  propagated value {float(adv(x, p)):.12f} vs analytic {float(single(x, p, 0.4)):.12f}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import verify
 from .errors import AccuracyError, ConfigurationError
-from .evolution import GridSpec, evolve_fd, propagate_exact
+from .evolution import GridSpec, evolve_fd, propagate_exact, snapshot
 from .extended import StandingWaveSpec, antinode_angles, node_angles, standing_wave_field
 from .gridio import export_field, sample_field
 from .oscillator import OscillatorParams
@@ -270,12 +270,11 @@ def _cmd_evolve(cfg: RunConfig) -> int:
     W = cfg.field(params)
     grid = _grid_from(cfg, params)
     start = sample_field(W, grid, 0.0, params)
-    snapshot0 = lambda x, p: W(x, p, 0.0)
+    snapshot0 = snapshot(W, 0.0)
     times = cfg.parsed_times(params)
     for idx, t in enumerate(times):
         evolved = evolve_fd(start, params, t)
-        exact = propagate_exact(snapshot0, params, t)
-        target = sample_field(lambda x, p, _t: exact(x, p), grid, t, params)
+        target = sample_field(propagate_exact(snapshot0, params, t), grid, t, params)
         err = float(np.max(np.abs(evolved.values - target.values)))
         print(f"t={t:.17g} steps={evolved.meta['steps']} max|fd-exact|={err:.6e}")
         if cfg.out:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -85,24 +86,71 @@ class Field2D:
         object.__setattr__(self, "time_tag", float(self.time_tag))
 
 
-def snapshot(W, t: float):
-    """Freeze a field W(x, p, t) into a snapshot callable (x, p)."""
-    return lambda x, p: W(x, p, t)
+@dataclass(frozen=True)
+class Snapshot:
+    """Field ``W`` frozen at time ``t0``: (x, p) -> W(x, p, t0).
+
+    A trailing time is accepted and ignored, so a snapshot is also a field
+    that does not change in time.
+    """
+
+    W: Callable
+    t0: float
+
+    def __call__(self, x, p, t=None):
+        return self.W(x, p, self.t0)
 
 
-def propagate_exact(W0, params: OscillatorParams, t: float):
+class _FactoredSnapshot(Snapshot):
+    """Snapshot of a field with ``polar_factors``, which it keeps."""
+
+    def polar_factors(self, rho, phi, t=None):
+        return self.W.polar_factors(rho, phi, self.t0)
+
+
+def snapshot(W, t: float) -> Snapshot:
+    """Freeze a field W(x, p, t) into a snapshot callable (x, p).
+
+    The snapshot has ``polar_factors`` exactly when ``W`` has.
+    """
+    return (_FactoredSnapshot if hasattr(W, "polar_factors") else Snapshot)(W, float(t))
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """Initial snapshot ``W0`` carried by the exact flow for the time ``elapsed``.
+
+    A trailing time is accepted and ignored, as for a :class:`Snapshot`.
+    """
+
+    W0: Callable
+    params: OscillatorParams
+    elapsed: float
+
+    def _start_angle(self, phi):
+        return (phi + self.params.omega * self.elapsed) % TWO_PI
+
+    def __call__(self, x, p, t=None):
+        rho, phi = polar_from_xy(self.params, x, p)
+        x0, p0 = xy_from_polar(self.params, rho, self._start_angle(phi))
+        return self.W0(x0, p0)
+
+
+class _FactoredRotation(Rotation):
+    """Rotation of a snapshot with ``polar_factors``: the radial factor stays, the angles turn."""
+
+    def polar_factors(self, rho, phi, t=None):
+        return self.W0.polar_factors(rho, self._start_angle(phi))
+
+
+def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     """Exact solution of W_t = omega W_phi for the initial snapshot ``W0``.
 
     ``W0`` is a callable of (x, p).  Returns the snapshot at time ``t``,
-    i.e. (x, p) -> W0 evaluated at the same radius and angle phi + omega t.
+    i.e. (x, p) -> W0 evaluated at the same radius and angle phi + omega t;
+    it has ``polar_factors`` exactly when ``W0`` has.
     """
-
-    def advanced(x, p):
-        rho, phi = polar_from_xy(params, x, p)
-        x0, p0 = xy_from_polar(params, rho, (phi + params.omega * t) % TWO_PI)
-        return W0(x0, p0)
-
-    return advanced
+    return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
 
 
 def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Field2D:
@@ -117,7 +165,9 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
     The scheme is applied in closed form: a step v += c (v[j+1] - v[j])
     multiplies angular wavenumber k by g_k = 1 + c (e^{i k delta_phi} - 1),
     so the run multiplies the ring spectra by g_k^steps (times the partial
-    step's factor) and the cost does not depend on the time span.
+    step's factor) and the cost does not depend on the time span.  At
+    c = 1 exactly a step is a one-node ring shift, g_k^n_phi = 1, and the
+    power is taken as steps % n_phi, so long runs stay exact shifts.
     ``meta["ring_sum_drift"]`` is the largest change of a ring's sum, which
     g_0 = 1 keeps at rounding level.
     """
@@ -147,7 +197,7 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
         vals = v0.copy()
     else:
         shift = np.exp(1j * grid.delta_phi * np.arange(grid.n_phi // 2 + 1)) - 1.0
-        gain = (1.0 + c * shift) ** steps
+        gain = (1.0 + c * shift) ** (steps % grid.n_phi if c == 1.0 else steps)
         if partial:
             gain *= 1.0 + params.omega * remainder / grid.delta_phi * shift
         vals = np.fft.irfft(np.fft.rfft(v0, axis=1) * gain, n=grid.n_phi, axis=1)

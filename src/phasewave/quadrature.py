@@ -109,13 +109,24 @@ def _angles(n_phi):
     return TWO_PI * np.arange(n_phi) / n_phi
 
 
+def _polar_factor_vectors(W, rho, phi, t):
+    """``W.polar_factors(rho, phi, t)`` as float arrays of the shapes of ``rho`` and ``phi``.
+
+    A factor that does not vary, such as the 0-d angular factor of a
+    stationary profile, is broadcast to its nodes.
+    """
+    radial, angular = W.polar_factors(rho, phi, t)
+    return (np.broadcast_to(np.asarray(radial, dtype=float), rho.shape),
+            np.broadcast_to(np.asarray(angular, dtype=float), phi.shape))
+
+
 def _factored_integrand(W, rho, phi, t, radial_weight):
     """Radial part rho g(rho) radial(rho) and angular part of a field with ``polar_factors``."""
-    radial, angular = W.polar_factors(rho, phi, t)
-    radial = np.broadcast_to(np.asarray(radial, dtype=float), rho.shape) * rho
+    radial, angular = _polar_factor_vectors(W, rho, phi, t)
+    radial = radial * rho
     if radial_weight is not None:
         radial = radial * radial_weight(rho)
-    return radial, np.broadcast_to(np.asarray(angular, dtype=float), phi.shape)
+    return radial, angular
 
 
 def _check_factored_tail(W, params, quad, t, radial_weight):

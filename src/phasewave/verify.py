@@ -376,7 +376,7 @@ def check_solver_convergence(params=NATURAL_UNITS) -> CheckResult:
     """
     kappa = 2
 
-    def W0(x, p):
+    def W0(x, p, t=0.0):
         rho, phi = polar_from_xy(params, x, p)
         return radial_kernel(params, 0, rho) * np.sin(kappa * phi)
 
@@ -387,10 +387,9 @@ def check_solver_convergence(params=NATURAL_UNITS) -> CheckResult:
     for n_phi in (128, 256, 512):
         dphi = 2.0 * math.pi / n_phi
         grid = GridSpec(rho_max=4.0, n_rho=16, n_phi=n_phi, dt=0.5 * dphi / params.omega)
-        start = sample_field(lambda x, p, t: W0(x, p), grid, 0.0, params)
+        start = sample_field(W0, grid, 0.0, params)
         evolved = evolve_fd(start, params, t_final)
-        exact = propagate_exact(W0, params, t_final)
-        target = sample_field(lambda x, p, t: exact(x, p), grid, t_final, params)
+        target = sample_field(propagate_exact(W0, params, t_final), grid, t_final, params)
         errors.append(float(np.max(np.abs(evolved.values - target.values))))
     orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
     return CheckResult(

@@ -13,6 +13,7 @@ them bit for bit, and its ``hermite`` and ``energy_xy`` take the same form.
 
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -20,12 +21,35 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def lag_exact(n, x):
+    """L_n(x) = sum_k C(n,k) (-x)^k / k! as an exact fraction of the float or fraction x."""
+    xq = Fraction(x)
+    return sum(Fraction(math.comb(n, k)) * (-xq) ** k / Fraction(math.factorial(k))
+               for k in range(n + 1))
+
+
 def lag_series(n, x):
     """L_n(x) = sum_k C(n,k) (-x)^k / k!, evaluated exactly."""
-    xq = Fraction(x)
-    total = sum(Fraction(math.comb(n, k)) * (-xq) ** k / Fraction(math.factorial(k))
-                for k in range(n + 1))
-    return float(total)
+    return float(lag_exact(n, x))
+
+
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def wigner_kernel_exact(n, rho, m=1.0, omega=1.0, hbar=1.0):
+    """((-1)^n / (pi hbar)) exp(-2 eps) L_n(4 eps) at the double ``rho``, to 40 digits.
+
+    eps = m rho^2 / (2 hbar omega) and L_n(4 eps) are exact rationals of the
+    binary inputs; the exponential and pi carry 40 significant digits.
+    """
+    eps = Fraction(m) * Fraction(rho) ** 2 / (2 * Fraction(hbar) * Fraction(omega))
+    lag = lag_exact(n, 4 * eps)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exp = (Decimal(-2 * eps.numerator) / Decimal(eps.denominator)).exp()
+        value = (Decimal(lag.numerator) / Decimal(lag.denominator)) * exp \
+            / (_PI_50 * Decimal(hbar))
+        return -value if n % 2 else value
 
 
 def herm_series(n, x):

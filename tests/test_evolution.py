@@ -87,14 +87,44 @@ def test_propagate_exact_full_rotation_identity():
 
 
 def test_propagate_exact_rotation_is_ring_shift():
+    # a bare W0 has no polar_factors, and neither has its rotation, which is
+    # sampled at the (x, p) image of every node
     grid = GridSpec(rho_max=3.0, n_rho=6, n_phi=32)
     W0 = kernel_times_sin(2)
     base = sample_field(lambda x, p, t: W0(x, p), grid, 0.0, P)
     k = 5
     t = k * grid.delta_phi / P.omega
     adv = propagate_exact(W0, P, t)
-    rotated = sample_field(lambda x, p, _t: adv(x, p), grid, t, P)
+    assert not hasattr(adv, "polar_factors")
+    rotated = sample_field(adv, grid, t, P)
     assert np.max(np.abs(rotated.values - np.roll(base.values, -k, axis=1))) <= 1e-12
+
+
+def test_snapshots_and_rotations_keep_polar_factors_exactly_when_the_field_has_them():
+    W = standing_wave_field(P, 2, StandingWaveSpec(ell=3, A=2.0, C=5.0))
+    bare = lambda x, p, t: W(x, p, t)
+    assert hasattr(snapshot(W, 0.3), "polar_factors")
+    assert not hasattr(snapshot(bare, 0.3), "polar_factors")
+    assert hasattr(propagate_exact(snapshot(W, 0.3), P, 1.1), "polar_factors")
+    assert not hasattr(propagate_exact(snapshot(bare, 0.3), P, 1.1), "polar_factors")
+    x, p = np.array([0.7, -1.2, 0.0]), np.array([0.4, 0.9, -1.5])
+    frozen = snapshot(W, 0.3)
+    # the (x, p) call is kept, and a trailing time is ignored
+    assert np.array_equal(frozen(x, p), W(x, p, 0.3))
+    assert np.array_equal(frozen(x, p, 7.0), W(x, p, 0.3))
+    adv = propagate_exact(frozen, P, 1.1)
+    assert np.array_equal(adv(x, p, 7.0), adv(x, p))
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_rotation_of_field_class_snapshot_is_ring_shift(n):
+    grid = GridSpec(rho_max=4.0, n_rho=12, n_phi=96)
+    frozen = snapshot(standing_wave_field(P, n, StandingWaveSpec(ell=3, A=2.0, C=5.0)), 0.2)
+    base = sample_field(frozen, grid, 0.0, P).values
+    for k in (1, 5, 37, 95):
+        t = k * grid.delta_phi / P.omega
+        rotated = sample_field(propagate_exact(frozen, P, t), grid, t, P).values
+        assert np.max(np.abs(rotated - np.roll(base, -k, axis=1))) <= 1e-15
 
 
 # ------------------------------------------------------------------ fd solver
@@ -193,11 +223,11 @@ def test_evolve_to_own_time_tag_is_identity(n_phi):
 def test_evolve_courant_one_is_ring_shift_at_long_times():
     n_phi = 32
     f0 = _ring_field(n_phi, 1.0)
-    steps = 10**6
-    out = evolve_fd(f0, P, steps * f0.grid.dt)
-    assert out.meta["steps"] == steps
-    shifted = np.roll(f0.values, -(steps % n_phi), axis=1)
-    assert np.max(np.abs(out.values - shifted)) <= 1e-9
+    for steps in (10**6, 10**9, 10**12):
+        out = evolve_fd(f0, P, steps * f0.grid.dt)
+        assert out.meta["steps"] == steps
+        shifted = np.roll(f0.values, -(steps % n_phi), axis=1)
+        assert np.max(np.abs(out.values - shifted)) <= 1e-13
 
 
 @pytest.mark.parametrize("n_phi", [64, 65])

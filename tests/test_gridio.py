@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import export_field_per_value, read_field_line_by_line
-from phasewave import (NATURAL_UNITS, DataError, Field2D, GridSpec, OscillatorParams,
-                       StandingWaveSpec, export_field, radial_kernel, read_field, sample_field,
-                       standing_wave_field, stationary_field)
+from decimal import Decimal
+
+from oracles import export_field_per_value, read_field_line_by_line, wigner_kernel_exact
+from phasewave import (NATURAL_UNITS, DataError, ExtendedWigner, Field2D, GridSpec,
+                       OscillatorParams, StandingWaveSpec, StandingWaveWigner, StationaryWigner,
+                       export_field, extended_field, phase_space_integral, propagate_exact,
+                       radial_kernel, read_field, run_suite, running_wave_profile, sample_field,
+                       snapshot, standing_wave_field, stationary_field, stationary_profile)
 
 P = NATURAL_UNITS
+SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
 SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
 
 
@@ -250,3 +255,78 @@ def test_csv_with_swapped_rows_names_the_first_misplaced_row(tmp_path, i, j, row
     with pytest.raises(DataError, match=rf"row {row} has rho=") as info:
         read_field(path)
     assert str(path) in str(info.value)
+
+
+# -- factored sampling ---------------------------------------------------------
+
+def _bare(W):
+    """The same field without ``polar_factors``: sampled at the (x, p) image of every node."""
+    return lambda x, p, t: W(x, p, t)
+
+
+def _wide_grid(params, n_rho, n_phi):
+    """A grid past the turning radius of the highest order, n = 64."""
+    turning = math.sqrt(129.0 * params.hbar * params.omega / params.m)
+    return GridSpec(rho_max=1.3 * turning, n_rho=n_rho, n_phi=n_phi)
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+@pytest.mark.parametrize("n", [0, 5, 17, 48, 64])
+def test_factored_sample_matches_tensor_sample(params, n):
+    grid = _wide_grid(params, 48, 96)
+    fields = [stationary_field(params, n),
+              standing_wave_field(params, n, SPEC),
+              extended_field(params, n, stationary_profile(2.0)),
+              extended_field(params, n, running_wave_profile(A=0.4, C=1.0, kappa=2)),
+              extended_field(params, n, StandingWaveSpec(ell=2, A=1.0, C=2.0).to_profile())]
+    for W in fields:
+        for t in (0.0, 0.37, 2.9):
+            factored = sample_field(W, grid, t, params).values
+            tensor = sample_field(_bare(W), grid, t, params).values
+            scale = float(np.max(np.abs(tensor)))
+            assert np.max(np.abs(factored - tensor)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+def test_factored_sample_is_no_less_accurate_than_tensor_sample(params):
+    # the exact kernel at each ring's radius against both samples of n = 64
+    n = 64
+    grid = _wide_grid(params, 128, 32)
+    W = stationary_field(params, n)
+    factored = sample_field(W, grid, 0.0, params).values
+    tensor = sample_field(_bare(W), grid, 0.0, params).values
+    for i, rho in enumerate(grid.rho_nodes().tolist()):
+        exact = wigner_kernel_exact(n, rho, params.m, params.omega, params.hbar)
+        factored_err = max(abs(Decimal(v) - exact) for v in factored[i].tolist())
+        tensor_err = max(abs(Decimal(v) - exact) for v in tensor[i].tolist())
+        assert factored_err <= tensor_err, f"ring {i}"
+
+
+def test_sampling_field_classes_never_calls_a_field(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} evaluated at (x, p)")
+
+    for cls in (StationaryWigner, StandingWaveWigner, ExtendedWigner):
+        monkeypatch.setattr(cls, "__call__", refuse)
+    grid = small_grid()
+    for W in (stationary_field(P, 3), standing_wave_field(P, 3, SPEC),
+              extended_field(P, 3, running_wave_profile(A=0.4, C=1.0, kappa=2))):
+        direct = sample_field(W, grid, 0.37, P).values
+        frozen = snapshot(W, 0.37)
+        assert np.array_equal(sample_field(frozen, grid, 5.0, P).values, direct)
+        assert phase_space_integral(frozen, P) == phase_space_integral(W, P, t=0.37)
+        sample_field(propagate_exact(frozen, P, 0.8), grid, 0.8, P)
+    report = run_suite(["positivity_edge", "snapshot_identities"])
+    assert report.passed
+
+
+def test_nonfinite_factored_sample_names_the_node():
+    class NanAtOneRadius:
+        def polar_factors(self, rho, phi, t):
+            return np.where(rho == rho[2], np.nan, 1.0), np.ones_like(phi)
+
+        def __call__(self, x, p, t):
+            raise AssertionError("evaluated at (x, p)")
+
+    with pytest.raises(DataError, match=r"i=2, j=0"):
+        sample_field(NanAtOneRadius(), small_grid(), 0.0, P)
