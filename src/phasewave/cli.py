@@ -22,7 +22,7 @@ from .errors import AccuracyError, ConfigurationError
 from .evolution import GridSpec, evolve_fd, propagate_exact, snapshot
 from .extended import StandingWaveSpec, antinode_angles, node_angles, standing_wave_field
 from .gridio import export_field, sample_field
-from .oscillator import OscillatorParams
+from .oscillator import OscillatorParams, PhasePoint
 from .wigner import stationary_field
 
 _TIME_RE = re.compile(r"^([0-9]*\.?[0-9]*)\s*T\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
@@ -223,8 +223,9 @@ def _export_path(cfg: RunConfig, fmt: str, stem: str, tag: str | None = None) ->
 def _cmd_eval(cfg: RunConfig) -> int:
     params = cfg.params()
     W = cfg.field(params)
+    pt = PhasePoint(cfg.x, cfg.p)
     times = cfg.parsed_times(params)
-    values = [float(W(cfg.x, cfg.p, t)) for t in times]
+    values = [float(W(pt.x, pt.p, t)) for t in times]
     if cfg.fmt == "json":
         print(json.dumps({"x": cfg.x, "p": cfg.p, "t": times, "W": values}))
     else:

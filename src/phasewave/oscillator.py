@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _blocked
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -88,26 +86,22 @@ def shifted_x(params: OscillatorParams, x):
 
 
 def polar_from_xy(params: OscillatorParams, x, p):
-    """Vectorized (x, p) -> (rho, phi) with phi in [0, 2pi), phi(origin) = 0.
-
-    Runs over blocks of ``_BLOCK`` elements.
-    """
-    def kernel(outs, ins, work):
-        (rho, phi), (x, p), (v,) = outs, ins, work
-        u = rho
-        np.add(x, params.shift, out=u)
-        u *= params.omega
-        np.divide(p, params.m, out=v)
-        np.arctan2(v, u, out=phi)
-        np.hypot(u, v, out=rho)
-        # arctan2 lies in [-pi, pi]: adding 2pi to a negative angle rounds as
-        # ``% TWO_PI`` would, and adding 0.0 to -0.0 gives +0.0.  A tiny
-        # negative angle can round up to 2pi, which wraps to 0.
-        np.multiply(phi < 0.0, TWO_PI, out=v)
-        phi += v
-        phi[(phi >= TWO_PI) | (rho == 0.0)] = 0.0
-
-    rho, phi = _blocked(kernel, [x, p], n_out=2, n_work=1)
+    """Vectorized (x, p) -> (rho, phi) with phi in [0, 2pi), phi(origin) = 0."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    shape = np.broadcast(x, p).shape
+    u, v, phi = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.add(x, params.shift, out=u)
+    u *= params.omega
+    np.divide(p, params.m, out=v)
+    np.arctan2(v, u, out=phi)
+    rho = np.hypot(u, v, out=u)
+    # arctan2 lies in [-pi, pi]: adding 2pi to a negative angle rounds as
+    # ``% TWO_PI`` would, and adding 0.0 to -0.0 gives +0.0.  A tiny
+    # negative angle can round up to 2pi, which wraps to 0.
+    np.multiply(phi < 0.0, TWO_PI, out=v)
+    phi += v
+    phi[(phi >= TWO_PI) | (rho == 0.0)] = 0.0
     return rho[()], phi
 
 
@@ -141,13 +135,15 @@ def energy_xy(params: OscillatorParams, x, p):
     """Vectorized dimensionless energy eps(xbar, p) in units of hbar omega.
 
     The squares are products, which round the same for a 0-d point as for
-    the point inside an array; numpy's scalar power does not.
+    the point inside an array; numpy's scalar power does not.  Far enough
+    out the energy overflows to inf, without a warning.
     """
     xb = np.asarray(x, dtype=float) + params.shift
     pp = np.asarray(p, dtype=float)
-    kinetic = pp * pp / (2.0 * params.m)
-    potential = 0.5 * params.m * params.omega**2 * (xb * xb)
-    return (kinetic + potential) / (params.hbar * params.omega)
+    with np.errstate(over="ignore"):
+        kinetic = pp * pp / (2.0 * params.m)
+        potential = 0.5 * params.m * params.omega**2 * (xb * xb)
+        return (kinetic + potential) / (params.hbar * params.omega)
 
 
 def energy(params: OscillatorParams, pt: PhasePoint) -> float:

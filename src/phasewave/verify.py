@@ -475,8 +475,11 @@ def run_suite(names=("all",), tol_override: float | None = None) -> Verification
     """Run the named checks (or all of them) and collect a report.
 
     ``tol_override`` replaces the default absolute tolerance of every check
-    that takes one; ratio-based checks are unaffected.
+    that takes one; ratio-based checks are unaffected.  It must be finite
+    and positive: no check can pass below 0, and every check passes at inf.
     """
+    if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol_override!r}")
     if isinstance(names, str):
         names = (names,)
     expanded = []

@@ -19,15 +19,29 @@ from .special import check_order, hermite, laguerre, log_weight
 
 
 def _kernel(params: OscillatorParams, n: int, eps):
-    """Gaussian-Laguerre kernel ((-1)^n / (pi hbar)) exp(-2 eps) L_n(4 eps) of the energy eps."""
+    """Gaussian-Laguerre kernel ((-1)^n / (pi hbar)) exp(-2 eps) L_n(4 eps) of the energy eps.
+
+    Where exp(-2 eps) has underflowed to 0 (eps > 372, or eps = inf), 4 eps
+    lies past the largest root of L_n, whose sign there is (-1)^n.  That
+    sign stands in for L_n, which can overflow there, so the value is +0.0,
+    the zero the product has wherever L_n is finite.
+    """
     sign = -1.0 if n % 2 else 1.0
-    return sign / (math.pi * params.hbar) * np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps)
+    with np.errstate(over="ignore"):
+        gauss = np.exp(-2.0 * eps)
+    under = gauss == 0.0
+    if under.any():
+        lag = np.where(under, sign, laguerre(n, 4.0 * np.where(under, 0.0, eps)))
+    else:
+        lag = laguerre(n, 4.0 * eps)
+    return sign / (math.pi * params.hbar) * gauss * lag
 
 
 def radial_kernel(params: OscillatorParams, n, rho):
     """Radial factor ((-1)^n / (pi hbar)) exp(-m rho^2/(hbar omega)) L_n(2 m rho^2/(hbar omega))."""
     n = check_order(n)
-    eps = 0.5 * params.m * np.asarray(rho, dtype=float) ** 2 / (params.hbar * params.omega)
+    with np.errstate(over="ignore"):  # far enough out eps = inf, whose kernel is 0
+        eps = 0.5 * params.m * np.asarray(rho, dtype=float) ** 2 / (params.hbar * params.omega)
     out = _kernel(params, n, eps)
     return out if np.ndim(rho) else float(out)
 
@@ -98,8 +112,19 @@ def wigner_stationary(params: OscillatorParams, n, pt: PhasePoint) -> float:
 
 
 def _hermite_gauss(n: int, xi):
-    """H_n(xi) exp(-xi^2/2) / sqrt(2^n n!), the weight folded into the exponent for large n."""
-    return hermite(n, xi) * np.exp(0.5 * (log_weight(n) - xi**2))
+    """H_n(xi) exp(-xi^2/2) / sqrt(2^n n!), the weight folded into the exponent for large n.
+
+    Where the exponential has underflowed to 0, xi lies past the largest
+    root of H_n, whose sign there is sign(xi)^n.  That sign stands in for
+    H_n, which can overflow there, so the value is the signed zero the
+    product has wherever H_n is finite.
+    """
+    with np.errstate(over="ignore"):  # far enough out xi^2 = inf
+        gauss = np.exp(0.5 * (log_weight(n) - xi**2))
+    under = gauss == 0.0
+    if under.any():
+        return np.where(under, np.sign(xi) ** n, hermite(n, np.where(under, 0.0, xi))) * gauss
+    return hermite(n, xi) * gauss
 
 
 def position_density(params: OscillatorParams, n, x):

@@ -6,9 +6,10 @@ helpers are deliberately separate from the library's integration code, and
 the upwind loop steps the scheme the library applies in closed form, and
 the field writer and reader format and parse one value at a time where the
 library streams whole rings and hands the body to ``np.loadtxt``.  The
-whole-array kernels evaluate each formula over the full input at once:
-the library's blocked ``laguerre`` and ``polar_from_xy`` must reproduce
-them bit for bit, and its ``hermite`` and ``energy_xy`` take the same form.
+whole-array kernels evaluate each formula with a fresh temporary per
+step: the library's ``laguerre`` and ``polar_from_xy`` run the same
+operations in place on preallocated arrays and must reproduce them bit for
+bit, and its ``hermite`` and ``energy_xy`` take the same form.
 """
 
 import json

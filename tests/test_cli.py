@@ -96,6 +96,28 @@ def test_eval_standing_wave_times_json(capsys):
     assert doc["t"][1] == pytest.approx(spec.period(1.0) / 4.0, rel=1e-12)
 
 
+def test_eval_far_point_is_zero(capsys):
+    assert invoke(["eval", "--n", "64", "--x", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["t,W", "0,0"]
+
+
+@pytest.mark.parametrize("argv", [["--x", "inf"], ["--x", "nan"], ["--p=-inf"],
+                                  ["--ell", "2", "--x", "nan"]])
+def test_eval_nonfinite_point_is_usage_error(argv, capsys):
+    assert invoke(["eval", "--n", "3", *argv]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_grid_far_rings_are_zero(tmp_path, capsys):
+    out = tmp_path / "far.csv"
+    assert invoke(["grid", "--n", "64", "--rho-max", "2000", "--n-rho", "8", "--n-phi", "8",
+                   "--out", str(out)]) == 0
+    capsys.readouterr()
+    fld, _ = read_field(out)
+    # the rings lie at rho = 250 .. 2000, where exp(-rho^2) underflows to 0
+    assert np.all(fld.values == 0.0)
+
+
 def test_eval_period_notation_needs_ell(capsys):
     assert invoke(["eval", "--n", "0", "--t", "T/4"]) == 2
     assert "ell" in capsys.readouterr().err
@@ -186,6 +208,14 @@ def test_check_forced_failure_sets_exit_code(capsys):
     assert invoke(["check", "--suite", "stationary_normalization", "--tol", "1e-30"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] stationary_normalization" in out
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1", "0", "nan"])
+def test_check_tolerance_not_finite_and_positive_is_usage_error(tol, capsys):
+    assert invoke(["check", "--suite", "stationary_normalization", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be finite and positive" in captured.err
+    assert captured.out == ""
 
 
 def test_check_unknown_suite_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-"""The elementwise kernels against their whole-array forms, and 0-d points against arrays, bit for bit."""
+"""The kernels against the oracles' temporary-per-step forms, and 0-d points against arrays, bit for bit."""
 
 import sys
 import threading
@@ -14,12 +14,12 @@ from phasewave import (NATURAL_UNITS, ExtendedWigner, OscillatorParams, Standing
                        StandingWaveWigner, StationaryWigner, extended_field, hermite, laguerre,
                        run_suite, running_wave_profile, standing_wave_field, stationary_field)
 from phasewave.oscillator import energy_xy, polar_from_xy
-from phasewave.special import _BLOCK
 
 from oracles import (energy_xy_whole_array, hermite_whole_array, laguerre_whole_array,
                      polar_from_xy_whole_array)
 
-SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+#: Flat sizes; the "grid" layout is the suite's 21x2049 marginal lines.
+SIZES = (0, 1, 16383, 16385, 49159)
 PARAMS = (NATURAL_UNITS, OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9))
 
 
@@ -76,14 +76,14 @@ def _check_kernels(params, n, x, p):
 @given(st.sampled_from(SIZES), st.integers(0, 64), st.integers(0, 2**32 - 1),
        st.sampled_from(PARAMS),
        st.sampled_from(("flat", "grid", "scalar-x", "scalar-p", "0-d")))
-def test_blocked_kernels_match_whole_array_bit_for_bit(size, n, seed, params, layout):
+def test_kernels_match_whole_array_bit_for_bit(size, n, seed, params, layout):
     x, p = _inputs(params, size, seed, layout)
     _check_kernels(params, n, x, p)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["natural", "general"])
-def test_every_order_matches_whole_array_across_a_block_edge(params):
-    x, p = _coords(params, _BLOCK + 1, 20200828)
+def test_every_order_matches_whole_array(params):
+    x, p = _coords(params, 16385, 20200828)
     for n in range(65):
         _check_kernels(params, n, x, p)
 
