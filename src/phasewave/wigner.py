@@ -21,20 +21,13 @@ from .special import check_order, hermite, laguerre, log_weight
 def _kernel(params: OscillatorParams, n: int, eps):
     """Gaussian-Laguerre kernel ((-1)^n / (pi hbar)) exp(-2 eps) L_n(4 eps) of the energy eps.
 
-    Where exp(-2 eps) has underflowed to 0 (eps > 372, or eps = inf), 4 eps
-    lies past the largest root of L_n, whose sign there is (-1)^n.  That
-    sign stands in for L_n, which can overflow there, so the value is +0.0,
-    the zero the product has wherever L_n is finite.
+    Past eps = 400, exp(-2 eps) is exactly 0 and L_n keeps the sign (-1)^n of
+    L_n(1600), finite for n <= MAX_ORDER; clamping there keeps the recurrence
+    from overflowing, so the kernel is the product's zero out to eps = inf.
     """
     sign = -1.0 if n % 2 else 1.0
-    with np.errstate(over="ignore"):
-        gauss = np.exp(-2.0 * eps)
-    under = gauss == 0.0
-    if under.any():
-        lag = np.where(under, sign, laguerre(n, 4.0 * np.where(under, 0.0, eps)))
-    else:
-        lag = laguerre(n, 4.0 * eps)
-    return sign / (math.pi * params.hbar) * gauss * lag
+    lag = laguerre(n, 4.0 * np.minimum(eps, 400.0))
+    return sign / (math.pi * params.hbar) * np.exp(-2.0 * eps) * lag
 
 
 def radial_kernel(params: OscillatorParams, n, rho):
@@ -114,17 +107,14 @@ def wigner_stationary(params: OscillatorParams, n, pt: PhasePoint) -> float:
 def _hermite_gauss(n: int, xi):
     """H_n(xi) exp(-xi^2/2) / sqrt(2^n n!), the weight folded into the exponent for large n.
 
-    Where the exponential has underflowed to 0, xi lies past the largest
-    root of H_n, whose sign there is sign(xi)^n.  That sign stands in for
-    H_n, which can overflow there, so the value is the signed zero the
-    product has wherever H_n is finite.
+    Past |xi| = 40 the exponential is exactly 0 and H_n keeps the sign
+    sign(xi)^n of H_n(+-40), finite for n <= MAX_ORDER; clamping there keeps
+    the recurrence from overflowing, so the value is the product's signed
+    zero out to xi = +-inf.
     """
     with np.errstate(over="ignore"):  # far enough out xi^2 = inf
         gauss = np.exp(0.5 * (log_weight(n) - xi**2))
-    under = gauss == 0.0
-    if under.any():
-        return np.where(under, np.sign(xi) ** n, hermite(n, np.where(under, 0.0, xi))) * gauss
-    return hermite(n, xi) * gauss
+    return hermite(n, np.clip(xi, -40.0, 40.0)) * gauss
 
 
 def position_density(params: OscillatorParams, n, x):

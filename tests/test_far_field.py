@@ -8,6 +8,7 @@ Every value that the unguarded formula gives finitely keeps its bits.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -66,6 +67,21 @@ def test_named_far_points_give_zero_for_every_order():
         for density in DENSITIES:
             assert density(P, n, 1e5) == 0.0
             assert density(P, n, 1e300) == 0.0
+
+
+def test_infinite_coordinates_give_the_limit_zero_and_nan_is_rejected():
+    P = NATURAL_UNITS
+    for n in range(65):
+        for x in (math.inf, -math.inf):
+            assert stationary_field(P, n)(x, 0.0) == 0.0
+            assert stationary_field(P, n)(0.0, x) == 0.0
+            assert radial_kernel(P, n, x) == 0.0
+            for density in DENSITIES:
+                assert density(P, n, x) == 0.0
+        with pytest.raises(ValueError, match="finite"):
+            stationary_field(P, n)(math.nan, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            position_density(P, n, math.nan)
 
 
 def _magnitudes():
