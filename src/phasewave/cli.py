@@ -13,16 +13,15 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify
 from .errors import AccuracyError, ConfigurationError
-from .evolution import GridSpec, evolve_fd, propagate_exact, snapshot
+from .evolution import GridSpec, evolve_fd, propagate_exact
 from .extended import StandingWaveSpec, antinode_angles, node_angles, standing_wave_field
 from .gridio import export_field, sample_field
-from .oscillator import OscillatorParams, PhasePoint
+from .oscillator import NATURAL_UNITS, OscillatorParams, PhasePoint
 from .wigner import stationary_field
 
 _TIME_RE = re.compile(r"^([0-9]*\.?[0-9]*)\s*T\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
@@ -50,65 +49,43 @@ def parse_time(token: str, period: float | None):
     return value
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration; defaults are the natural-unit setup."""
+def _params(args) -> OscillatorParams:
+    return OscillatorParams(m=args.m, omega=args.omega, hbar=args.hbar, alpha=args.alpha)
 
-    command: str
-    n: int = 0
-    ell: int | None = None
-    A: float = 2.0
-    C: float = 5.0
-    m: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
-    alpha: float = 0.0
-    rho_max: float = 4.5
-    n_rho: int = 64
-    n_phi: int = 128
-    dt: float | None = None
-    times: tuple = ("0",)
-    fmt: str | None = None
-    out: str | None = None
-    tol: float | None = None
-    suite: str = "all"
-    x: float = 0.0
-    p: float = 0.0
 
-    def params(self) -> OscillatorParams:
-        return OscillatorParams(m=self.m, omega=self.omega, hbar=self.hbar, alpha=self.alpha)
+def _spec(args) -> StandingWaveSpec | None:
+    return None if args.ell is None else StandingWaveSpec(ell=args.ell, A=args.A, C=args.C)
 
-    def spec(self) -> StandingWaveSpec | None:
-        if self.ell is None:
-            return None
-        return StandingWaveSpec(ell=self.ell, A=self.A, C=self.C)
 
-    def field(self, params):
-        spec = self.spec()
-        if spec is None:
-            return stationary_field(params, self.n)
-        return standing_wave_field(params, self.n, spec)
+def _field(args, params):
+    spec = _spec(args)
+    if spec is None:
+        return stationary_field(params, args.n)
+    return standing_wave_field(params, args.n, spec)
 
-    def parsed_times(self, params):
-        spec = self.spec()
-        period = spec.period(params.omega) if spec is not None else None
-        return [parse_time(tok, period) for tok in self.times]
 
-    def out_dir(self) -> str:
-        return self.out or os.environ.get("PHASEWAVE_OUT") or "."
+def _times(args, params) -> list:
+    """The comma-separated ``--t`` values; fractions of T use the standing wave's period."""
+    spec = _spec(args)
+    period = spec.period(params.omega) if spec is not None else None
+    return [parse_time(tok, period) for tok in args.t.split(",") if tok.strip()]
 
-    def export_format(self) -> str:
-        """Format of exported files: ``--format``, else the output's extension, else csv.
 
-        Raises ``ValueError`` when ``--format`` contradicts a .csv or .json output path.
-        """
-        ext = os.path.splitext(self.out_dir())[1].lower().lstrip(".")
-        if ext not in ("csv", "json"):
-            return self.fmt or "csv"
-        if self.fmt not in (None, ext):
-            raise ValueError(f"--format {self.fmt} contradicts the output path "
-                             f"{self.out_dir()!r}")
-        return ext
+def _out_dir(args) -> str:
+    return args.out or os.environ.get("PHASEWAVE_OUT") or "."
+
+
+def _export_format(args) -> str:
+    """Format of exported files: ``--format``, else the output's extension, else csv.
+
+    Raises ``ValueError`` when ``--format`` contradicts a .csv or .json output path.
+    """
+    ext = os.path.splitext(_out_dir(args))[1].lower().lstrip(".")
+    if ext not in ("csv", "json"):
+        return args.fmt or "csv"
+    if args.fmt not in (None, ext):
+        raise ValueError(f"--format {args.fmt} contradicts the output path {_out_dir(args)!r}")
+    return ext
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,38 +157,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "rho_max",
-                 "n_rho", "n_phi", "dt", "fmt", "out", "tol", "suite", "x", "p"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "t"):
-        cfg.times = tuple(tok for tok in str(args.t).split(",") if tok.strip())
-    return cfg
-
-
-def _grid_from(cfg: RunConfig, params: OscillatorParams) -> GridSpec:
-    dt = cfg.dt
+def _grid(args, params: OscillatorParams) -> GridSpec:
+    dt = args.dt
     if dt is None:
-        dt = 0.5 * (2.0 * math.pi / cfg.n_phi) / params.omega
-    return GridSpec(rho_max=cfg.rho_max, n_rho=cfg.n_rho, n_phi=cfg.n_phi, dt=dt)
+        dt = 0.5 * (2.0 * math.pi / args.n_phi) / params.omega
+    return GridSpec(rho_max=args.rho_max, n_rho=args.n_rho, n_phi=args.n_phi, dt=dt)
 
 
-def _extra_meta(cfg: RunConfig) -> dict:
-    extra = {"n": cfg.n}
-    if cfg.ell is not None:
-        extra.update(ell=cfg.ell, A=cfg.A, C=cfg.C)
+def _extra_meta(args) -> dict:
+    extra = {"n": args.n}
+    if args.ell is not None:
+        extra.update(ell=args.ell, A=args.A, C=args.C)
     return extra
 
 
-def _export_path(cfg: RunConfig, fmt: str, stem: str, tag: str | None = None) -> str:
+def _export_path(args, fmt: str, stem: str, tag: str | None = None) -> str:
     """Path of one export: ``<stem>.<fmt>`` inside the output directory.
 
     An output path ending in .csv or .json names the file itself; ``tag``,
     given when a command writes several files, goes before its extension.
     """
-    out = cfg.out_dir()
+    out = _out_dir(args)
     root, ext = os.path.splitext(out)
     if ext.lower() in (".csv", ".json"):
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -220,14 +186,14 @@ def _export_path(cfg: RunConfig, fmt: str, stem: str, tag: str | None = None) ->
     return os.path.join(out, f"{stem}.{fmt}")
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    params = cfg.params()
-    W = cfg.field(params)
-    pt = PhasePoint(cfg.x, cfg.p)
-    times = cfg.parsed_times(params)
+def _cmd_eval(args) -> int:
+    params = _params(args)
+    W = _field(args, params)
+    pt = PhasePoint(args.x, args.p)
+    times = _times(args, params)
     values = [float(W(pt.x, pt.p, t)) for t in times]
-    if cfg.fmt == "json":
-        print(json.dumps({"x": cfg.x, "p": cfg.p, "t": times, "W": values}))
+    if args.fmt == "json":
+        print(json.dumps({"x": args.x, "p": args.p, "t": times, "W": values}))
     else:
         print("t,W")
         for t, v in zip(times, values):
@@ -235,81 +201,79 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_grid(cfg: RunConfig) -> int:
-    fmt = cfg.export_format()
-    params = cfg.params()
-    W = cfg.field(params)
-    grid = _grid_from(cfg, params)
-    times = cfg.parsed_times(params)
+def _cmd_grid(args) -> int:
+    fmt = _export_format(args)
+    params = _params(args)
+    W = _field(args, params)
+    grid = _grid(args, params)
+    times = _times(args, params)
     multi = len(times) > 1
     for idx, t in enumerate(times):
         fld = sample_field(W, grid, t, params)
         tag = f"t{idx}" if multi else None
-        path = _export_path(cfg, fmt, f"field_{tag}" if multi else "field", tag)
-        export_field(fld, params, fmt, path, extra=_extra_meta(cfg))
+        path = _export_path(args, fmt, f"field_{tag}" if multi else "field", tag)
+        export_field(fld, params, fmt, path, extra=_extra_meta(args))
         print(path)
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    names = tuple(tok.strip() for tok in cfg.suite.split(",") if tok.strip())
-    report = verify.run_suite(names or ("all",), tol_override=cfg.tol)
+def _cmd_check(args) -> int:
+    names = tuple(tok.strip() for tok in args.suite.split(",") if tok.strip())
+    report = verify.run_suite(names or ("all",), tol_override=args.tol)
     for line in report.lines():
         print(line)
-    if cfg.out:
-        os.makedirs(os.path.dirname(cfg.out) or ".", exist_ok=True)
-        with open(cfg.out, "w", encoding="ascii") as fh:
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w", encoding="ascii") as fh:
             json.dump(report.to_dict(), fh, indent=1)
             fh.write("\n")
-        print(f"report written to {cfg.out}")
+        print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
 
-def _cmd_evolve(cfg: RunConfig) -> int:
-    fmt = cfg.export_format()
-    params = cfg.params()
-    W = cfg.field(params)
-    grid = _grid_from(cfg, params)
+def _cmd_evolve(args) -> int:
+    fmt = _export_format(args)
+    params = _params(args)
+    W = _field(args, params)
+    grid = _grid(args, params)
     start = sample_field(W, grid, 0.0, params)
-    snapshot0 = snapshot(W, 0.0)
-    times = cfg.parsed_times(params)
+    times = _times(args, params)
     for idx, t in enumerate(times):
         evolved = evolve_fd(start, params, t)
-        target = sample_field(propagate_exact(snapshot0, params, t), grid, t, params)
+        target = sample_field(propagate_exact(W, params, t), grid, t, params)
         err = float(np.max(np.abs(evolved.values - target.values)))
         print(f"t={t:.17g} steps={evolved.meta['steps']} max|fd-exact|={err:.6e}")
-        if cfg.out:
+        if args.out:
             tag = f"t{idx}" if len(times) > 1 else None
-            path = _export_path(cfg, fmt, f"evolved_t{idx}", tag)
-            export_field(evolved, params, fmt, path, extra=_extra_meta(cfg))
+            path = _export_path(args, fmt, f"evolved_t{idx}", tag)
+            export_field(evolved, params, fmt, path, extra=_extra_meta(args))
             print(path)
     return 0
 
 
-def _cmd_nodes(cfg: RunConfig) -> int:
-    spec = StandingWaveSpec(ell=cfg.ell, A=cfg.A, C=cfg.C)
+def _cmd_nodes(args) -> int:
+    spec = StandingWaveSpec(ell=args.ell, A=0.0, C=1.0)  # the angles depend on ell alone
     nodes = [float(v) for v in node_angles(spec)]
     anti = [float(v) for v in antinode_angles(spec)]
-    if cfg.fmt == "json":
-        print(json.dumps({"ell": cfg.ell, "nodes": nodes, "antinodes": anti}))
+    if args.fmt == "json":
+        print(json.dumps({"ell": args.ell, "nodes": nodes, "antinodes": anti}))
     else:
         print("nodes: " + " ".join(f"{v:.17g}" for v in nodes))
         print("antinodes: " + " ".join(f"{v:.17g}" for v in anti))
     return 0
 
 
-def _cmd_figures(cfg: RunConfig) -> int:
-    fmt = cfg.export_format()
-    params = cfg.params()
+def _cmd_figures(args) -> int:
+    fmt = _export_format(args)
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
-    grid = GridSpec(rho_max=cfg.rho_max, n_rho=cfg.n_rho, n_phi=cfg.n_phi)
-    period = spec.period(params.omega)
+    grid = GridSpec(rho_max=args.rho_max, n_rho=args.n_rho, n_phi=args.n_phi)
+    period = spec.period(NATURAL_UNITS.omega)
     for n in (0, 5):
-        W = standing_wave_field(params, n, spec)
+        W = standing_wave_field(NATURAL_UNITS, n, spec)
         for tag, t in (("0", 0.0), ("T4", period / 4.0), ("T2", period / 2.0)):
-            fld = sample_field(W, grid, t, params)
-            path = _export_path(cfg, fmt, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
-            export_field(fld, params, fmt, path,
+            fld = sample_field(W, grid, t, NATURAL_UNITS)
+            path = _export_path(args, fmt, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
+            export_field(fld, NATURAL_UNITS, fmt, path,
                          extra={"n": n, "ell": 3, "A": 2.0, "C": 5.0})
             print(path)
     return 0
@@ -325,10 +289,10 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated configuration; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Run the command of the parsed arguments; returns the process exit status."""
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (ValueError, ConfigurationError) as exc:
         print(f"phasewave: error: {exc}", file=sys.stderr)
         return 2
@@ -341,8 +305,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
-    sys.exit(run(config_from_args(args)))
+    sys.exit(run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -23,10 +23,13 @@ class BlowupError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Bad field data: a non-finite sampled value, or a field file that is malformed.
+    """Bad data: a NaN coordinate, a non-finite sampled value, or a malformed field file.
 
-    ``read_field`` raises it, naming the file, for a missing header or
-    metadata, a ragged, short or non-numeric body, a CSV row that is not at
-    its grid node, a value array that does not match the grid, and a
-    non-finite time or value.
+    The field classes, ``radial_kernel``, the densities, ``wavefunction``,
+    ``polar_from_xy`` and ``energy_xy`` raise it, naming the coordinate
+    (x, p or rho), when a coordinate holds a NaN; an infinite coordinate
+    lies past every Gaussian and gives 0.  ``read_field`` raises it,
+    naming the file, for a missing header or metadata, a ragged, short or
+    non-numeric body, a CSV row that is not at its grid node, a value
+    array that does not match the grid, and a non-finite time or value.
     """

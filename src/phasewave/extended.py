@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,7 +56,8 @@ class WaveProfile:
 
     ``f`` and ``g`` must be numpy-evaluable callables of one argument,
     periodic with period 2 pi kappa; periodicity is verified by seeded
-    random sampling at construction rather than assumed.
+    random sampling at construction rather than assumed.  ``norm`` is the
+    profile's :func:`normalization`, computed on first use and kept.
     """
 
     f: Callable
@@ -72,6 +74,10 @@ class WaveProfile:
             raise ValueError("C must be finite")
         _sample_periodic(self.f, "f", self.kappa)
         _sample_periodic(self.g, "g", self.kappa)
+
+    @cached_property
+    def norm(self) -> Normalization:
+        return normalization(self)
 
     def omega_wave(self, omega: float) -> float:
         """Wave frequency Omega = omega * kappa."""
@@ -196,7 +202,6 @@ class ExtendedWigner:
     params: OscillatorParams
     n: int
     profile: WaveProfile
-    norm: Normalization
 
     def __call__(self, x, p, t=0.0):
         rho, phi = polar_from_xy(self.params, x, p)
@@ -209,28 +214,26 @@ class ExtendedWigner:
 
         W(rho_i, phi_j, t) = radial[i] * angular[j] away from the origin.
         """
-        radial = self.norm.N * radial_kernel(self.params, self.n, rho)
+        radial = self.profile.norm.N * radial_kernel(self.params, self.n, rho)
         angular = np.asarray(self.profile.bracket(phi, t, self.params.omega), dtype=float)
         return radial, angular
 
 
-def extended_field(params: OscillatorParams, n, profile: WaveProfile,
-                   norm: Normalization | None = None) -> ExtendedWigner:
-    """Field factory; computes the normalization once unless supplied."""
+def extended_field(params: OscillatorParams, n, profile: WaveProfile) -> ExtendedWigner:
+    """Field factory; raises ``DegenerateProfileError`` for a profile that cannot be normalized."""
     n = check_order(n)
-    if norm is None:
-        norm = normalization(profile)
-    return ExtendedWigner(params, n, profile, norm)
+    profile.norm  # computed here, once per profile, so a degenerate one fails now
+    return ExtendedWigner(params, n, profile)
 
 
 def extended_eval(params: OscillatorParams, n, profile: WaveProfile, pt: PhasePoint,
-                  t: float, norm: Normalization | None = None) -> float:
+                  t: float) -> float:
     """Modulated Wigner value N * kernel_n(rho) * [C + f(.) + g(.)] at a point.
 
     The angular factor is undefined at rho = 0; the value there is fixed by
     the node-line convention to N * C * kernel_n(0).
     """
-    return float(extended_field(params, n, profile, norm)(pt.x, pt.p, t))
+    return float(extended_field(params, n, profile)(pt.x, pt.p, t))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -41,6 +43,14 @@ class OscillatorParams:
 
 
 NATURAL_UNITS = OscillatorParams(m=1.0, omega=1.0, hbar=1.0, alpha=0.0)
+
+
+def coordinate(values, name):
+    """``values`` as a float array; raises ``DataError`` naming the coordinate if it holds a NaN."""
+    vals = np.asarray(values, dtype=float)
+    if np.isnan(vals).any():
+        raise DataError(f"coordinate {name} is NaN")
+    return vals
 
 
 def _require_finite(value, name):
@@ -87,8 +97,8 @@ def shifted_x(params: OscillatorParams, x):
 
 def polar_from_xy(params: OscillatorParams, x, p):
     """Vectorized (x, p) -> (rho, phi) with phi in [0, 2pi), phi(origin) = 0."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    x = coordinate(x, "x")
+    p = coordinate(p, "p")
     shape = np.broadcast(x, p).shape
     u, v, phi = np.empty(shape), np.empty(shape), np.empty(shape)
     np.add(x, params.shift, out=u)
@@ -138,8 +148,8 @@ def energy_xy(params: OscillatorParams, x, p):
     the point inside an array; numpy's scalar power does not.  Far enough
     out the energy overflows to inf, without a warning.
     """
-    xb = np.asarray(x, dtype=float) + params.shift
-    pp = np.asarray(p, dtype=float)
+    xb = coordinate(x, "x") + params.shift
+    pp = coordinate(p, "p")
     with np.errstate(over="ignore"):
         kinetic = pp * pp / (2.0 * params.m)
         potential = 0.5 * params.m * params.omega**2 * (xb * xb)

@@ -210,13 +210,14 @@ def _simpson(vals, h):
 
 
 def _simpson_pair(f, a, b, n):
-    """Simpson on n panels, per line, and its distance from Simpson on n/2."""
+    """Simpson on n panels, per line, its distance from Simpson on n/2, and max |f| at a and b."""
     xs = np.linspace(a, b, n + 1)
     vals = np.asarray(f(xs), dtype=float)
     vals = np.broadcast_to(vals, vals.shape[:-1] + xs.shape)
     h = (b - a) / n
     fine = _simpson(vals, h)
-    return fine, abs(fine - _simpson(vals[..., ::2], 2.0 * h))
+    ends = np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
+    return fine, abs(fine - _simpson(vals[..., ::2], 2.0 * h)), ends
 
 
 def _line_integral(f, a, b, n_panels, tol, label):
@@ -227,13 +228,23 @@ def _line_integral(f, a, b, n_panels, tol, label):
     has their shape.  Each line is estimated on its own.  If some fail,
     ``f`` runs once more on the halved mesh and only the failing lines take
     its value and estimate, so a line integrates exactly as it would alone.
+
+    The mesh estimate cannot see what lies outside [a, b].  A line whose
+    integrand at a or b, times b - a, exceeds ``tol`` is truncated by the
+    window, and ``ConfigurationError`` refuses it.
     """
     n = int(n_panels)
     n += n % 2
-    value, est = _simpson_pair(f, a, b, n)
+    value, est, ends = _simpson_pair(f, a, b, n)
+    end = float(np.max(ends, initial=0.0))
+    if end * (b - a) > tol:
+        raise ConfigurationError(
+            f"{label}: the integrand reaches {end:.3e} at the window ends, which can truncate "
+            f"up to {end * (b - a):.3e}, above tol {tol:g}; enlarge line_window"
+        )
     failed = est > tol
     if np.any(failed):
-        fine, fine_est = _simpson_pair(f, a, b, 2 * n)
+        fine, fine_est, _ = _simpson_pair(f, a, b, 2 * n)
         value = np.where(failed, fine, value)
         est = np.where(failed, fine_est, est)
         if np.any(est > tol):
@@ -282,7 +293,9 @@ def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
     Runs in Cartesian variables over a window of ``line_window`` Gaussian
     momentum widths sqrt(m hbar omega).  An array ``x`` evaluates W once
     for all its lines and returns arrays of its shape; each line gets the
-    value and estimate a call with that position alone would give.
+    value and estimate a call with that position alone would give.  Raises
+    ``ConfigurationError`` when W at the window ends is not negligible, as
+    for eigenstates from about n = 24 at the default window.
     """
     quad = quad or DEFAULT_QUAD
     half = quad.line_window * math.sqrt(params.m * params.hbar * params.omega)
@@ -313,14 +326,17 @@ def laguerre_energy_identity(n, quad: QuadratureSpec | None = None,
                              return_error: bool = False):
     """Numerically evaluate integral_0^inf exp(-2 eps) L_n(4 eps) eps d(eps).
 
-    The exact value is (-1)^n (2n+1)/4; the integrand is negligible beyond
-    eps = 40 for every admissible order, so the rule integrates [0, 40].
+    The exact value is (-1)^n (2n+1)/4.  L_n(4 eps) oscillates out to its
+    turning point eps = n + 1/2, a radius of sqrt(2n+1) widths; the rule
+    integrates [0, eps_max] with eps_max = (sqrt(2n+1) + 3.5)^2 / 2, at
+    least 40, past which the integrand is negligible.
     """
     n = check_order(n)
     quad = quad or DEFAULT_QUAD
+    eps_max = max(40.0, 0.5 * (math.sqrt(2 * n + 1) + 3.5) ** 2)
 
     def rule(size):
-        eps, half, wg = _gl_nodes(size(max(quad.n_rho, 128)), 0.0, 40.0)
+        eps, half, wg = _gl_nodes(size(max(quad.n_rho, 128)), 0.0, eps_max)
         return half * float(np.dot(wg, np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps) * eps))
 
     value, est = _refined(rule, quad.tol, "laguerre_energy_identity")

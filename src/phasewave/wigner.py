@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oscillator import NATURAL_UNITS, OscillatorParams, PhasePoint, energy_xy, shifted_x
+from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, coordinate, energy_xy,
+                         shifted_x)
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
@@ -34,7 +35,7 @@ def radial_kernel(params: OscillatorParams, n, rho):
     """Radial factor ((-1)^n / (pi hbar)) exp(-m rho^2/(hbar omega)) L_n(2 m rho^2/(hbar omega))."""
     n = check_order(n)
     with np.errstate(over="ignore"):  # far enough out eps = inf, whose kernel is 0
-        eps = 0.5 * params.m * np.asarray(rho, dtype=float) ** 2 / (params.hbar * params.omega)
+        eps = 0.5 * params.m * coordinate(rho, "rho") ** 2 / (params.hbar * params.omega)
     out = _kernel(params, n, eps)
     return out if np.ndim(rho) else float(out)
 
@@ -66,32 +67,35 @@ class StationaryWigner:
         """
         return radial_kernel(self.params, self.n, rho), np.ones(np.shape(phi))
 
-    def _p_polynomial(self, x):
-        """Coefficients q with W(x, p) = K exp(-b p^2) q(p), plus K and b."""
+    def p_derivative(self, order, x, p):
+        """Exact d^order W / dp^order at the scalar point (x, p).
+
+        W(x, p) = K exp(-a xbar^2) exp(-b p^2) q(p) with q a polynomial.
+        Where the Gaussian underflows the value is 0, and q, which could
+        overflow there, is not formed.
+        """
+        if order < 0 or int(order) != order:
+            raise ValueError(f"derivative order must be a non-negative integer, got {order}")
         pr = self.params
         a = pr.m * pr.omega / pr.hbar
         b = 1.0 / (pr.m * pr.hbar * pr.omega)
-        xb = shifted_x(pr, float(x))
+        xb = shifted_x(pr, float(coordinate(x, "x")))
+        p = float(coordinate(p, "p"))
         sign = -1.0 if self.n % 2 else 1.0
-        k_out = sign / (math.pi * pr.hbar) * math.exp(-a * xb**2)
+        # products, not ** 2: a Python float power raises OverflowError
+        gauss = sign / (math.pi * pr.hbar) * math.exp(-a * (xb * xb)) * math.exp(-b * (p * p))
+        if gauss == 0.0:
+            return 0.0
         # L_n(2a xb^2 + 2b p^2) expanded in p by Horner on the shifted argument
-        base = np.polynomial.Polynomial([2.0 * a * xb**2, 0.0, 2.0 * b])
+        base = np.polynomial.Polynomial([2.0 * a * (xb * xb), 0.0, 2.0 * b])
         coeffs = [(-1.0) ** k * math.comb(self.n, k) / math.factorial(k) for k in range(self.n + 1)]
         q = np.polynomial.Polynomial([coeffs[-1]])
         for c in coeffs[-2::-1]:
             q = q * base + c
-        return q, k_out, b
-
-    def p_derivative(self, order, x, p):
-        """Exact d^order W / dp^order at the scalar point (x, p)."""
-        if order < 0 or int(order) != order:
-            raise ValueError(f"derivative order must be a non-negative integer, got {order}")
-        q, k_out, b = self._p_polynomial(x)
         two_b_p = np.polynomial.Polynomial([0.0, 2.0 * b])
         for _ in range(int(order)):
             q = q.deriv() - two_b_p * q
-        p = float(p)
-        return k_out * math.exp(-b * p**2) * float(q(p))
+        return gauss * float(q(p))
 
 
 def stationary_field(params: OscillatorParams, n) -> StationaryWigner:
@@ -120,7 +124,7 @@ def _hermite_gauss(n: int, xi):
 def position_density(params: OscillatorParams, n, x):
     """Position density |Psi_n(xbar)|^2 of eigenstate ``n``."""
     n = check_order(n)
-    xi = np.sqrt(params.m * params.omega / params.hbar) * (np.asarray(x, dtype=float) + params.shift)
+    xi = np.sqrt(params.m * params.omega / params.hbar) * (coordinate(x, "x") + params.shift)
     amp = _hermite_gauss(n, xi)
     out = math.sqrt(params.m * params.omega / (math.pi * params.hbar)) * np.asarray(amp) ** 2
     return out if np.ndim(x) else float(out)
@@ -134,7 +138,7 @@ def momentum_density(params: OscillatorParams, n, p):
     function over x rather than trusted as a formula.
     """
     n = check_order(n)
-    eta = np.asarray(p, dtype=float) / math.sqrt(params.m * params.hbar * params.omega)
+    eta = coordinate(p, "p") / math.sqrt(params.m * params.hbar * params.omega)
     amp = _hermite_gauss(n, eta)
     out = np.asarray(amp) ** 2 / math.sqrt(math.pi * params.m * params.hbar * params.omega)
     return out if np.ndim(p) else float(out)
@@ -143,7 +147,7 @@ def momentum_density(params: OscillatorParams, n, p):
 def wavefunction(params: OscillatorParams, n, x):
     """Real eigenfunction Psi_n evaluated at the unshifted coordinate x."""
     n = check_order(n)
-    xi = np.sqrt(params.m * params.omega / params.hbar) * (np.asarray(x, dtype=float) + params.shift)
+    xi = np.sqrt(params.m * params.omega / params.hbar) * (coordinate(x, "x") + params.shift)
     norm = (params.m * params.omega / (math.pi * params.hbar)) ** 0.25
     out = norm * _hermite_gauss(n, xi)
     return out if np.ndim(x) else float(out)
@@ -167,13 +171,16 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
 def _transform_lines(params: OscillatorParams, n: int, x: float, p, quad: QuadratureSpec):
     """Transform values and estimates at position ``x`` for one momentum or an array of them.
 
-    The momenta share the integration window, which depends on ``x`` only,
-    so their lines run as one batch of :func:`_line_integral`; each gets
-    the bits a call with that momentum alone would give.
+    The momenta share the integration window, which depends on ``x`` and
+    ``n`` only, so their lines run as one batch of :func:`_line_integral`;
+    each gets the bits a call with that momentum alone would give.
     """
     xb = shifted_x(params, x)
     width = math.sqrt(params.hbar / (params.m * params.omega))
-    s_max = 2.0 * (abs(xb) + quad.line_window * width)
+    # Psi_n oscillates out to its turning point, sqrt(2n+1) widths; 3.5 more
+    # widths reach its Gaussian decay.
+    window = max(quad.line_window, math.sqrt(2 * n + 1) + 3.5)
+    s_max = 2.0 * (abs(xb) + window * width)
     lines = np.asarray(p, dtype=float)[..., None]
 
     def integrand(s):

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import phasewave
-from phasewave import NATURAL_UNITS, StandingWaveSpec, read_field, standing_wave_field
-from phasewave.cli import build_parser, config_from_args, parse_time, run
+from phasewave import (NATURAL_UNITS, GridSpec, OscillatorParams, StandingWaveSpec, evolve_fd,
+                       export_field, propagate_exact, read_field, sample_field,
+                       standing_wave_field, stationary_field)
+from phasewave.cli import build_parser, parse_time, run
 
 
 def invoke(argv):
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 def run_module(argv, timeout=60):
@@ -290,3 +291,73 @@ def test_format_contradicting_out_extension_is_usage_error(command, tmp_path, ca
     assert invoke(argv) == 2
     assert "contradicts" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_without_options_writes_the_parser_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PHASEWAVE_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert invoke(["grid"]) == 0
+    assert capsys.readouterr().out.splitlines() == [os.path.join(".", "field.csv")]
+    fld, meta = read_field(tmp_path / "field.csv")
+    assert (meta["rho_max"], meta["n_rho"], meta["n_phi"]) == (4.5, 64, 128)
+    assert meta["dt"] == math.pi / 128
+    grid = GridSpec(rho_max=4.5, n_rho=64, n_phi=128, dt=math.pi / 128)
+    export_field(sample_field(stationary_field(NATURAL_UNITS, 0), grid, 0.0, NATURAL_UNITS),
+                 NATURAL_UNITS, "csv", tmp_path / "library.csv", extra={"n": 0})
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figures_equal_the_library_exports(fmt, tmp_path, capsys):
+    assert invoke(["figures", "--rho-max", "3.5", "--n-rho", "6", "--n-phi", "32",
+                   "--format", fmt, "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+    grid = GridSpec(rho_max=3.5, n_rho=6, n_phi=32)
+    period = spec.period(NATURAL_UNITS.omega)
+    library = tmp_path / f"library.{fmt}"
+    for n in (0, 5):
+        W = standing_wave_field(NATURAL_UNITS, n, spec)
+        for tag, t in (("0", 0.0), ("T4", period / 4.0), ("T2", period / 2.0)):
+            export_field(sample_field(W, grid, t, NATURAL_UNITS), NATURAL_UNITS, fmt, library,
+                         extra={"n": n, "ell": 3, "A": 2.0, "C": 5.0})
+            cli = tmp_path / "cli" / f"wigner_n{n}_t{tag}.{fmt}"
+            assert cli.read_bytes() == library.read_bytes(), cli.name
+
+
+def test_grid_equals_the_library_export(tmp_path, capsys):
+    assert invoke(["grid", "--n", "2", "--ell", "1", "--A", "0.4", "--C", "1.5", "--m", "1.7",
+                   "--omega", "0.6", "--hbar", "0.3", "--alpha", "0.9", "--rho-max", "3",
+                   "--n-rho", "6", "--n-phi", "16", "--dt", "0.01", "--t", "0,T/4",
+                   "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    params = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
+    spec = StandingWaveSpec(ell=1, A=0.4, C=1.5)
+    W = standing_wave_field(params, 2, spec)
+    grid = GridSpec(rho_max=3.0, n_rho=6, n_phi=16, dt=0.01)
+    library = tmp_path / "library.csv"
+    for idx, t in enumerate((0.0, spec.period(params.omega) / 4.0)):
+        export_field(sample_field(W, grid, t, params), params, "csv", library,
+                     extra={"n": 2, "ell": 1, "A": 0.4, "C": 1.5})
+        assert (tmp_path / "cli" / f"field_t{idx}.csv").read_bytes() == library.read_bytes()
+
+
+def test_evolve_equals_the_library_run(tmp_path, capsys):
+    assert invoke(["evolve", "--n", "5", "--ell", "3", "--omega", "1.3", "--n-rho", "4",
+                   "--n-phi", "64", "--t", "0.3,T/4", "--format", "json",
+                   "--out", str(tmp_path / "cli")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("t=")]
+    params = OscillatorParams(omega=1.3)
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+    W = standing_wave_field(params, 5, spec)
+    grid = GridSpec(rho_max=4.5, n_rho=4, n_phi=64, dt=0.5 * (2.0 * math.pi / 64) / 1.3)
+    start = sample_field(W, grid, 0.0, params)
+    library = tmp_path / "library.json"
+    for idx, t in enumerate((0.3, spec.period(params.omega) / 4.0)):
+        evolved = evolve_fd(start, params, t)
+        exact = sample_field(propagate_exact(W, params, t), grid, t, params)
+        err = float(np.max(np.abs(evolved.values - exact.values)))
+        assert lines[idx] == f"t={t:.17g} steps={evolved.meta['steps']} max|fd-exact|={err:.6e}"
+        export_field(evolved, params, "json", library,
+                     extra={"n": 5, "ell": 3, "A": 2.0, "C": 5.0})
+        assert (tmp_path / "cli" / f"evolved_t{idx}.json").read_bytes() == library.read_bytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import phasewave.extended
 from phasewave import (NATURAL_UNITS, DegenerateProfileError, PhasePoint, PolarPoint,
                        StandingWaveSpec, WaveProfile, antinode_angles, check_parity,
                        extended_eval, extended_field, from_polar, node_angles,
@@ -80,6 +81,37 @@ def test_normalization_degenerate_profile():
         normalization(profile)
 
 
+def test_extended_field_rejects_a_degenerate_profile_at_construction():
+    profile = WaveProfile(f=lambda th: 0.0, g=lambda th: 0.0, C=0.0, kappa=1)
+    with pytest.raises(DegenerateProfileError):
+        extended_field(P, 0, profile)
+    with pytest.raises(DegenerateProfileError):
+        extended_eval(P, 0, profile, PhasePoint(0.3, 0.2), 0.0)
+
+
+def test_profile_normalizes_once_and_takes_no_norm_from_the_caller(monkeypatch):
+    calls = []
+    real = phasewave.extended.normalization
+
+    def counted(profile):
+        calls.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(phasewave.extended, "normalization", counted)
+    profile = WaveProfile(f=lambda th: 1.0 + np.sin(th), g=lambda th: 0.0, C=1.0, kappa=2)
+    W = extended_field(P, 1, profile)
+    for pt in seeded_points(5):
+        assert extended_eval(P, 1, profile, pt, 0.3) == float(W(pt.x, pt.p, 0.3))
+    extended_field(P, 4, profile)
+    assert calls == [profile]
+    assert profile.norm == real(profile)
+    assert profile.norm.N == pytest.approx(0.5, abs=1e-13)
+    with pytest.raises(TypeError):
+        extended_eval(P, 1, profile, PhasePoint(0.3, 0.2), 0.0, norm=real(profile))
+    with pytest.raises(TypeError):
+        extended_field(P, 1, profile, real(profile))
+
+
 def test_normalization_is_time_independent():
     # bracket means computed at two wave phases must agree; a plain sin profile
     # exercises the check without triggering it
@@ -110,9 +142,8 @@ def test_standing_wave_factor_peak_value():
 
 def test_extended_reduces_to_stationary():
     profile = stationary_profile(1.0)
-    norm = normalization(profile)
     for pt in seeded_points(1000):
-        got = extended_eval(P, 2, profile, pt, 0.7, norm=norm)
+        got = extended_eval(P, 2, profile, pt, 0.7)
         ref = wigner_stationary(P, 2, pt)
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
 
@@ -135,13 +166,13 @@ def test_extended_eval_initial_time_form():
     pt = from_polar(P, PolarPoint(rho, phi))
     kern = wigner_stationary(P, 1, pt)  # radial kernel value for n=1
     manual = norm.N * kern * (2.0 + 0.3 * math.sin(2 * phi) + 0.2 * math.cos(-2 * phi))
-    assert extended_eval(P, 1, profile, pt, 0.0, norm=norm) == pytest.approx(manual, rel=1e-12)
+    assert extended_eval(P, 1, profile, pt, 0.0) == pytest.approx(manual, rel=1e-12)
 
 
 def test_extended_eval_origin_uses_node_line_convention():
     profile = WaveProfile(f=lambda th: 0.5 * np.sin(th), g=lambda th: 0.0, C=2.0, kappa=2)
     norm = normalization(profile)
-    got = extended_eval(P, 0, profile, PhasePoint(0.0, 0.0), 0.3, norm=norm)
+    got = extended_eval(P, 0, profile, PhasePoint(0.0, 0.0), 0.3)
     assert got == pytest.approx(norm.N * profile.C / math.pi, rel=1e-14)
 
 
@@ -150,16 +181,15 @@ def test_extended_field_matches_pointwise_eval():
     W = extended_field(P, 0, profile)
     for pt in seeded_points(50, seed=5):
         assert float(W(pt.x, pt.p, 0.4)) == pytest.approx(
-            extended_eval(P, 0, profile, pt, 0.4, norm=W.norm), rel=1e-13)
+            extended_eval(P, 0, profile, pt, 0.4), rel=1e-13)
 
 
 def test_standing_wave_eval_matches_extended_machinery():
     profile = SPEC.to_profile()
-    norm = normalization(profile)
     for t in (0.0, 0.11, 0.37):
         for pt in seeded_points(60, seed=7):
             a = standing_wave_eval(P, 5, SPEC, pt, t)
-            b = extended_eval(P, 5, profile, pt, t, norm=norm)
+            b = extended_eval(P, 5, profile, pt, t)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
 

@@ -160,6 +160,48 @@ def test_laguerre_energy_identity_full_range():
         assert laguerre_energy_identity(n) == pytest.approx(expected, abs=1e-9)
 
 
+def test_laguerre_energy_identity_every_order():
+    # L_n(4 eps) oscillates out to eps = n + 1/2, past 40 from n = 40
+    for n in range(65):
+        expected = (-1.0) ** n * (2 * n + 1) / 4.0
+        assert laguerre_energy_identity(n) == pytest.approx(expected, abs=1e-9), n
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+@pytest.mark.parametrize("n", [28, 32, 48, 64])
+def test_marginals_refuse_a_window_that_truncates_the_integrand(n, params):
+    W = stationary_field(params, n)
+    for marginal in (marginal_over_p, marginal_over_x):
+        for at in (0.3, np.array([5.0, 0.3])):
+            with pytest.raises(ConfigurationError, match="enlarge line_window"):
+                marginal(W, params, at)
+    wide = QuadratureSpec(line_window=18.0)
+    at = np.linspace(-2.0, 2.0, 5)
+    assert np.max(np.abs(marginal_over_p(W, params, at, quad=wide)
+                         - position_density(params, n, at))) <= 1e-12
+    assert np.max(np.abs(marginal_over_x(W, params, at, quad=wide)
+                         - momentum_density(params, n, at))) <= 1e-12
+
+
+def test_window_check_reads_the_values_the_rule_computes():
+    calls = []
+
+    def W(x, p, t=0.0):
+        calls.append(np.broadcast(x, p).shape)
+        return stationary_field(P, 30)(x, p, t)
+
+    with pytest.raises(ConfigurationError):
+        marginal_over_p(W, P, 0.3)
+    assert calls == [(2049,)]
+    calls.clear()
+    marginal_over_p(W, P, 0.3, quad=QuadratureSpec(line_window=16.0))
+    assert calls == [(2049,)]
+    # a Gaussian centred on either end of the 9-width window
+    for end in (9.0, -9.0):
+        with pytest.raises(ConfigurationError):
+            marginal_over_p(lambda x, p, t=0.0: np.exp(-(p - end) ** 2) + 0.0 * x, P, 0.3)
+
+
 def _bits(value):
     return np.float64(value).tobytes()
 

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from phasewave import (DEFAULT_QUAD, NATURAL_UNITS, OscillatorParams, PhasePoint,
-                       momentum_density, position_density, stationary_field, wavefunction,
+                       StandingWaveSpec, energy_xy, extended_field, momentum_density,
+                       polar_from_xy, position_density, radial_kernel, running_wave_profile,
+                       standing_wave_field, stationary_field, wavefunction,
                        wigner_from_wavefunction, wigner_stationary)
+from phasewave.errors import DataError
 from phasewave.wigner import _transform_lines
 
-from oracles import lag_series, simpson
+from oracles import lag_series, simpson, wigner_kernel_exact
 
 GENERAL = OscillatorParams(m=2.0, omega=0.7, hbar=1.3, alpha=0.9)
+SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
 
 
 def test_origin_values():
@@ -123,6 +127,17 @@ def test_transform_momentum_batch_equals_single_calls(params):
                     np.float64(alone[0]).tobytes(), np.float64(alone[1]).tobytes())
 
 
+@pytest.mark.parametrize("params", [NATURAL_UNITS, SCALED], ids=["natural", "scaled"])
+def test_transform_matches_exact_kernel_for_every_order(params):
+    # the window must reach past the turning point sqrt(2n+1) of each order
+    for n in range(65):
+        for x, p in ((0.3, -0.2), (-1.1, 0.7)):
+            value = wigner_from_wavefunction(params, n, PhasePoint(x, p))
+            rho = math.hypot(params.omega * (x + params.shift), p / params.m)
+            exact = float(wigner_kernel_exact(n, rho, params.m, params.omega, params.hbar))
+            assert abs(value - exact) <= 1e-12, (n, x, p, value, exact)
+
+
 def test_stationary_field_ignores_time():
     W = stationary_field(NATURAL_UNITS, 3)
     assert W(0.4, -0.2, 0.0) == W(0.4, -0.2, 123.4)
@@ -148,6 +163,43 @@ def test_p_derivative_general_params():
     h = 1e-3
     est = (W(x, p + h, 0.0) - W(x, p - h, 0.0)) / (2 * h)
     assert W.p_derivative(1, x, p) == pytest.approx(est, rel=1e-5)
+
+
+@pytest.mark.parametrize("params", [NATURAL_UNITS, GENERAL], ids=["natural", "general"])
+def test_p_derivative_is_zero_where_the_gaussian_underflows(params, recwarn):
+    W = stationary_field(params, 3)
+    for big in (1e155, 1e200, 1e300):
+        for x, p in ((big, 0.0), (0.0, big), (-big, -big), (0.3, -big), (-big, 0.4)):
+            for order in range(4):
+                assert W.p_derivative(order, x, p) == 0.0
+    assert len(recwarn) == 0
+
+
+def test_nan_coordinate_raises_a_data_error_naming_it():
+    P = NATURAL_UNITS
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+    fields = (stationary_field(P, 2), standing_wave_field(P, 2, spec),
+              extended_field(P, 2, running_wave_profile(A=0.4, C=1.0, kappa=2)))
+    batch = np.array([0.5, math.nan])
+    for W in fields:
+        with pytest.raises(DataError, match="^coordinate x is NaN$"):
+            W(math.nan, 0.0)
+        with pytest.raises(DataError, match="^coordinate p is NaN$"):
+            W(np.zeros(2), batch, 0.3)
+    for f, name in ((position_density, "x"), (momentum_density, "p"), (wavefunction, "x"),
+                    (radial_kernel, "rho")):
+        for value in (math.nan, batch):
+            with pytest.raises(DataError, match=f"^coordinate {name} is NaN$"):
+                f(P, 4, value)
+    for f in (polar_from_xy, energy_xy):
+        with pytest.raises(DataError, match="coordinate x"):
+            f(P, batch, 0.0)
+        with pytest.raises(DataError, match="coordinate p"):
+            f(P, 0.0, batch)
+    with pytest.raises(DataError, match="coordinate x"):
+        fields[0].p_derivative(1, math.nan, 0.0)
+    with pytest.raises(DataError, match="coordinate p"):
+        fields[0].p_derivative(1, 0.0, math.nan)
 
 
 def test_state_index_validation():
