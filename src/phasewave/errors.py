@@ -11,7 +11,7 @@ class AccuracyError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """Invalid grid, step size, truncation radius, or potential degree."""
+    """Invalid grid, step size or potential degree, or an integrand that outruns the extent."""
 
 
 class DegenerateProfileError(ValueError):
@@ -23,13 +23,16 @@ class BlowupError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Bad data: a NaN coordinate, a non-finite sampled value, or a malformed field file.
+    """Bad data: a NaN coordinate, a non-finite time or sampled value, or a malformed field file.
 
     The field classes, ``radial_kernel``, the densities, ``wavefunction``,
     ``polar_from_xy`` and ``energy_xy`` raise it, naming the coordinate
     (x, p or rho), when a coordinate holds a NaN; an infinite coordinate
-    lies past every Gaussian and gives 0.  ``read_field`` raises it,
-    naming the file, for a missing header or metadata, a ragged, short or
-    non-numeric body, a CSV row that is not at its grid node, a value
-    array that does not match the grid, and a non-finite time or value.
+    lies past every Gaussian and gives 0.  The field classes' calls and
+    ``polar_factors`` raise it, naming t, for a NaN or infinite time, and
+    ``PhasePoint`` and ``PolarPoint`` for a non-finite component.
+    ``read_field`` raises it, naming the file, for a missing header or
+    metadata, a ragged, short or non-numeric body, a CSV row that is not at
+    its grid node, a value array that does not match the grid, and a
+    non-finite time or value.
     """

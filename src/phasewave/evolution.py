@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowupError, ConfigurationError
-from .oscillator import TWO_PI, OscillatorParams, PhasePoint, polar_from_xy, xy_from_polar
+from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _require_finite, polar_from_xy,
+                         xy_from_polar)
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -148,8 +149,10 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
 
     ``W0`` is a callable of (x, p).  Returns the snapshot at time ``t``,
     i.e. (x, p) -> W0 evaluated at the same radius and angle phi + omega t;
-    it has ``polar_factors`` exactly when ``W0`` has.
+    it has ``polar_factors`` exactly when ``W0`` has.  A NaN or infinite
+    ``t`` raises ``DataError``.
     """
+    _require_finite(t, "t")
     return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
 
 

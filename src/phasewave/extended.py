@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .oscillator import TWO_PI, OscillatorParams, PhasePoint, polar_from_xy
+from .oscillator import TWO_PI, OscillatorParams, PhasePoint, _require_finite, polar_from_xy
 from .special import check_order
 from .wigner import radial_kernel
 
@@ -214,6 +214,7 @@ class ExtendedWigner:
 
         W(rho_i, phi_j, t) = radial[i] * angular[j] away from the origin.
         """
+        _require_finite(t, "t")
         radial = self.profile.norm.N * radial_kernel(self.params, self.n, rho)
         angular = np.asarray(self.profile.bracket(phi, t, self.params.omega), dtype=float)
         return radial, angular
@@ -250,6 +251,7 @@ class StandingWaveWigner:
 
     def polar_factors(self, rho, phi, t=0.0):
         """Radial factor kernel_n(rho) and angular factor 1 + (2A/C) cos(Omega t) sin(2 ell phi)."""
+        _require_finite(t, "t")
         return (radial_kernel(self.params, self.n, rho),
                 1.0 + standing_wave_factor(self.spec, phi, t, self.params.omega) / self.spec.C)
 

@@ -54,8 +54,9 @@ def coordinate(values, name):
 
 
 def _require_finite(value, name):
+    """``value`` as a float; raises ``DataError`` naming it if it is NaN or infinite."""
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise DataError(f"{name} must be finite, got {value}")
     return float(value)
 
 

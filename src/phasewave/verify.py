@@ -27,8 +27,8 @@ from .extended import (StandingWaveSpec, WaveProfile, antinode_angles, check_par
                        standing_wave_field)
 from .gridio import sample_field
 from .oscillator import NATURAL_UNITS, PhasePoint, polar_from_xy, xy_from_polar
-from .quadrature import (DEFAULT_QUAD, QuadratureSpec, laguerre_energy_identity,
-                         marginal_over_p, marginal_over_x, mean_energy, phase_space_integral)
+from .quadrature import (DEFAULT_QUAD, laguerre_energy_identity, marginal_over_p,
+                         marginal_over_x, mean_energy, phase_space_integral)
 from .wigner import (_transform_lines, momentum_density, position_density, radial_kernel,
                      stationary_field)
 
@@ -98,18 +98,17 @@ def _check(body):
 
 
 @_check
-def check_stationary_normalization(params=NATURAL_UNITS, tol: float = 1e-8,
-                                   quad: QuadratureSpec | None = None,
-                                   n_max: int = 8) -> CheckResult:
+def check_stationary_normalization(tol: float = 1e-8) -> CheckResult:
     """Phase-space integral of every stationary state equals 1."""
+    params = NATURAL_UNITS
     devs = {}
-    for n in range(n_max + 1):
-        val = phase_space_integral(stationary_field(params, n), params, quad)
+    for n in range(9):
+        val = phase_space_integral(stationary_field(params, n), params)
         devs[n] = abs(val - 1.0)
     worst = max(devs.values())
     return CheckResult(
         provenance="quasi-probability densities integrate to 1 (exact)",
-        target="1 for n = 0..%d" % n_max,
+        target="1 for n = 0..8",
         computed=f"max |integral - 1| = {worst:.3e}",
         tolerance=tol, passed=worst < tol,
         details={"deviation_by_n": {str(k): v for k, v in devs.items()}},
@@ -117,7 +116,7 @@ def check_stationary_normalization(params=NATURAL_UNITS, tol: float = 1e-8,
 
 
 @_check
-def check_extended_normalization(params=NATURAL_UNITS, tol: float = 1e-10) -> CheckResult:
+def check_extended_normalization(tol: float = 1e-10) -> CheckResult:
     """Computed normalization of the standing wave equals 1/C."""
     worst = 0.0
     cases = {}
@@ -137,9 +136,9 @@ def check_extended_normalization(params=NATURAL_UNITS, tol: float = 1e-10) -> Ch
 
 
 @_check
-def check_marginal_identities(params=NATURAL_UNITS, tol: float = 1e-6,
-                              quad: QuadratureSpec | None = None) -> CheckResult:
+def check_marginal_identities(tol: float = 1e-6) -> CheckResult:
     """Marginals of the standing-wave family reproduce the eigenstate densities."""
+    params = NATURAL_UNITS
     pts = np.linspace(-3.0, 3.0, 21)
     worst = 0.0
     worst_case = ""
@@ -151,7 +150,7 @@ def check_marginal_identities(params=NATURAL_UNITS, tol: float = 1e-6,
             for t in (0.0, T / 8.0, T / 4.0, T / 2.0):
                 for axis, marginal, density in (("x", marginal_over_p, position_density),
                                                 ("p", marginal_over_x, momentum_density)):
-                    devs = np.abs(marginal(W, params, pts, t, quad)
+                    devs = np.abs(marginal(W, params, pts, t)
                                   - density(params, n, pts)).tolist()
                     for v, dev in zip(pts, devs):
                         if dev > worst:
@@ -166,19 +165,19 @@ def check_marginal_identities(params=NATURAL_UNITS, tol: float = 1e-6,
 
 
 @_check
-def check_energy_spectrum(params=NATURAL_UNITS, tol: float = 1e-6,
-                          quad: QuadratureSpec | None = None) -> CheckResult:
+def check_energy_spectrum(tol: float = 1e-6) -> CheckResult:
     """Mean energy is n + 1/2 and time independent for the standing wave."""
+    params = NATURAL_UNITS
     worst = 0.0
     details = {}
     for n in range(9):
-        val = mean_energy(stationary_field(params, n), params, 0.0, quad)
+        val = mean_energy(stationary_field(params, n), params)
         details[f"stationary n={n}"] = val
         worst = max(worst, abs(val - (n + 0.5)))
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     T = spec.period(params.omega)
     for n in (0, 5):
-        vals = [mean_energy(standing_wave_field(params, n, spec), params, t, quad)
+        vals = [mean_energy(standing_wave_field(params, n, spec), params, t)
                 for t in (0.0, T / 8.0, T / 4.0, T / 2.0)]
         details[f"standing n={n}"] = vals
         worst = max(worst, max(abs(v - (n + 0.5)) for v in vals))
@@ -192,12 +191,11 @@ def check_energy_spectrum(params=NATURAL_UNITS, tol: float = 1e-6,
 
 
 @_check
-def check_laguerre_moment_identity(tol: float = 1e-9,
-                                   quad: QuadratureSpec | None = None) -> CheckResult:
+def check_laguerre_moment_identity(tol: float = 1e-9) -> CheckResult:
     """Quadrature of exp(-2e) L_n(4e) e over [0, inf) equals (-1)^n (2n+1)/4."""
     worst = 0.0
     for n in range(9):
-        val = laguerre_energy_identity(n, quad)
+        val = laguerre_energy_identity(n)
         exact = (-1.0) ** n * (2 * n + 1) / 4.0
         worst = max(worst, abs(val - exact))
     return CheckResult(
@@ -209,16 +207,15 @@ def check_laguerre_moment_identity(tol: float = 1e-9,
 
 
 @_check
-def check_transform_oracle_agreement(params=NATURAL_UNITS, tol: float = 1e-7,
-                                     quad: QuadratureSpec | None = None) -> CheckResult:
+def check_transform_oracle_agreement(tol: float = 1e-7) -> CheckResult:
     """Fourier-transform construction agrees with the closed form on a grid."""
+    params = NATURAL_UNITS
     pts = np.linspace(-3.0, 3.0, 9)
-    quad = quad or DEFAULT_QUAD
     worst = 0.0
     for n in (0, 1, 2, 3, 5):
         W = stationary_field(params, n)
         for x in pts:
-            transform, _ = _transform_lines(params, n, float(x), pts, quad)
+            transform, _ = _transform_lines(params, n, float(x), pts, DEFAULT_QUAD)
             worst = max(worst, float(np.max(np.abs(transform - W(x, pts)))))
     return CheckResult(
         provenance="independent eigenfunction Fourier transform of the same state",
@@ -229,8 +226,9 @@ def check_transform_oracle_agreement(params=NATURAL_UNITS, tol: float = 1e-7,
 
 
 @_check
-def check_node_antinode_structure(params=NATURAL_UNITS, tol: float = 1e-12) -> CheckResult:
+def check_node_antinode_structure(tol: float = 1e-12) -> CheckResult:
     """Node lines pin the stationary values; antinodes maximize the deviation."""
+    params = NATURAL_UNITS
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     T = spec.period(params.omega)
     x, p = xy_from_polar(params, np.array([0.4, 0.9, 1.6, 2.4])[:, None], node_angles(spec))
@@ -268,8 +266,9 @@ def check_node_antinode_structure(params=NATURAL_UNITS, tol: float = 1e-12) -> C
 
 
 @_check
-def check_snapshot_identities(params=NATURAL_UNITS, tol: float = 1e-12) -> CheckResult:
+def check_snapshot_identities(tol: float = 1e-12) -> CheckResult:
     """Quarter-period snapshots equal the stationary state; full period repeats."""
+    params = NATURAL_UNITS
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     T = spec.period(params.omega)
     grid = GridSpec(rho_max=4.5, n_rho=48, n_phi=96)
@@ -294,8 +293,9 @@ def check_snapshot_identities(params=NATURAL_UNITS, tol: float = 1e-12) -> Check
 
 
 @_check
-def check_positivity_edge(params=NATURAL_UNITS) -> CheckResult:
+def check_positivity_edge() -> CheckResult:
     """Ground-state minimum flips sign exactly when 2A/C crosses 1."""
+    params = NATURAL_UNITS
     grid = GridSpec(rho_max=4.0, n_rho=512, n_phi=512)
     mins = {}
     for A in (2.0, 3.0):
@@ -322,7 +322,7 @@ def _residual_maxima(params, field_factory, resolutions, t_center):
 
 
 @_check
-def check_residual_discrimination(params=NATURAL_UNITS) -> CheckResult:
+def check_residual_discrimination() -> CheckResult:
     """Standing wave solves the membrane equation but not one-way transport.
 
     The two-chirality standing wave satisfies the second-order membrane
@@ -332,6 +332,7 @@ def check_residual_discrimination(params=NATURAL_UNITS) -> CheckResult:
     single-chirality wave satisfies both.  The suite reports both residuals
     rather than deciding which equation should govern.
     """
+    params = NATURAL_UNITS
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     T = spec.period(params.omega)
     resolutions = []
@@ -367,13 +368,14 @@ def check_residual_discrimination(params=NATURAL_UNITS) -> CheckResult:
 
 
 @_check
-def check_solver_convergence(params=NATURAL_UNITS) -> CheckResult:
+def check_solver_convergence() -> CheckResult:
     """Upwind solver converges to the exact rotation at first order.
 
     The run stops at 0.37 of a period: after a whole period (or a half, for
     the kappa = 2 wave) the exact rotation maps the wave onto itself, so a
     solver that turns at the wrong speed would also converge there.
     """
+    params = NATURAL_UNITS
     kappa = 2
 
     def W0(x, p, t=0.0):
@@ -402,7 +404,7 @@ def check_solver_convergence(params=NATURAL_UNITS) -> CheckResult:
 
 
 @_check
-def check_running_wave_rejection(params=NATURAL_UNITS, threshold: float = 1e-3) -> CheckResult:
+def check_running_wave_rejection() -> CheckResult:
     """A single running cosine wave fails parity and breaks the marginals.
 
     Measured with n = 0, kappa = 2, A/C = 0.4, t = 0 at 21 sample points
@@ -410,6 +412,7 @@ def check_running_wave_rejection(params=NATURAL_UNITS, threshold: float = 1e-3) 
     configuration (brute-force scans put the actual deviation near 4e-2),
     not an analytic constant.
     """
+    params = NATURAL_UNITS
     profile = running_wave_profile(A=0.4, C=1.0, kappa=2)
     report = check_parity(params, profile)
     W = extended_field(params, 0, profile)
@@ -422,9 +425,9 @@ def check_running_wave_rejection(params=NATURAL_UNITS, threshold: float = 1e-3) 
                                 - position_density(params, 0, xs))))
     return CheckResult(
         provenance="even-in-p cosine chirality violates the oddness hypothesis",
-        target=f"parity check fails and marginal deviation exceeds {threshold:g}",
+        target="parity check fails and marginal deviation exceeds 0.001",
         computed=(f"parity passed = {report.passed}, max marginal deviation = {worst:.3e}"),
-        tolerance=threshold, passed=(not report.passed) and worst > threshold,
+        tolerance=1e-3, passed=(not report.passed) and worst > 1e-3,
         details={"parity_violation_xbar": report.max_violation_xbar,
                  "parity_violation_p": report.max_violation_p},
     )
@@ -438,9 +441,10 @@ class _MustNotEvaluate:
 
 
 @_check
-def check_moyal_degeneration(params=NATURAL_UNITS, tol: float = 1e-6) -> CheckResult:
+def check_moyal_degeneration(tol: float = 1e-6) -> CheckResult:
     """Quantum transport series vanishes for quadratic potentials; matches
     the single surviving closed-form term for x^3 and x^4."""
+    params = NATURAL_UNITS
     hbar = params.hbar
     quadratic = PolynomialPotential((params.alpha**2 / (2 * params.m * params.omega**2),
                                      params.alpha, 0.5 * params.m * params.omega**2))

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, coordinate, energy_xy,
-                         shifted_x)
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, _line_integral
+from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, _require_finite,
+                         coordinate, energy_xy, shifted_x)
+from .quadrature import DEFAULT_QUAD, EXTENT, QuadratureSpec, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
 
@@ -57,6 +57,7 @@ class StationaryWigner:
         check_order(self.n)
 
     def __call__(self, x, p, t=0.0):
+        _require_finite(t, "t")
         return _kernel(self.params, self.n, energy_xy(self.params, x, p))
 
     def polar_factors(self, rho, phi, t=0.0):
@@ -65,6 +66,7 @@ class StationaryWigner:
         W(rho_i, phi_j, t) = radial[i] * angular[j]; an eigenstate has no
         angular dependence, so its angular factor is 1.
         """
+        _require_finite(t, "t")
         return radial_kernel(self.params, self.n, rho), np.ones(np.shape(phi))
 
     def p_derivative(self, order, x, p):
@@ -171,16 +173,13 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
 def _transform_lines(params: OscillatorParams, n: int, x: float, p, quad: QuadratureSpec):
     """Transform values and estimates at position ``x`` for one momentum or an array of them.
 
-    The momenta share the integration window, which depends on ``x`` and
-    ``n`` only, so their lines run as one batch of :func:`_line_integral`;
+    The momenta share the integration window, which depends on ``x``
+    only, so their lines run as one batch of :func:`_line_integral`;
     each gets the bits a call with that momentum alone would give.
     """
-    xb = shifted_x(params, x)
+    # Psi_n is negligible past EXTENT widths from xbar = 0
     width = math.sqrt(params.hbar / (params.m * params.omega))
-    # Psi_n oscillates out to its turning point, sqrt(2n+1) widths; 3.5 more
-    # widths reach its Gaussian decay.
-    window = max(quad.line_window, math.sqrt(2 * n + 1) + 3.5)
-    s_max = 2.0 * (abs(xb) + window * width)
+    s_max = 2.0 * (abs(shifted_x(params, x)) + EXTENT * width)
     lines = np.asarray(p, dtype=float)[..., None]
 
     def integrand(s):

@@ -73,7 +73,7 @@ def test_criterion_11_rejects_a_half_speed_solver(monkeypatch):
 
 
 def test_criterion_12_running_wave_rejected():
-    _run(verify.check_running_wave_rejection, threshold=1e-3)
+    _run(verify.check_running_wave_rejection)
 
 
 def test_criterion_13_moyal_degeneration_within_1e6():

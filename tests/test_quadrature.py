@@ -1,28 +1,32 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, ExtendedWigner,
-                       OscillatorParams, QuadratureSpec, StandingWaveSpec, StandingWaveWigner,
-                       StationaryWigner, energy_xy, extended_field, laguerre_energy_identity,
-                       marginal_over_p, marginal_over_x, mean_energy, momentum_density,
-                       phase_space_integral, position_density, radial_kernel, run_suite,
-                       running_wave_profile, standing_wave_field, stationary_field,
-                       polar_from_xy, xy_from_polar)
+from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, DataError,
+                       ExtendedWigner, OscillatorParams, QuadratureSpec, StandingWaveSpec,
+                       StandingWaveWigner, StationaryWigner, energy_xy, extended_field,
+                       laguerre_energy_identity, marginal_over_p, marginal_over_x, mean_energy,
+                       momentum_density, phase_space_integral, position_density,
+                       propagate_exact, radial_kernel, run_suite, running_wave_profile,
+                       snapshot, standing_wave_field, stationary_field, polar_from_xy,
+                       xy_from_polar)
+from phasewave.quadrature import EXTENT
 
-from oracles import cartesian_integral, gauss_legendre
+from oracles import cartesian_integral, wigner_kernel_exact
 
 P = NATURAL_UNITS
 GENERAL = OscillatorParams(m=2.0, omega=0.5, hbar=1.3, alpha=0.7)
 SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
+UNITS = pytest.mark.parametrize("params", [P, SCALED, GENERAL],
+                                ids=["natural", "scaled", "general"])
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(n_rho=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rho_max=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
 
@@ -34,8 +38,7 @@ def test_stationary_states_normalized(n):
 
 
 def test_normalization_with_general_parameters():
-    val = phase_space_integral(stationary_field(GENERAL, 1), GENERAL,
-                               QuadratureSpec(rho_max=5.0))
+    val = phase_space_integral(stationary_field(GENERAL, 1), GENERAL)
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -68,9 +71,19 @@ def test_polar_integral_matches_cartesian_oracle(n):
     assert phase_space_integral(W, P) == pytest.approx(oracle, abs=1e-8)
 
 
+def _gaussian_at(x0=0.0, p0=0.0):
+    """Bare callable: a Gaussian of integral 1 and one width centred at (x0, p0), natural units."""
+    return lambda x, p, t=0.0: np.exp(-((x - x0) ** 2 + (p - p0) ** 2)) / math.pi
+
+
 def test_truncation_radius_guard():
-    with pytest.raises(ConfigurationError):
-        phase_space_integral(stationary_field(P, 0), P, QuadratureSpec(rho_max=2.0))
+    # the disk reaches EXTENT = 15.86 widths: a Gaussian 12 widths out is cut
+    # off by 2.8e-8, one 8 widths out is not
+    for integral in (phase_space_integral, mean_energy):
+        with pytest.raises(ConfigurationError, match="outermost ring"):
+            integral(_gaussian_at(12.0), P)
+    assert phase_space_integral(_gaussian_at(8.0), P) == pytest.approx(1.0, abs=1e-13)
+    assert mean_energy(_gaussian_at(0.0, -8.0), P) == pytest.approx(32.5, abs=1e-11)
 
 
 def test_marginals_of_stationary_state():
@@ -144,7 +157,7 @@ def test_mean_energy_standing_wave_time_independent():
 
 def test_mean_energy_dimensionless_under_frequency_change():
     doubled = OscillatorParams(omega=2.0)
-    val = mean_energy(stationary_field(doubled, 0), doubled, quad=QuadratureSpec(rho_max=10.0))
+    val = mean_energy(stationary_field(doubled, 0), doubled)
     assert val == pytest.approx(0.5, abs=1e-6)
 
 
@@ -161,26 +174,21 @@ def test_laguerre_energy_identity_full_range():
 
 
 def test_laguerre_energy_identity_every_order():
-    # L_n(4 eps) oscillates out to eps = n + 1/2, past 40 from n = 40
+    # L_n(4 eps) oscillates out to eps = n + 1/2; the rule reaches EXTENT^2 / 2 = 125.7
     for n in range(65):
         expected = (-1.0) ** n * (2 * n + 1) / 4.0
-        assert laguerre_energy_identity(n) == pytest.approx(expected, abs=1e-9), n
+        assert laguerre_energy_identity(n) == pytest.approx(expected, abs=1e-12), n
 
 
-@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
-@pytest.mark.parametrize("n", [28, 32, 48, 64])
-def test_marginals_refuse_a_window_that_truncates_the_integrand(n, params):
-    W = stationary_field(params, n)
-    for marginal in (marginal_over_p, marginal_over_x):
-        for at in (0.3, np.array([5.0, 0.3])):
-            with pytest.raises(ConfigurationError, match="enlarge line_window"):
-                marginal(W, params, at)
-    wide = QuadratureSpec(line_window=18.0)
+@UNITS
+def test_every_order_has_exact_marginals(params):
     at = np.linspace(-2.0, 2.0, 5)
-    assert np.max(np.abs(marginal_over_p(W, params, at, quad=wide)
-                         - position_density(params, n, at))) <= 1e-12
-    assert np.max(np.abs(marginal_over_x(W, params, at, quad=wide)
-                         - momentum_density(params, n, at))) <= 1e-12
+    for n in range(65):
+        W = stationary_field(params, n)
+        assert np.max(np.abs(marginal_over_p(W, params, at - params.shift)
+                             - position_density(params, n, at - params.shift))) <= 1e-12, n
+        assert np.max(np.abs(marginal_over_x(W, params, at)
+                             - momentum_density(params, n, at))) <= 1e-12, n
 
 
 def test_window_check_reads_the_values_the_rule_computes():
@@ -190,16 +198,14 @@ def test_window_check_reads_the_values_the_rule_computes():
         calls.append(np.broadcast(x, p).shape)
         return stationary_field(P, 30)(x, p, t)
 
-    with pytest.raises(ConfigurationError):
-        marginal_over_p(W, P, 0.3)
+    assert marginal_over_p(W, P, 0.3) == pytest.approx(position_density(P, 30, 0.3), abs=1e-12)
     assert calls == [(2049,)]
-    calls.clear()
-    marginal_over_p(W, P, 0.3, quad=QuadratureSpec(line_window=16.0))
-    assert calls == [(2049,)]
-    # a Gaussian centred on either end of the 9-width window
-    for end in (9.0, -9.0):
-        with pytest.raises(ConfigurationError):
+    # a Gaussian centred on either end of the window
+    for end in (EXTENT, -EXTENT):
+        with pytest.raises(ConfigurationError, match="window ends"):
             marginal_over_p(lambda x, p, t=0.0: np.exp(-(p - end) ** 2) + 0.0 * x, P, 0.3)
+    with pytest.raises(ConfigurationError, match="window ends"):
+        marginal_over_x(lambda x, p, t=0.0: np.exp(-(x - EXTENT) ** 2) + 0.0 * p, P, 0.3)
 
 
 def _bits(value):
@@ -230,7 +236,7 @@ def _counting(W, calls):
 
 def test_batch_keeps_each_line_at_its_own_refinement_level():
     W = stationary_field(P, 5)
-    quad = QuadratureSpec(n_line=64, tol=1e-6)
+    quad = QuadratureSpec(n_line=128, tol=1e-6)
     xs = np.linspace(-4.5, 4.5, 11)
     alone, refined = [], []
     for x in xs:
@@ -241,7 +247,7 @@ def test_batch_keeps_each_line_at_its_own_refinement_level():
     assert any(refined) and not all(refined)
     calls = []
     values, ests = marginal_over_p(_counting(W, calls), P, xs, quad=quad, return_error=True)
-    assert calls == [(11, 65), (11, 129)]
+    assert calls == [(11, 129), (11, 257)]
     for value, est, (v, e) in zip(values, ests, alone):
         assert (_bits(value), _bits(est)) == (_bits(v), _bits(e))
 
@@ -262,7 +268,7 @@ def test_batch_accuracy_error_reports_the_worst_line():
     assert (err.value.estimate, err.value.value) == max(failures)
 
 
-# -- factored disk rule and the order-aware tail guard ------------------------
+# -- factored disk rule and the extent ----------------------------------------
 
 def _separable_fields(params):
     return [stationary_field(params, 4),
@@ -344,42 +350,82 @@ def test_bare_callable_keeps_tensor_levels():
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("n", [11, 16, 24, 64])
-def test_tail_guard_refuses_orders_the_disk_truncates(n):
-    W = stationary_field(P, n)
-    with pytest.raises(ConfigurationError, match="enlarge rho_max"):
-        phase_space_integral(W, P)
-    with pytest.raises(ConfigurationError, match="enlarge rho_max"):
-        mean_energy(W, P)
+@UNITS
+def test_every_order_integrates_over_the_disk(params):
+    for n in range(65):
+        W = stationary_field(params, n)
+        assert phase_space_integral(W, params) == pytest.approx(1.0, abs=1e-13), n
+        assert mean_energy(W, params) == pytest.approx(n + 0.5, abs=1e-12), n
 
 
-def _true_tail(params, n, rho_max):
-    """(m/omega) 2 pi * integral of |kernel_n| rho beyond rho_max, by an independent rule."""
-    def f(rho):
-        return np.abs(radial_kernel(params, n, rho)) * rho
-    return params.m / params.omega * 2.0 * math.pi * gauss_legendre(f, rho_max, 3.0 * rho_max, 400)
+@UNITS
+def test_modulated_fields_of_the_highest_order(params):
+    at = np.linspace(-2.0, 2.0, 5)
+    for W in (standing_wave_field(params, 64, StandingWaveSpec(ell=3, A=2.0, C=5.0)),
+              extended_field(params, 64, StandingWaveSpec(ell=2, A=1.0, C=2.0).to_profile())):
+        for t in FACTORED_TIMES:
+            assert phase_space_integral(W, params, t=t) == pytest.approx(1.0, abs=1e-13)
+            assert mean_energy(W, params, t) == pytest.approx(64.5, abs=1e-12)
+            assert np.max(np.abs(marginal_over_p(W, params, at, t)
+                                 - position_density(params, 64, at))) <= 1e-12
+            assert np.max(np.abs(marginal_over_x(W, params, at, t)
+                                 - momentum_density(params, 64, at))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [9, 12, 16])
-def test_tail_guard_measures_the_tail_to_one_percent(n):
-    tail = _true_tail(P, n, 7.0)
-    phase_space_integral(stationary_field(P, n), P, QuadratureSpec(tol=1.01 * tail))
-    with pytest.raises(ConfigurationError):
-        phase_space_integral(stationary_field(P, n), P, QuadratureSpec(tol=0.99 * tail))
+def test_bare_callable_of_a_high_order_integrates_exactly():
+    W = stationary_field(P, 16)
+    assert phase_space_integral(lambda x, p, t: W(x, p, t), P) == pytest.approx(1.0, abs=1e-13)
+    assert mean_energy(lambda x, p, t: W(x, p, t), P) == pytest.approx(16.5, abs=1e-12)
 
 
-def test_tail_guard_sees_the_angular_factor():
-    # |1 + 20 sin(2 phi)| averages 12.7 over the circle, so the tail is that much larger
-    quad = QuadratureSpec(tol=2.0 * _true_tail(P, 11, 7.0))
-    phase_space_integral(stationary_field(P, 11), P, quad)
-    with pytest.raises(ConfigurationError):
-        phase_space_integral(standing_wave_field(P, 11, StandingWaveSpec(ell=1, A=10.0, C=1.0)),
-                             P, quad)
+def test_extent_leaves_every_order_negligible():
+    # at the edge, |kernel_n| rho (1 + eps) bounds the integrands of the
+    # normalization (rho) and of the mean energy (rho eps), in natural units
+    rho = Fraction(EXTENT)
+    eps = rho * rho / 2
+    for n in range(65):
+        kernel = abs(Fraction(wigner_kernel_exact(n, EXTENT)))
+        assert kernel * rho * (1 + eps) < Fraction(1e-20) / Fraction(math.pi), n
 
 
-@pytest.mark.parametrize("rho_max, n", [(12.0, 16), (14.0, 24), (15.0, 32), (20.0, 64)])
-def test_high_orders_integrate_exactly_on_a_wide_disk(rho_max, n):
-    quad = QuadratureSpec(rho_max=rho_max)
-    W = stationary_field(P, n)
-    assert phase_space_integral(W, P, quad) == pytest.approx(1.0, abs=1e-12)
-    assert mean_energy(W, P, quad=quad) == pytest.approx(n + 0.5, abs=1e-12)
+def test_non_finite_times_are_refused():
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+    fields = [stationary_field(P, 2), standing_wave_field(P, 2, spec),
+              extended_field(P, 2, spec.to_profile())]
+    rho, phi = np.array([0.5, 1.0]), np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (math.nan, math.inf, -math.inf):
+            for W in fields:
+                with pytest.raises(DataError, match="t must be finite"):
+                    W(0.3, 0.2, t)
+                with pytest.raises(DataError, match="t must be finite"):
+                    W.polar_factors(rho, phi, t)
+                with pytest.raises(DataError, match="t must be finite"):
+                    phase_space_integral(W, P, t=t)
+                with pytest.raises(DataError, match="t must be finite"):
+                    marginal_over_p(W, P, 0.3, t)
+                with pytest.raises(DataError, match="t must be finite"):
+                    snapshot(W, t)(0.3, 0.2)
+                with pytest.raises(DataError, match="t must be finite"):
+                    propagate_exact(W, P, t)
+
+
+def test_non_finite_integrands_never_converge():
+    def nan_field(x, p, t=0.0):
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(p)), np.nan)
+
+    def inf_near_origin(x, p, t=0.0):
+        return np.where(x * x + p * p < 0.01, np.inf, np.exp(-(x * x + p * p)))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (nan_field, inf_near_origin):
+            for integral in (phase_space_integral, mean_energy):
+                with pytest.raises(AccuracyError):
+                    integral(f, P)
+            for marginal in (marginal_over_p, marginal_over_x):
+                with pytest.raises(AccuracyError):
+                    marginal(f, P, 0.0)
+                with pytest.raises(AccuracyError):
+                    marginal(f, P, np.array([1.0, 0.0]))
