@@ -15,7 +15,7 @@ from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, DataErr
                        xy_from_polar)
 from phasewave.quadrature import EXTENT
 
-from oracles import cartesian_integral, wigner_kernel_exact
+from oracles import cartesian_integral, gauss_legendre, wigner_kernel_exact
 
 P = NATURAL_UNITS
 GENERAL = OscillatorParams(m=2.0, omega=0.5, hbar=1.3, alpha=0.7)
@@ -190,6 +190,27 @@ def test_every_order_has_exact_marginals(params):
         assert np.max(np.abs(marginal_over_x(W, params, at)
                              - momentum_density(params, n, at))) <= 1e-12, n
 
+
+
+@pytest.mark.parametrize("params", [P, SCALED], ids=["natural", "scaled"])
+@pytest.mark.parametrize("n", [28, 32, 48, 64])
+def test_marginals_refuse_a_window_that_truncates_the_integrand(n, params):
+    # order n moved onto the window end, as a bare callable, is refused on
+    # every line; in place, the same order integrates to the exact densities
+    W = stationary_field(params, n)
+    dp = EXTENT * math.sqrt(params.m * params.hbar * params.omega)
+    dx = EXTENT * math.sqrt(params.hbar / (params.m * params.omega))
+    moved = {marginal_over_p: lambda x, p, t=0.0: W(x, p - dp, t),
+             marginal_over_x: lambda x, p, t=0.0: W(x - dx, p, t)}
+    for marginal, field in moved.items():
+        for at in (0.3, np.array([5.0, 0.3])):
+            with pytest.raises(ConfigurationError, match="window ends"):
+                marginal(field, params, at)
+    at = np.linspace(-2.0, 2.0, 5)
+    assert np.max(np.abs(marginal_over_p(W, params, at)
+                         - position_density(params, n, at))) <= 1e-12
+    assert np.max(np.abs(marginal_over_x(W, params, at)
+                         - momentum_density(params, n, at))) <= 1e-12
 
 def test_window_check_reads_the_values_the_rule_computes():
     calls = []
@@ -377,6 +398,20 @@ def test_bare_callable_of_a_high_order_integrates_exactly():
     assert phase_space_integral(lambda x, p, t: W(x, p, t), P) == pytest.approx(1.0, abs=1e-13)
     assert mean_energy(lambda x, p, t: W(x, p, t), P) == pytest.approx(16.5, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("rho_max, n", [(12.0, 16), (14.0, 24), (15.0, 32), (20.0, 64)])
+def test_high_orders_integrate_exactly_on_a_wide_disk(rho_max, n):
+    # the default disk matches an independent radial rule on a disk of
+    # radius rho_max, which reaches past EXTENT for n = 64
+    def f(rho):
+        return 2.0 * math.pi * radial_kernel(P, n, rho) * rho
+
+    wide = gauss_legendre(f, 0.0, rho_max, 400)
+    W = stationary_field(P, n)
+    assert wide == pytest.approx(1.0, abs=1e-12)
+    assert phase_space_integral(W, P) == pytest.approx(wide, abs=1e-12)
+    assert mean_energy(W, P) == pytest.approx(n + 0.5, abs=1e-12)
 
 def test_extent_leaves_every_order_negligible():
     # at the edge, |kernel_n| rho (1 + eps) bounds the integrands of the
