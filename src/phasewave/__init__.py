@@ -21,9 +21,8 @@ from .gridio import export_field, read_field, sample_field
 from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, PolarPoint, energy,
                          energy_xy, from_polar, polar_from_xy, reflect, shifted_x, to_polar,
                          xy_from_polar)
-from .quadrature import (DEFAULT_QUAD, QuadratureSpec, laguerre_energy_identity,
-                         marginal_over_p, marginal_over_x, mean_energy,
-                         phase_space_integral)
+from .quadrature import (laguerre_energy_identity, marginal_over_p, marginal_over_x,
+                         mean_energy, phase_space_integral)
 from .special import MAX_ORDER, hermite, laguerre, log_weight
 from .verify import (CheckResult, VerificationReport, run_suite)
 from .wigner import (StationaryWigner, momentum_density, position_density, radial_kernel,

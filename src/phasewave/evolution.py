@@ -45,10 +45,12 @@ class GridSpec:
     def __post_init__(self):
         if not (math.isfinite(self.rho_max) and self.rho_max > 0.0):
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
-        if self.n_rho < 1:
-            raise ValueError(f"n_rho must be at least 1, got {self.n_rho}")
-        if self.n_phi < 2:
-            raise ValueError(f"n_phi must be at least 2, got {self.n_phi}")
+        for name, least in (("n_rho", 1), ("n_phi", 2)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                raise ValueError(f"{name} must be at least {least}, got {count}")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
 
@@ -352,8 +354,9 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     potentials contribute no terms, so the result is exactly zero without
     touching ``W``.  If ``W`` exposes ``p_derivative(order, x, p)`` the
     exact derivatives are used; otherwise central differences with step
-    h = max(1e-3, 1e-3 |p|).
+    h = max(1e-3, 1e-3 |p|).  A non-finite ``hbar`` raises ``DataError``.
     """
+    _require_finite(hbar, "hbar")
     deg = U.degree
     exact = getattr(W, "p_derivative", None)
     total = 0.0

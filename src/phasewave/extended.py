@@ -32,6 +32,10 @@ _PROFILE_SEED = 20200828
 
 #: Periodic trapezoid panels of the profile means in :func:`normalization`.
 _MEAN_PANELS = 4096
+#: Seeded phase points, tolerance and wave-period fractions of :func:`check_parity`.
+_PARITY_SAMPLES = 200
+_PARITY_TOL = 1e-10
+_PARITY_PHASES = (0.0, 0.137, 0.29, 0.5, 0.81)
 
 
 def _sample_periodic(h, name, kappa):
@@ -295,30 +299,23 @@ class ParityReport:
     times: tuple
 
 
-def check_parity(params: OscillatorParams, wave, samples: int = 200,
-                 tol: float = 1e-10, seed: int = _PROFILE_SEED,
-                 times=None) -> ParityReport:
+def check_parity(params: OscillatorParams, wave) -> ParityReport:
     """Test whether Phi = f(Omega t + kappa phi) + g(Omega t - kappa phi) is odd.
 
-    Draws seeded random phase points, reflects them in xbar and in p, and
-    measures |Phi(reflected) + Phi(point)| at several wave phases.  Failure
-    is reported, not raised.
+    Draws 200 seeded random phase points in [-3, 3]^2, reflects them in
+    xbar and in p, and measures |Phi(reflected) + Phi(point)| at five
+    fractions of the wave period against 1e-10.  Failure is reported, not
+    raised; the report records the samples, tolerance, seed and times.
     """
     profile = wave.to_profile() if isinstance(wave, StandingWaveSpec) else wave
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    xb = rng.uniform(-3.0, 3.0, samples)
-    p = rng.uniform(-3.0, 3.0, samples)
+    rng = np.random.default_rng(_PROFILE_SEED)
+    xb = rng.uniform(-3.0, 3.0, _PARITY_SAMPLES)
+    p = rng.uniform(-3.0, 3.0, _PARITY_SAMPLES)
     xb = np.where(np.abs(xb) < 1e-3, 0.5, xb)
     p = np.where(np.abs(p) < 1e-3, -0.5, p)
 
     omega_w = profile.omega_wave(params.omega)
-    if times is None:
-        base = TWO_PI / omega_w
-        times = tuple(base * frac for frac in (0.0, 0.137, 0.29, 0.5, 0.81))
-    else:
-        times = tuple(float(t) for t in times)
+    times = tuple(TWO_PI / omega_w * frac for frac in _PARITY_PHASES)
 
     def angle(xbar, mom):  # the samples are xbar, so no shift applies
         return polar_from_xy(replace(params, alpha=0.0), xbar, mom)[1]
@@ -338,11 +335,11 @@ def check_parity(params: OscillatorParams, wave, samples: int = 200,
         worst_x = max(worst_x, float(np.max(np.abs(wave_part(phi_x, t) + base_vals))))
         worst_p = max(worst_p, float(np.max(np.abs(wave_part(phi_p, t) + base_vals))))
     return ParityReport(
-        passed=(worst_x <= tol and worst_p <= tol),
+        passed=(worst_x <= _PARITY_TOL and worst_p <= _PARITY_TOL),
         max_violation_xbar=worst_x,
         max_violation_p=worst_p,
-        samples=samples,
-        tol=tol,
-        seed=seed,
+        samples=_PARITY_SAMPLES,
+        tol=_PARITY_TOL,
+        seed=_PROFILE_SEED,
         times=times,
     )

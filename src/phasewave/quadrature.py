@@ -8,7 +8,9 @@ failure, a non-finite value included, as
 :class:`~phasewave.errors.AccuracyError` instead of returning a value it
 cannot back with an error estimate.  Every rule spans :data:`EXTENT`
 Gaussian widths, past which no field of order n <= ``MAX_ORDER`` is more
-than rounding.
+than rounding, and runs with the node counts :data:`N_RHO`, :data:`N_PHI`
+and :data:`N_LINE` and the tolerance :data:`TOL`; the quadrature has no
+settings.
 
 Fields are callables ``W(x, p, t)`` accepting numpy arrays in ``x, p``.
 A field that also has ``polar_factors(rho, phi, t)``, returning a radial
@@ -23,7 +25,6 @@ at the edge of its extent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,40 +36,11 @@ from .special import MAX_ORDER, check_order, laguerre
 #: Half-width, in Gaussian widths, of every rule: the order-MAX_ORDER
 #: turning point sqrt(2 MAX_ORDER + 1) plus 4.5 widths of Gaussian decay.
 EXTENT = math.sqrt(2 * MAX_ORDER + 1) + 4.5
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Discretization sizes and tolerance for the verification integrals.
-
-    The extent is not a setting: every rule integrates over :data:`EXTENT`
-    Gaussian widths.
-
-    Parameters
-    ----------
-    n_rho, n_phi : int
-        Radial (Gauss-Legendre) and angular (periodic trapezoid) node
-        counts for disk integrals.
-    n_line : int
-        Panel count for 1-D integrals (rounded up to even for Simpson).
-    tol : float
-        Absolute tolerance requested from every integral.
-    """
-
-    n_rho: int = 512
-    n_phi: int = 512
-    n_line: int = 2048
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        for name in ("n_rho", "n_phi", "n_line"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be at least 8, got {getattr(self, name)}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+#: Radial (Gauss-Legendre) and angular (periodic trapezoid) node counts of
+#: the disk rule, and panel count of every line rule (Simpson, even).
+N_RHO, N_PHI, N_LINE = 512, 512, 2048
+#: Absolute tolerance of every integral's mesh-halving estimate.
+TOL = 1e-8
 
 
 @lru_cache(maxsize=64)
@@ -94,7 +66,7 @@ def _polar_factor_vectors(W, rho, phi, t):
             np.broadcast_to(np.asarray(angular, dtype=float), phi.shape))
 
 
-def _disk_sum(W, params, n_rho, n_phi, t, radial_weight, tol, label):
+def _disk_sum(W, params, n_rho, n_phi, t, radial_weight, label):
     """One fixed-size evaluation of (m/omega) * integral of W g rho drho dphi over the disk.
 
     The radius is ``EXTENT`` widths sqrt(hbar omega/m).  A field with
@@ -102,7 +74,7 @@ def _disk_sum(W, params, n_rho, n_phi, t, radial_weight, tol, label):
     (dphi sum_j angular_j) of the tensor-product rule, with J the Jacobian
     (m/omega) rho g(rho).  Any other callable is evaluated on the full grid
     and refused when |W| J on the outermost ring, times the radius, exceeds
-    ``tol``.
+    ``TOL``.
     """
     radius = EXTENT * math.sqrt(params.hbar * params.omega / params.m)
     rho, wr = _gl_nodes(n_rho, 0.0, radius)
@@ -116,40 +88,39 @@ def _disk_sum(W, params, n_rho, n_phi, t, radial_weight, tol, label):
     x, p = xy_from_polar(params, rho[:, None], phi[None, :])
     vals = np.broadcast_to(np.asarray(W(x, p, t), dtype=float), x.shape)
     edge = float(np.max(np.abs(vals[-1]))) * jac[-1] * radius
-    if edge > tol:
+    if edge > TOL:
         raise ConfigurationError(
             f"{label}: the integrand on the outermost ring can truncate up to {edge:.3e}, "
-            f"above tol {tol:g}; it has not decayed within {EXTENT:.2f} Gaussian widths"
+            f"above tol {TOL:g}; it has not decayed within {EXTENT:.2f} Gaussian widths"
         )
     return float(np.dot(wr * jac, vals.sum(axis=1))) * (TWO_PI / n_phi)
 
 
-def _refined(rule, tol, label):
+def _refined(rule, label):
     """Value and estimate of ``rule(size)``, which runs with each node count k as size(k).
 
-    Counts k are estimated against k // 2; above ``tol``, 2k against k,
-    and ``AccuracyError`` if that is still above ``tol``.  A non-finite
+    Counts k are estimated against k // 2; above ``TOL``, 2k against k,
+    and ``AccuracyError`` if that is still above ``TOL``.  A non-finite
     value makes the estimate NaN or inf, which fails both comparisons.
     """
     coarse, fine = rule(lambda k: k // 2), rule(lambda k: k)
     est = abs(fine - coarse)
-    if est <= tol:
+    if est <= TOL:
         return fine, est
     finer = rule(lambda k: 2 * k)
     est = abs(finer - fine)
-    if not est <= tol:
+    if not est <= TOL:
         raise AccuracyError(
-            f"{label}: estimate {est:.3e} not within tol {tol:g} after refinement",
+            f"{label}: estimate {est:.3e} not within tol {TOL:g} after refinement",
             value=finer,
             estimate=est,
         )
     return finer, est
 
 
-def _disk_integral(W, params, quad, t, radial_weight, label):
-    return _refined(lambda size: _disk_sum(W, params, size(quad.n_rho), size(quad.n_phi),
-                                           t, radial_weight, quad.tol, label),
-                    quad.tol, label)
+def _disk_integral(W, params, t, radial_weight, label):
+    return _refined(lambda size: _disk_sum(W, params, size(N_RHO), size(N_PHI), t,
+                                           radial_weight, label), label)
 
 
 def _simpson(vals, h):
@@ -209,37 +180,34 @@ def _line_integral(f, a, b, n_panels, tol, label):
     return (value, est) if np.ndim(value) else (float(value), float(est))
 
 
-def phase_space_integral(W, params: OscillatorParams, quad: QuadratureSpec | None = None,
-                         t: float = 0.0, return_error: bool = False):
+def phase_space_integral(W, params: OscillatorParams, t: float = 0.0,
+                         return_error: bool = False):
     """Integral of W over the whole phase plane.
 
     Computed in polar coordinates with the Jacobian dx dp =
     (m/omega) rho drho dphi; raises ``AccuracyError`` if the mesh-halving
-    estimate stays above ``quad.tol``.
+    estimate stays above ``TOL``.
     """
-    quad = quad or DEFAULT_QUAD
-    value, est = _disk_integral(W, params, quad, t, None, "phase_space_integral")
+    value, est = _disk_integral(W, params, t, None, "phase_space_integral")
     return (value, est) if return_error else value
 
 
-def mean_energy(W, params: OscillatorParams, t: float = 0.0,
-                quad: QuadratureSpec | None = None, return_error: bool = False):
+def mean_energy(W, params: OscillatorParams, t: float = 0.0, return_error: bool = False):
     """Dimensionless mean energy: integral of eps(xbar, p) W over the plane.
 
     Multiply by hbar*omega for the physical energy.
     """
-    quad = quad or DEFAULT_QUAD
     scale = params.m / (2.0 * params.hbar * params.omega)
 
     def weight(rho):
         return scale * rho**2
 
-    value, est = _disk_integral(W, params, quad, t, weight, "mean_energy")
+    value, est = _disk_integral(W, params, t, weight, "mean_energy")
     return (value, est) if return_error else value
 
 
 def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
-                    quad: QuadratureSpec | None = None, return_error: bool = False):
+                    return_error: bool = False):
     """Integral of W over p at fixed x, for one position or an array of them.
 
     Runs in Cartesian variables over ``EXTENT`` Gaussian momentum widths
@@ -249,33 +217,30 @@ def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
     Raises ``ConfigurationError`` when W at the window ends is not
     negligible, which no field of order n <= ``MAX_ORDER`` reaches.
     """
-    quad = quad or DEFAULT_QUAD
     half = EXTENT * math.sqrt(params.m * params.hbar * params.omega)
     lines = np.asarray(x, dtype=float)[..., None]
-    value, est = _line_integral(lambda ps: W(lines, ps, t), -half, half, quad.n_line,
-                                quad.tol, "marginal_over_p")
+    value, est = _line_integral(lambda ps: W(lines, ps, t), -half, half, N_LINE, TOL,
+                                "marginal_over_p")
     return (value, est) if return_error else value
 
 
 def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
-                    quad: QuadratureSpec | None = None, return_error: bool = False):
+                    return_error: bool = False):
     """Integral of W over x at fixed p, for one momentum or an array of them.
 
     The window is centered on the shifted origin xbar = 0 and spans
     ``EXTENT`` Gaussian position widths sqrt(hbar/(m omega)) either side.
     An array ``p`` is batched as in :func:`marginal_over_p`.
     """
-    quad = quad or DEFAULT_QUAD
     half = EXTENT * math.sqrt(params.hbar / (params.m * params.omega))
     center = -params.shift
     lines = np.asarray(p, dtype=float)[..., None]
     value, est = _line_integral(lambda xs: W(xs, lines, t), center - half, center + half,
-                                quad.n_line, quad.tol, "marginal_over_x")
+                                N_LINE, TOL, "marginal_over_x")
     return (value, est) if return_error else value
 
 
-def laguerre_energy_identity(n, quad: QuadratureSpec | None = None,
-                             return_error: bool = False):
+def laguerre_energy_identity(n, return_error: bool = False):
     """Numerically evaluate integral_0^inf exp(-2 eps) L_n(4 eps) eps d(eps).
 
     The exact value is (-1)^n (2n+1)/4.  The rule integrates [0, eps_max]
@@ -283,12 +248,11 @@ def laguerre_energy_identity(n, quad: QuadratureSpec | None = None,
     the integrand is negligible for every admissible order.
     """
     n = check_order(n)
-    quad = quad or DEFAULT_QUAD
     eps_max = 0.5 * EXTENT**2
 
     def rule(size):
-        eps, w = _gl_nodes(size(max(quad.n_rho, 128)), 0.0, eps_max)
+        eps, w = _gl_nodes(size(N_RHO), 0.0, eps_max)
         return float(np.dot(w, np.exp(-2.0 * eps) * laguerre(n, 4.0 * eps) * eps))
 
-    value, est = _refined(rule, quad.tol, "laguerre_energy_identity")
+    value, est = _refined(rule, "laguerre_energy_identity")
     return (value, est) if return_error else value

@@ -27,8 +27,8 @@ from .extended import (StandingWaveSpec, WaveProfile, antinode_angles, check_par
                        standing_wave_field)
 from .gridio import sample_field
 from .oscillator import NATURAL_UNITS, PhasePoint, polar_from_xy, xy_from_polar
-from .quadrature import (DEFAULT_QUAD, laguerre_energy_identity, marginal_over_p,
-                         marginal_over_x, mean_energy, phase_space_integral)
+from .quadrature import (laguerre_energy_identity, marginal_over_p, marginal_over_x,
+                         mean_energy, phase_space_integral)
 from .wigner import (_transform_lines, momentum_density, position_density, radial_kernel,
                      stationary_field)
 
@@ -215,7 +215,7 @@ def check_transform_oracle_agreement(tol: float = 1e-7) -> CheckResult:
     for n in (0, 1, 2, 3, 5):
         W = stationary_field(params, n)
         for x in pts:
-            transform, _ = _transform_lines(params, n, float(x), pts, DEFAULT_QUAD)
+            transform, _ = _transform_lines(params, n, float(x), pts)
             worst = max(worst, float(np.max(np.abs(transform - W(x, pts)))))
     return CheckResult(
         provenance="independent eigenfunction Fourier transform of the same state",
@@ -481,11 +481,14 @@ def run_suite(names=("all",), tol_override: float | None = None) -> Verification
     ``tol_override`` replaces the default absolute tolerance of every check
     that takes one; ratio-based checks are unaffected.  It must be finite
     and positive: no check can pass below 0, and every check passes at inf.
+    An empty selection raises ``ValueError``: a report of no checks proves
+    nothing.
     """
     if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol_override!r}")
-    if isinstance(names, str):
-        names = (names,)
+    names = (names,) if isinstance(names, str) else tuple(names)
+    if not names:
+        raise ValueError(f"no suite selected; known: all, {', '.join(SUITES)}")
     expanded = []
     for name in names:
         if name == "all":

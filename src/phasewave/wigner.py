@@ -15,7 +15,7 @@ import numpy as np
 
 from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, _require_finite,
                          coordinate, energy_xy, shifted_x)
-from .quadrature import DEFAULT_QUAD, EXTENT, QuadratureSpec, _line_integral
+from .quadrature import EXTENT, N_LINE, TOL, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
 
@@ -156,21 +156,22 @@ def wavefunction(params: OscillatorParams, n, x):
 
 
 def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
-                             quad: QuadratureSpec | None = None,
                              return_error: bool = False):
     """Wigner value by Fourier transform of the eigenfunction pair product.
 
     Evaluates (1/(2 pi hbar)) * integral of exp(-i p s / hbar)
     Psi_n(xbar + s/2) Psi_n(xbar - s/2) ds for the pure eigenstate; the
     integrand is real (cosine) because Psi_n is real.  Independent of the
-    closed form, hence usable as an oracle for it.  Raises
-    ``AccuracyError`` when the mesh-halving estimate exceeds ``quad.tol``.
+    closed form, hence usable as an oracle for it.  The line spans
+    2 (|xbar| + ``EXTENT``) position widths in s and runs on ``N_LINE``
+    Simpson panels; raises ``AccuracyError`` when the mesh-halving estimate
+    exceeds ``TOL``.
     """
-    value, est = _transform_lines(params, check_order(n), pt.x, pt.p, quad or DEFAULT_QUAD)
+    value, est = _transform_lines(params, check_order(n), pt.x, pt.p)
     return (value, est) if return_error else value
 
 
-def _transform_lines(params: OscillatorParams, n: int, x: float, p, quad: QuadratureSpec):
+def _transform_lines(params: OscillatorParams, n: int, x: float, p):
     """Transform values and estimates at position ``x`` for one momentum or an array of them.
 
     The momenta share the integration window, which depends on ``x``
@@ -187,5 +188,4 @@ def _transform_lines(params: OscillatorParams, n: int, x: float, p, quad: Quadra
         right = wavefunction(params, n, x - s / 2.0)
         return np.cos(lines * s / params.hbar) * left * right / (2.0 * math.pi * params.hbar)
 
-    return _line_integral(integrand, -s_max, s_max, quad.n_line, quad.tol,
-                          "wigner_from_wavefunction")
+    return _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction")

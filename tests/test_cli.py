@@ -224,6 +224,21 @@ def test_check_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_empty_suite_selection_is_refused_but_an_empty_flag_runs_all(monkeypatch, capsys):
+    for names in ((), [], iter(())):
+        with pytest.raises(ValueError, match="no suite selected"):
+            phasewave.run_suite(names)
+    selected = []
+
+    def run_suite(names, tol_override=None):
+        selected.append(names)
+        return phasewave.VerificationReport(checks=[])
+    monkeypatch.setattr(phasewave.verify, "run_suite", run_suite)
+    invoke(["check", "--suite", ","])
+    capsys.readouterr()
+    assert selected == [("all",)]
+
+
 def test_evolve_reports_error_and_exports(tmp_path, capsys):
     assert invoke(["evolve", "--n", "0", "--n-rho", "4", "--n-phi", "32",
                    "--t", "1.0", "--out", str(tmp_path)]) == 0

@@ -1,6 +1,8 @@
-"""Every narrative demo runs to completion from a clean working directory."""
+"""Every narrative demo, and every python block of the README, runs to
+completion from a clean working directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
+
+
+def _run_python(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_all_five_demos_are_collected():
@@ -17,7 +28,14 @@ def test_all_five_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    _run_python([str(demo)], tmp_path)
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(code, tmp_path):
+    _run_python(["-c", code], tmp_path)

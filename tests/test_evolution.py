@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, Field2D, GridSpec,
-                       PhasePoint, PolynomialPotential, evolve_fd, moyal_rhs,
+from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError, Field2D,
+                       GridSpec, PhasePoint, PolynomialPotential, evolve_fd, moyal_rhs,
                        poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, snapshot, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field)
@@ -31,6 +32,14 @@ def test_grid_validation():
         GridSpec(rho_max=0.0, n_rho=8, n_phi=32)
     with pytest.raises(ValueError):
         GridSpec(rho_max=4.0, n_rho=8, n_phi=32, dt=-0.1)
+    # node counts are integers, and a bool is not one
+    for counts in ({"n_rho": 10.5, "n_phi": 16}, {"n_rho": 10, "n_phi": 16.5},
+                   {"n_rho": 10.0, "n_phi": 16}, {"n_rho": True, "n_phi": 16},
+                   {"n_rho": 8, "n_phi": True}, {"n_rho": "8", "n_phi": 16}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(rho_max=4.0, **counts)
+    grid = GridSpec(rho_max=4.0, n_rho=np.int64(10), n_phi=np.int32(16))
+    assert grid.phi_nodes().shape == (16,)
 
 
 def test_evolve_needs_enough_angular_nodes():
@@ -411,6 +420,17 @@ def test_moyal_rhs_quartic_single_term():
     for pt in (PhasePoint(0.6, -0.2), PhasePoint(-0.8, 0.9)):
         closed = -P.hbar**2 * pt.x * W.p_derivative(3, pt.x, pt.p)
         assert moyal_rhs(U, W, pt, P.hbar) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 1.0)],
+                         ids=["quadratic", "cubic"])
+def test_moyal_rhs_refuses_non_finite_hbar(coeffs, hbar):
+    W = stationary_field(NATURAL_UNITS, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="hbar must be finite"):
+            moyal_rhs(PolynomialPotential(coeffs), W, PhasePoint(0.3, 0.2), hbar)
 
 
 def test_moyal_rhs_degree_twelve_runs():

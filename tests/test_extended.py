@@ -293,6 +293,7 @@ def test_parity_standing_wave_passes():
     report = check_parity(P, SPEC)
     assert report.passed
     assert report.seed is not None
+    assert (report.samples, report.tol, len(report.times)) == (200, 1e-10, 5)
     assert report.max_violation_xbar <= report.tol
 
 
@@ -306,8 +307,3 @@ def test_parity_odd_kappa_sine_fails_on_xbar():
 def test_parity_running_wave_fails():
     report = check_parity(P, running_wave_profile(A=0.4, C=1.0, kappa=2))
     assert not report.passed
-
-
-def test_parity_sample_validation():
-    with pytest.raises(ValueError):
-        check_parity(P, SPEC, samples=0)

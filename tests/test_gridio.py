@@ -230,7 +230,8 @@ def _json_doc(tmp_path):
     (lambda doc: doc.update(values=doc["values"][:-1]), "does not match grid"),
     (lambda doc: doc["values"][1].pop(), "malformed JSON"),
     (lambda doc: doc.pop("grid"), "malformed JSON"),
-], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid"])
+    (lambda doc: doc["grid"].update(n_rho=10.5), "n_rho must be an integer"),
+], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid", "fractional-n_rho"])
 def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match):
     doc = _json_doc(tmp_path)
     edit(doc)

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, DataError,
-                       ExtendedWigner, OscillatorParams, QuadratureSpec, StandingWaveSpec,
+                       ExtendedWigner, OscillatorParams, StandingWaveSpec,
                        StandingWaveWigner, StationaryWigner, energy_xy, extended_field,
                        laguerre_energy_identity, marginal_over_p, marginal_over_x, mean_energy,
                        momentum_density, phase_space_integral, position_density,
                        propagate_exact, radial_kernel, run_suite, running_wave_profile,
                        snapshot, standing_wave_field, stationary_field, polar_from_xy,
                        xy_from_polar)
-from phasewave.quadrature import EXTENT
+from phasewave.quadrature import EXTENT, _line_integral
 
 from oracles import cartesian_integral, gauss_legendre, wigner_kernel_exact
 
@@ -22,13 +22,6 @@ GENERAL = OscillatorParams(m=2.0, omega=0.5, hbar=1.3, alpha=0.7)
 SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
 UNITS = pytest.mark.parametrize("params", [P, SCALED, GENERAL],
                                 ids=["natural", "scaled", "general"])
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(n_rho=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tol=0.0)
 
 
 @pytest.mark.parametrize("n", [0, 3, 8])
@@ -133,11 +126,18 @@ def test_parity_short_circuit_marginals_vanish():
         assert marginal_over_x(odd_part, P, p, 0.05) == pytest.approx(0.0, abs=1e-8)
 
 
+def _p_lines(W, x, n_panels, tol):
+    """``marginal_over_p(W, P, x, return_error=True)`` on ``n_panels`` panels to ``tol``."""
+    half = EXTENT * math.sqrt(P.m * P.hbar * P.omega)
+    lines = np.asarray(x, dtype=float)[..., None]
+    return _line_integral(lambda ps: W(lines, ps, 0.0), -half, half, n_panels, tol,
+                          "marginal_over_p")
+
+
 def test_marginal_accuracy_error_when_unreachable():
     W = stationary_field(P, 5)
-    tiny = QuadratureSpec(n_line=8, tol=1e-16)
     with pytest.raises(AccuracyError) as err:
-        marginal_over_p(W, P, 0.3, quad=tiny)
+        _p_lines(W, 0.3, 8, 1e-16)
     assert err.value.estimate is not None
 
 
@@ -257,17 +257,15 @@ def _counting(W, calls):
 
 def test_batch_keeps_each_line_at_its_own_refinement_level():
     W = stationary_field(P, 5)
-    quad = QuadratureSpec(n_line=128, tol=1e-6)
     xs = np.linspace(-4.5, 4.5, 11)
     alone, refined = [], []
     for x in xs:
         calls = []
-        alone.append(marginal_over_p(_counting(W, calls), P, float(x), quad=quad,
-                                     return_error=True))
+        alone.append(_p_lines(_counting(W, calls), float(x), 128, 1e-6))
         refined.append(len(calls) == 2)
     assert any(refined) and not all(refined)
     calls = []
-    values, ests = marginal_over_p(_counting(W, calls), P, xs, quad=quad, return_error=True)
+    values, ests = _p_lines(_counting(W, calls), xs, 128, 1e-6)
     assert calls == [(11, 129), (11, 257)]
     for value, est, (v, e) in zip(values, ests, alone):
         assert (_bits(value), _bits(est)) == (_bits(v), _bits(e))
@@ -275,17 +273,16 @@ def test_batch_keeps_each_line_at_its_own_refinement_level():
 
 def test_batch_accuracy_error_reports_the_worst_line():
     W = stationary_field(P, 5)
-    quad = QuadratureSpec(n_line=48, tol=1e-6)
     xs = np.linspace(-4.5, 4.5, 11)
     failures = []
     for x in xs:
         try:
-            marginal_over_p(W, P, float(x), quad=quad)
+            _p_lines(W, float(x), 48, 1e-6)
         except AccuracyError as err:
             failures.append((err.estimate, err.value))
     assert 0 < len(failures) < len(xs)
     with pytest.raises(AccuracyError) as err:
-        marginal_over_p(W, P, xs, quad=quad)
+        _p_lines(W, xs, 48, 1e-6)
     assert (err.value.estimate, err.value.value) == max(failures)
 
 

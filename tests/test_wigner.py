@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phasewave import (DEFAULT_QUAD, NATURAL_UNITS, OscillatorParams, PhasePoint,
-                       StandingWaveSpec, energy_xy, extended_field, momentum_density,
+from phasewave import (NATURAL_UNITS, OscillatorParams, PhasePoint, StandingWaveSpec,
+                       energy_xy, extended_field, momentum_density,
                        polar_from_xy, position_density, radial_kernel, running_wave_profile,
                        standing_wave_field, stationary_field, wavefunction,
                        wigner_from_wavefunction, wigner_stationary)
@@ -119,7 +119,7 @@ def test_transform_momentum_batch_equals_single_calls(params):
     momenta = np.linspace(-3.0, 3.0, 9)
     for n in (0, 3):
         for x in (-1.1, 0.4):
-            values, ests = _transform_lines(params, n, x, momenta, DEFAULT_QUAD)
+            values, ests = _transform_lines(params, n, x, momenta)
             for p, value, est in zip(momenta, values, ests):
                 alone = wigner_from_wavefunction(params, n, PhasePoint(x, float(p)),
                                                  return_error=True)
