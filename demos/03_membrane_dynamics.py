@@ -16,7 +16,7 @@ import numpy as np
 
 from phasewave import (NATURAL_UNITS, GridSpec, StandingWaveSpec, evolve_fd,
                        polar_from_xy, propagate_exact, radial_kernel, sample_field,
-                       snapshot, standing_wave_field, transport_residual, wave_residual)
+                       standing_wave_field, transport_residual, wave_residual)
 
 params = NATURAL_UNITS
 
@@ -58,7 +58,7 @@ print("     the transport residual approaches a fixed nonzero limit.")
 print("\n=== a single-chirality wave satisfies both equations ===")
 
 
-def single(x, p, t):
+def single(x, p, t=0.0):
     rho, phi = polar_from_xy(params, x, p)
     return radial_kernel(params, 0, rho) * (1 + 0.5 * np.sin(6 * (phi + params.omega * t)))
 
@@ -72,6 +72,6 @@ for n_phi in (64, 128, 256):
     print(f"  {n_phi:5d}   {wres:22.3e}   {tres:18.3e}")
 
 print("\nexact rotation of the single-chirality wave advances its phase:")
-adv = propagate_exact(snapshot(single, 0.0), params, 0.4)
+adv = propagate_exact(single, params, 0.4)
 x, p = 0.8, 0.5
 print(f"  propagated value {float(adv(x, p)):.12f} vs analytic {float(single(x, p, 0.4)):.12f}")

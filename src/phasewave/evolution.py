@@ -2,7 +2,7 @@
 
 In polar coordinates the quadratic-potential transport equation reduces to
 W_t = omega W_phi: values ride unchanged along rotating characteristics,
-which gives an exact propagator for any initial snapshot.  A first-order
+which gives an exact propagator for any initial field.  A first-order
 upwind scheme integrates the same equation numerically; its step is a
 circulant map on each ring, so the whole run is applied in closed form as
 one multiply of the angular spectrum, at a cost independent of the time
@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError, ConfigurationError
-from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _require_finite, polar_from_xy,
-                         xy_from_polar)
+from .errors import BlowupError, ConfigurationError, DataError
+from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _positive_real, _require_finite,
+                         polar_from_xy, xy_from_polar)
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -43,16 +43,16 @@ class GridSpec:
     dt: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho_max) and self.rho_max > 0.0):
-            raise ValueError(f"rho_max must be positive, got {self.rho_max}")
+        if not _positive_real(self.rho_max):
+            raise ValueError(f"rho_max must be a positive real, got {self.rho_max!r}")
         for name, least in (("n_rho", 1), ("n_phi", 2)):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             if count < least:
                 raise ValueError(f"{name} must be at least {least}, got {count}")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None and not _positive_real(self.dt):
+            raise ValueError(f"dt must be a positive real, got {self.dt!r}")
 
     @property
     def delta_phi(self) -> float:
@@ -90,40 +90,11 @@ class Field2D:
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Field ``W`` frozen at time ``t0``: (x, p) -> W(x, p, t0).
-
-    A trailing time is accepted and ignored, so a snapshot is also a field
-    that does not change in time.
-    """
-
-    W: Callable
-    t0: float
-
-    def __call__(self, x, p, t=None):
-        return self.W(x, p, self.t0)
-
-
-class _FactoredSnapshot(Snapshot):
-    """Snapshot of a field with ``polar_factors``, which it keeps."""
-
-    def polar_factors(self, rho, phi, t=None):
-        return self.W.polar_factors(rho, phi, self.t0)
-
-
-def snapshot(W, t: float) -> Snapshot:
-    """Freeze a field W(x, p, t) into a snapshot callable (x, p).
-
-    The snapshot has ``polar_factors`` exactly when ``W`` has.
-    """
-    return (_FactoredSnapshot if hasattr(W, "polar_factors") else Snapshot)(W, float(t))
-
-
-@dataclass(frozen=True)
 class Rotation:
-    """Initial snapshot ``W0`` carried by the exact flow for the time ``elapsed``.
+    """Initial field ``W0`` carried by the exact flow for the time ``elapsed``.
 
-    A trailing time is accepted and ignored, as for a :class:`Snapshot`.
+    ``W0`` is called as (x, p).  A trailing time is accepted and ignored, so
+    a rotation can be passed wherever a field is expected.
     """
 
     W0: Callable
@@ -140,19 +111,19 @@ class Rotation:
 
 
 class _FactoredRotation(Rotation):
-    """Rotation of a snapshot with ``polar_factors``: the radial factor stays, the angles turn."""
+    """Rotation of a field with ``polar_factors``: the radial factor stays, the angles turn."""
 
     def polar_factors(self, rho, phi, t=None):
         return self.W0.polar_factors(rho, self._start_angle(phi))
 
 
 def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
-    """Exact solution of W_t = omega W_phi for the initial snapshot ``W0``.
+    """Exact solution of W_t = omega W_phi for the initial field ``W0``.
 
-    ``W0`` is a callable of (x, p).  Returns the snapshot at time ``t``,
-    i.e. (x, p) -> W0 evaluated at the same radius and angle phi + omega t;
-    it has ``polar_factors`` exactly when ``W0`` has.  A NaN or infinite
-    ``t`` raises ``DataError``.
+    ``W0`` is a field class, which is used at t = 0, or any callable of
+    (x, p).  Returns the field at time ``t``, i.e. (x, p) -> W0 evaluated
+    at the same radius and angle phi + omega t; it has ``polar_factors``
+    exactly when ``W0`` has.  A NaN or infinite ``t`` raises ``DataError``.
     """
     _require_finite(t, "t")
     return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
@@ -354,9 +325,11 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     potentials contribute no terms, so the result is exactly zero without
     touching ``W``.  If ``W`` exposes ``p_derivative(order, x, p)`` the
     exact derivatives are used; otherwise central differences with step
-    h = max(1e-3, 1e-3 |p|).  A non-finite ``hbar`` raises ``DataError``.
+    h = max(1e-3, 1e-3 |p|).  An ``hbar`` that is not finite and positive
+    raises ``DataError``.
     """
-    _require_finite(hbar, "hbar")
+    if not _positive_real(hbar):
+        raise DataError(f"hbar must be finite and positive, got {hbar}")
     deg = U.degree
     exact = getattr(W, "p_derivative", None)
     total = 0.0

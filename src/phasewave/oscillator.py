@@ -19,6 +19,11 @@ from .errors import DataError
 TWO_PI = 2.0 * math.pi
 
 
+def _positive_real(value) -> bool:
+    """True for a finite positive number; a bool is not one."""
+    return not isinstance(value, bool) and math.isfinite(value) and value > 0.0
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Mass, angular frequency, action quantum and linear-shift coefficient."""
@@ -30,11 +35,11 @@ class OscillatorParams:
 
     def __post_init__(self):
         for name in ("m", "omega", "hbar"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
+            v = getattr(self, name)
+            if not _positive_real(v):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     @property
     def shift(self) -> float:
@@ -72,25 +77,6 @@ class PhasePoint:
         object.__setattr__(self, "p", _require_finite(self.p, "p"))
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """Polar image (rho, phi) of a phase point; phi normalized to [0, 2pi)."""
-
-    rho: float
-    phi: float
-
-    def __post_init__(self):
-        rho = _require_finite(self.rho, "rho")
-        phi = _require_finite(self.phi, "phi")
-        if rho < 0.0:
-            raise ValueError(f"rho must be non-negative, got {rho}")
-        phi = phi % TWO_PI
-        if phi >= TWO_PI:  # rounding of tiny negatives can land exactly on 2pi
-            phi = 0.0
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "phi", phi)
-
-
 def shifted_x(params: OscillatorParams, x):
     """Shifted coordinate xbar = x + alpha/(m omega^2)."""
     return x + params.shift
@@ -125,23 +111,6 @@ def xy_from_polar(params: OscillatorParams, rho, phi):
     return x, p
 
 
-def to_polar(params: OscillatorParams, pt: PhasePoint) -> PolarPoint:
-    """Polar image of a phase point.
-
-    The angle lies in [0, 2pi) with the half-plane branch fixed by the sign
-    of xbar (angles for xbar < 0 fall in (pi/2, 3pi/2)); at rho = 0 the
-    angle is defined to be 0.
-    """
-    rho, phi = polar_from_xy(params, pt.x, pt.p)
-    return PolarPoint(float(rho), float(phi))
-
-
-def from_polar(params: OscillatorParams, pt: PolarPoint) -> PhasePoint:
-    """Phase point x = (rho/omega) cos(phi) - alpha/(m omega^2), p = m rho sin(phi)."""
-    x, p = xy_from_polar(params, pt.rho, pt.phi)
-    return PhasePoint(float(x), float(p))
-
-
 def energy_xy(params: OscillatorParams, x, p):
     """Vectorized dimensionless energy eps(xbar, p) in units of hbar omega.
 
@@ -155,25 +124,3 @@ def energy_xy(params: OscillatorParams, x, p):
         kinetic = pp * pp / (2.0 * params.m)
         potential = 0.5 * params.m * params.omega**2 * (xb * xb)
         return (kinetic + potential) / (params.hbar * params.omega)
-
-
-def energy(params: OscillatorParams, pt: PhasePoint) -> float:
-    """Dimensionless energy of a phase point; equals m rho^2 / (2 hbar omega)."""
-    return float(energy_xy(params, pt.x, pt.p))
-
-
-def reflect(params: OscillatorParams, pt: PhasePoint, axis: str) -> PhasePoint:
-    """Reflect a point about xbar = 0 and/or p = 0.
-
-    ``axis`` is one of ``"xbar"``, ``"p"``, ``"both"``.  Reflection in xbar
-    happens about the shifted origin, i.e. about x = -alpha/(m omega^2) in
-    unshifted coordinates.
-    """
-    if axis not in ("xbar", "p", "both"):
-        raise ValueError(f"axis must be 'xbar', 'p' or 'both', got {axis!r}")
-    x, p = pt.x, pt.p
-    if axis in ("xbar", "both"):
-        x = -x - 2.0 * params.shift
-    if axis in ("p", "both"):
-        p = -p
-    return PhasePoint(x, p)

@@ -61,7 +61,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when the report holds checks and every one passed; no checks prove nothing."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def lines(self):
         out = [c.line() for c in self.checks]

@@ -239,6 +239,13 @@ def test_empty_suite_selection_is_refused_but_an_empty_flag_runs_all(monkeypatch
     assert selected == [("all",)]
 
 
+def test_a_report_of_no_checks_does_not_pass():
+    report = phasewave.VerificationReport(checks=[])
+    assert not report.passed
+    assert report.to_dict() == {"passed": False, "checks": []}
+    assert report.lines() == ["CHECK FAILURES PRESENT (0/0)"]
+
+
 def test_evolve_reports_error_and_exports(tmp_path, capsys):
     assert invoke(["evolve", "--n", "0", "--n-rho", "4", "--n-phi", "32",
                    "--t", "1.0", "--out", str(tmp_path)]) == 0

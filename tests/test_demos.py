@@ -17,8 +17,9 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 
 def _run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the same warning policy as pyproject.toml sets for the test run itself
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
 
 

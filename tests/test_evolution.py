@@ -7,7 +7,7 @@ import pytest
 from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError, Field2D,
                        GridSpec, PhasePoint, PolynomialPotential, evolve_fd, moyal_rhs,
                        poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
-                       sample_field, snapshot, stationary_field, transport_residual,
+                       sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field)
 from phasewave.evolution import _fd_weights
 
@@ -32,6 +32,11 @@ def test_grid_validation():
         GridSpec(rho_max=0.0, n_rho=8, n_phi=32)
     with pytest.raises(ValueError):
         GridSpec(rho_max=4.0, n_rho=8, n_phi=32, dt=-0.1)
+    # a bool is neither a length nor a time step
+    with pytest.raises(ValueError, match="rho_max must be a positive real"):
+        GridSpec(rho_max=True, n_rho=8, n_phi=32)
+    with pytest.raises(ValueError, match="dt must be a positive real"):
+        GridSpec(rho_max=4.0, n_rho=8, n_phi=32, dt=True)
     # node counts are integers, and a bool is not one
     for counts in ({"n_rho": 10.5, "n_phi": 16}, {"n_rho": 10, "n_phi": 16.5},
                    {"n_rho": 10.0, "n_phi": 16}, {"n_rho": True, "n_phi": 16},
@@ -72,7 +77,7 @@ def test_grid_nodes_exclude_origin():
 def test_propagate_exact_leaves_stationary_unchanged():
     W = stationary_field(P, 2)
     for t in (0.3, 2.7):
-        adv = propagate_exact(snapshot(W, 0.0), P, t)
+        adv = propagate_exact(W, P, t)
         for x, p in ((0.7, -0.3), (0.0, 1.2)):
             assert adv(x, p) == pytest.approx(W(x, p, 0.0), rel=1e-14)
 
@@ -111,24 +116,21 @@ def test_propagate_exact_rotation_is_ring_shift():
 
 def test_snapshots_and_rotations_keep_polar_factors_exactly_when_the_field_has_them():
     W = standing_wave_field(P, 2, StandingWaveSpec(ell=3, A=2.0, C=5.0))
-    bare = lambda x, p, t: W(x, p, t)
-    assert hasattr(snapshot(W, 0.3), "polar_factors")
-    assert not hasattr(snapshot(bare, 0.3), "polar_factors")
-    assert hasattr(propagate_exact(snapshot(W, 0.3), P, 1.1), "polar_factors")
-    assert not hasattr(propagate_exact(snapshot(bare, 0.3), P, 1.1), "polar_factors")
+    bare = lambda x, p: W(x, p)
+    assert hasattr(propagate_exact(W, P, 1.1), "polar_factors")
+    assert not hasattr(propagate_exact(bare, P, 1.1), "polar_factors")
     x, p = np.array([0.7, -1.2, 0.0]), np.array([0.4, 0.9, -1.5])
-    frozen = snapshot(W, 0.3)
     # the (x, p) call is kept, and a trailing time is ignored
-    assert np.array_equal(frozen(x, p), W(x, p, 0.3))
-    assert np.array_equal(frozen(x, p, 7.0), W(x, p, 0.3))
-    adv = propagate_exact(frozen, P, 1.1)
+    adv = propagate_exact(W, P, 1.1)
     assert np.array_equal(adv(x, p, 7.0), adv(x, p))
+    assert np.array_equal(adv(x, p), propagate_exact(bare, P, 1.1)(x, p))
 
 
 @pytest.mark.parametrize("n", [0, 5])
 def test_rotation_of_field_class_snapshot_is_ring_shift(n):
     grid = GridSpec(rho_max=4.0, n_rho=12, n_phi=96)
-    frozen = snapshot(standing_wave_field(P, n, StandingWaveSpec(ell=3, A=2.0, C=5.0)), 0.2)
+    # the standing wave at t = 0.2 is the t = 0 wave of amplitude A cos(2 omega ell 0.2)
+    frozen = standing_wave_field(P, n, StandingWaveSpec(ell=3, A=2.0 * math.cos(6 * 0.2), C=5.0))
     base = sample_field(frozen, grid, 0.0, P).values
     for k in (1, 5, 37, 95):
         t = k * grid.delta_phi / P.omega
@@ -422,7 +424,8 @@ def test_moyal_rhs_quartic_single_term():
         assert moyal_rhs(U, W, pt, P.hbar) == pytest.approx(closed, rel=1e-12)
 
 
-@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.0, 1.0)],
                          ids=["quadratic", "cubic"])
 def test_moyal_rhs_refuses_non_finite_hbar(coeffs, hbar):

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 import phasewave.extended
-from phasewave import (NATURAL_UNITS, DegenerateProfileError, PhasePoint, PolarPoint,
+from phasewave import (NATURAL_UNITS, DegenerateProfileError, PhasePoint,
                        StandingWaveSpec, WaveProfile, antinode_angles, check_parity,
-                       extended_eval, extended_field, from_polar, node_angles,
+                       extended_eval, extended_field, node_angles,
                        normalization, running_wave_profile, standing_wave_eval,
                        standing_wave_factor, standing_wave_field, stationary_profile,
-                       wigner_stationary)
+                       wigner_stationary, xy_from_polar)
 
 P = NATURAL_UNITS
 SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+
+
+def polar_point(rho, phi):
+    return PhasePoint(*(float(c) for c in xy_from_polar(P, rho, phi)))
 
 
 def seeded_points(count=200, seed=3):
@@ -150,7 +154,7 @@ def test_extended_reduces_to_stationary():
 
 def test_extended_eval_standing_wave_example():
     # direct substitution at rho = 0.1, phi = pi/12, t = 0 for ell=3, A=2, C=5
-    pt = from_polar(P, PolarPoint(0.1, math.pi / 12.0))
+    pt = polar_point(0.1, math.pi / 12.0)
     expected = (1.0 / math.pi) * math.exp(-0.01) * 1.8
     profile = SPEC.to_profile()
     got = extended_eval(P, 0, profile, pt, 0.0)
@@ -163,7 +167,7 @@ def test_extended_eval_initial_time_form():
                           C=2.0, kappa=2)
     norm = normalization(profile)
     rho, phi = 1.1, 0.77
-    pt = from_polar(P, PolarPoint(rho, phi))
+    pt = polar_point(rho, phi)
     kern = wigner_stationary(P, 1, pt)  # radial kernel value for n=1
     manual = norm.N * kern * (2.0 + 0.3 * math.sin(2 * phi) + 0.2 * math.cos(-2 * phi))
     assert extended_eval(P, 1, profile, pt, 0.0) == pytest.approx(manual, rel=1e-12)
@@ -221,7 +225,7 @@ def test_node_invariance_all_times():
         for rho in (0.4, 1.0, 2.2):
             for t in (0.0, T / 8.0, 0.61 * T):
                 for phi in node_angles(SPEC):
-                    pt = from_polar(P, PolarPoint(rho, float(phi)))
+                    pt = polar_point(rho, float(phi))
                     dev = abs(standing_wave_eval(P, n, SPEC, pt, t)
                               - wigner_stationary(P, n, pt))
                     assert dev <= 1e-12

@@ -15,7 +15,7 @@ from phasewave import (NATURAL_UNITS, DataError, ExtendedWigner, Field2D, GridSp
                        OscillatorParams, StandingWaveSpec, StandingWaveWigner, StationaryWigner,
                        export_field, extended_field, phase_space_integral, propagate_exact,
                        radial_kernel, read_field, run_suite, running_wave_profile, sample_field,
-                       snapshot, standing_wave_field, stationary_field, stationary_profile)
+                       standing_wave_field, stationary_field, stationary_profile)
 
 P = NATURAL_UNITS
 SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
@@ -231,7 +231,10 @@ def _json_doc(tmp_path):
     (lambda doc: doc["values"][1].pop(), "malformed JSON"),
     (lambda doc: doc.pop("grid"), "malformed JSON"),
     (lambda doc: doc["grid"].update(n_rho=10.5), "n_rho must be an integer"),
-], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid", "fractional-n_rho"])
+    (lambda doc: doc["grid"].update(rho_max=True), "rho_max must be a positive real"),
+    (lambda doc: doc["grid"].update(dt=True), "dt must be a positive real"),
+], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid", "fractional-n_rho",
+        "bool-rho_max", "bool-dt"])
 def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match):
     doc = _json_doc(tmp_path)
     edit(doc)
@@ -312,11 +315,13 @@ def test_sampling_field_classes_never_calls_a_field(monkeypatch):
     grid = small_grid()
     for W in (stationary_field(P, 3), standing_wave_field(P, 3, SPEC),
               extended_field(P, 3, running_wave_profile(A=0.4, C=1.0, kappa=2))):
-        direct = sample_field(W, grid, 0.37, P).values
-        frozen = snapshot(W, 0.37)
-        assert np.array_equal(sample_field(frozen, grid, 5.0, P).values, direct)
-        assert phase_space_integral(frozen, P) == phase_space_integral(W, P, t=0.37)
-        sample_field(propagate_exact(frozen, P, 0.8), grid, 0.8, P)
+        sample_field(W, grid, 0.37, P)
+        # a field class is at t = 0 without a t, and so is its rotation by 0
+        direct = sample_field(W, grid, 0.0, P).values
+        still = propagate_exact(W, P, 0.0)
+        assert np.array_equal(sample_field(still, grid, 5.0, P).values, direct)
+        assert phase_space_integral(still, P) == phase_space_integral(W, P)
+        sample_field(propagate_exact(W, P, 0.8), grid, 0.8, P)
     report = run_suite(["positivity_edge", "snapshot_identities"])
     assert report.passed
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasewave import (NATURAL_UNITS, OscillatorParams, PhasePoint, PolarPoint, energy,
-                       from_polar, reflect, shifted_x, to_polar)
+from phasewave import (NATURAL_UNITS, OscillatorParams, PhasePoint, energy_xy, polar_from_xy,
+                       shifted_x, xy_from_polar)
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 params_strategy = st.builds(
@@ -25,56 +25,37 @@ def test_shifted_x_examples():
 
 
 def test_to_polar_examples():
-    pt = to_polar(NATURAL_UNITS, PhasePoint(1.0, 0.0))
-    assert (pt.rho, pt.phi) == (1.0, 0.0)
-    pt = to_polar(NATURAL_UNITS, PhasePoint(0.0, 2.0))
-    assert pt.rho == 2.0 and pt.phi == pytest.approx(math.pi / 2, rel=1e-15)
-    pt = to_polar(NATURAL_UNITS, PhasePoint(-1.0, 0.0))
-    assert pt.rho == 1.0 and pt.phi == math.pi
+    assert polar_from_xy(NATURAL_UNITS, 1.0, 0.0) == (1.0, 0.0)
+    rho, phi = polar_from_xy(NATURAL_UNITS, 0.0, 2.0)
+    assert rho == 2.0 and phi == pytest.approx(math.pi / 2, rel=1e-15)
+    assert polar_from_xy(NATURAL_UNITS, -1.0, 0.0) == (1.0, math.pi)
 
 
 def test_to_polar_origin_convention():
-    pt = to_polar(NATURAL_UNITS, PhasePoint(0.0, 0.0))
-    assert (pt.rho, pt.phi) == (0.0, 0.0)
+    assert polar_from_xy(NATURAL_UNITS, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_from_polar_examples():
-    pt = from_polar(NATURAL_UNITS, PolarPoint(0.0, 2.3))
-    assert (pt.x, pt.p) == (0.0, 0.0)
-    pt = from_polar(NATURAL_UNITS, PolarPoint(1.0, math.pi / 2))
-    assert abs(pt.x) < 1e-15 and pt.p == pytest.approx(1.0, rel=1e-15)
-    pt = from_polar(OscillatorParams(m=1.0, omega=2.0, alpha=4.0), PolarPoint(2.0, math.pi))
-    assert pt.x == pytest.approx(-2.0, rel=1e-15)
-    assert abs(pt.p) < 1e-15
+    assert xy_from_polar(NATURAL_UNITS, 0.0, 2.3) == (0.0, 0.0)
+    x, p = xy_from_polar(NATURAL_UNITS, 1.0, math.pi / 2)
+    assert abs(x) < 1e-15 and p == pytest.approx(1.0, rel=1e-15)
+    x, p = xy_from_polar(OscillatorParams(m=1.0, omega=2.0, alpha=4.0), 2.0, math.pi)
+    assert x == pytest.approx(-2.0, rel=1e-15)
+    assert abs(p) < 1e-15
 
 
 def test_energy_examples():
-    assert energy(NATURAL_UNITS, PhasePoint(0.0, 0.0)) == 0.0
-    assert energy(NATURAL_UNITS, PhasePoint(1.0, 0.0)) == 0.5
-    assert energy(NATURAL_UNITS, PhasePoint(3.0, 4.0)) == 12.5
-
-
-def test_reflect_examples():
-    assert reflect(NATURAL_UNITS, PhasePoint(1.0, 2.0), "p") == PhasePoint(1.0, -2.0)
-    assert reflect(NATURAL_UNITS, PhasePoint(1.0, 2.0), "both") == PhasePoint(-1.0, -2.0)
-    shifted = OscillatorParams(alpha=2.0)  # x = 0 has xbar = 2
-    out = reflect(shifted, PhasePoint(0.0, 1.0), "xbar")
-    assert out.x == -4.0 and out.p == 1.0
-    assert shifted_x(shifted, out.x) == -2.0
-
-
-def test_reflect_axis_validation():
-    with pytest.raises(ValueError):
-        reflect(NATURAL_UNITS, PhasePoint(1.0, 2.0), "x")
+    assert energy_xy(NATURAL_UNITS, 0.0, 0.0) == 0.0
+    assert energy_xy(NATURAL_UNITS, 1.0, 0.0) == 0.5
+    assert energy_xy(NATURAL_UNITS, 3.0, 4.0) == 12.5
 
 
 @given(params_strategy, finite_coord, finite_coord)
 def test_round_trip(params, x, p):
-    pt = PhasePoint(x, p)
-    back = from_polar(params, to_polar(params, pt))
+    bx, bp = xy_from_polar(params, *polar_from_xy(params, x, p))
     scale = abs(x) + abs(p) + abs(params.shift) + 1.0
-    assert abs(back.x - x) <= 1e-12 * scale
-    assert abs(back.p - p) <= 1e-12 * scale
+    assert abs(bx - x) <= 1e-12 * scale
+    assert abs(bp - p) <= 1e-12 * scale
 
 
 def test_round_trip_thousand_seeded_points():
@@ -83,19 +64,17 @@ def test_round_trip_thousand_seeded_points():
         params = OscillatorParams(m=1.4, omega=0.8, hbar=1.1, alpha=alpha)
         xs = rng.uniform(-10.0, 10.0, 1000)
         ps = rng.uniform(-10.0, 10.0, 1000)
-        for x, p in zip(xs, ps):
-            back = from_polar(params, to_polar(params, PhasePoint(float(x), float(p))))
-            scale = abs(x) + abs(p) + abs(params.shift) + 1.0
-            assert abs(back.x - x) <= 1e-12 * scale
-            assert abs(back.p - p) <= 1e-12 * scale
+        bx, bp = xy_from_polar(params, *polar_from_xy(params, xs, ps))
+        scale = np.abs(xs) + np.abs(ps) + abs(params.shift) + 1.0
+        assert np.all(np.abs(bx - xs) <= 1e-12 * scale)
+        assert np.all(np.abs(bp - ps) <= 1e-12 * scale)
 
 
 @given(params_strategy, finite_coord, finite_coord)
 def test_energy_radius_consistency(params, x, p):
-    pt = PhasePoint(x, p)
-    rho = to_polar(params, pt).rho
+    rho, _ = polar_from_xy(params, x, p)
     expected = params.m * rho**2 / (2.0 * params.hbar * params.omega)
-    assert energy(params, pt) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert energy_xy(params, x, p) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_angle_branch_by_sign_of_xbar():
@@ -105,26 +84,17 @@ def test_angle_branch_by_sign_of_xbar():
         for _ in range(200):
             xb = rng.uniform(0.05, 4.0) * rng.choice([-1.0, 1.0])
             p = rng.uniform(-4.0, 4.0)
-            phi = to_polar(params, PhasePoint(xb - params.shift, p)).phi
+            _, phi = polar_from_xy(params, xb - params.shift, p)
             if xb < 0:
                 assert math.pi / 2 < phi < 3 * math.pi / 2
             else:
                 assert phi < math.pi / 2 or phi > 3 * math.pi / 2
 
 
-@given(params_strategy, finite_coord, finite_coord,
-       st.sampled_from(["xbar", "p", "both"]))
-def test_reflect_is_an_involution(params, x, p, axis):
-    pt = PhasePoint(x, p)
-    back = reflect(params, reflect(params, pt, axis), axis)
-    scale = abs(x) + abs(p) + abs(params.shift) + 1.0
-    assert abs(back.x - x) <= 1e-12 * scale
-    assert abs(back.p - p) <= 1e-12 * scale
-
-
 def test_params_validation():
     for bad in ({"m": 0.0}, {"omega": -1.0}, {"hbar": float("nan")},
-                {"alpha": float("inf")}):
+                {"alpha": float("inf")}, {"m": True}, {"omega": True}, {"hbar": True},
+                {"alpha": False}):
         with pytest.raises(ValueError):
             OscillatorParams(**bad)
 
@@ -133,12 +103,4 @@ def test_point_validation():
     with pytest.raises(ValueError):
         PhasePoint(float("nan"), 0.0)
     with pytest.raises(ValueError):
-        PolarPoint(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        PolarPoint(1.0, float("inf"))
-
-
-def test_polar_angle_normalization():
-    assert PolarPoint(1.0, 2 * math.pi + 0.3).phi == pytest.approx(0.3, rel=1e-12)
-    assert PolarPoint(1.0, -0.1).phi == pytest.approx(2 * math.pi - 0.1, rel=1e-15)
-    assert PolarPoint(1.0, -1e-17).phi == 0.0
+        PhasePoint(0.0, float("inf"))

@@ -11,7 +11,7 @@ from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, DataErr
                        laguerre_energy_identity, marginal_over_p, marginal_over_x, mean_energy,
                        momentum_density, phase_space_integral, position_density,
                        propagate_exact, radial_kernel, run_suite, running_wave_profile,
-                       snapshot, standing_wave_field, stationary_field, polar_from_xy,
+                       standing_wave_field, stationary_field, polar_from_xy,
                        xy_from_polar)
 from phasewave.quadrature import EXTENT, _line_integral
 
@@ -437,8 +437,6 @@ def test_non_finite_times_are_refused():
                     phase_space_integral(W, P, t=t)
                 with pytest.raises(DataError, match="t must be finite"):
                     marginal_over_p(W, P, 0.3, t)
-                with pytest.raises(DataError, match="t must be finite"):
-                    snapshot(W, t)(0.3, 0.2)
                 with pytest.raises(DataError, match="t must be finite"):
                     propagate_exact(W, P, t)
 
