@@ -158,7 +158,7 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
             f"Courant number {c:.6g} exceeds 1; reduce dt below "
             f"{grid.delta_phi / params.omega:.6g}"
         )
-    if not math.isfinite(t_final):
+    if isinstance(t_final, bool) or not math.isfinite(t_final):
         raise ConfigurationError(f"t_final must be finite, got {t_final}")
     span = float(t_final) - field0.time_tag
     if span < 0.0:
@@ -245,7 +245,8 @@ class PolynomialPotential:
         coeffs = tuple(float(c) for c in self.coeffs)
         if not coeffs:
             coeffs = (0.0,)
-        if not all(math.isfinite(c) for c in coeffs):
+        # a bool is not a coefficient
+        if any(isinstance(c, bool) for c in self.coeffs) or not all(map(math.isfinite, coeffs)):
             raise ValueError("potential coefficients must be finite")
         if len(coeffs) - 1 > MAX_POTENTIAL_DEGREE:
             raise ConfigurationError(
@@ -325,9 +326,10 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     potentials contribute no terms, so the result is exactly zero without
     touching ``W``.  If ``W`` exposes ``p_derivative(order, x, p)`` the
     exact derivatives are used; otherwise central differences with step
-    h = max(1e-3, 1e-3 |p|).  An ``hbar`` that is not finite and positive
-    raises ``DataError``.
+    h = max(1e-3, 1e-3 |p|).  A ``t`` that is not finite, or an ``hbar``
+    that is not finite and positive, raises ``DataError``.
     """
+    _require_finite(t, "t")
     if not _positive_real(hbar):
         raise DataError(f"hbar must be finite and positive, got {hbar}")
     deg = U.degree

@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .oscillator import TWO_PI, OscillatorParams, PhasePoint, _require_finite, polar_from_xy
+from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _positive_real, _require_finite,
+                         polar_from_xy)
 from .special import check_order
 from .wigner import radial_kernel
 
@@ -74,7 +75,7 @@ class WaveProfile:
             raise ValueError(f"kappa must be a positive integer, got {self.kappa!r}")
         if self.kappa < 1:
             raise ValueError(f"kappa must be a positive integer, got {self.kappa}")
-        if not math.isfinite(self.C):
+        if isinstance(self.C, bool) or not math.isfinite(self.C):
             raise ValueError("C must be finite")
         _sample_periodic(self.f, "f", self.kappa)
         _sample_periodic(self.g, "g", self.kappa)
@@ -125,9 +126,9 @@ class StandingWaveSpec:
             raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
         if self.ell < 1:
             raise ValueError(f"ell must be a positive integer, got {self.ell}")
-        if not math.isfinite(self.A):
+        if isinstance(self.A, bool) or not math.isfinite(self.A):
             raise ValueError("A must be finite")
-        if not (math.isfinite(self.C) and self.C > 0.0):
+        if not _positive_real(self.C):
             raise ValueError(f"C must be finite and positive, got {self.C}")
 
     @property

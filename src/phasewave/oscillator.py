@@ -59,8 +59,8 @@ def coordinate(values, name):
 
 
 def _require_finite(value, name):
-    """``value`` as a float; raises ``DataError`` naming it if it is NaN or infinite."""
-    if not math.isfinite(value):
+    """``value`` as a float; raises ``DataError`` naming it if it is NaN, infinite or a bool."""
+    if isinstance(value, bool) or not math.isfinite(value):
         raise DataError(f"{name} must be finite, got {value}")
     return float(value)
 

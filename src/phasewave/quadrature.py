@@ -1,16 +1,18 @@
 """Phase-space quadrature: full-plane integrals, marginals, mean energy.
 
 Integrands here are Gaussian-damped and smooth, so fixed-size rules with a
-single Richardson-style mesh halving are enough: composite trapezoid on the
-periodic angle (spectrally accurate), Gauss-Legendre in the radius, and
-composite Simpson on marginal lines.  Every routine reports convergence
-failure, a non-finite value included, as
-:class:`~phasewave.errors.AccuracyError` instead of returning a value it
-cannot back with an error estimate.  Every rule spans :data:`EXTENT`
-Gaussian widths, past which no field of order n <= ``MAX_ORDER`` is more
-than rounding, and runs with the node counts :data:`N_RHO`, :data:`N_PHI`
-and :data:`N_LINE` and the tolerance :data:`TOL`; the quadrature has no
-settings.
+single Richardson-style mesh halving are enough on the disk: composite
+trapezoid on the periodic angle (spectrally accurate) and Gauss-Legendre in
+the radius.  A line is a composite trapezoid too: its analytic integrand
+falls to rounding inside the window, where the rule converges geometrically,
+and a line whose estimate fails refines by midpoints up to eight times its
+panels.  Every routine reports convergence failure, a non-finite value
+included, as :class:`~phasewave.errors.AccuracyError` instead of returning
+a value it cannot back with an error estimate.  Every rule spans
+:data:`EXTENT` Gaussian widths, past which no field of order
+n <= ``MAX_ORDER`` is more than rounding, and runs with the node counts
+:data:`N_RHO`, :data:`N_PHI` and :data:`N_LINE` and the tolerance
+:data:`TOL`; the quadrature has no settings.
 
 Fields are callables ``W(x, p, t)`` accepting numpy arrays in ``x, p``.
 A field that also has ``polar_factors(rho, phi, t)``, returning a radial
@@ -37,8 +39,10 @@ from .special import MAX_ORDER, check_order, laguerre
 #: turning point sqrt(2 MAX_ORDER + 1) plus 4.5 widths of Gaussian decay.
 EXTENT = math.sqrt(2 * MAX_ORDER + 1) + 4.5
 #: Radial (Gauss-Legendre) and angular (periodic trapezoid) node counts of
-#: the disk rule, and panel count of every line rule (Simpson, even).
-N_RHO, N_PHI, N_LINE = 512, 512, 2048
+#: the disk rule, and first panel count of every line rule (trapezoid,
+#: even): the power of two at which no eigenstate line of order <=
+#: MAX_ORDER refines; on 256 panels the 128-panel sub-rule misses TOL.
+N_RHO, N_PHI, N_LINE = 512, 512, 512
 #: Absolute tolerance of every integral's mesh-halving estimate.
 TOL = 1e-8
 
@@ -123,32 +127,23 @@ def _disk_integral(W, params, t, radial_weight, label):
                                            radial_weight, label), label)
 
 
-def _simpson(vals, h):
-    """Composite Simpson over the last axis; one value per leading index."""
-    return h / 3.0 * (vals[..., 0] + vals[..., -1] + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                      + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
-
-
-def _simpson_pair(f, a, b, n):
-    """Simpson on n panels, per line, its distance from Simpson on n/2, and max |f| at a and b."""
-    xs = np.linspace(a, b, n + 1)
+def _line_values(f, xs):
+    """``f(xs)`` as a float array whose last axis runs over the nodes ``xs``."""
     vals = np.asarray(f(xs), dtype=float)
-    vals = np.broadcast_to(vals, vals.shape[:-1] + xs.shape)
-    h = (b - a) / n
-    ends = np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
-    with np.errstate(invalid="ignore"):  # an inf integrand gives a NaN estimate, a failure
-        fine = _simpson(vals, h)
-        return fine, abs(fine - _simpson(vals[..., ::2], 2.0 * h)), ends
+    return np.broadcast_to(vals, vals.shape[:-1] + xs.shape)
 
 
 def _line_integral(f, a, b, n_panels, tol, label):
-    """Composite Simpson with one halving-based refinement and error estimate.
+    """Composite trapezoid with midpoint refinement and an error estimate.
 
     ``f(xs)`` returns the integrand at the nodes ``xs`` along its last
     axis; leading axes, if any, index independent lines, and the result
-    has their shape.  Each line is estimated on its own.  If some fail,
-    ``f`` runs once more on the halved mesh and only the failing lines take
-    its value and estimate, so a line integrates exactly as it would alone.
+    has their shape.  Each line is estimated on its own, against the rule
+    on every other node.  While some fail, ``f`` runs on the midpoints of
+    the current mesh, T_2n = T_n / 2 + h_2n sum f(midpoints), up to
+    8 ``n_panels`` panels; only the failing lines take the finer value and
+    its distance from the coarser one, so a line integrates exactly as it
+    would alone.
 
     The mesh estimate cannot see what lies outside [a, b].  A line whose
     integrand at a or b, times b - a, exceeds ``tol`` is truncated by the
@@ -157,26 +152,36 @@ def _line_integral(f, a, b, n_panels, tol, label):
     """
     n = int(n_panels)
     n += n % 2
-    value, est, ends = _simpson_pair(f, a, b, n)
-    end = float(np.max(ends, initial=0.0))
+    finest = 8 * n
+    vals = _line_values(f, np.linspace(a, b, n + 1))
+    end = float(np.max(np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1])), initial=0.0))
     if end * (b - a) > tol:
         raise ConfigurationError(
             f"{label}: the integrand reaches {end:.3e} at the window ends, which can truncate "
             f"up to {end * (b - a):.3e}, above tol {tol:g}; it has not decayed within "
             f"{EXTENT:.2f} Gaussian widths"
         )
-    failed = ~(est <= tol)
-    if np.any(failed):
-        fine, fine_est, _ = _simpson_pair(f, a, b, 2 * n)
-        value = np.where(failed, fine, value)
-        est = np.where(failed, fine_est, est)
-        if not np.all(est <= tol):
-            worst = np.unravel_index(np.argmax(est), est.shape)
-            raise AccuracyError(
-                f"{label}: estimate {est[worst]:.3e} not within tol {tol:g} after refinement",
-                value=float(value[worst]),
-                estimate=float(est[worst]),
-            )
+    h = (b - a) / n
+    with np.errstate(invalid="ignore"):  # an inf integrand gives a NaN estimate, a failure
+        coarse = 2.0 * h * (0.5 * (vals[..., 0] + vals[..., -1]) + vals[..., 2:-1:2].sum(axis=-1))
+        value = 0.5 * coarse + h * vals[..., 1::2].sum(axis=-1)
+        est = abs(value - coarse)
+        level = value
+        while n < finest and not np.all(est <= tol):
+            failed = ~(est <= tol)
+            h *= 0.5
+            finer = 0.5 * level + h * _line_values(f, np.linspace(a + h, b - h, n)).sum(axis=-1)
+            value = np.where(failed, finer, value)
+            est = np.where(failed, abs(finer - level), est)
+            level = finer
+            n *= 2
+    if not np.all(est <= tol):
+        worst = np.unravel_index(np.argmax(est), est.shape)
+        raise AccuracyError(
+            f"{label}: estimate {est[worst]:.3e} not within tol {tol:g} after refinement",
+            value=float(value[worst]),
+            estimate=float(est[worst]),
+        )
     return (value, est) if np.ndim(value) else (float(value), float(est))
 
 

@@ -164,8 +164,8 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
     integrand is real (cosine) because Psi_n is real.  Independent of the
     closed form, hence usable as an oracle for it.  The line spans
     2 (|xbar| + ``EXTENT``) position widths in s and runs on ``N_LINE``
-    Simpson panels; raises ``AccuracyError`` when the mesh-halving estimate
-    exceeds ``TOL``.
+    trapezoid panels, refined by midpoints where needed; raises
+    ``AccuracyError`` when the mesh-halving estimate exceeds ``TOL``.
     """
     value, est = _transform_lines(params, check_order(n), pt.x, pt.p)
     return (value, est) if return_error else value

@@ -169,6 +169,19 @@ def test_evolve_rejects_nonfinite_time(t_final):
         evolve_fd(f0, P, t_final)
 
 
+def test_evolve_refuses_a_bool_time():
+    grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
+    f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
+    with pytest.raises(ConfigurationError, match="t_final must be finite, got True"):
+        evolve_fd(f0, P, True)
+
+
+def test_propagate_exact_refuses_a_bool_time():
+    for W0 in (stationary_field(P, 2), kernel_times_sin(2)):
+        with pytest.raises(DataError, match="t must be finite, got True"):
+            propagate_exact(W0, P, True)
+
+
 def test_evolve_detects_nonfinite_values():
     grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
     f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
@@ -434,6 +447,26 @@ def test_moyal_rhs_refuses_non_finite_hbar(coeffs, hbar):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="hbar must be finite"):
             moyal_rhs(PolynomialPotential(coeffs), W, PhasePoint(0.3, 0.2), hbar)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True],
+                         ids=["nan", "inf", "-inf", "bool"])
+def test_moyal_rhs_refuses_non_finite_time(t):
+    # the exact derivatives never read t, and the plain callable ignores it
+    W = stationary_field(NATURAL_UNITS, 2)
+    plain = lambda x, p, t=0.0: W(x, p, 0.0)
+    U = PolynomialPotential((0.0, 0.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field in (W, plain):
+            with pytest.raises(DataError, match="t must be finite"):
+                moyal_rhs(U, field, PhasePoint(0.3, 0.2), 1.0, t=t)
+
+
+def test_potential_refuses_bool_coefficients():
+    for coeffs in ((0.0, True), (False,), (1.0, 0.0, math.inf)):
+        with pytest.raises(ValueError, match="potential coefficients must be finite"):
+            PolynomialPotential(coeffs)
 
 
 def test_moyal_rhs_degree_twelve_runs():

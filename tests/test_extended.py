@@ -43,6 +43,8 @@ def test_profile_validation():
         WaveProfile(f=lambda th: 0.0, g=lambda th: 0.0, C=float("inf"), kappa=1)
     with pytest.raises(ValueError):
         WaveProfile(f=lambda th: 0.0, g=lambda th: 0.0, C=1.0, kappa=1.5)
+    with pytest.raises(ValueError, match="C must be finite"):
+        WaveProfile(f=lambda th: 0.0, g=lambda th: 0.0, C=True, kappa=1)
 
 
 def test_standing_spec_validation_and_derived_quantities():
@@ -56,6 +58,15 @@ def test_standing_spec_validation_and_derived_quantities():
     assert spec.kappa == 6
     assert spec.omega_wave(1.0) == 6.0
     assert spec.period(1.0) == pytest.approx(math.pi / 3.0, rel=1e-15)
+
+
+def test_standing_spec_refuses_bool_amplitude_and_offset():
+    # a bool is not a real: each raises what a non-finite value raises
+    for bad in (True, math.nan):
+        with pytest.raises(ValueError, match="A must be finite"):
+            StandingWaveSpec(ell=3, A=bad, C=5.0)
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            StandingWaveSpec(ell=3, A=2.0, C=bad)
 
 
 # ------------------------------------------------------------ normalization

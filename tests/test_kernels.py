@@ -18,7 +18,8 @@ from phasewave.oscillator import energy_xy, polar_from_xy
 from oracles import (energy_xy_whole_array, hermite_whole_array, laguerre_whole_array,
                      polar_from_xy_whole_array)
 
-#: Flat sizes; the "grid" layout is the suite's 21x2049 marginal lines.
+#: Flat sizes; the "grid" layout is 21 lines of 2049 nodes, four times the
+#: nodes of the suite's 21x513 marginal lines.
 SIZES = (0, 1, 16383, 16385, 49159)
 PARAMS = (NATURAL_UNITS, OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9))
 

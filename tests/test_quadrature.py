@@ -13,7 +13,8 @@ from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, DataErr
                        propagate_exact, radial_kernel, run_suite, running_wave_profile,
                        standing_wave_field, stationary_field, polar_from_xy,
                        xy_from_polar)
-from phasewave.quadrature import EXTENT, _line_integral
+from phasewave import quadrature, verify, wigner
+from phasewave.quadrature import EXTENT, N_LINE, TOL, _line_integral
 
 from oracles import cartesian_integral, gauss_legendre, wigner_kernel_exact
 
@@ -134,6 +135,37 @@ def _p_lines(W, x, n_panels, tol):
                           "marginal_over_p")
 
 
+@pytest.mark.parametrize("k", [0.0, 3.0, 10.0, 20.0, 30.0, 40.0, 45.0, 50.0])
+def test_line_rule_integrates_a_gaussian_cosine(k):
+    # integral of exp(-x^2) cos(kx) = sqrt(pi) exp(-k^2/4); node spacing H
+    # errs by about 2 sqrt(pi) exp(-(2 pi/H - k)^2/4), so on the marginal
+    # window N_LINE panels hold k up to their Nyquist limit 50.7 to rounding,
+    # and from k ~ 42 the sub-rule misses TOL and the line refines
+    value, est = _line_integral(lambda xs: np.exp(-xs * xs) * np.cos(k * xs), -EXTENT, EXTENT,
+                                N_LINE, TOL, "gaussian_cosine")
+    exact = math.sqrt(math.pi) * math.exp(-k * k / 4.0)
+    # below 1e-14 is the rounding of sums of order sqrt(pi)
+    assert abs(value - exact) <= max(est, 1e-14)
+    assert est <= TOL and abs(value - exact) <= TOL
+
+
+def test_line_rule_never_passes_a_wrong_kinked_integral():
+    # integral of |x - c| exp(-(x - c)^2) = 1; the kink holds the trapezoid to
+    # O(h^2), so each line either meets TOL or raises AccuracyError
+    shifts = np.array([0.0, 0.01, 0.3, math.pi / 10.0, 1.0 / 3.0, 2.0])
+
+    def kinked(c):
+        return lambda xs: np.abs(xs - c) * np.exp(-(xs - c) ** 2)
+
+    for c in [float(c) for c in shifts] + [shifts[:, None]]:
+        try:
+            value, est = _line_integral(kinked(c), -EXTENT, EXTENT, N_LINE, TOL, "kinked")
+        except AccuracyError as err:
+            assert not err.estimate <= TOL
+            continue
+        assert np.all(est <= TOL) and np.all(np.abs(value - 1.0) <= TOL)
+
+
 def test_marginal_accuracy_error_when_unreachable():
     W = stationary_field(P, 5)
     with pytest.raises(AccuracyError) as err:
@@ -220,7 +252,7 @@ def test_window_check_reads_the_values_the_rule_computes():
         return stationary_field(P, 30)(x, p, t)
 
     assert marginal_over_p(W, P, 0.3) == pytest.approx(position_density(P, 30, 0.3), abs=1e-12)
-    assert calls == [(2049,)]
+    assert calls == [(N_LINE + 1,)]
     # a Gaussian centred on either end of the window
     for end in (EXTENT, -EXTENT):
         with pytest.raises(ConfigurationError, match="window ends"):
@@ -256,33 +288,36 @@ def _counting(W, calls):
 
 
 def test_batch_keeps_each_line_at_its_own_refinement_level():
+    # on 48 panels the lines stop after 0, 1 and 2 midpoint refinements
     W = stationary_field(P, 5)
     xs = np.linspace(-4.5, 4.5, 11)
-    alone, refined = [], []
+    n_panels = 48
+    alone, levels = [], []
     for x in xs:
         calls = []
-        alone.append(_p_lines(_counting(W, calls), float(x), 128, 1e-6))
-        refined.append(len(calls) == 2)
-    assert any(refined) and not all(refined)
+        alone.append(_p_lines(_counting(W, calls), float(x), n_panels, 1e-6))
+        levels.append(len(calls) - 1)
+    assert len(set(levels)) >= 3
     calls = []
-    values, ests = _p_lines(_counting(W, calls), xs, 128, 1e-6)
-    assert calls == [(11, 129), (11, 257)]
+    values, ests = _p_lines(_counting(W, calls), xs, n_panels, 1e-6)
+    assert calls == [(11, n_panels + 1)] + [(11, n_panels << k) for k in range(max(levels))]
     for value, est, (v, e) in zip(values, ests, alone):
         assert (_bits(value), _bits(est)) == (_bits(v), _bits(e))
 
 
 def test_batch_accuracy_error_reports_the_worst_line():
+    # on 12 panels, refined up to 96, the middle lines fail and the outer ones pass
     W = stationary_field(P, 5)
     xs = np.linspace(-4.5, 4.5, 11)
     failures = []
     for x in xs:
         try:
-            _p_lines(W, float(x), 48, 1e-6)
+            _p_lines(W, float(x), 12, 1e-6)
         except AccuracyError as err:
             failures.append((err.estimate, err.value))
     assert 0 < len(failures) < len(xs)
     with pytest.raises(AccuracyError) as err:
-        _p_lines(W, xs, 48, 1e-6)
+        _p_lines(W, xs, 12, 1e-6)
     assert (err.value.estimate, err.value.value) == max(failures)
 
 
@@ -359,6 +394,35 @@ def test_disk_integrals_of_the_suite_never_call_a_field(monkeypatch):
     report = run_suite(["stationary_normalization", "energy_spectrum"])
     assert report.passed
     assert calls == []
+
+
+def test_line_rules_of_the_suite_run_on_n_line_panels(monkeypatch):
+    # every line integral of the suite starts on N_LINE panels, and only the
+    # running wave's marginal, whose angular factor turns within |p| ~ |x|
+    # on its lines near x = 0, takes one midpoint refinement
+    traffic, current = [], []
+    rule = quadrature._line_integral
+
+    def counted(f, a, b, n_panels, tol, label):
+        nodes = []
+        traffic.append((current[-1], label, nodes))
+
+        def g(xs):
+            nodes.append(xs.size)
+            return f(xs)
+        return rule(g, a, b, n_panels, tol, label)
+
+    for module in (quadrature, wigner):
+        monkeypatch.setattr(module, "_line_integral", counted)
+    for name, (check, takes_tol) in list(verify.SUITES.items()):
+        def tracked(*args, _name=name, _check=check, **kwargs):
+            current.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setitem(verify.SUITES, name, (tracked, takes_tol))
+    assert run_suite().passed
+    assert traffic and all(nodes[0] == N_LINE + 1 for _, _, nodes in traffic)
+    refined = [(name, label, nodes) for name, label, nodes in traffic if len(nodes) > 1]
+    assert refined == [("running_wave_rejection", "marginal_over_p", [N_LINE + 1, N_LINE])]
 
 
 def test_bare_callable_keeps_tensor_levels():
@@ -439,6 +503,24 @@ def test_non_finite_times_are_refused():
                     marginal_over_p(W, P, 0.3, t)
                 with pytest.raises(DataError, match="t must be finite"):
                     propagate_exact(W, P, t)
+
+
+def test_bool_times_are_refused():
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+    fields = [stationary_field(P, 2), standing_wave_field(P, 2, spec),
+              extended_field(P, 2, spec.to_profile())]
+    rho, phi = np.array([0.5, 1.0]), np.array([0.0, 1.0])
+    for W in fields:
+        with pytest.raises(DataError, match="t must be finite, got True"):
+            W(0.3, 0.2, True)
+        with pytest.raises(DataError, match="t must be finite, got True"):
+            W.polar_factors(rho, phi, True)
+        for integral in (phase_space_integral, mean_energy):
+            with pytest.raises(DataError, match="t must be finite, got True"):
+                integral(W, P, True)
+        for marginal in (marginal_over_p, marginal_over_x):
+            with pytest.raises(DataError, match="t must be finite, got True"):
+                marginal(W, P, 0.3, True)
 
 
 def test_non_finite_integrands_never_converge():
