@@ -219,7 +219,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_check(args) -> int:
     names = tuple(tok.strip() for tok in args.suite.split(",") if tok.strip())
-    report = verify.run_suite(names or ("all",), tol_override=args.tol)
+    report = verify.run_suite(names, tol_override=args.tol)
     for line in report.lines():
         print(line)
     if args.out:

@@ -29,9 +29,11 @@ class DataError(ValueError):
     ``polar_from_xy`` and ``energy_xy`` raise it, naming the coordinate
     (x, p or rho), when a coordinate holds a NaN; an infinite coordinate
     lies past every Gaussian and gives 0.  The field classes' calls and
-    ``polar_factors`` raise it, naming t, for a NaN or infinite time,
-    ``PhasePoint`` for a non-finite component, and ``moyal_rhs`` for an
-    hbar that is not finite and positive.  ``read_field`` raises it, naming
+    ``polar_factors`` raise it, naming t, for a NaN or infinite time and
+    for a finite one whose wave phase is not finite (``propagate_exact``
+    too, for the angle omega t), ``PhasePoint`` for a non-finite
+    component, and ``moyal_rhs`` for an hbar that is not finite and
+    positive.  ``read_field`` raises it, naming
     the file, for a missing header or metadata, a ragged, short or
     non-numeric body, a CSV row that is not at its grid node, a value array
     that does not match the grid, and a non-finite time or value.

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowupError, ConfigurationError, DataError
-from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _positive_real, _require_finite,
-                         polar_from_xy, xy_from_polar)
+from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _positive_real,
+                         _require_finite, polar_from_xy, xy_from_polar)
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -123,9 +123,10 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     ``W0`` is a field class, which is used at t = 0, or any callable of
     (x, p).  Returns the field at time ``t``, i.e. (x, p) -> W0 evaluated
     at the same radius and angle phi + omega t; it has ``polar_factors``
-    exactly when ``W0`` has.  A NaN or infinite ``t`` raises ``DataError``.
+    exactly when ``W0`` has.  A NaN or infinite ``t`` raises ``DataError``,
+    and so does a finite one whose angle omega t overflows.
     """
-    _require_finite(t, "t")
+    _phase(params.omega, _require_finite(t, "t"))
     return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
 
 

@@ -15,6 +15,7 @@ the position and momentum densities.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -22,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _positive_real, _require_finite,
-                         polar_from_xy)
+from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _positive_real,
+                         _require_finite, polar_from_xy)
 from .special import check_order
 from .wigner import radial_kernel
 
@@ -40,9 +41,9 @@ _PARITY_PHASES = (0.0, 0.137, 0.29, 0.5, 0.81)
 
 
 def _sample_periodic(h, name, kappa):
-    rng = np.random.default_rng(_PROFILE_SEED)
-    theta = rng.uniform(-TWO_PI * kappa, TWO_PI * kappa, _PERIOD_SAMPLES)
+    rng = random.Random(_PROFILE_SEED)
     period = TWO_PI * kappa
+    theta = np.array([rng.uniform(-period, period) for _ in range(_PERIOD_SAMPLES)])
     a = np.broadcast_to(np.asarray(h(theta), dtype=float), theta.shape)
     b = np.broadcast_to(np.asarray(h(theta + period), dtype=float), theta.shape)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -60,9 +61,10 @@ class WaveProfile:
     """Angular modulation data (f, g, C, kappa).
 
     ``f`` and ``g`` must be numpy-evaluable callables of one argument,
-    periodic with period 2 pi kappa; periodicity is verified by seeded
-    random sampling at construction rather than assumed.  ``norm`` is the
-    profile's :func:`normalization`, computed on first use and kept.
+    periodic with period 2 pi kappa; periodicity is verified at construction
+    on 128 angles drawn by the standard library's seeded ``random.Random``
+    rather than assumed.  ``norm`` is the profile's :func:`normalization`,
+    computed on first use and kept.
     """
 
     f: Callable
@@ -90,7 +92,7 @@ class WaveProfile:
 
     def bracket(self, phi, t, omega):
         """Angular factor C + f(Omega t + kappa phi) + g(Omega t - kappa phi)."""
-        th = self.omega_wave(omega) * t
+        th = _phase(self.omega_wave(omega), t)
         return self.C + self.f(th + self.kappa * np.asarray(phi, dtype=float)) \
             + self.g(th - self.kappa * np.asarray(phi, dtype=float))
 
@@ -130,6 +132,8 @@ class StandingWaveSpec:
             raise ValueError("A must be finite")
         if not _positive_real(self.C):
             raise ValueError(f"C must be finite and positive, got {self.C}")
+        if not math.isfinite(2.0 * self.A / self.C):
+            raise ValueError(f"2A/C must be finite, got A = {self.A!r}, C = {self.C!r}")
 
     @property
     def kappa(self) -> int:
@@ -154,7 +158,7 @@ class StandingWaveSpec:
 
 def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
     """Standing-wave modulation 2 A cos(2 omega ell t) sin(2 ell phi)."""
-    return 2.0 * spec.A * math.cos(spec.omega_wave(omega) * t) * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
+    return 2.0 * spec.A * math.cos(_phase(spec.omega_wave(omega), t)) * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -303,15 +307,16 @@ class ParityReport:
 def check_parity(params: OscillatorParams, wave) -> ParityReport:
     """Test whether Phi = f(Omega t + kappa phi) + g(Omega t - kappa phi) is odd.
 
-    Draws 200 seeded random phase points in [-3, 3]^2, reflects them in
+    Draws 200 phase points in [-3, 3]^2 from the standard library's
+    ``random.Random`` seeded with ``seed``, reflects them in
     xbar and in p, and measures |Phi(reflected) + Phi(point)| at five
     fractions of the wave period against 1e-10.  Failure is reported, not
     raised; the report records the samples, tolerance, seed and times.
     """
     profile = wave.to_profile() if isinstance(wave, StandingWaveSpec) else wave
-    rng = np.random.default_rng(_PROFILE_SEED)
-    xb = rng.uniform(-3.0, 3.0, _PARITY_SAMPLES)
-    p = rng.uniform(-3.0, 3.0, _PARITY_SAMPLES)
+    rng = random.Random(_PROFILE_SEED)
+    xb = np.array([rng.uniform(-3.0, 3.0) for _ in range(_PARITY_SAMPLES)])
+    p = np.array([rng.uniform(-3.0, 3.0) for _ in range(_PARITY_SAMPLES)])
     xb = np.where(np.abs(xb) < 1e-3, 0.5, xb)
     p = np.where(np.abs(p) < 1e-3, -0.5, p)
 
@@ -322,7 +327,7 @@ def check_parity(params: OscillatorParams, wave) -> ParityReport:
         return polar_from_xy(replace(params, alpha=0.0), xbar, mom)[1]
 
     def wave_part(phi, t):
-        th = omega_w * t
+        th = _phase(omega_w, t)
         return np.asarray(profile.f(th + profile.kappa * phi), dtype=float) \
             + np.asarray(profile.g(th - profile.kappa * phi), dtype=float)
 

@@ -65,6 +65,17 @@ def _require_finite(value, name):
     return float(value)
 
 
+def _phase(rate, t):
+    """The wave phase ``rate * t``; raises ``DataError`` naming t if it is not finite.
+
+    A finite t can still take the phase to inf, where no angle is defined.
+    """
+    phase = rate * t
+    if not math.isfinite(phase):
+        raise DataError(f"t = {t!r} takes the wave phase {rate!r} * t to {phase!r}")
+    return phase
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A location (x, p) in unshifted phase-plane coordinates."""

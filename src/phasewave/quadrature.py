@@ -3,7 +3,10 @@
 Integrands here are Gaussian-damped and smooth, so fixed-size rules with a
 single Richardson-style mesh halving are enough on the disk: composite
 trapezoid on the periodic angle (spectrally accurate) and Gauss-Legendre in
-the radius.  A line is a composite trapezoid too: its analytic integrand
+the radius.  The Gauss-Legendre nodes come from Newton's method on the
+Legendre recurrence, O(n^2) work in a few vectorised passes, with a last
+step in ``np.longdouble``; each mapped radius and weight rounds to a double
+once.  A line is a composite trapezoid too: its analytic integrand
 falls to rounding inside the window, where the rule converges geometrically,
 and a line whose estimate fails refines by midpoints up to eight times its
 panels.  Every routine reports convergence failure, a non-finite value
@@ -47,16 +50,66 @@ N_RHO, N_PHI, N_LINE = 512, 512, 512
 TOL = 1e-8
 
 
+def _newton_step(n, x):
+    """Newton step P_n(x) / P_n'(x) and P_n'(x) at the nodes ``x``, in their precision.
+
+    P_n comes from the monic recurrence scaled by 2^j, r_{j+1} = 2x r_j -
+    4j^2 / (4j^2 - 1) r_{j-1} from r_0 = 1 and r_1 = 2x, three in-place
+    operations a step; r_j = s_j P_j with s_j = prod_{i <= j} 2i / (2i - 1).
+    P_n' comes from (x^2 - 1) P_n' = n (x P_n - P_{n-1}).
+    """
+    j = np.arange(1, n, dtype=x.dtype)
+    two_x = 2.0 * x
+    prev, cur, tmp = np.ones_like(x), two_x.copy(), np.empty_like(x)
+    for g in 4.0 * j * j / (4.0 * j * j - 1.0):
+        np.multiply(two_x, cur, tmp)
+        prev *= g
+        np.subtract(tmp, prev, prev)
+        prev, cur = cur, prev
+    i = np.arange(1, n + 1, dtype=x.dtype)
+    ratios = 2.0 * i / (2.0 * i - 1.0)
+    s_prev = np.prod(ratios[:-1])
+    p = cur / (s_prev * ratios[-1])
+    dp = n * (x * p - prev / s_prev) / (x * x - 1.0)
+    return p / dp, dp
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes of order ``n`` on [-1, 1], ascending, and their weights.
+
+    Newton's method on the recurrence finds the nodes in [0, 1), all at
+    once, from Tricomi's guess (1 - (n-1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2)).
+    Once no node moves by more than 1e-9, one last step, which Newton's
+    quadratic convergence takes below rounding for n up to a few thousand,
+    runs in ``np.longdouble``; nodes and weights are returned in that type, so
+    that :func:`_gl_nodes` rounds each to a double once, after mapping.
+    P_n' at the last step's start, carried to the root by Legendre's
+    equation (P_n'' = 2x P_n' / (1 - x^2) where P_n = 0), gives the weights
+    2 / ((1 - x^2) P_n'^2).  The negative half is the mirror image, so the
+    nodes are exactly antisymmetric and the weights exactly symmetric.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
+    moved = 1.0
+    while moved > 1e-9:
+        step, _ = _newton_step(n, x)
+        x = x - step
+        moved = float(np.max(np.abs(step)))
+    x = x.astype(np.longdouble)
+    step, dp = _newton_step(n, x)
+    dp *= 1.0 - 2.0 * x * step / (1.0 - x * x)
+    x -= step
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x[n // 2:] = 0.0  # the middle node of an odd order
+    return np.concatenate((-x[:n // 2], x[::-1])), np.concatenate((w[:n // 2], w[::-1]))
 
 
 def _gl_nodes(n, a, b):
-    """Gauss-Legendre nodes of order ``n`` on [a, b] and their weights."""
+    """Gauss-Legendre nodes of order ``n`` on [a, b] and their weights, each rounded once."""
     xg, wg = _leggauss(n)
-    half = 0.5 * (b - a)
-    return half * (xg + 1.0) + a, half * wg
+    half = 0.5 * (np.longdouble(b) - a)
+    return (half * (xg + 1.0) + a).astype(float), (half * wg).astype(float)
 
 
 def _polar_factor_vectors(W, rho, phi, t):

@@ -88,16 +88,26 @@ class StationaryWigner:
         gauss = sign / (math.pi * pr.hbar) * math.exp(-a * (xb * xb)) * math.exp(-b * (p * p))
         if gauss == 0.0:
             return 0.0
-        # L_n(2a xb^2 + 2b p^2) expanded in p by Horner on the shifted argument
-        base = np.polynomial.Polynomial([2.0 * a * (xb * xb), 0.0, 2.0 * b])
+        # q holds coefficients in ascending powers of p: L_n(2a xb^2 + 2b p^2)
+        # expanded in p by Horner on the shifted argument, then q -> q' - 2b p q
+        # per order.  Each operation rounds as numpy.polynomial.Polynomial's
+        # does (the product negated, then q' added), so the value keeps its bits.
+        base = np.array([2.0 * a * (xb * xb), 0.0, 2.0 * b])
         coeffs = [(-1.0) ** k * math.comb(self.n, k) / math.factorial(k) for k in range(self.n + 1)]
-        q = np.polynomial.Polynomial([coeffs[-1]])
+        q = np.array(coeffs[-1:])
         for c in coeffs[-2::-1]:
-            q = q * base + c
-        two_b_p = np.polynomial.Polynomial([0.0, 2.0 * b])
+            q = np.convolve(q, base)
+            q[0] += c
+        two_b_p = np.array([0.0, 2.0 * b])
         for _ in range(int(order)):
-            q = q.deriv() - two_b_p * q
-        return gauss * float(q(p))
+            dq = q[1:] * np.arange(1, len(q)) if len(q) > 1 else q * 0
+            q = -np.convolve(two_b_p, q)
+            q[:len(dq)] += dq
+        at = 0.0 + p  # where numpy.polynomial evaluates, so -0.0 as 0.0
+        value = 0.0
+        for c in q[::-1].tolist():
+            value = c + value * at
+        return gauss * value
 
 
 def stationary_field(params: OscillatorParams, n) -> StationaryWigner:

@@ -12,6 +12,7 @@ operations in place on preallocated arrays and must reproduce them bit for
 bit, and its ``hermite`` and ``energy_xy`` take the same form.
 """
 
+import functools
 import json
 import math
 from decimal import Decimal, localcontext
@@ -90,6 +91,69 @@ def gauss_legendre(f, a, b, n_nodes):
     xg, wg = np.polynomial.legendre.leggauss(n_nodes)
     xs = 0.5 * (b - a) * (xg + 1.0) + a
     return float(0.5 * (b - a) * np.dot(wg, np.asarray(f(xs), dtype=float)))
+
+
+def p_derivative_polynomial(W, order, x, p):
+    """d^order W / dp^order of a ``StationaryWigner`` by ``numpy.polynomial.Polynomial`` algebra.
+
+    The library's ``p_derivative`` must give these bits: it does the same
+    operations on plain coefficient arrays, with no ``numpy.polynomial``.
+    """
+    pr = W.params
+    a = pr.m * pr.omega / pr.hbar
+    b = 1.0 / (pr.m * pr.hbar * pr.omega)
+    xb = float(x) + pr.alpha / (pr.m * pr.omega**2)
+    p = float(p)
+    sign = -1.0 if W.n % 2 else 1.0
+    gauss = sign / (math.pi * pr.hbar) * math.exp(-a * (xb * xb)) * math.exp(-b * (p * p))
+    if gauss == 0.0:
+        return 0.0
+    q = _laguerre_in_p(W.n, a, b, xb)
+    two_b_p = np.polynomial.Polynomial([0.0, 2.0 * b])
+    for _ in range(int(order)):
+        q = q.deriv() - two_b_p * q
+    return gauss * float(q(p))
+
+
+@functools.lru_cache(maxsize=256)
+def _laguerre_in_p(n, a, b, xb):
+    """L_n(2a xb^2 + 2b p^2) as a ``Polynomial`` in p, by Horner on the shifted argument."""
+    base = np.polynomial.Polynomial([2.0 * a * (xb * xb), 0.0, 2.0 * b])
+    coeffs = [(-1.0) ** k * math.comb(n, k) / math.factorial(k) for k in range(n + 1)]
+    q = np.polynomial.Polynomial([coeffs[-1]])
+    for c in coeffs[-2::-1]:
+        q = q * base + c
+    return q
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre_exact(n):
+    """Gauss-Legendre nodes and weights of order ``n`` on [-1, 1], ascending, to 40 digits.
+
+    Newton's method in ``decimal`` arithmetic on (j+1) P_{j+1} = (2j+1) x P_j
+    - j P_{j-1}, started from numpy's nodes and run until a step is below
+    1e-38; the weights are 2 / ((1 - x^2) P_n'(x)^2) at the converged nodes.
+    """
+    def legendre(x):
+        prev, cur = Decimal(1), x
+        for j in range(1, n):
+            prev, cur = cur, ((2 * j + 1) * x * cur - j * prev) / (j + 1)
+        return cur, n * (x * cur - prev) / (x * x - 1)
+
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for start in np.polynomial.legendre.leggauss(n)[0]:
+            x = Decimal(float(start))
+            for _ in range(8):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < Decimal("1e-38"):
+                    break
+            dp = legendre(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
 
 
 def upwind_roll_loop(values, c, steps, c_rem=0.0):

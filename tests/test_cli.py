@@ -55,6 +55,25 @@ def test_nonfinite_time_is_usage_error(argv, capsys):
     assert "phasewave: error: time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "1", "--ell", "2", "--t", "1e308"],
+    ["grid", "--n-rho", "4", "--n-phi", "16", "--ell", "2", "--t", "1e308"],
+])
+def test_time_whose_wave_phase_overflows_is_usage_error(argv, tmp_path, capsys):
+    assert invoke([*argv, "--out", str(tmp_path)] if argv[0] == "grid" else argv) == 2
+    captured = capsys.readouterr()
+    assert "takes the wave phase" in captured.err and "to inf" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_amplitude_whose_modulation_overflows_is_usage_error(capsys):
+    assert invoke(["eval", "--n", "1", "--ell", "2", "--A", "1e308", "--x", "1", "--p", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "2A/C must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_grid_nonfinite_time_writes_nothing(tmp_path, capsys):
     out = tmp_path / "field.csv"
     assert invoke(["grid", "--n-rho", "4", "--n-phi", "16", "--t", "nan",
@@ -224,19 +243,38 @@ def test_check_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_empty_suite_selection_is_refused_but_an_empty_flag_runs_all(monkeypatch, capsys):
+@pytest.mark.parametrize("suite", [",", "", " , "])
+def test_empty_suite_selection_is_refused_by_the_api_and_the_cli(suite, tmp_path, capsys):
     for names in ((), [], iter(())):
         with pytest.raises(ValueError, match="no suite selected"):
             phasewave.run_suite(names)
-    selected = []
+    out = tmp_path / "report.json"
+    assert invoke(["check", "--suite", suite, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "no suite selected; known: all, stationary_normalization" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
-    def run_suite(names, tol_override=None):
-        selected.append(names)
-        return phasewave.VerificationReport(checks=[])
-    monkeypatch.setattr(phasewave.verify, "run_suite", run_suite)
-    invoke(["check", "--suite", ","])
-    capsys.readouterr()
-    assert selected == [("all",)]
+
+def test_check_suite_imports_neither_numpy_random_nor_numpy_polynomial():
+    # pytest's own process has imported both, so the suite runs in a new one
+    code = ("import sys\n"
+            "import phasewave.cli\n"
+            "try:\n"
+            "    phasewave.cli.main(['check', '--suite', 'all'])\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            "print(status, sorted(m for m in sys.modules\n"
+            "                     if m.startswith(('numpy.random', 'numpy.polynomial'))))\n")
+    src = os.path.dirname(os.path.dirname(phasewave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-2] == "ALL CHECKS PASSED (13/13)"
+    assert lines[-1] == "0 []"
 
 
 def test_a_report_of_no_checks_does_not_pass():

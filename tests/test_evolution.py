@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError, Field2D,
-                       GridSpec, PhasePoint, PolynomialPotential, evolve_fd, moyal_rhs,
-                       poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
+                       GridSpec, OscillatorParams, PhasePoint, PolynomialPotential, evolve_fd,
+                       moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field)
 from phasewave.evolution import _fd_weights
@@ -180,6 +180,17 @@ def test_propagate_exact_refuses_a_bool_time():
     for W0 in (stationary_field(P, 2), kernel_times_sin(2)):
         with pytest.raises(DataError, match="t must be finite, got True"):
             propagate_exact(W0, P, True)
+
+
+def test_propagate_exact_refuses_a_time_whose_angle_overflows():
+    fast = OscillatorParams(omega=10.0)
+    for W0 in (stationary_field(fast, 2), kernel_times_sin(2)):
+        with pytest.raises(DataError, match="t = 1e\\+308 takes the wave phase 10.0 \\* t to inf"):
+            propagate_exact(W0, fast, 1e308)
+    # omega t = 1e308 is finite: the rotation is sampled as usual
+    grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=16)
+    rotated = sample_field(propagate_exact(stationary_field(P, 2), P, 1e308), grid, 1e308, P)
+    assert np.array_equal(rotated.values, sample_field(stationary_field(P, 2), grid, 0.0, P).values)
 
 
 def test_evolve_detects_nonfinite_values():

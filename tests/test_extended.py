@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import phasewave.extended
-from phasewave import (NATURAL_UNITS, DegenerateProfileError, PhasePoint,
-                       StandingWaveSpec, WaveProfile, antinode_angles, check_parity,
-                       extended_eval, extended_field, node_angles,
-                       normalization, running_wave_profile, standing_wave_eval,
-                       standing_wave_factor, standing_wave_field, stationary_profile,
-                       wigner_stationary, xy_from_polar)
+from phasewave import (NATURAL_UNITS, DataError, DegenerateProfileError, GridSpec,
+                       OscillatorParams, PhasePoint, StandingWaveSpec, WaveProfile,
+                       antinode_angles, check_parity, extended_eval, extended_field,
+                       marginal_over_p, node_angles, normalization, phase_space_integral,
+                       running_wave_profile, sample_field, standing_wave_eval,
+                       standing_wave_factor, standing_wave_field, stationary_field,
+                       stationary_profile, wigner_stationary, xy_from_polar)
 
 P = NATURAL_UNITS
 SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
@@ -67,6 +69,15 @@ def test_standing_spec_refuses_bool_amplitude_and_offset():
             StandingWaveSpec(ell=3, A=bad, C=5.0)
         with pytest.raises(ValueError, match="C must be finite and positive"):
             StandingWaveSpec(ell=3, A=2.0, C=bad)
+
+
+def test_standing_spec_refuses_an_amplitude_whose_modulation_overflows():
+    # the angular factor is 1 + (2A/C) cos(Omega t) sin(2 ell phi)
+    for A, C in ((1e308, 1.0), (-1e308, 5.0), (1e300, 1e-10), (1.0, 1e-320)):
+        with pytest.raises(ValueError, match="2A/C must be finite"):
+            StandingWaveSpec(ell=2, A=A, C=C)
+    spec = StandingWaveSpec(ell=2, A=8e307, C=1.0)
+    assert 2.0 * spec.A / spec.C == 1.6e308
 
 
 # ------------------------------------------------------------ normalization
@@ -307,7 +318,7 @@ def test_node_angles_ell_one():
 def test_parity_standing_wave_passes():
     report = check_parity(P, SPEC)
     assert report.passed
-    assert report.seed is not None
+    assert report.seed == phasewave.extended._PROFILE_SEED
     assert (report.samples, report.tol, len(report.times)) == (200, 1e-10, 5)
     assert report.max_violation_xbar <= report.tol
 
@@ -322,3 +333,57 @@ def test_parity_odd_kappa_sine_fails_on_xbar():
 def test_parity_running_wave_fails():
     report = check_parity(P, running_wave_profile(A=0.4, C=1.0, kappa=2))
     assert not report.passed
+
+
+# ------------------------------------------------------------ wave phase
+
+PHASE_SPEC = StandingWaveSpec(ell=2, A=0.4, C=1.0)  # Omega = 4 omega, as kappa = 4 below
+
+
+def _wave_fields(params):
+    return (standing_wave_field(params, 1, PHASE_SPEC),
+            extended_field(params, 1, PHASE_SPEC.to_profile()),
+            extended_field(params, 1, running_wave_profile(A=0.4, C=1.0, kappa=4)))
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, 5e307])
+def test_a_finite_time_whose_wave_phase_overflows_raises_a_data_error(t):
+    # Omega t overflows for |t| > 4.5e307; no numpy warning is emitted first
+    grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=16)
+    with pytest.raises(DataError, match="wave phase"):
+        standing_wave_factor(PHASE_SPEC, 0.3, t, P.omega)
+    message = re.escape(f"t = {t!r} takes the wave phase 4.0 * t to ") + "-?inf$"
+    for W in _wave_fields(P):
+        with pytest.raises(DataError, match=message):
+            W(1.0, 1.0, t)
+        for call in (lambda: W.polar_factors(np.ones(2), np.zeros(2), t),
+                     lambda: sample_field(W, grid, t, P),
+                     lambda: marginal_over_p(W, P, 0.3, t),
+                     lambda: phase_space_integral(W, P, t)):
+            with pytest.raises(DataError, match="wave phase"):
+                call()
+    # a stationary state has no wave phase: its value does not depend on t
+    assert stationary_field(P, 1)(1.0, 1.0, t) == stationary_field(P, 1)(1.0, 1.0, 0.0)
+
+
+def test_every_finite_wave_phase_keeps_its_bits():
+    t = 4e307  # Omega t = 1.6e308, the largest phase here
+    phi = np.linspace(0.0, 2.0 * math.pi, 7)
+    assert standing_wave_factor(PHASE_SPEC, phi, t, P.omega).tolist() == \
+        (2.0 * 0.4 * math.cos(4.0 * t) * np.sin(4.0 * phi)).tolist()
+    profile = running_wave_profile(A=0.4, C=1.0, kappa=4)
+    assert profile.bracket(phi, t, P.omega).tolist() == \
+        (1.0 + 0.0 + 0.4 * np.cos(4.0 * t - 4.0 * phi)).tolist()
+    for W in _wave_fields(P):
+        assert np.all(np.isfinite(W(phi, phi, t)))
+
+
+def test_wave_phase_overflow_depends_on_the_frequency():
+    slow = OscillatorParams(omega=1e-100)  # Omega t = 4e-100 * 1e308 = 4e208
+    for W in _wave_fields(slow):
+        assert math.isfinite(float(W(1e-140, 1e-140, 1e308)))
+    fast = OscillatorParams(omega=1e100)  # Omega t overflows past t = 4.5e207
+    for W in _wave_fields(fast):
+        assert math.isfinite(float(W(1.0, 1.0, 4e207)))
+        with pytest.raises(DataError, match="wave phase"):
+            W(1.0, 1.0, 5e207)

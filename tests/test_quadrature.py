@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +20,7 @@ from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, DataErr
 from phasewave import quadrature, verify, wigner
 from phasewave.quadrature import EXTENT, N_LINE, TOL, _line_integral
 
-from oracles import cartesian_integral, gauss_legendre, wigner_kernel_exact
+from oracles import cartesian_integral, gauss_legendre, gauss_legendre_exact, wigner_kernel_exact
 
 P = NATURAL_UNITS
 GENERAL = OscillatorParams(m=2.0, omega=0.5, hbar=1.3, alpha=0.7)
@@ -164,6 +168,34 @@ def test_line_rule_never_passes_a_wrong_kinked_integral():
             assert not err.estimate <= TOL
             continue
         assert np.all(est <= TOL) and np.all(np.abs(value - 1.0) <= TOL)
+
+
+def test_line_rule_refined_once_returns_the_finer_trapezoid_and_their_distance():
+    # exp(-x^2) / (x^2 + 0.08) has poles at x = +-0.283i, so the trapezoid
+    # converges geometrically but slowly: on the marginal window the 512-panel
+    # rule misses its 256-panel sub-rule by 1.4e-5 and the 1024-panel rule by
+    # 8.3e-12, well above the rounding of sums of size 8
+    def f(xs):
+        return np.exp(-xs * xs) / (xs * xs + 0.08)
+
+    def trapezoid(n):
+        xs = np.linspace(-EXTENT, EXTENT, n + 1)
+        vals = f(xs)
+        return 2.0 * EXTENT / n * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+
+    calls = []
+
+    def counted(xs):
+        calls.append(xs.shape)
+        return f(xs)
+
+    value, est = _line_integral(counted, -EXTENT, EXTENT, N_LINE, TOL, "pole_pair")
+    assert calls == [(N_LINE + 1,), (N_LINE,)]  # the panel ends, then the midpoints
+    t_n, t_2n = trapezoid(N_LINE), trapezoid(2 * N_LINE)
+    ulp = math.ulp(t_2n)
+    assert abs(value - t_2n) <= 4 * ulp
+    assert abs(est - abs(t_2n - t_n)) <= 4 * ulp
+    assert abs(t_2n - t_n) > 1000 * ulp and est <= TOL
 
 
 def test_marginal_accuracy_error_when_unreachable():
@@ -541,3 +573,70 @@ def test_non_finite_integrands_never_converge():
                     marginal(f, P, 0.0)
                 with pytest.raises(AccuracyError):
                     marginal(f, P, np.array([1.0, 0.0]))
+
+
+# ------------------------------------------------------------- Gauss-Legendre
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 256, 512])
+def test_leggauss_against_a_40_digit_reference(n):
+    nodes, weights = (a.astype(float) for a in quadrature._leggauss(n))
+    exact_nodes, exact_weights = gauss_legendre_exact(n)
+    numpy_nodes = np.polynomial.legendre.leggauss(n)[0]
+
+    def node_error(xs):
+        return max(abs(Decimal(float(x)) - e) for x, e in zip(xs, exact_nodes))
+
+    assert node_error(nodes) <= node_error(numpy_nodes)
+    assert max(abs(Decimal(float(w)) / e - 1) for w, e in zip(weights, exact_weights)) <= 2e-11
+    if np.finfo(np.longdouble).nmant > np.finfo(float).nmant:
+        # the last Newton step and the map to [a, b] run wider than a double:
+        # every node rounds correctly, and so does every radius of the disk
+        # rule, up to the wider type's rounding of x + 1 near x = -1
+        assert nodes.tolist() == [float(e) for e in exact_nodes]
+        radii, _ = quadrature._gl_nodes(n, 0.0, EXTENT)
+        slack = Decimal(EXTENT * float(np.finfo(np.longdouble).eps))
+        for r, e in zip(radii, exact_nodes):
+            assert abs(Decimal(float(r)) - Decimal(EXTENT) / 2 * (e + 1)) \
+                <= Decimal(float(np.spacing(r))) / 2 + slack
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [100, 255, 256, 511, 512, 1023, 1024])
+def test_leggauss_agrees_with_numpy(n):
+    nodes, weights = quadrature._leggauss(n)
+    numpy_nodes, numpy_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    # numpy's nodes are within about an ulp of the roots; its weights carry
+    # up to 1.2e-9 relative error at n = 1024
+    assert np.max(np.abs(nodes - numpy_nodes)) <= 2.3e-16
+    assert np.max(np.abs(weights / numpy_weights - 1.0)) <= 5e-9
+    assert abs(weights.sum() - 2.0) <= 1e-14
+
+
+def test_leggauss_costs_a_third_of_numpys_in_a_fresh_interpreter():
+    # the disk rule's two sizes, each timed once in a new process, where
+    # neither rule has cached anything; the best of three runs counts, so
+    # that another process on the machine cannot fail the test alone
+    code = (
+        "import time\n"
+        "import numpy.polynomial.legendre as legendre\n"
+        "from phasewave.quadrature import _leggauss\n"
+        "def cost(rule):\n"
+        "    start = time.perf_counter()\n"
+        "    rule(256), rule(512)\n"
+        "    return time.perf_counter() - start\n"
+        "print(cost(_leggauss) / cost(legendre.leggauss))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadrature.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ratios = []
+    for _ in range(3):
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        ratios.append(float(done.stdout))
+        if ratios[-1] <= 1.0 / 3.0:
+            break
+    assert min(ratios) <= 1.0 / 3.0, ratios

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from phasewave import (NATURAL_UNITS, OscillatorParams, PhasePoint, StandingWave
 from phasewave.errors import DataError
 from phasewave.wigner import _transform_lines
 
-from oracles import lag_series, simpson, wigner_kernel_exact
+from oracles import lag_series, p_derivative_polynomial, simpson, wigner_kernel_exact
 
 GENERAL = OscillatorParams(m=2.0, omega=0.7, hbar=1.3, alpha=0.9)
 SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
@@ -173,6 +174,22 @@ def test_p_derivative_is_zero_where_the_gaussian_underflows(params, recwarn):
             for order in range(4):
                 assert W.p_derivative(order, x, p) == 0.0
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("params", [NATURAL_UNITS, GENERAL, SCALED],
+                         ids=["natural", "general", "scaled"])
+def test_p_derivative_has_the_bits_of_the_polynomial_class_form(params):
+    # the coefficient-array algebra must round as numpy.polynomial.Polynomial
+    # does, signed zeros included, across the Gaussian's underflow at |p| ~ 27
+    points = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.3, -0.7), (-1.1, 2.5), (2.0, 0.4),
+              (-4.0, 6.0), (0.5, -27.0), (0.2, 27.5), (30.0, 1.0), (1e3, 0.0), (0.0, 1e150)]
+    for n in range(65):
+        W = stationary_field(params, n)
+        for order in range(5):
+            for x, p in points:
+                got = W.p_derivative(order, x, p)
+                want = p_derivative_polynomial(W, order, x, p)
+                assert struct.pack("<d", got) == struct.pack("<d", want), (n, order, x, p)
 
 
 def test_nan_coordinate_raises_a_data_error_naming_it():
