@@ -22,8 +22,7 @@ T = spec.period(params.omega)
 print(f"wave number kappa = {spec.kappa}, frequency Omega = {spec.omega_wave(params.omega)}, "
       f"period T = {T:.6f}")
 
-norm = normalization(spec.to_profile())
-print(f"normalization N = {norm.N} (expect 1/C = {1 / spec.C})")
+print(f"normalization N = {normalization(spec.to_profile())} (expect 1/C = {1 / spec.C})")
 print("parity of the angular factor:", "odd" if check_parity(params, spec).passed else "NOT odd")
 
 print("\n=== snapshots over one period (n = 0) ===")

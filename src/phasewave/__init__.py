@@ -11,14 +11,14 @@ from .errors import (AccuracyError, BlowupError, ConfigurationError, DataError,
                      DegenerateProfileError)
 from .evolution import (Field2D, GridSpec, PolynomialPotential, evolve_fd, moyal_rhs,
                         poly_derivative, propagate_exact, transport_residual, wave_residual)
-from .extended import (ExtendedWigner, Normalization, ParityReport, StandingWaveSpec,
+from .extended import (ExtendedWigner, ParityReport, StandingWaveSpec,
                        StandingWaveWigner, WaveProfile, antinode_angles, check_parity,
                        extended_eval, extended_field, node_angles, normalization,
                        running_wave_profile, standing_wave_eval, standing_wave_factor,
                        standing_wave_field, stationary_profile)
 from .gridio import export_field, read_field, sample_field
 from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, energy_xy, polar_from_xy,
-                         shifted_x, xy_from_polar)
+                         xy_from_polar)
 from .quadrature import (laguerre_energy_identity, marginal_over_p, marginal_over_x,
                          mean_energy, phase_space_integral)
 from .special import MAX_ORDER, hermite, laguerre, log_weight

@@ -206,14 +206,16 @@ def wave_residual(fields, params: OscillatorParams) -> Field2D:
 
     ``fields`` holds three samples of the same grid at consecutive times
     t - dt, t, t + dt.  Vanishes under refinement at second order for any
-    solution of the membrane wave equation.
+    solution of the membrane wave equation.  Formed in the phase tau = omega t
+    as omega (omega (W_tautau - W_phiphi)): omega^2 and dt^2 may not be doubles.
     """
     fm, f0, fp, dt = _check_triplet(fields)
     v = f0.values
-    wtt = (fp.values - 2.0 * v + fm.values) / dt**2
+    dtau = params.omega * dt
+    wtt = (fp.values - 2.0 * v + fm.values) / (dtau * dtau)
     dphi = f0.grid.delta_phi
-    wpp = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / dphi**2
-    res = wtt - params.omega**2 * wpp
+    wpp = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / (dphi * dphi)
+    res = params.omega * (params.omega * (wtt - wpp))
     return Field2D(grid=f0.grid, values=res, time_tag=f0.time_tag,
                    meta={"kind": "wave_residual", "dt": dt})
 
@@ -345,6 +347,7 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
                 w_d = exact(d, pt.x, pt.p)
             else:
                 w_d = _fd_p_derivative(W, d, pt.x, pt.p, t)
-            total += (-1.0) ** k * (hbar / 2.0) ** (2 * k) / math.factorial(d) * u_d * w_d
+            scale = math.prod([hbar / 2.0] * (2 * k))  # no float power: it raises on overflow
+            total += (-1.0) ** k * scale / math.factorial(d) * u_d * w_d
         k += 1
     return total

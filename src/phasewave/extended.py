@@ -83,7 +83,7 @@ class WaveProfile:
         _sample_periodic(self.g, "g", self.kappa)
 
     @cached_property
-    def norm(self) -> Normalization:
+    def norm(self) -> float:
         return normalization(self)
 
     def omega_wave(self, omega: float) -> float:
@@ -161,17 +161,8 @@ def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
     return 2.0 * spec.A * math.cos(_phase(spec.omega_wave(omega), t)) * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
 
 
-@dataclass(frozen=True)
-class Normalization:
-    """Normalization factor N = 1/(C + <f> + <g>) with the profile means."""
-
-    N: float
-    mean_f: float
-    mean_g: float
-
-
-def normalization(profile: WaveProfile) -> Normalization:
-    """Compute the profile means and N = 1/(C + <f> + <g>).
+def normalization(profile: WaveProfile) -> float:
+    """The normalization factor N = 1/(C + <f> + <g>) of a profile.
 
     The means are angular averages of f(Omega t + kappa phi) and
     g(Omega t - kappa phi) over phi in [0, 2 pi) by periodic trapezoid;
@@ -194,14 +185,12 @@ def normalization(profile: WaveProfile) -> Normalization:
             )
         return m0
 
-    mean_f = angular_mean(profile.f, +1.0, "f")
-    mean_g = angular_mean(profile.g, -1.0, "g")
-    den = profile.C + mean_f + mean_g
+    den = profile.C + angular_mean(profile.f, +1.0, "f") + angular_mean(profile.g, -1.0, "g")
     if abs(den) < 1e-12:
         raise DegenerateProfileError(
             f"C + <f> + <g> = {den!r} is numerically zero; the profile cannot be normalized"
         )
-    return Normalization(N=1.0 / den, mean_f=mean_f, mean_g=mean_g)
+    return 1.0 / den
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,7 @@ class ExtendedWigner:
         W(rho_i, phi_j, t) = radial[i] * angular[j] away from the origin.
         """
         _require_finite(t, "t")
-        radial = self.profile.norm.N * radial_kernel(self.params, self.n, rho)
+        radial = self.profile.norm * radial_kernel(self.params, self.n, rho)
         angular = np.asarray(self.profile.bracket(phi, t, self.params.omega), dtype=float)
         return radial, angular
 

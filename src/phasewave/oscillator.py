@@ -1,15 +1,20 @@
-"""Oscillator parameters and phase-plane geometry.
+"""Oscillator parameters, the unit scales they fix, and phase-plane geometry.
 
-The linear term of the potential only shifts the equilibrium: with
-xbar = x + alpha/(m omega^2) the dynamics are those of a centered
-oscillator.  The phase plane (xbar, p) maps to scaled coordinates
-u = omega xbar, v = p/m and then to polar (rho, phi); the radius carries
-the energy through eps = m rho^2 / (2 hbar omega).
+The linear term of the potential only shifts the equilibrium to
+xbar = x + alpha/(m omega^2).  :class:`OscillatorParams` forms every unit
+scale once, as products and quotients of square roots: the widths
+sigma_x = sqrt(hbar/(m omega)) and sigma_p = sqrt(m hbar omega), the radius
+scale rho_scale = sqrt(hbar omega/m), the value scale 1/(pi hbar), the area
+hbar and the shift, (alpha/omega)/sigma_p widths.  The kernels and rules
+run in xi = xbar/sigma_x and eta = p/sigma_p, with eps = (xi^2 + eta^2)/2
+and dx dp = hbar dxi deta; units stay at the boundary: the polar map
+rho = rho_scale hypot(xi, eta), the marginal windows, grids and export.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +29,18 @@ def _positive_real(value) -> bool:
     return not isinstance(value, bool) and math.isfinite(value) and value > 0.0
 
 
+#: Largest accepted shift in widths: a double x that far out still resolves
+#: xi = (x + shift)/sigma_x to 2^-30, a tenth of the quadrature tolerance.
+MAX_SHIFT_WIDTHS = 2.0**23
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Mass, angular frequency, action quantum and linear-shift coefficient."""
+    """Mass, angular frequency, action quantum and linear-shift coefficient.
+
+    Construction sets the read-only scales of the module docstring and
+    raises ``ValueError`` naming the first that does not fit in a double.
+    """
 
     m: float = 1.0
     omega: float = 1.0
@@ -40,11 +54,21 @@ class OscillatorParams:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-
-    @property
-    def shift(self) -> float:
-        """Equilibrium offset alpha/(m omega^2) between x and xbar."""
-        return self.alpha / (self.m * self.omega**2)
+        root_m, root_w, root_h = math.sqrt(self.m), math.sqrt(self.omega), math.sqrt(self.hbar)
+        for name, v in (("sigma_x", root_h / root_m / root_w),
+                        ("sigma_p", root_m * root_h * root_w),
+                        ("rho_scale", root_h * root_w / root_m),
+                        ("value_scale", 1.0 / (math.pi * self.hbar)),
+                        ("area", float(self.hbar))):
+            if not (math.isfinite(v) and v >= sys.float_info.min):
+                raise ValueError(f"the scale {name} = {v!r} is not a finite normal double")
+            object.__setattr__(self, name, v)
+        widths = self.alpha / self.omega / self.sigma_p
+        shift = widths * self.sigma_x
+        if not (abs(widths) <= MAX_SHIFT_WIDTHS and math.isfinite(shift)):
+            raise ValueError(f"the scale shift = {shift!r} is {widths!r} widths sigma_x, "
+                             f"not finite or beyond {MAX_SHIFT_WIDTHS:.0f}")
+        object.__setattr__(self, "shift", shift)
 
 
 NATURAL_UNITS = OscillatorParams(m=1.0, omega=1.0, hbar=1.0, alpha=0.0)
@@ -88,50 +112,41 @@ class PhasePoint:
         object.__setattr__(self, "p", _require_finite(self.p, "p"))
 
 
-def shifted_x(params: OscillatorParams, x):
-    """Shifted coordinate xbar = x + alpha/(m omega^2)."""
-    return x + params.shift
+def xi_of(params: OscillatorParams, x):
+    """The position in widths, xi = (x + shift) / sigma_x, as a float array."""
+    return (coordinate(x, "x") + params.shift) / params.sigma_x
 
 
 def polar_from_xy(params: OscillatorParams, x, p):
-    """Vectorized (x, p) -> (rho, phi) with phi in [0, 2pi), phi(origin) = 0."""
-    x = coordinate(x, "x")
-    p = coordinate(p, "p")
-    shape = np.broadcast(x, p).shape
-    u, v, phi = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.add(x, params.shift, out=u)
-    u *= params.omega
-    np.divide(p, params.m, out=v)
-    np.arctan2(v, u, out=phi)
-    rho = np.hypot(u, v, out=u)
+    """(x, p) -> (rho, phi) = (rho_scale hypot(xi, eta), atan2(eta, xi) in [0, 2pi), 0 at 0)."""
+    xi, eta = xi_of(params, x), coordinate(p, "p") / params.sigma_p
+    phi = np.arctan2(eta, xi, out=np.empty(np.broadcast(xi, eta).shape))
+    rho = np.hypot(xi, eta)
+    rho *= params.rho_scale
     # arctan2 lies in [-pi, pi]: adding 2pi to a negative angle rounds as
-    # ``% TWO_PI`` would, and adding 0.0 to -0.0 gives +0.0.  A tiny
-    # negative angle can round up to 2pi, which wraps to 0.
-    np.multiply(phi < 0.0, TWO_PI, out=v)
-    phi += v
+    # ``% TWO_PI`` would.  Adding it to a signed zero too gives 2pi, and so
+    # can adding it to a tiny negative angle; both wrap to +0.0.
+    np.add(phi, TWO_PI, out=phi, where=phi <= 0.0)
     phi[(phi >= TWO_PI) | (rho == 0.0)] = 0.0
-    return rho[()], phi
+    return rho, phi
 
 
 def xy_from_polar(params: OscillatorParams, rho, phi):
     """Vectorized (rho, phi) -> (x, p) inverse of :func:`polar_from_xy`."""
-    rho = np.asarray(rho, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    x = rho / params.omega * np.cos(phi) - params.shift
-    p = params.m * rho * np.sin(phi)
+    r = np.asarray(rho, dtype=float) / params.rho_scale
+    x = params.sigma_x * r * np.cos(phi) - params.shift
+    p = params.sigma_p * r * np.sin(phi)
     return x, p
 
 
 def energy_xy(params: OscillatorParams, x, p):
-    """Vectorized dimensionless energy eps(xbar, p) in units of hbar omega.
+    """Vectorized dimensionless energy eps = (xi^2 + eta^2)/2 in units of hbar omega.
 
     The squares are products, which round the same for a 0-d point as for
     the point inside an array; numpy's scalar power does not.  Far enough
     out the energy overflows to inf, without a warning.
     """
-    xb = coordinate(x, "x") + params.shift
-    pp = coordinate(p, "p")
     with np.errstate(over="ignore"):
-        kinetic = pp * pp / (2.0 * params.m)
-        potential = 0.5 * params.m * params.omega**2 * (xb * xb)
-        return (kinetic + potential) / (params.hbar * params.omega)
+        xi = xi_of(params, x)
+        eta = coordinate(p, "p") / params.sigma_p
+        return 0.5 * (xi * xi + eta * eta)

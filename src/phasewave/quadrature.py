@@ -46,7 +46,7 @@ EXTENT = math.sqrt(2 * MAX_ORDER + 1) + 4.5
 #: even): the power of two at which no eigenstate line of order <=
 #: MAX_ORDER refines; on 256 panels the 128-panel sub-rule misses TOL.
 N_RHO, N_PHI, N_LINE = 512, 512, 512
-#: Absolute tolerance of every integral's mesh-halving estimate.
+#: Absolute tolerance of every mesh-halving estimate, in the value's natural unit.
 TOL = 1e-8
 
 
@@ -123,34 +123,33 @@ def _polar_factor_vectors(W, rho, phi, t):
             np.broadcast_to(np.asarray(angular, dtype=float), phi.shape))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows is non-finite, a failure
 def _disk_sum(W, params, n_rho, n_phi, t, radial_weight, label):
-    """One fixed-size evaluation of (m/omega) * integral of W g rho drho dphi over the disk.
+    """One fixed-size evaluation of hbar * integral of W g r dr dphi over r <= ``EXTENT``.
 
-    The radius is ``EXTENT`` widths sqrt(hbar omega/m).  A field with
+    The field sees the radii rho = rho_scale r.  A field with
     ``polar_factors`` takes the factored form (sum_i w_i J_i radial_i)
-    (dphi sum_j angular_j) of the tensor-product rule, with J the Jacobian
-    (m/omega) rho g(rho).  Any other callable is evaluated on the full grid
-    and refused when |W| J on the outermost ring, times the radius, exceeds
-    ``TOL``.
+    (dphi sum_j angular_j) of the tensor-product rule, with J = r g(r).
+    Any other callable is evaluated on the full grid and refused when
+    hbar |W| J on the outermost ring, times ``EXTENT``, exceeds ``TOL``.
     """
-    radius = EXTENT * math.sqrt(params.hbar * params.omega / params.m)
-    rho, wr = _gl_nodes(n_rho, 0.0, radius)
+    r, wr = _gl_nodes(n_rho, 0.0, EXTENT)
+    rho = params.rho_scale * r
     phi = TWO_PI * np.arange(n_phi) / n_phi
-    jac = params.m / params.omega * rho
-    if radial_weight is not None:
-        jac = jac * radial_weight(rho)
+    jac = r if radial_weight is None else r * radial_weight(r)
+    cell = TWO_PI / n_phi * params.area
     if hasattr(W, "polar_factors"):
         radial, angular = _polar_factor_vectors(W, rho, phi, t)
-        return float(np.dot(wr, jac * radial)) * float(angular.sum()) * (TWO_PI / n_phi)
+        return float(np.dot(wr, jac * radial)) * float(angular.sum()) * cell
     x, p = xy_from_polar(params, rho[:, None], phi[None, :])
     vals = np.broadcast_to(np.asarray(W(x, p, t), dtype=float), x.shape)
-    edge = float(np.max(np.abs(vals[-1]))) * jac[-1] * radius
+    edge = float(np.max(np.abs(vals[-1]))) * jac[-1] * EXTENT * params.area
     if edge > TOL:
         raise ConfigurationError(
             f"{label}: the integrand on the outermost ring can truncate up to {edge:.3e}, "
             f"above tol {TOL:g}; it has not decayed within {EXTENT:.2f} Gaussian widths"
         )
-    return float(np.dot(wr * jac, vals.sum(axis=1))) * (TWO_PI / n_phi)
+    return float(np.dot(wr * jac, vals.sum(axis=1))) * cell
 
 
 def _refined(rule, label):
@@ -242,9 +241,9 @@ def phase_space_integral(W, params: OscillatorParams, t: float = 0.0,
                          return_error: bool = False):
     """Integral of W over the whole phase plane.
 
-    Computed in polar coordinates with the Jacobian dx dp =
-    (m/omega) rho drho dphi; raises ``AccuracyError`` if the mesh-halving
-    estimate stays above ``TOL``.
+    Computed in polar widths with the Jacobian dx dp = hbar r dr dphi;
+    raises ``AccuracyError`` if the mesh-halving estimate stays above
+    ``TOL``.
     """
     value, est = _disk_integral(W, params, t, None, "phase_space_integral")
     return (value, est) if return_error else value
@@ -253,14 +252,9 @@ def phase_space_integral(W, params: OscillatorParams, t: float = 0.0,
 def mean_energy(W, params: OscillatorParams, t: float = 0.0, return_error: bool = False):
     """Dimensionless mean energy: integral of eps(xbar, p) W over the plane.
 
-    Multiply by hbar*omega for the physical energy.
+    Multiply by hbar*omega for the physical energy.  In widths eps = r^2/2.
     """
-    scale = params.m / (2.0 * params.hbar * params.omega)
-
-    def weight(rho):
-        return scale * rho**2
-
-    value, est = _disk_integral(W, params, t, weight, "mean_energy")
+    value, est = _disk_integral(W, params, t, lambda r: 0.5 * (r * r), "mean_energy")
     return (value, est) if return_error else value
 
 
@@ -268,17 +262,18 @@ def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
                     return_error: bool = False):
     """Integral of W over p at fixed x, for one position or an array of them.
 
-    Runs in Cartesian variables over ``EXTENT`` Gaussian momentum widths
-    sqrt(m hbar omega) either side of p = 0.  An array ``x`` evaluates W
-    once for all its lines and returns arrays of its shape; each line gets
-    the value and estimate a call with that position alone would give.
-    Raises ``ConfigurationError`` when W at the window ends is not
-    negligible, which no field of order n <= ``MAX_ORDER`` reaches.
+    Runs in Cartesian variables over ``EXTENT`` widths sigma_p either side
+    of p = 0, against ``TOL`` in the density's unit 1/sigma_x.  An array
+    ``x`` evaluates W once for all its lines and returns arrays of its
+    shape; each line gets the value and estimate a call with that position
+    alone would give.  Raises ``ConfigurationError`` when W at the window
+    ends is not negligible, which no field of order n <= ``MAX_ORDER``
+    reaches.
     """
-    half = EXTENT * math.sqrt(params.m * params.hbar * params.omega)
+    half = EXTENT * params.sigma_p
     lines = np.asarray(x, dtype=float)[..., None]
-    value, est = _line_integral(lambda ps: W(lines, ps, t), -half, half, N_LINE, TOL,
-                                "marginal_over_p")
+    value, est = _line_integral(lambda ps: W(lines, ps, t), -half, half, N_LINE,
+                                TOL / params.sigma_x, "marginal_over_p")
     return (value, est) if return_error else value
 
 
@@ -287,14 +282,14 @@ def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
     """Integral of W over x at fixed p, for one momentum or an array of them.
 
     The window is centered on the shifted origin xbar = 0 and spans
-    ``EXTENT`` Gaussian position widths sqrt(hbar/(m omega)) either side.
-    An array ``p`` is batched as in :func:`marginal_over_p`.
+    ``EXTENT`` widths sigma_x either side, against ``TOL`` in the unit
+    1/sigma_p.  An array ``p`` is batched as in :func:`marginal_over_p`.
     """
-    half = EXTENT * math.sqrt(params.hbar / (params.m * params.omega))
+    half = EXTENT * params.sigma_x
     center = -params.shift
     lines = np.asarray(p, dtype=float)[..., None]
     value, est = _line_integral(lambda xs: W(xs, lines, t), center - half, center + half,
-                                N_LINE, TOL, "marginal_over_x")
+                                N_LINE, TOL / params.sigma_p, "marginal_over_x")
     return (value, est) if return_error else value
 
 

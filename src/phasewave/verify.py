@@ -124,8 +124,7 @@ def check_extended_normalization(tol: float = 1e-10) -> CheckResult:
     for ell in (1, 2, 3):
         for C in (1.0, 5.0):
             spec = StandingWaveSpec(ell=ell, A=2.0, C=C)
-            norm = normalization(spec.to_profile())
-            dev = abs(norm.N - 1.0 / C)
+            dev = abs(normalization(spec.to_profile()) - 1.0 / C)
             cases[f"ell={ell},C={C:g}"] = dev
             worst = max(worst, dev)
     return CheckResult(
@@ -447,8 +446,9 @@ def check_moyal_degeneration(tol: float = 1e-6) -> CheckResult:
     the single surviving closed-form term for x^3 and x^4."""
     params = NATURAL_UNITS
     hbar = params.hbar
-    quadratic = PolynomialPotential((params.alpha**2 / (2 * params.m * params.omega**2),
-                                     params.alpha, 0.5 * params.m * params.omega**2))
+    # m omega^2 (x + shift)^2 / 2 expanded in x
+    quadratic = PolynomialPotential((0.5 * params.alpha * params.shift, params.alpha,
+                                     0.5 * params.m * params.omega * params.omega))
     shifted = PolynomialPotential((0.3, 1.7, 0.9))
     pts = [PhasePoint(0.3, -0.4), PhasePoint(1.1, 0.7)]
     vanishes = all(moyal_rhs(U, _MustNotEvaluate(), pt, hbar) == 0.0
@@ -461,8 +461,8 @@ def check_moyal_degeneration(tol: float = 1e-6) -> CheckResult:
     plain = lambda x, p, t=0.0: W(x, p, t)  # hides p_derivative: forces the FD path
     for pt in pts:
         wppp = W.p_derivative(3, pt.x, pt.p)
-        closed_cubic = -(hbar**2 / 4.0) * wppp
-        closed_quartic = -hbar**2 * pt.x * wppp
+        closed_cubic = -(hbar * hbar / 4.0) * wppp
+        closed_quartic = -(hbar * hbar) * pt.x * wppp
         for U, closed in ((cubic, closed_cubic), (quartic, closed_quartic)):
             scale = max(1.0, abs(closed))
             worst_exact = max(worst_exact, abs(moyal_rhs(U, W, pt, hbar) - closed) / scale)

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, _require_finite,
-                         coordinate, energy_xy, shifted_x)
+from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint,
+                         _require_finite, coordinate, energy_xy, xi_of)
 from .quadrature import EXTENT, N_LINE, TOL, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
 
 def _kernel(params: OscillatorParams, n: int, eps):
-    """Gaussian-Laguerre kernel ((-1)^n / (pi hbar)) exp(-2 eps) L_n(4 eps) of the energy eps.
+    """Gaussian-Laguerre kernel (-1)^n value_scale exp(-2 eps) L_n(4 eps) of the energy eps.
 
     Past eps = 400, exp(-2 eps) is exactly 0 and L_n keeps the sign (-1)^n of
     L_n(1600), finite for n <= MAX_ORDER; clamping there keeps the recurrence
@@ -28,14 +28,15 @@ def _kernel(params: OscillatorParams, n: int, eps):
     """
     sign = -1.0 if n % 2 else 1.0
     lag = laguerre(n, 4.0 * np.minimum(eps, 400.0))
-    return sign / (math.pi * params.hbar) * np.exp(-2.0 * eps) * lag
+    return sign * params.value_scale * np.exp(-2.0 * eps) * lag
 
 
 def radial_kernel(params: OscillatorParams, n, rho):
-    """Radial factor ((-1)^n / (pi hbar)) exp(-m rho^2/(hbar omega)) L_n(2 m rho^2/(hbar omega))."""
+    """Radial factor (-1)^n value_scale exp(-r^2) L_n(2 r^2) at the radii rho = rho_scale r."""
     n = check_order(n)
     with np.errstate(over="ignore"):  # far enough out eps = inf, whose kernel is 0
-        eps = 0.5 * params.m * coordinate(rho, "rho") ** 2 / (params.hbar * params.omega)
+        r = coordinate(rho, "rho") / params.rho_scale
+        eps = 0.5 * (r * r)
     out = _kernel(params, n, eps)
     return out if np.ndim(rho) else float(out)
 
@@ -45,7 +46,7 @@ class StationaryWigner:
     """Callable field W(x, p, t) for eigenstate ``n``; time independent.
 
     Besides evaluation, the p-dependence at fixed x is the Gaussian
-    exp(-p^2/(m hbar omega)) times a polynomial, so derivatives with
+    exp(-eta^2) times a polynomial in eta = p/sigma_p, so derivatives with
     respect to p of any order are available in closed form; they serve as
     the exact-derivative path for phase-space evolution checks.
     """
@@ -72,42 +73,41 @@ class StationaryWigner:
     def p_derivative(self, order, x, p):
         """Exact d^order W / dp^order at the scalar point (x, p).
 
-        W(x, p) = K exp(-a xbar^2) exp(-b p^2) q(p) with q a polynomial.
-        Where the Gaussian underflows the value is 0, and q, which could
-        overflow there, is not formed.
+        W(x, p) = K exp(-xi^2) exp(-eta^2) q(eta) with q a polynomial, and
+        each derivative in p is one in eta divided by sigma_p.  Where the
+        Gaussian underflows the value is 0, and q, which could overflow
+        there, is not formed.
         """
         if order < 0 or int(order) != order:
             raise ValueError(f"derivative order must be a non-negative integer, got {order}")
         pr = self.params
-        a = pr.m * pr.omega / pr.hbar
-        b = 1.0 / (pr.m * pr.hbar * pr.omega)
-        xb = shifted_x(pr, float(coordinate(x, "x")))
-        p = float(coordinate(p, "p"))
+        xi = (float(coordinate(x, "x")) + pr.shift) / pr.sigma_x
+        eta = float(coordinate(p, "p")) / pr.sigma_p
         sign = -1.0 if self.n % 2 else 1.0
         # products, not ** 2: a Python float power raises OverflowError
-        gauss = sign / (math.pi * pr.hbar) * math.exp(-a * (xb * xb)) * math.exp(-b * (p * p))
+        gauss = sign * pr.value_scale * math.exp(-(xi * xi)) * math.exp(-(eta * eta))
         if gauss == 0.0:
             return 0.0
-        # q holds coefficients in ascending powers of p: L_n(2a xb^2 + 2b p^2)
-        # expanded in p by Horner on the shifted argument, then q -> q' - 2b p q
+        # q holds coefficients in ascending powers of eta: L_n(2 xi^2 + 2 eta^2)
+        # expanded in eta by Horner on the shifted argument, then q -> q' - 2 eta q
         # per order.  Each operation rounds as numpy.polynomial.Polynomial's
         # does (the product negated, then q' added), so the value keeps its bits.
-        base = np.array([2.0 * a * (xb * xb), 0.0, 2.0 * b])
+        base = np.array([2.0 * (xi * xi), 0.0, 2.0])
         coeffs = [(-1.0) ** k * math.comb(self.n, k) / math.factorial(k) for k in range(self.n + 1)]
         q = np.array(coeffs[-1:])
         for c in coeffs[-2::-1]:
             q = np.convolve(q, base)
             q[0] += c
-        two_b_p = np.array([0.0, 2.0 * b])
+        two_eta = np.array([0.0, 2.0])
         for _ in range(int(order)):
             dq = q[1:] * np.arange(1, len(q)) if len(q) > 1 else q * 0
-            q = -np.convolve(two_b_p, q)
+            q = -np.convolve(two_eta, q)
             q[:len(dq)] += dq
-        at = 0.0 + p  # where numpy.polynomial evaluates, so -0.0 as 0.0
-        value = 0.0
-        for c in q[::-1].tolist():
-            value = c + value * at
-        return gauss * value
+        # Horner at 0.0 + eta, where numpy.polynomial evaluates, so -0.0 as 0.0
+        value = float(np.polyval(q[::-1], 0.0 + eta)) * gauss
+        for _ in range(int(order)):
+            value /= pr.sigma_p
+        return value
 
 
 def stationary_field(params: OscillatorParams, n) -> StationaryWigner:
@@ -116,7 +116,7 @@ def stationary_field(params: OscillatorParams, n) -> StationaryWigner:
 
 
 def wigner_stationary(params: OscillatorParams, n, pt: PhasePoint) -> float:
-    """Stationary Wigner value ((-1)^n/(pi hbar)) exp(-2 eps) L_n(4 eps) at a point."""
+    """Stationary Wigner value (-1)^n value_scale exp(-2 eps) L_n(4 eps) at a point."""
     return float(stationary_field(params, n)(pt.x, pt.p))
 
 
@@ -134,34 +134,31 @@ def _hermite_gauss(n: int, xi):
 
 
 def position_density(params: OscillatorParams, n, x):
-    """Position density |Psi_n(xbar)|^2 of eigenstate ``n``."""
+    """Position density |Psi_n(xbar)|^2 of eigenstate ``n``: |psi_n(xi)|^2 / sigma_x."""
     n = check_order(n)
-    xi = np.sqrt(params.m * params.omega / params.hbar) * (coordinate(x, "x") + params.shift)
-    amp = _hermite_gauss(n, xi)
-    out = math.sqrt(params.m * params.omega / (math.pi * params.hbar)) * np.asarray(amp) ** 2
+    amp = _hermite_gauss(n, xi_of(params, x))
+    out = math.sqrt(1.0 / math.pi) / params.sigma_x * np.asarray(amp) ** 2
     return out if np.ndim(x) else float(out)
 
 
 def momentum_density(params: OscillatorParams, n, p):
-    """Momentum density |Psi~_n(p)|^2 of eigenstate ``n``.
+    """Momentum density |Psi~_n(p)|^2 of eigenstate ``n``: |psi_n(eta)|^2 / sigma_p.
 
-    Mirror of the position density under xbar sqrt(m omega/hbar) <->
-    p/sqrt(m hbar omega); validated against the quadrature of the Wigner
-    function over x rather than trusted as a formula.
+    Mirror of the position density under xi <-> eta; validated against the
+    quadrature of the Wigner function over x rather than trusted as a
+    formula.
     """
     n = check_order(n)
-    eta = coordinate(p, "p") / math.sqrt(params.m * params.hbar * params.omega)
-    amp = _hermite_gauss(n, eta)
-    out = np.asarray(amp) ** 2 / math.sqrt(math.pi * params.m * params.hbar * params.omega)
+    amp = _hermite_gauss(n, coordinate(p, "p") / params.sigma_p)
+    out = np.asarray(amp) ** 2 / (math.sqrt(math.pi) * params.sigma_p)
     return out if np.ndim(p) else float(out)
 
 
 def wavefunction(params: OscillatorParams, n, x):
-    """Real eigenfunction Psi_n evaluated at the unshifted coordinate x."""
+    """Real eigenfunction Psi_n at the unshifted coordinate x: psi_n(xi) / sqrt(sigma_x)."""
     n = check_order(n)
-    xi = np.sqrt(params.m * params.omega / params.hbar) * (coordinate(x, "x") + params.shift)
-    norm = (params.m * params.omega / (math.pi * params.hbar)) ** 0.25
-    out = norm * _hermite_gauss(n, xi)
+    norm = (1.0 / math.pi) ** 0.25 / math.sqrt(params.sigma_x)
+    out = norm * _hermite_gauss(n, xi_of(params, x))
     return out if np.ndim(x) else float(out)
 
 
@@ -172,10 +169,10 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
     Evaluates (1/(2 pi hbar)) * integral of exp(-i p s / hbar)
     Psi_n(xbar + s/2) Psi_n(xbar - s/2) ds for the pure eigenstate; the
     integrand is real (cosine) because Psi_n is real.  Independent of the
-    closed form, hence usable as an oracle for it.  The line spans
-    2 (|xbar| + ``EXTENT``) position widths in s and runs on ``N_LINE``
-    trapezoid panels, refined by midpoints where needed; raises
-    ``AccuracyError`` when the mesh-halving estimate exceeds ``TOL``.
+    closed form, hence usable as an oracle for it.  In widths it is 1/hbar
+    times an integral over s/sigma_x, which spans 2 (|xi| + ``EXTENT``) on
+    ``N_LINE`` trapezoid panels, refined by midpoints where needed; raises
+    ``AccuracyError`` when its mesh-halving estimate exceeds ``TOL``.
     """
     value, est = _transform_lines(params, check_order(n), pt.x, pt.p)
     return (value, est) if return_error else value
@@ -188,14 +185,14 @@ def _transform_lines(params: OscillatorParams, n: int, x: float, p):
     only, so their lines run as one batch of :func:`_line_integral`;
     each gets the bits a call with that momentum alone would give.
     """
-    # Psi_n is negligible past EXTENT widths from xbar = 0
-    width = math.sqrt(params.hbar / (params.m * params.omega))
-    s_max = 2.0 * (abs(shifted_x(params, x)) + EXTENT * width)
-    lines = np.asarray(p, dtype=float)[..., None]
+    xi = float(xi_of(params, x))
+    s_max = 2.0 * (abs(xi) + EXTENT)  # psi_n is negligible past EXTENT widths
+    lines = (np.asarray(p, dtype=float) / params.sigma_p)[..., None]
 
-    def integrand(s):
-        left = wavefunction(params, n, x + s / 2.0)
-        right = wavefunction(params, n, x - s / 2.0)
-        return np.cos(lines * s / params.hbar) * left * right / (2.0 * math.pi * params.hbar)
+    def integrand(s):  # the eigenfunctions of unit width are those of natural units
+        left = wavefunction(NATURAL_UNITS, n, xi + s / 2.0)
+        right = wavefunction(NATURAL_UNITS, n, xi - s / 2.0)
+        return np.cos(lines * s) * left * right / TWO_PI
 
-    return _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction")
+    value, est = _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction")
+    return value / params.area, est / params.area

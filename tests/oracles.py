@@ -9,7 +9,10 @@ library streams whole rings and hands the body to ``np.loadtxt``.  The
 whole-array kernels evaluate each formula with a fresh temporary per
 step: the library's ``laguerre`` and ``polar_from_xy`` run the same
 operations in place on preallocated arrays and must reproduce them bit for
-bit, and its ``hermite`` and ``energy_xy`` take the same form.
+bit, and its ``hermite`` and ``energy_xy`` take the same form.  The unit
+scales those formulas use are restated here from (m, omega, hbar, alpha),
+as the products and quotients of square roots that ``OscillatorParams``
+forms, and not read from it.
 """
 
 import functools
@@ -17,10 +20,21 @@ import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def core_scales(params):
+    """sigma_x, sigma_p, rho_scale, value_scale and shift, restated from (m, omega, hbar, alpha)."""
+    root_m, root_w, root_h = math.sqrt(params.m), math.sqrt(params.omega), math.sqrt(params.hbar)
+    sigma_x = root_h / root_m / root_w
+    sigma_p = root_m * root_h * root_w
+    return SimpleNamespace(sigma_x=sigma_x, sigma_p=sigma_p, rho_scale=root_h * root_w / root_m,
+                           value_scale=1.0 / (math.pi * params.hbar),
+                           shift=params.alpha / params.omega / sigma_p * sigma_x)
 
 
 def lag_exact(n, x):
@@ -99,26 +113,27 @@ def p_derivative_polynomial(W, order, x, p):
     The library's ``p_derivative`` must give these bits: it does the same
     operations on plain coefficient arrays, with no ``numpy.polynomial``.
     """
-    pr = W.params
-    a = pr.m * pr.omega / pr.hbar
-    b = 1.0 / (pr.m * pr.hbar * pr.omega)
-    xb = float(x) + pr.alpha / (pr.m * pr.omega**2)
-    p = float(p)
+    c = core_scales(W.params)
+    xi = (float(x) + c.shift) / c.sigma_x
+    eta = float(p) / c.sigma_p
     sign = -1.0 if W.n % 2 else 1.0
-    gauss = sign / (math.pi * pr.hbar) * math.exp(-a * (xb * xb)) * math.exp(-b * (p * p))
+    gauss = sign * c.value_scale * math.exp(-(xi * xi)) * math.exp(-(eta * eta))
     if gauss == 0.0:
         return 0.0
-    q = _laguerre_in_p(W.n, a, b, xb)
-    two_b_p = np.polynomial.Polynomial([0.0, 2.0 * b])
+    q = _laguerre_in_eta(W.n, xi)
+    two_eta = np.polynomial.Polynomial([0.0, 2.0])
     for _ in range(int(order)):
-        q = q.deriv() - two_b_p * q
-    return gauss * float(q(p))
+        q = q.deriv() - two_eta * q
+    value = float(q(eta)) * gauss
+    for _ in range(int(order)):
+        value /= c.sigma_p
+    return value
 
 
 @functools.lru_cache(maxsize=256)
-def _laguerre_in_p(n, a, b, xb):
-    """L_n(2a xb^2 + 2b p^2) as a ``Polynomial`` in p, by Horner on the shifted argument."""
-    base = np.polynomial.Polynomial([2.0 * a * (xb * xb), 0.0, 2.0 * b])
+def _laguerre_in_eta(n, xi):
+    """L_n(2 xi^2 + 2 eta^2) as a ``Polynomial`` in eta, by Horner on the shifted argument."""
+    base = np.polynomial.Polynomial([2.0 * (xi * xi), 0.0, 2.0])
     coeffs = [(-1.0) ** k * math.comb(n, k) / math.factorial(k) for k in range(n + 1)]
     q = np.polynomial.Polynomial([coeffs[-1]])
     for c in coeffs[-2::-1]:
@@ -197,8 +212,10 @@ def export_field_per_value(field, params, fmt, path, extra=None):
         if fmt == "csv":
             rho = field.grid.rho_nodes()
             phi = field.grid.phi_nodes()
-            x = rho[:, None] / params.omega * np.cos(phi[None, :]) - params.shift
-            p = params.m * rho[:, None] * np.sin(phi[None, :])
+            c = core_scales(params)
+            r = rho[:, None] / c.rho_scale
+            x = c.sigma_x * r * np.cos(phi[None, :]) - c.shift
+            p = c.sigma_p * r * np.sin(phi[None, :])
             lines = [f"# {k}={_fmt17(v)}" for k, v in meta.items()]
             lines.append("rho,phi,x,p,W")
             for i in range(field.grid.n_rho):
@@ -269,20 +286,20 @@ def hermite_whole_array(n, x):
 
 
 def polar_from_xy_whole_array(params, x, p):
-    """(x, p) -> (rho, phi) with a float remainder for the angle, phi(origin) = 0."""
-    u = params.omega * (np.asarray(x, dtype=float) + params.shift)
-    v = np.asarray(p, dtype=float) / params.m
-    rho = np.hypot(u, v)
-    phi = np.arctan2(v, u) % TWO_PI
+    """(x, p) -> (rho_scale hypot(xi, eta), atan2(eta, xi) mod 2pi), phi(origin) = 0."""
+    c = core_scales(params)
+    xi = (np.asarray(x, dtype=float) + c.shift) / c.sigma_x
+    eta = np.asarray(p, dtype=float) / c.sigma_p
+    rho = c.rho_scale * np.hypot(xi, eta)
+    phi = np.arctan2(eta, xi) % TWO_PI
     phi = np.where(phi >= TWO_PI, 0.0, phi)
     phi = np.where(rho == 0.0, 0.0, phi)
     return rho, phi
 
 
 def energy_xy_whole_array(params, x, p):
-    """Dimensionless energy (p^2/2m + m omega^2 xbar^2/2) / (hbar omega)."""
-    xb = np.asarray(x, dtype=float) + params.shift
-    pp = np.asarray(p, dtype=float)
-    kinetic = pp * pp / (2.0 * params.m)
-    potential = 0.5 * params.m * params.omega**2 * (xb * xb)
-    return (kinetic + potential) / (params.hbar * params.omega)
+    """Dimensionless energy (xi^2 + eta^2)/2 with xi = xbar/sigma_x and eta = p/sigma_p."""
+    c = core_scales(params)
+    xi = (np.asarray(x, dtype=float) + c.shift) / c.sigma_x
+    eta = np.asarray(p, dtype=float) / c.sigma_p
+    return 0.5 * (xi * xi + eta * eta)

@@ -83,22 +83,22 @@ def test_standing_spec_refuses_an_amplitude_whose_modulation_overflows():
 # ------------------------------------------------------------ normalization
 
 def test_normalization_trivial_profile():
-    assert normalization(stationary_profile(1.0)).N == 1.0
+    assert normalization(stationary_profile(1.0)) == 1.0
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("C", [1.0, 5.0])
 def test_normalization_standing_wave(ell, C):
-    norm = normalization(StandingWaveSpec(ell=ell, A=2.0, C=C).to_profile())
-    assert norm.N == pytest.approx(1.0 / C, abs=1e-12)
-    assert norm.mean_f == pytest.approx(0.0, abs=1e-14)
+    N = normalization(StandingWaveSpec(ell=ell, A=2.0, C=C).to_profile())
+    assert N == pytest.approx(1.0 / C, abs=1e-12)
+    assert 1.0 / N - C == pytest.approx(0.0, abs=1e-14)  # <f> + <g> = 1/N - C
 
 
 def test_normalization_offset_sine():
     profile = WaveProfile(f=lambda th: 1.0 + np.sin(th), g=lambda th: 0.0, C=1.0, kappa=1)
-    norm = normalization(profile)
-    assert norm.mean_f == pytest.approx(1.0, abs=1e-13)
-    assert norm.N == pytest.approx(0.5, abs=1e-13)
+    N = normalization(profile)
+    assert 1.0 / N - profile.C == pytest.approx(1.0, abs=1e-13)  # <f> = 1/N - C, as <g> = 0
+    assert N == pytest.approx(0.5, abs=1e-13)
 
 
 def test_normalization_degenerate_profile():
@@ -131,7 +131,7 @@ def test_profile_normalizes_once_and_takes_no_norm_from_the_caller(monkeypatch):
     extended_field(P, 4, profile)
     assert calls == [profile]
     assert profile.norm == real(profile)
-    assert profile.norm.N == pytest.approx(0.5, abs=1e-13)
+    assert profile.norm == pytest.approx(0.5, abs=1e-13)
     with pytest.raises(TypeError):
         extended_eval(P, 1, profile, PhasePoint(0.3, 0.2), 0.0, norm=real(profile))
     with pytest.raises(TypeError):
@@ -141,8 +141,7 @@ def test_profile_normalizes_once_and_takes_no_norm_from_the_caller(monkeypatch):
 def test_normalization_is_time_independent():
     # bracket means computed at two wave phases must agree; a plain sin profile
     # exercises the check without triggering it
-    norm = normalization(SPEC.to_profile())
-    assert norm.N == pytest.approx(0.2, abs=1e-13)
+    assert normalization(SPEC.to_profile()) == pytest.approx(0.2, abs=1e-13)
 
 
 # ------------------------------------------------------- standing-wave factor
@@ -187,19 +186,19 @@ def test_extended_eval_standing_wave_example():
 def test_extended_eval_initial_time_form():
     profile = WaveProfile(f=lambda th: 0.3 * np.sin(th), g=lambda th: 0.2 * np.cos(th),
                           C=2.0, kappa=2)
-    norm = normalization(profile)
+    N = normalization(profile)
     rho, phi = 1.1, 0.77
     pt = polar_point(rho, phi)
     kern = wigner_stationary(P, 1, pt)  # radial kernel value for n=1
-    manual = norm.N * kern * (2.0 + 0.3 * math.sin(2 * phi) + 0.2 * math.cos(-2 * phi))
+    manual = N * kern * (2.0 + 0.3 * math.sin(2 * phi) + 0.2 * math.cos(-2 * phi))
     assert extended_eval(P, 1, profile, pt, 0.0) == pytest.approx(manual, rel=1e-12)
 
 
 def test_extended_eval_origin_uses_node_line_convention():
     profile = WaveProfile(f=lambda th: 0.5 * np.sin(th), g=lambda th: 0.0, C=2.0, kappa=2)
-    norm = normalization(profile)
+    N = normalization(profile)
     got = extended_eval(P, 0, profile, PhasePoint(0.0, 0.0), 0.3)
-    assert got == pytest.approx(norm.N * profile.C / math.pi, rel=1e-14)
+    assert got == pytest.approx(N * profile.C / math.pi, rel=1e-14)
 
 
 def test_extended_field_matches_pointwise_eval():

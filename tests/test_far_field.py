@@ -19,7 +19,7 @@ from phasewave import (NATURAL_UNITS, OscillatorParams, StandingWaveSpec, extend
 from phasewave.errors import DataError
 from phasewave.special import log_weight
 
-from oracles import energy_xy_whole_array, hermite_whole_array, laguerre_whole_array
+from oracles import core_scales, energy_xy_whole_array, hermite_whole_array, laguerre_whole_array
 
 PARAMS = (NATURAL_UNITS, OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9))
 SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
@@ -109,8 +109,9 @@ def test_stationary_field_keeps_every_finite_value_of_the_unguarded_formula():
 def test_wavefunction_keeps_every_finite_value_of_the_unguarded_formula():
     x = _magnitudes()
     for params in PARAMS:
-        xi = np.sqrt(params.m * params.omega / params.hbar) * (x + params.shift)
-        norm = (params.m * params.omega / (math.pi * params.hbar)) ** 0.25
+        c = core_scales(params)
+        xi = (x + c.shift) / c.sigma_x
+        norm = (1.0 / math.pi) ** 0.25 / math.sqrt(c.sigma_x)
         for n in range(65):
             with np.errstate(all="ignore"):
                 plain = norm * (hermite_whole_array(n, xi) * np.exp(0.5 * (log_weight(n) - xi**2)))

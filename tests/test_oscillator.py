@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phasewave import (NATURAL_UNITS, DataError, OscillatorParams, PhasePoint, energy_xy, polar_from_xy,
-                       shifted_x, xy_from_polar)
+                       xy_from_polar)
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 params_strategy = st.builds(
@@ -18,10 +18,11 @@ params_strategy = st.builds(
 )
 
 
-def test_shifted_x_examples():
-    assert shifted_x(NATURAL_UNITS, 1.5) == 1.5
-    assert shifted_x(OscillatorParams(alpha=2.0), 0.0) == 2.0
-    assert shifted_x(OscillatorParams(m=2.0, omega=3.0, alpha=9.0), 1.0) == 1.5
+def test_shift_examples():
+    assert NATURAL_UNITS.shift == 0.0
+    assert OscillatorParams(alpha=2.0).shift == 2.0
+    assert OscillatorParams(m=2.0, omega=3.0, alpha=9.0).shift == pytest.approx(0.5, rel=1e-15)
+    assert OscillatorParams(m=4.0, omega=4.0, alpha=-16.0).shift == -0.25
 
 
 def test_to_polar_examples():

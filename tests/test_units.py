@@ -1,0 +1,240 @@
+"""Units: the scales ``OscillatorParams`` forms, the sweep over extreme units, and the design guard.
+
+Every accepted (m, omega, hbar, alpha) must give values the rules back, and
+every other one must be refused when the parameters are built, naming the
+scale that does not fit in a double.
+"""
+
+import ast
+import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import phasewave
+from phasewave import (NATURAL_UNITS, AccuracyError, ConfigurationError, Field2D, GridSpec,
+                       OscillatorParams, StandingWaveSpec, marginal_over_p, marginal_over_x,
+                       mean_energy, phase_space_integral, sample_field, standing_wave_field,
+                       wave_residual)
+from phasewave.cli import build_parser, run
+from phasewave.oscillator import MAX_SHIFT_WIDTHS
+from phasewave.quadrature import TOL
+
+EXPONENTS = (-300, -150, -50, 0, 50, 150, 300)
+SCALES = ("sigma_x", "sigma_p", "rho_scale", "value_scale", "area", "shift")
+
+
+def test_natural_units_have_unit_scales():
+    P = NATURAL_UNITS
+    assert (P.sigma_x, P.sigma_p, P.rho_scale, P.area, P.shift) == (1.0, 1.0, 1.0, 1.0, 0.0)
+    assert P.value_scale == 1.0 / math.pi
+
+
+@pytest.mark.parametrize("params", [OscillatorParams(m=4.0, omega=0.25, hbar=9.0, alpha=0.5),
+                                    OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9),
+                                    OscillatorParams(m=1e-300, omega=1e300, hbar=1e-300)])
+def test_scales_match_their_formulas(params):
+    m, w, h, a = params.m, params.omega, params.hbar, params.alpha
+    for name, value in (("sigma_x", math.sqrt(h / (m * w))), ("sigma_p", math.sqrt(m * h * w)),
+                        ("rho_scale", math.sqrt(h * w / m)), ("value_scale", 1.0 / (math.pi * h)),
+                        ("area", h), ("shift", a / (m * w * w))):
+        assert getattr(params, name) == pytest.approx(value, rel=1e-15), name
+
+
+def test_scales_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        OscillatorParams(sigma_x=2.0)
+    assert "sigma_x" not in repr(NATURAL_UNITS)
+    assert OscillatorParams(alpha=0.5) == OscillatorParams(alpha=0.5)
+
+
+@pytest.mark.parametrize("kwargs, scale", [
+    ({"m": 1e-300, "omega": 1e-300, "hbar": 1e300}, "sigma_x"),
+    ({"m": 1e300, "omega": 1e300, "hbar": 1e-300}, "sigma_x"),
+    ({"m": 1e300, "omega": 1e300, "hbar": 1e300}, "sigma_p"),
+    ({"m": 1e-300, "omega": 1e300, "hbar": 1e300}, "rho_scale"),
+    ({"hbar": 1e-310}, "value_scale"),
+    ({"hbar": 5e-324}, "value_scale"),
+    ({"omega": 1e-300, "alpha": 1.0}, "shift"),
+    ({"alpha": 1e7}, "shift"),
+])
+def test_refused_units_name_the_scale(kwargs, scale):
+    with pytest.raises(ValueError, match=f"^the scale {scale} = "):
+        OscillatorParams(**kwargs)
+
+
+def test_the_shift_is_refused_past_its_bound_and_kept_up_to_it():
+    assert OscillatorParams(alpha=MAX_SHIFT_WIDTHS).shift == MAX_SHIFT_WIDTHS
+    with pytest.raises(ValueError, match="^the scale shift"):
+        OscillatorParams(alpha=math.nextafter(MAX_SHIFT_WIDTHS, math.inf))
+    assert OscillatorParams(alpha=1e-320).shift == 1e-320  # a subnormal shift is exact enough
+
+
+def _density_in_widths(z):
+    """|psi_3(z)|^2 = H_3(z)^2 exp(-z^2) / (2^3 3! sqrt(pi)), with H_3(z) = 8z^3 - 12z."""
+    h = 8.0 * z**3 - 12.0 * z
+    return h * h * np.exp(-z * z) / (48.0 * math.sqrt(math.pi))
+
+
+def _triples():
+    for a, b, c in itertools.product(EXPONENTS, repeat=3):
+        yield (a, b, c), (float(f"1e{a}"), float(f"1e{b}"), float(f"1e{c}"))
+
+
+def _four_scales_are_doubles(a, b, c):
+    # exponents of sigma_x, sigma_p, rho_scale and 1/(pi hbar), each a multiple of 25
+    return all(abs(e) <= 300 for e in ((c - a - b) / 2, (a + b + c) / 2, (c + b - a) / 2, c))
+
+
+SPEC = StandingWaveSpec(ell=2, A=0.3, C=1.0)
+WIDTHS = np.array([-1.0, 0.5, 2.0])
+
+
+def _sweep(alpha):
+    """(exponents, outcome) per triple: "refused", or the worst error in natural scales."""
+    out = {}
+    for exps, (m, w, h) in _triples():
+        try:
+            P = OscillatorParams(m=m, omega=w, hbar=h, alpha=alpha)
+        except ValueError as exc:
+            assert str(exc).startswith("the scale "), exc
+            assert any(f"the scale {name} = " in str(exc) for name in SCALES), exc
+            out[exps] = "refused"
+            continue
+        W = standing_wave_field(P, 3, SPEC)
+        t = SPEC.period(w) / 8.0
+        density = _density_in_widths(WIDTHS)
+        errs = [abs(phase_space_integral(W, P, t) - 1.0), abs(mean_energy(W, P, t) - 3.5)]
+        errs += (np.abs(marginal_over_p(W, P, WIDTHS * P.sigma_x - P.shift, t) * P.sigma_x
+                        - density)).tolist()
+        errs += (np.abs(marginal_over_x(W, P, WIDTHS * P.sigma_p, t) * P.sigma_p
+                        - density)).tolist()
+        out[exps] = max(errs)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_every_unit_triple_gives_backed_values_or_is_refused(alpha):
+    outcomes = _sweep(alpha)
+    wrong = {k: v for k, v in outcomes.items() if v != "refused" and not v <= TOL}
+    assert wrong == {}
+    passed = {k for k, v in outcomes.items() if v != "refused"}
+    doubles = {k for k, _ in _triples() if _four_scales_are_doubles(*k)}
+    assert passed <= doubles
+    if alpha == 0.0:
+        assert passed == doubles and len(passed) == 301
+
+
+def test_cli_exits_2_for_every_refused_triple(capsys):
+    refused = 0
+    for alpha in (0.0, 0.3):
+        for _, (m, w, h) in _triples():
+            try:
+                OscillatorParams(m=m, omega=w, hbar=h, alpha=alpha)
+                continue
+            except ValueError:
+                refused += 1
+            argv = ["eval", "--n", "3", "--ell", "2", "--A", "0.3", "--C", "1",
+                    "--m", repr(m), "--omega", repr(w), "--hbar", repr(h), "--alpha", repr(alpha)]
+            assert run(build_parser().parse_args(argv)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("phasewave: error: the scale ")
+    assert refused == 42 + 183
+
+
+@pytest.mark.parametrize("omega", ["1e300", "1e-300"])
+def test_cli_eval_at_extreme_frequencies_prints_a_value(omega):
+    src = os.path.dirname(os.path.dirname(phasewave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "phasewave.cli",
+                           "eval", "--omega", omega, "--n", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "t,W\n0,-0.31830988618379069\n"  # -1/pi, the n = 1 value at the origin
+
+
+def test_wave_residual_at_a_high_frequency():
+    """W_tt - omega^2 W_phiphi at omega = 1e200 on steps dt ~ 1/omega, against omega = 1.
+
+    The same dimensionless field, sampled at the same phases omega t and
+    scaled by 1e-300, has a residual 1e-300 omega^2 = 1e100 times the
+    natural one; neither omega^2 nor dt^2 is a double.
+    """
+    spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
+
+    def residual(params, scale):
+        grid = GridSpec(rho_max=4.0 * params.rho_scale, n_rho=8, n_phi=64)
+        W = standing_wave_field(params, 0, spec)
+        dt = 0.5 * grid.delta_phi / params.omega
+        t0 = 0.3 * spec.period(params.omega)
+        fields = [Field2D(grid, scale * sample_field(W, grid, t0 + k * dt, params).values,
+                          t0 + k * dt) for k in (-1, 0, 1)]
+        return wave_residual(fields, params).values
+
+    fast = residual(OscillatorParams(omega=1e200), 1e-300)
+    slow = residual(NATURAL_UNITS, 1.0)
+    assert np.all(np.isfinite(fast)) and np.max(np.abs(slow)) > 1e-3
+    np.testing.assert_allclose(fast, 1e100 * slow, rtol=1e-6,
+                               atol=1e-6 * 1e100 * np.max(np.abs(slow)))
+
+
+@pytest.mark.parametrize("A", [1e307, 1e300])
+@pytest.mark.parametrize("rule", [phase_space_integral, mean_energy])
+def test_disk_rules_refuse_an_amplitude_no_sum_can_back(rule, A):
+    # the trapezoid's rounding on 2A sin(4 phi) alone is ~2e291 at A = 1e307
+    W = standing_wave_field(NATURAL_UNITS, 1, StandingWaveSpec(ell=2, A=A, C=1.0))
+    with pytest.raises(AccuracyError):
+        rule(W, NATURAL_UNITS)
+    with pytest.raises(ConfigurationError, match="outermost ring"):  # exp(-EXTENT^2) A ~ 1e190
+        rule(lambda x, p, t: W(x, p, t), NATURAL_UNITS)
+
+
+# ------------------------------------------------------------- design guard
+
+SRC = Path(phasewave.__file__).resolve().parent
+KERNEL_MODULES = ("wigner.py", "extended.py", "quadrature.py", "evolution.py")
+PARAMETERS = {"m", "omega", "hbar", "alpha"}
+
+
+def _parameter_powers(tree):
+    """Line numbers of ``**`` whose base reads a parameter, as an attribute or a name."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            for sub in ast.walk(node.left):
+                if (isinstance(sub, ast.Attribute) and sub.attr in PARAMETERS) or \
+                        (isinstance(sub, ast.Name) and sub.id in PARAMETERS):
+                    lines.append(node.lineno)
+                    break
+    return lines
+
+
+def test_kernels_and_rules_read_only_the_scales():
+    reads = {}
+    for name in KERNEL_MODULES:
+        tree = ast.parse((SRC / name).read_text(), name)
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("m", "hbar")]
+        if found:
+            reads[name] = found
+    assert reads == {}
+
+
+def test_no_module_raises_a_parameter_to_a_power():
+    powers = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _parameter_powers(ast.parse(path.read_text(), path.name))
+        if found:
+            powers[path.name] = found
+    assert powers == {}
+
+
+def test_the_guard_sees_what_it_forbids():
+    tree = ast.parse("a = params.omega**2\nb = (hbar / 2.0) ** k\nc = (-1.0) ** k * rho**2\n")
+    assert _parameter_powers(tree) == [1, 2]
