@@ -31,9 +31,14 @@ class DataError(ValueError):
     lies past every Gaussian and gives 0.  The field classes' calls and
     ``polar_factors`` raise it, naming t, for a NaN or infinite time and
     for a finite one whose wave phase is not finite (``propagate_exact``
-    too, for the angle omega t), ``PhasePoint`` for a non-finite
-    component, and ``moyal_rhs`` for an hbar that is not finite and
-    positive.  ``read_field`` raises it, naming
+    too, for the angle omega t); an array of times raises it for any such
+    entry and for a bool array, and so do the marginals, through the
+    field.  ``PhasePoint`` raises it for a non-finite component,
+    ``moyal_rhs``, naming hbar, for an hbar that is not finite and
+    positive or that takes a term or the sum past the doubles, and
+    ``wave_residual`` and ``transport_residual``, naming omega, for a
+    residual that the scaling by omega takes past the doubles.
+    ``read_field`` raises it, naming
     the file, for a missing header or metadata, a ragged, short or
     non-numeric body, a CSV row that is not at its grid node, a value array
     that does not match the grid, and a non-finite time or value.

@@ -126,7 +126,7 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     exactly when ``W0`` has.  A NaN or infinite ``t`` raises ``DataError``,
     and so does a finite one whose angle omega t overflows.
     """
-    _phase(params.omega, _require_finite(t, "t"))
+    _phase(params.omega, float(_require_finite(t, "t")))
     return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
 
 
@@ -201,6 +201,18 @@ def _check_triplet(fields):
     return fm, f0, fp, 0.5 * (dt1 + dt2)
 
 
+def _residual_field(res, f0, params, kind, dt):
+    """The residual values ``res`` as a field on ``f0``'s grid.
+
+    The inputs are finite, so a non-finite residual comes from the scaling
+    by omega; ``DataError`` names omega then.
+    """
+    if not np.all(np.isfinite(res)):
+        raise DataError(f"omega = {params.omega!r} takes the {kind} to a non-finite value")
+    return Field2D(grid=f0.grid, values=res, time_tag=f0.time_tag, meta={"kind": kind, "dt": dt})
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # refused below, not warned
 def wave_residual(fields, params: OscillatorParams) -> Field2D:
     """Central-difference estimate of W_tt - omega^2 W_phiphi.
 
@@ -208,6 +220,7 @@ def wave_residual(fields, params: OscillatorParams) -> Field2D:
     t - dt, t, t + dt.  Vanishes under refinement at second order for any
     solution of the membrane wave equation.  Formed in the phase tau = omega t
     as omega (omega (W_tautau - W_phiphi)): omega^2 and dt^2 may not be doubles.
+    Raises ``DataError`` naming omega when a residual value is not finite.
     """
     fm, f0, fp, dt = _check_triplet(fields)
     v = f0.values
@@ -216,17 +229,18 @@ def wave_residual(fields, params: OscillatorParams) -> Field2D:
     dphi = f0.grid.delta_phi
     wpp = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / (dphi * dphi)
     res = params.omega * (params.omega * (wtt - wpp))
-    return Field2D(grid=f0.grid, values=res, time_tag=f0.time_tag,
-                   meta={"kind": "wave_residual", "dt": dt})
+    return _residual_field(res, f0, params, "wave_residual", dt)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
 def transport_residual(fields, params: OscillatorParams) -> Field2D:
     """Central-difference estimate of W_t - omega W_phi.
 
     Discriminates chirality: fields of the form h(Omega t + kappa phi)
     satisfy the transport equation and their residual refines to zero,
     while the counter-propagating component leaves a resolution-independent
-    smooth limit.
+    smooth limit.  Raises ``DataError`` naming omega when a residual value
+    is not finite.
     """
     fm, f0, fp, dt = _check_triplet(fields)
     wt = (fp.values - fm.values) / (2.0 * dt)
@@ -234,8 +248,7 @@ def transport_residual(fields, params: OscillatorParams) -> Field2D:
     v = f0.values
     wphi = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * dphi)
     res = wt - params.omega * wphi
-    return Field2D(grid=f0.grid, values=res, time_tag=f0.time_tag,
-                   meta={"kind": "transport_residual", "dt": dt})
+    return _residual_field(res, f0, params, "transport_residual", dt)
 
 
 @dataclass(frozen=True)
@@ -329,10 +342,11 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     potentials contribute no terms, so the result is exactly zero without
     touching ``W``.  If ``W`` exposes ``p_derivative(order, x, p)`` the
     exact derivatives are used; otherwise central differences with step
-    h = max(1e-3, 1e-3 |p|).  A ``t`` that is not finite, or an ``hbar``
-    that is not finite and positive, raises ``DataError``.
+    h = max(1e-3, 1e-3 |p|).  A ``t`` that is not finite, an ``hbar``
+    that is not finite and positive, or one that takes a term or the sum
+    past the doubles, raises ``DataError``.
     """
-    _require_finite(t, "t")
+    t = float(_require_finite(t, "t"))  # one point, one time
     if not _positive_real(hbar):
         raise DataError(f"hbar must be finite and positive, got {hbar}")
     deg = U.degree
@@ -348,6 +362,10 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
             else:
                 w_d = _fd_p_derivative(W, d, pt.x, pt.p, t)
             scale = math.prod([hbar / 2.0] * (2 * k))  # no float power: it raises on overflow
-            total += (-1.0) ** k * scale / math.factorial(d) * u_d * w_d
+            term = (-1.0) ** k * scale / math.factorial(d) * u_d * w_d
+            total += term
+            if not (math.isfinite(term) and math.isfinite(total)):
+                raise DataError(f"hbar = {hbar!r} takes the order-{d} Moyal term to {term!r} "
+                                f"and the sum to {total!r}")
         k += 1
     return total

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateProfileError
-from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _positive_real,
-                         _require_finite, polar_from_xy)
+from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint, _phase,
+                         _positive_real, _require_finite, polar_from_xy)
 from .special import check_order
 from .wigner import radial_kernel
 
@@ -91,7 +91,8 @@ class WaveProfile:
         return omega * self.kappa
 
     def bracket(self, phi, t, omega):
-        """Angular factor C + f(Omega t + kappa phi) + g(Omega t - kappa phi)."""
+        """Angular factor C + f(Omega t + kappa phi) + g(Omega t - kappa phi); ``t`` may be
+        an array that broadcasts with ``phi``."""
         th = _phase(self.omega_wave(omega), t)
         return self.C + self.f(th + self.kappa * np.asarray(phi, dtype=float)) \
             + self.g(th - self.kappa * np.asarray(phi, dtype=float))
@@ -157,8 +158,18 @@ class StandingWaveSpec:
 
 
 def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
-    """Standing-wave modulation 2 A cos(2 omega ell t) sin(2 ell phi)."""
-    return 2.0 * spec.A * math.cos(_phase(spec.omega_wave(omega), t)) * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
+    """Standing-wave modulation 2 A cos(2 omega ell t) sin(2 ell phi).
+
+    ``t`` may be an array that broadcasts with ``phi``: sin(2 ell phi) is
+    formed once, and each time's cosine is ``math.cos`` of its phase, so
+    every slice has the bits of a call with that time alone.
+    """
+    phase = _phase(spec.omega_wave(omega), t)
+    if np.ndim(phase):
+        cos = np.array([math.cos(v) for v in phase.flat]).reshape(phase.shape)
+    else:
+        cos = math.cos(phase)
+    return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
 
 
 def normalization(profile: WaveProfile) -> float:
@@ -195,7 +206,11 @@ def normalization(profile: WaveProfile) -> float:
 
 @dataclass(frozen=True)
 class ExtendedWigner:
-    """Callable field W(x, p, t) for a kernel modulated by a wave profile."""
+    """Callable field W(x, p, t) for a kernel modulated by a wave profile.
+
+    ``t`` may be an array that broadcasts with x and p; the polar map and
+    the radial factor are then formed once for all its times.
+    """
 
     params: OscillatorParams
     n: int
@@ -237,7 +252,11 @@ def extended_eval(params: OscillatorParams, n, profile: WaveProfile, pt: PhasePo
 
 @dataclass(frozen=True)
 class StandingWaveWigner:
-    """Callable field for the standing-wave instance; N = 1/C analytically."""
+    """Callable field for the standing-wave instance; N = 1/C analytically.
+
+    ``t`` may be an array that broadcasts with x and p; the polar map, the
+    radial factor and sin(2 ell phi) are then formed once for all its times.
+    """
 
     params: OscillatorParams
     n: int
@@ -245,13 +264,19 @@ class StandingWaveWigner:
 
     def __call__(self, x, p, t=0.0):
         radial, angular = self.polar_factors(*polar_from_xy(self.params, x, p), t)
-        return radial * angular
+        angular *= radial  # angular has the shape of the result; radial may lack t's axes
+        return angular
 
     def polar_factors(self, rho, phi, t=0.0):
-        """Radial factor kernel_n(rho) and angular factor 1 + (2A/C) cos(Omega t) sin(2 ell phi)."""
+        """Radial factor kernel_n(rho) and angular factor 1 + (2A/C) cos(Omega t) sin(2 ell phi).
+
+        An array ``t`` broadcast with ``phi`` gives the angular factor its shape.
+        """
         _require_finite(t, "t")
-        return (radial_kernel(self.params, self.n, rho),
-                1.0 + standing_wave_factor(self.spec, phi, t, self.params.omega) / self.spec.C)
+        angular = standing_wave_factor(self.spec, phi, t, self.params.omega)
+        angular /= self.spec.C
+        angular += 1.0
+        return radial_kernel(self.params, self.n, rho), angular
 
 
 def standing_wave_field(params: OscillatorParams, n, spec: StandingWaveSpec) -> StandingWaveWigner:
@@ -296,33 +321,34 @@ class ParityReport:
 def check_parity(params: OscillatorParams, wave) -> ParityReport:
     """Test whether Phi = f(Omega t + kappa phi) + g(Omega t - kappa phi) is odd.
 
-    Draws 200 phase points in [-3, 3]^2 from the standard library's
-    ``random.Random`` seeded with ``seed``, reflects them in
-    xbar and in p, and measures |Phi(reflected) + Phi(point)| at five
-    fractions of the wave period against 1e-10.  Failure is reported, not
+    Draws 200 phase points (xi, eta) in [-3, 3]^2 widths from the standard
+    library's ``random.Random`` seeded with ``seed``, so that their angles
+    do not depend on the units, reflects them in xbar and in p, and
+    measures |Phi(reflected) + Phi(point)| at five fractions of the wave
+    period against 1e-10.  Failure is reported, not
     raised; the report records the samples, tolerance, seed and times.
     """
     profile = wave.to_profile() if isinstance(wave, StandingWaveSpec) else wave
     rng = random.Random(_PROFILE_SEED)
-    xb = np.array([rng.uniform(-3.0, 3.0) for _ in range(_PARITY_SAMPLES)])
-    p = np.array([rng.uniform(-3.0, 3.0) for _ in range(_PARITY_SAMPLES)])
-    xb = np.where(np.abs(xb) < 1e-3, 0.5, xb)
-    p = np.where(np.abs(p) < 1e-3, -0.5, p)
+    xi = np.array([rng.uniform(-3.0, 3.0) for _ in range(_PARITY_SAMPLES)])
+    eta = np.array([rng.uniform(-3.0, 3.0) for _ in range(_PARITY_SAMPLES)])
+    xi = np.where(np.abs(xi) < 1e-3, 0.5, xi)
+    eta = np.where(np.abs(eta) < 1e-3, -0.5, eta)
 
     omega_w = profile.omega_wave(params.omega)
     times = tuple(TWO_PI / omega_w * frac for frac in _PARITY_PHASES)
 
-    def angle(xbar, mom):  # the samples are xbar, so no shift applies
-        return polar_from_xy(replace(params, alpha=0.0), xbar, mom)[1]
+    def angle(xi, eta):  # in natural units x and p are the widths themselves
+        return polar_from_xy(NATURAL_UNITS, xi, eta)[1]
 
     def wave_part(phi, t):
         th = _phase(omega_w, t)
         return np.asarray(profile.f(th + profile.kappa * phi), dtype=float) \
             + np.asarray(profile.g(th - profile.kappa * phi), dtype=float)
 
-    phi0 = angle(xb, p)
-    phi_x = angle(-xb, p)
-    phi_p = angle(xb, -p)
+    phi0 = angle(xi, eta)
+    phi_x = angle(-xi, eta)
+    phi_p = angle(xi, -eta)
     worst_x = 0.0
     worst_p = 0.0
     for t in times:

@@ -82,21 +82,49 @@ def coordinate(values, name):
     return vals
 
 
+def _first_entry(values, bad):
+    """The first entry of the array ``values`` where ``bad`` holds, as a Python scalar."""
+    return values[np.unravel_index(np.argmax(bad), bad.shape)].item()
+
+
 def _require_finite(value, name):
-    """``value`` as a float; raises ``DataError`` naming it if it is NaN, infinite or a bool."""
-    if isinstance(value, bool) or not math.isfinite(value):
-        raise DataError(f"{name} must be finite, got {value}")
-    return float(value)
+    """``value`` as a float, or an array of values as a float array.
+
+    Raises ``DataError`` naming it if it, or an entry, is NaN or infinite,
+    and for a bool or a bool array.
+    """
+    if np.ndim(value) == 0:
+        if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value}")
+        return float(value)
+    vals = np.asarray(value)
+    if vals.dtype == bool:
+        raise DataError(f"{name} must be finite, got a bool array")
+    vals = vals.astype(float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise DataError(f"{name} must be finite, got {_first_entry(vals, bad)} in an array")
+    return vals
 
 
 def _phase(rate, t):
-    """The wave phase ``rate * t``; raises ``DataError`` naming t if it is not finite.
+    """The wave phase ``rate * t``, for one time or an array of them.
 
-    A finite t can still take the phase to inf, where no angle is defined.
+    Raises ``DataError`` naming t if a phase is not finite: a finite t can
+    still take it to inf, where no angle is defined.
     """
-    phase = rate * t
-    if not math.isfinite(phase):
-        raise DataError(f"t = {t!r} takes the wave phase {rate!r} * t to {phase!r}")
+    if np.ndim(t) == 0:
+        phase = rate * t
+        if not math.isfinite(phase):
+            raise DataError(f"t = {t!r} takes the wave phase {rate!r} * t to {phase!r}")
+        return phase
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        phase = rate * t
+    bad = ~np.isfinite(phase)
+    if bad.any():
+        raise DataError(f"t = {_first_entry(t, bad)!r} takes the wave phase {rate!r} * t "
+                        f"to {_first_entry(phase, bad)!r}")
     return phase
 
 
@@ -108,8 +136,8 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite(self.x, "x"))
-        object.__setattr__(self, "p", _require_finite(self.p, "p"))
+        object.__setattr__(self, "x", float(_require_finite(self.x, "x")))
+        object.__setattr__(self, "p", float(_require_finite(self.p, "p")))
 
 
 def xi_of(params: OscillatorParams, x):

@@ -258,23 +258,40 @@ def mean_energy(W, params: OscillatorParams, t: float = 0.0, return_error: bool 
     return (value, est) if return_error else value
 
 
+def _marginal(integrand, fixed, t, a, b, tol, label, return_error):
+    """Line integrals of ``integrand(lines, times, nodes)`` over [a, b] for every (fixed, t).
+
+    The lines and an array ``t`` each gain a trailing axis for the nodes, so
+    the field is evaluated once on the broadcast of the positions and the
+    times, and what does not depend on t is formed once for all of them.
+    Value and estimate take the shape of ``np.broadcast(fixed, t)``, also
+    for a field that ignores t.
+    """
+    lines = np.asarray(fixed, dtype=float)[..., None]
+    times = t if np.ndim(t) == 0 else np.asarray(t)[..., None]
+    value, est = _line_integral(lambda nodes: integrand(lines, times, nodes), a, b, N_LINE,
+                                tol, label)
+    shape = np.broadcast(lines[..., 0], t).shape
+    if np.shape(value) != shape:
+        value, est = np.broadcast_to(value, shape).copy(), np.broadcast_to(est, shape).copy()
+    return (value, est) if return_error else value
+
+
 def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
                     return_error: bool = False):
     """Integral of W over p at fixed x, for one position or an array of them.
 
     Runs in Cartesian variables over ``EXTENT`` widths sigma_p either side
     of p = 0, against ``TOL`` in the density's unit 1/sigma_x.  An array
-    ``x`` evaluates W once for all its lines and returns arrays of its
-    shape; each line gets the value and estimate a call with that position
-    alone would give.  Raises ``ConfigurationError`` when W at the window
-    ends is not negligible, which no field of order n <= ``MAX_ORDER``
-    reaches.
+    ``x``, an array ``t`` or both evaluate W once for all their lines and
+    return arrays of the shape of ``np.broadcast(x, t)``; each line gets
+    the value and estimate a call with that position and time alone would
+    give.  Raises ``ConfigurationError`` when W at the window ends is not
+    negligible, which no field of order n <= ``MAX_ORDER`` reaches.
     """
     half = EXTENT * params.sigma_p
-    lines = np.asarray(x, dtype=float)[..., None]
-    value, est = _line_integral(lambda ps: W(lines, ps, t), -half, half, N_LINE,
-                                TOL / params.sigma_x, "marginal_over_p")
-    return (value, est) if return_error else value
+    return _marginal(lambda xs, ts, ps: W(xs, ps, ts), x, t, -half, half,
+                     TOL / params.sigma_x, "marginal_over_p", return_error)
 
 
 def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
@@ -283,14 +300,12 @@ def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
 
     The window is centered on the shifted origin xbar = 0 and spans
     ``EXTENT`` widths sigma_x either side, against ``TOL`` in the unit
-    1/sigma_p.  An array ``p`` is batched as in :func:`marginal_over_p`.
+    1/sigma_p.  Arrays ``p`` and ``t`` are batched as in :func:`marginal_over_p`.
     """
     half = EXTENT * params.sigma_x
     center = -params.shift
-    lines = np.asarray(p, dtype=float)[..., None]
-    value, est = _line_integral(lambda xs: W(xs, lines, t), center - half, center + half,
-                                N_LINE, TOL / params.sigma_p, "marginal_over_x")
-    return (value, est) if return_error else value
+    return _marginal(lambda ps, ts, xs: W(xs, ps, ts), p, t, center - half, center + half,
+                     TOL / params.sigma_p, "marginal_over_x", return_error)
 
 
 def laguerre_energy_identity(n, return_error: bool = False):

@@ -147,12 +147,15 @@ def check_marginal_identities(tol: float = 1e-6) -> CheckResult:
             spec = StandingWaveSpec(ell=ell, A=0.4, C=1.0)
             W = standing_wave_field(params, n, spec)
             T = spec.period(params.omega)
-            for t in (0.0, T / 8.0, T / 4.0, T / 2.0):
-                for axis, marginal, density in (("x", marginal_over_p, position_density),
-                                                ("p", marginal_over_x, momentum_density)):
-                    devs = np.abs(marginal(W, params, pts, t)
-                                  - density(params, n, pts)).tolist()
-                    for v, dev in zip(pts, devs):
+            times = (0.0, T / 8.0, T / 4.0, T / 2.0)
+            column = np.array(times)[:, None]  # one batch of lines per axis; rows are times
+            devs = {axis: np.abs(marginal(W, params, pts, column)
+                                 - density(params, n, pts)).tolist()
+                    for axis, marginal, density in (("x", marginal_over_p, position_density),
+                                                    ("p", marginal_over_x, momentum_density))}
+            for row, t in enumerate(times):
+                for axis in ("x", "p"):
+                    for v, dev in zip(pts, devs[axis][row]):
                         if dev > worst:
                             worst, worst_case = dev, f"n={n},ell={ell},t={t:.4g},{axis}={v:g}"
     return CheckResult(
@@ -232,12 +235,12 @@ def check_node_antinode_structure(tol: float = 1e-12) -> CheckResult:
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     T = spec.period(params.omega)
     x, p = xy_from_polar(params, np.array([0.4, 0.9, 1.6, 2.4])[:, None], node_angles(spec))
+    times = np.array([0.0, T / 8.0, T / 3.0, 0.77 * T])[:, None, None]
     worst_node = 0.0
     for n in (0, 5):
         W = standing_wave_field(params, n, spec)
         stationary = stationary_field(params, n)(x, p)
-        for t in (0.0, T / 8.0, T / 3.0, 0.77 * T):
-            worst_node = max(worst_node, float(np.max(np.abs(W(x, p, t) - stationary))))
+        worst_node = max(worst_node, float(np.max(np.abs(W(x, p, times) - stationary))))
 
     # antinode extremality at t = 0 on a dense angular grid
     phis = 2.0 * math.pi * np.arange(720) / 720

@@ -45,6 +45,8 @@ def radial_kernel(params: OscillatorParams, n, rho):
 class StationaryWigner:
     """Callable field W(x, p, t) for eigenstate ``n``; time independent.
 
+    ``t``, one time or an array of them, is checked and otherwise ignored.
+
     Besides evaluation, the p-dependence at fixed x is the Gaussian
     exp(-eta^2) times a polynomial in eta = p/sigma_p, so derivatives with
     respect to p of any order are available in closed form; they serve as

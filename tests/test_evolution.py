@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -320,6 +321,23 @@ def test_residuals_vanish_for_stationary_field():
     assert np.max(np.abs(transport_residual(fields, P).values)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_residuals_refuse_an_omega_that_takes_them_past_the_doubles():
+    grid = GridSpec(rho_max=4.0, n_rho=8, n_phi=32, dt=1e-3)
+    W = standing_wave_field(P, 0, StandingWaveSpec(ell=3, A=2.0, C=5.0))
+    fields = [sample_field(W, grid, 0.3 + k * 1e-3, P) for k in (-1, 0, 1)]
+    # omega^2 W_phiphi overflows at omega = 1e200; (omega dt)^2 underflows at 1e-200
+    for omega in (1e200, 1e-200):
+        with pytest.raises(DataError, match=re.escape(f"omega = {omega!r} takes the wave_residual")):
+            wave_residual(fields, OscillatorParams(omega=omega))
+    # omega W_phi overflows at omega = 1e308 on a field of amplitude 1e10
+    big = [Field2D(grid, 1e10 * np.sin(6.0 * grid.phi_nodes() + k) * np.ones((8, 1)), 0.3 + k * 1e-3)
+           for k in (-1, 0, 1)]
+    with pytest.raises(DataError, match="omega = 1e\\+308 takes the transport_residual"):
+        transport_residual(big, OscillatorParams(omega=1e308))
+    assert np.all(np.isfinite(transport_residual(big, P).values))
+
+
 def _residual_scan(W, t_center):
     wave_max, transport_max = [], []
     for n_phi in (64, 128, 256):
@@ -472,6 +490,15 @@ def test_moyal_rhs_refuses_non_finite_time(t):
         for field in (W, plain):
             with pytest.raises(DataError, match="t must be finite"):
                 moyal_rhs(U, field, PhasePoint(0.3, 0.2), 1.0, t=t)
+
+
+def test_moyal_rhs_refuses_an_hbar_whose_term_overflows():
+    # (hbar/2)^2 = 2.5e319 is past the doubles: the cubic term would be -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"hbar = 1e\+160 takes the order-3 Moyal term to -inf"):
+            moyal_rhs(PolynomialPotential((0, 0, 0, 1.0)), stationary_field(NATURAL_UNITS, 2),
+                      PhasePoint(0.3, 0.2), 1e160)
 
 
 def test_potential_refuses_bool_coefficients():

@@ -334,6 +334,19 @@ def test_parity_running_wave_fails():
     assert not report.passed
 
 
+@pytest.mark.parametrize("m", [1e-40, 1e-200])
+def test_parity_samples_angles_in_widths_whatever_the_mass(m):
+    # in physical (xbar, p) a tiny mass would squeeze every angle towards
+    # the p axis and hide the violation in p; in widths each m sees it
+    profile = WaveProfile(f=lambda th: 0.3 * np.sin(th), g=lambda th: 0.3 * np.cos(th),
+                          C=1.0, kappa=1)
+    natural = check_parity(P, profile)
+    report = check_parity(OscillatorParams(m=m), profile)
+    assert natural.max_violation_p > 0.8 and not report.passed
+    assert (report.max_violation_xbar, report.max_violation_p, report.times) == \
+        (natural.max_violation_xbar, natural.max_violation_p, natural.times)
+
+
 # ------------------------------------------------------------ wave phase
 
 PHASE_SPEC = StandingWaveSpec(ell=2, A=0.4, C=1.0)  # Omega = 4 omega, as kappa = 4 below

@@ -457,6 +457,28 @@ def test_line_rules_of_the_suite_run_on_n_line_panels(monkeypatch):
     assert refined == [("running_wave_rejection", "marginal_over_p", [N_LINE + 1, N_LINE])]
 
 
+def test_line_integrals_per_check_of_the_suite(monkeypatch):
+    # marginal_identities integrates each (state, ell, axis) once for all
+    # four times: 3 states x 2 ells x 2 axes batches, not 48
+    per_check, current = {}, []
+    rule = quadrature._line_integral
+
+    def counted(*args):
+        per_check[current[-1]] = per_check.get(current[-1], 0) + 1
+        return rule(*args)
+
+    for module in (quadrature, wigner):
+        monkeypatch.setattr(module, "_line_integral", counted)
+    for name, (check, takes_tol) in list(verify.SUITES.items()):
+        def tracked(*args, _name=name, _check=check, **kwargs):
+            current.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setitem(verify.SUITES, name, (tracked, takes_tol))
+    assert run_suite().passed
+    assert per_check == {"marginal_identities": 12, "transform_oracle_agreement": 45,
+                         "running_wave_rejection": 1}
+
+
 def test_bare_callable_keeps_tensor_levels():
     calls = []
     val = phase_space_integral(_counting(stationary_field(P, 2), calls), P)
