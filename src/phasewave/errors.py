@@ -34,8 +34,9 @@ class DataError(ValueError):
     too, for the angle omega t); an array of times raises it for any such
     entry and for a bool array, and so do the marginals, through the
     field.  ``PhasePoint`` raises it for a non-finite component,
-    ``moyal_rhs``, naming hbar, for an hbar that is not finite and
-    positive or that takes a term or the sum past the doubles, and
+    ``moyal_rhs`` for an hbar that is not finite and positive, naming
+    hbar, and for a term that takes the sum past the doubles, naming the
+    term's factors hbar, U^(d)(x) and d^dW/dp^d, and
     ``wave_residual`` and ``transport_residual``, naming omega, for a
     residual that the scaling by omega takes past the doubles.
     ``read_field`` raises it, naming

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BlowupError, ConfigurationError, DataError
 from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _positive_real,
-                         _require_finite, polar_from_xy, xy_from_polar)
+                         _require_finite_scalar, polar_from_xy, xy_from_polar)
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -126,7 +126,7 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     exactly when ``W0`` has.  A NaN or infinite ``t`` raises ``DataError``,
     and so does a finite one whose angle omega t overflows.
     """
-    _phase(params.omega, float(_require_finite(t, "t")))
+    _phase(params.omega, _require_finite_scalar(t, "t"))
     return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
 
 
@@ -343,10 +343,11 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     touching ``W``.  If ``W`` exposes ``p_derivative(order, x, p)`` the
     exact derivatives are used; otherwise central differences with step
     h = max(1e-3, 1e-3 |p|).  A ``t`` that is not finite, an ``hbar``
-    that is not finite and positive, or one that takes a term or the sum
-    past the doubles, raises ``DataError``.
+    that is not finite and positive, or a term that takes the sum past the
+    doubles, raises ``DataError``; the last names the term's factors hbar,
+    U^(d)(x) and d^dW/dp^d, since any of them can be the one that overflows.
     """
-    t = float(_require_finite(t, "t"))  # one point, one time
+    t = _require_finite_scalar(t, "t")  # one point, one time
     if not _positive_real(hbar):
         raise DataError(f"hbar must be finite and positive, got {hbar}")
     deg = U.degree
@@ -355,7 +356,8 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     k = 1
     while 2 * k + 1 <= deg:
         d = 2 * k + 1
-        u_d = poly_derivative(U, d)(pt.x)
+        with np.errstate(over="ignore"):  # an overflow is refused below, by the sum
+            u_d = poly_derivative(U, d)(pt.x)
         if u_d != 0.0:
             if exact is not None:
                 w_d = exact(d, pt.x, pt.p)
@@ -364,8 +366,9 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
             scale = math.prod([hbar / 2.0] * (2 * k))  # no float power: it raises on overflow
             term = (-1.0) ** k * scale / math.factorial(d) * u_d * w_d
             total += term
-            if not (math.isfinite(term) and math.isfinite(total)):
-                raise DataError(f"hbar = {hbar!r} takes the order-{d} Moyal term to {term!r} "
-                                f"and the sum to {total!r}")
+            if not math.isfinite(total):
+                raise DataError(f"the order-{d} Moyal term takes the sum to {total!r}: "
+                                f"hbar = {hbar!r}, U^({d})(x) = {u_d!r}, "
+                                f"d^{d}W/dp^{d} = {w_d!r}")
         k += 1
     return total

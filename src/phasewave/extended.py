@@ -165,10 +165,7 @@ def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
     every slice has the bits of a call with that time alone.
     """
     phase = _phase(spec.omega_wave(omega), t)
-    if np.ndim(phase):
-        cos = np.array([math.cos(v) for v in phase.flat]).reshape(phase.shape)
-    else:
-        cos = math.cos(phase)
+    cos = np.array([math.cos(v) for v in np.ravel(phase)]).reshape(np.shape(phase))
     return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
 
 
@@ -227,7 +224,7 @@ class ExtendedWigner:
 
         W(rho_i, phi_j, t) = radial[i] * angular[j] away from the origin.
         """
-        _require_finite(t, "t")
+        t = _require_finite(t, "t")
         radial = self.profile.norm * radial_kernel(self.params, self.n, rho)
         angular = np.asarray(self.profile.bracket(phi, t, self.params.omega), dtype=float)
         return radial, angular
@@ -272,7 +269,7 @@ class StandingWaveWigner:
 
         An array ``t`` broadcast with ``phi`` gives the angular factor its shape.
         """
-        _require_finite(t, "t")
+        t = _require_finite(t, "t")
         angular = standing_wave_factor(self.spec, phi, t, self.params.omega)
         angular /= self.spec.C
         angular += 1.0

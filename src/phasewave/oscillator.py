@@ -87,24 +87,43 @@ def _first_entry(values, bad):
     return values[np.unravel_index(np.argmax(bad), bad.shape)].item()
 
 
+def _real_values(value, name):
+    """``value`` as a float array; raises ``TypeError`` naming it if it holds no real numbers.
+
+    A complex array would lose its imaginary part, and a string array would
+    be parsed, in the cast to float.
+    """
+    vals = np.asarray(value)
+    if vals.dtype.kind not in "biuf":  # bool, signed and unsigned int, float
+        raise TypeError(f"{name} must be real, got a {vals.dtype} array")
+    return vals.astype(float)
+
+
 def _require_finite(value, name):
     """``value`` as a float, or an array of values as a float array.
 
     Raises ``DataError`` naming it if it, or an entry, is NaN or infinite,
-    and for a bool or a bool array.
+    and for a bool or a bool array; ``TypeError`` for an array that does not
+    hold real numbers.
     """
     if np.ndim(value) == 0:
         if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
             raise DataError(f"{name} must be finite, got {value}")
         return float(value)
-    vals = np.asarray(value)
-    if vals.dtype == bool:
+    if np.asarray(value).dtype == bool:
         raise DataError(f"{name} must be finite, got a bool array")
-    vals = vals.astype(float)
+    vals = _real_values(value, name)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise DataError(f"{name} must be finite, got {_first_entry(vals, bad)} in an array")
     return vals
+
+
+def _require_finite_scalar(value, name):
+    """``value`` as one finite float; an array, even of one entry, raises ``TypeError``."""
+    if np.ndim(value) != 0:
+        raise TypeError(f"{name} must be one number, got an array of shape {np.shape(value)}")
+    return _require_finite(value, name)
 
 
 def _phase(rate, t):
@@ -113,12 +132,7 @@ def _phase(rate, t):
     Raises ``DataError`` naming t if a phase is not finite: a finite t can
     still take it to inf, where no angle is defined.
     """
-    if np.ndim(t) == 0:
-        phase = rate * t
-        if not math.isfinite(phase):
-            raise DataError(f"t = {t!r} takes the wave phase {rate!r} * t to {phase!r}")
-        return phase
-    t = np.asarray(t, dtype=float)
+    t = _real_values(t, "t")
     with np.errstate(over="ignore"):
         phase = rate * t
     bad = ~np.isfinite(phase)
@@ -136,8 +150,8 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(_require_finite(self.x, "x")))
-        object.__setattr__(self, "p", float(_require_finite(self.p, "p")))
+        object.__setattr__(self, "x", _require_finite_scalar(self.x, "x"))
+        object.__setattr__(self, "p", _require_finite_scalar(self.p, "p"))
 
 
 def xi_of(params: OscillatorParams, x):

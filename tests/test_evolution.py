@@ -496,9 +496,22 @@ def test_moyal_rhs_refuses_an_hbar_whose_term_overflows():
     # (hbar/2)^2 = 2.5e319 is past the doubles: the cubic term would be -inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match=r"hbar = 1e\+160 takes the order-3 Moyal term to -inf"):
+        with pytest.raises(DataError, match=r"order-3 Moyal term takes the sum to -inf: "
+                                            r"hbar = 1e\+160, U\^\(3\)\(x\) = 6.0, "):
             moyal_rhs(PolynomialPotential((0, 0, 0, 1.0)), stationary_field(NATURAL_UNITS, 2),
                       PhasePoint(0.3, 0.2), 1e160)
+
+
+def test_moyal_rhs_refuses_a_position_whose_term_overflows():
+    # U^(3)(x) = 60 x^2 overflows at x = 1e200 while the Gaussian's p-derivative
+    # underflows to 0: the term is nan, and hbar = 1 is not its cause
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"order-3 Moyal term takes the sum to nan: "
+                                            r"hbar = 1.0, U\^\(3\)\(x\) = inf, "
+                                            r"d\^3W/dp\^3 = 0.0$"):
+            moyal_rhs(PolynomialPotential((0, 0, 0, 0, 0, 1.0)),
+                      stationary_field(NATURAL_UNITS, 2), PhasePoint(1e200, 0.0), 1.0)
 
 
 def test_potential_refuses_bool_coefficients():

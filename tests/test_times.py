@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, DataError, OscillatorParams, StandingWaveSpec,
-                       extended_field, marginal_over_p, marginal_over_x, propagate_exact,
-                       running_wave_profile, standing_wave_field, stationary_field)
+from phasewave import (NATURAL_UNITS, DataError, OscillatorParams, PhasePoint,
+                       PolynomialPotential, StandingWaveSpec, extended_field, marginal_over_p,
+                       marginal_over_x, moyal_rhs, propagate_exact, running_wave_profile,
+                       standing_wave_field, stationary_field)
 from phasewave import quadrature
 
 P = NATURAL_UNITS
@@ -152,3 +153,27 @@ def test_propagate_exact_keeps_one_time():
     # a rotation turns by one angle
     with pytest.raises(TypeError):
         propagate_exact(stationary_field(P, 0), P, np.array([0.1, 0.2]))
+
+
+def test_the_one_time_callers_refuse_a_one_entry_array():
+    one = np.array([0.3])
+    with pytest.raises(TypeError, match=r"t must be one number, got an array of shape \(1,\)"):
+        propagate_exact(stationary_field(P, 0), P, one)
+    with pytest.raises(TypeError, match="t must be one number"):
+        moyal_rhs(PolynomialPotential((0, 0, 0, 1.0)), stationary_field(P, 2),
+                  PhasePoint(0.3, 0.2), 1.0, t=one)
+    for x, p in ((one, 0.2), (0.3, one)):
+        with pytest.raises(TypeError, match="must be one number"):
+            PhasePoint(x, p)
+
+
+def test_an_array_of_times_that_is_not_real_is_refused():
+    fields = _fields(P)
+    for times in (np.array([0.1, 0.2 + 1e-3j]), np.array(["0.1", "0.2"])):
+        for name in ("stationary", "standing", "extended"):
+            with pytest.raises(TypeError, match="t must be real"):
+                fields[name](0.3, 0.2, times)
+            with pytest.raises(TypeError, match="t must be real"):
+                fields[name].polar_factors(np.array([0.5]), np.array([1.0]), times[:, None])
+        with pytest.raises(TypeError, match="t must be real"):
+            SPEC.to_profile().bracket(1.0, times, P.omega)
