@@ -40,10 +40,17 @@ _PARITY_TOL = 1e-10
 _PARITY_PHASES = (0.0, 0.137, 0.29, 0.5, 0.81)
 
 
+#: The seeded unit draws behind the periodicity angles, drawn once.
+_rng = random.Random(_PROFILE_SEED)
+_PERIOD_DRAWS = np.array([_rng.random() for _ in range(_PERIOD_SAMPLES)])
+_PERIOD_DRAWS.setflags(write=False)
+del _rng
+
+
 def _sample_periodic(h, name, kappa):
-    rng = random.Random(_PROFILE_SEED)
     period = TWO_PI * kappa
-    theta = np.array([rng.uniform(-period, period) for _ in range(_PERIOD_SAMPLES)])
+    # random.uniform(-period, period) is -period + (period - -period) * random()
+    theta = -period + (2.0 * period) * _PERIOD_DRAWS
     a = np.broadcast_to(np.asarray(h(theta), dtype=float), theta.shape)
     b = np.broadcast_to(np.asarray(h(theta + period), dtype=float), theta.shape)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

@@ -103,10 +103,12 @@ def _require_finite(value, name):
     """``value`` as a float, or an array of values as a float array.
 
     Raises ``DataError`` naming it if it, or an entry, is NaN or infinite,
-    and for a bool or a bool array; ``TypeError`` for an array that does not
-    hold real numbers.
+    and for a bool or a bool array; ``TypeError`` for a complex number and
+    for an array that does not hold real numbers.
     """
     if np.ndim(value) == 0:
+        if np.iscomplexobj(value):  # float() would keep the real part alone
+            raise TypeError(f"{name} must be real, got {value!r}")
         if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
             raise DataError(f"{name} must be finite, got {value}")
         return float(value)

@@ -180,9 +180,19 @@ def _disk_integral(W, params, t, radial_weight, label):
 
 
 def _line_values(f, xs):
-    """``f(xs)`` as a float array whose last axis runs over the nodes ``xs``."""
+    """``f(xs)`` as a float array of the broadcast shape of its values and the nodes ``xs``."""
     vals = np.asarray(f(xs), dtype=float)
-    return np.broadcast_to(vals, vals.shape[:-1] + xs.shape)
+    return np.broadcast_to(vals, np.broadcast_shapes(vals.shape, xs.shape))
+
+
+def _nodes(a, b, n):
+    """``n`` nodes from a to b on every line, as one C-contiguous array of shape lines + (n,).
+
+    Contiguous nodes give contiguous values, whose sums along the last axis
+    round as a lone line's do; the strided view ``linspace`` returns along
+    the last axis does not.
+    """
+    return np.ascontiguousarray(np.linspace(a, b, n, axis=-1))
 
 
 def _line_integral(f, a, b, n_panels, tol, label):
@@ -190,30 +200,37 @@ def _line_integral(f, a, b, n_panels, tol, label):
 
     ``f(xs)`` returns the integrand at the nodes ``xs`` along its last
     axis; leading axes, if any, index independent lines, and the result
-    has their shape.  Each line is estimated on its own, against the rule
-    on every other node.  While some fail, ``f`` runs on the midpoints of
-    the current mesh, T_2n = T_n / 2 + h_2n sum f(midpoints), up to
-    8 ``n_panels`` panels; only the failing lines take the finer value and
-    its distance from the coarser one, so a line integrates exactly as it
-    would alone.
+    has their shape.  The window ends ``a`` and ``b`` are numbers or arrays
+    that broadcast to the lines, so each line may have its own window: the
+    nodes have the shape of ``np.broadcast(a, b)`` plus the node axis, and
+    ``f``'s values may broadcast them further.  Each line is estimated on
+    its own, against the rule on every other node.  While some fail, ``f``
+    runs on the midpoints of the current mesh,
+    T_2n = T_n / 2 + h_2n sum f(midpoints), up to 8 ``n_panels`` panels;
+    only the failing lines take the finer value and its distance from the
+    coarser one, so a line integrates exactly as it would alone.
 
     The mesh estimate cannot see what lies outside [a, b].  A line whose
-    integrand at a or b, times b - a, exceeds ``tol`` is truncated by the
-    window, and ``ConfigurationError`` refuses it.  A non-finite value
-    makes its line's estimate NaN or inf, which counts as a failure.
+    integrand at a or b, times its b - a, exceeds ``tol`` is truncated by
+    its window, and ``ConfigurationError`` refuses the batch, naming the
+    worst such line's truncation.  A non-finite value makes its line's
+    estimate NaN or inf, which counts as a failure.
     """
     n = int(n_panels)
     n += n % 2
     finest = 8 * n
-    vals = _line_values(f, np.linspace(a, b, n + 1))
-    end = float(np.max(np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1])), initial=0.0))
-    if end * (b - a) > tol:
+    width = b - a
+    vals = _line_values(f, _nodes(a, b, n + 1))
+    end = np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
+    trunc = end * width
+    if np.any(trunc > tol):
+        worst = np.unravel_index(np.nanargmax(trunc), trunc.shape)
         raise ConfigurationError(
-            f"{label}: the integrand reaches {end:.3e} at the window ends, which can truncate "
-            f"up to {end * (b - a):.3e}, above tol {tol:g}; it has not decayed within "
+            f"{label}: the integrand reaches {end[worst]:.3e} at the window ends, which can "
+            f"truncate up to {trunc[worst]:.3e}, above tol {tol:g}; it has not decayed within "
             f"{EXTENT:.2f} Gaussian widths"
         )
-    h = (b - a) / n
+    h = width / n
     with np.errstate(invalid="ignore"):  # an inf integrand gives a NaN estimate, a failure
         coarse = 2.0 * h * (0.5 * (vals[..., 0] + vals[..., -1]) + vals[..., 2:-1:2].sum(axis=-1))
         value = 0.5 * coarse + h * vals[..., 1::2].sum(axis=-1)
@@ -221,8 +238,8 @@ def _line_integral(f, a, b, n_panels, tol, label):
         level = value
         while n < finest and not np.all(est <= tol):
             failed = ~(est <= tol)
-            h *= 0.5
-            finer = 0.5 * level + h * _line_values(f, np.linspace(a + h, b - h, n)).sum(axis=-1)
+            h = 0.5 * h
+            finer = 0.5 * level + h * _line_values(f, _nodes(a + h, b - h, n)).sum(axis=-1)
             value = np.where(failed, finer, value)
             est = np.where(failed, abs(finer - level), est)
             level = finer

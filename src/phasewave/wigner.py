@@ -180,20 +180,24 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
     return (value, est) if return_error else value
 
 
-def _transform_lines(params: OscillatorParams, n: int, x: float, p):
-    """Transform values and estimates at position ``x`` for one momentum or an array of them.
+def _transform_lines(params: OscillatorParams, n: int, x, p):
+    """Transform values and estimates at the positions ``x`` and momenta ``p``.
 
-    The momenta share the integration window, which depends on ``x``
-    only, so their lines run as one batch of :func:`_line_integral`;
-    each gets the bits a call with that momentum alone would give.
+    ``x`` and ``p`` are numbers or arrays that broadcast together, and the
+    result has their broadcast shape.  A line's window depends on its
+    position only, so the eigenfunction pair product is formed once per
+    position for all the momenta, and the lines run as one batch of
+    :func:`_line_integral`; each gets the bits a call with that point
+    alone would give.
     """
-    xi = float(xi_of(params, x))
-    s_max = 2.0 * (abs(xi) + EXTENT)  # psi_n is negligible past EXTENT widths
+    xi = np.asarray(xi_of(params, x))
+    s_max = 2.0 * (np.abs(xi) + EXTENT)  # psi_n is negligible past EXTENT widths
+    centers = xi[..., None]
     lines = (np.asarray(p, dtype=float) / params.sigma_p)[..., None]
 
     def integrand(s):  # the eigenfunctions of unit width are those of natural units
-        left = wavefunction(NATURAL_UNITS, n, xi + s / 2.0)
-        right = wavefunction(NATURAL_UNITS, n, xi - s / 2.0)
+        left = wavefunction(NATURAL_UNITS, n, centers + s / 2.0)
+        right = wavefunction(NATURAL_UNITS, n, centers - s / 2.0)
         return np.cos(lines * s) * left * right / TWO_PI
 
     value, est = _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction")

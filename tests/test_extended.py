@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -32,6 +33,21 @@ def seeded_points(count=200, seed=3):
 def test_profile_periodicity_enforced():
     with pytest.raises(ValueError, match="periodic"):
         WaveProfile(f=lambda th: np.sin(th / 2.0), g=lambda th: 0.0, C=1.0, kappa=1)
+
+
+def test_periodicity_angles_are_the_seeded_uniform_draws():
+    for kappa in range(1, 9):
+        rng = random.Random(phasewave.extended._PROFILE_SEED)
+        period = 2.0 * math.pi * kappa
+        drawn = np.array([rng.uniform(-period, period) for _ in range(128)])
+        seen = []
+
+        def f(th, kappa=kappa):
+            seen.append(th.copy())
+            return np.cos(th / kappa)
+
+        WaveProfile(f=f, g=lambda th: 0.0, C=1.0, kappa=kappa)
+        assert seen[0].tobytes() == drawn.tobytes(), kappa
 
 
 def test_profile_fractional_harmonic_allowed_for_matching_kappa():

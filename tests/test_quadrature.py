@@ -170,6 +170,48 @@ def test_line_rule_never_passes_a_wrong_kinked_integral():
         assert np.all(est <= TOL) and np.all(np.abs(value - 1.0) <= TOL)
 
 
+def test_line_rule_on_a_window_per_line_keeps_each_lone_lines_bits():
+    # three lines of three windows: only the k = 45 line misses TOL on
+    # N_LINE panels, and it alone takes the batch's midpoint refinement
+    k = np.array([3.0, 45.0, 20.0])[:, None]
+    a = -EXTENT
+    b = np.array([EXTENT, EXTENT, 0.7 * EXTENT])
+
+    def gaussian_cosine(k, calls):
+        def f(xs):
+            calls.append(xs.shape)
+            return np.exp(-xs * xs) * np.cos(k * xs)
+        return f
+
+    calls = []
+    values, ests = _line_integral(gaussian_cosine(k, calls), a, b, N_LINE, TOL, "batch")
+    assert calls == [(3, N_LINE + 1), (3, N_LINE)]
+    for k_line, b_line, value, est, panels in zip(k[:, 0], b, values, ests, (1, 2, 1)):
+        calls = []
+        alone = _line_integral(gaussian_cosine(float(k_line), calls), a, float(b_line), N_LINE,
+                               TOL, "alone")
+        assert len(calls) == panels
+        assert (value.tobytes(), est.tobytes()) == (np.float64(alone[0]).tobytes(),
+                                                    np.float64(alone[1]).tobytes())
+
+
+def test_line_rule_refuses_only_a_batch_with_a_truncated_line_and_names_its_truncation():
+    def gaussian(xs):
+        return np.exp(-xs * xs)
+
+    wide = np.array([EXTENT, 5.0, EXTENT])  # 10 e^-25 is below TOL
+    values, _ = _line_integral(gaussian, -wide, wide, N_LINE, TOL, "wide")
+    assert np.all(np.abs(values - math.sqrt(math.pi)) <= TOL)
+    # the middle line stops at 2 widths and truncates 4 e^-4; the last, at
+    # 3 widths, truncates only 6 e^-9, also above TOL
+    ends = np.array([EXTENT, 2.0, 3.0])
+    end, trunc = math.exp(-4.0), 4.0 * math.exp(-4.0)
+    with pytest.raises(ConfigurationError,
+                       match=f"reaches {end:.3e} at the window ends, which can truncate up to "
+                             f"{trunc:.3e}"):
+        _line_integral(gaussian, -ends, ends, N_LINE, TOL, "truncated")
+
+
 def test_line_rule_refined_once_returns_the_finer_trapezoid_and_their_distance():
     # exp(-x^2) / (x^2 + 0.08) has poles at x = +-0.283i, so the trapezoid
     # converges geometrically but slowly: on the marginal window the 512-panel
@@ -440,7 +482,7 @@ def test_line_rules_of_the_suite_run_on_n_line_panels(monkeypatch):
         traffic.append((current[-1], label, nodes))
 
         def g(xs):
-            nodes.append(xs.size)
+            nodes.append(xs.shape[-1])
             return f(xs)
         return rule(g, a, b, n_panels, tol, label)
 
@@ -459,7 +501,8 @@ def test_line_rules_of_the_suite_run_on_n_line_panels(monkeypatch):
 
 def test_line_integrals_per_check_of_the_suite(monkeypatch):
     # marginal_identities integrates each (state, ell, axis) once for all
-    # four times: 3 states x 2 ells x 2 axes batches, not 48
+    # four times: 3 states x 2 ells x 2 axes batches, not 48; and
+    # transform_oracle_agreement each order's 9x9 grid at once, not per x
     per_check, current = {}, []
     rule = quadrature._line_integral
 
@@ -475,7 +518,7 @@ def test_line_integrals_per_check_of_the_suite(monkeypatch):
             return _check(*args, **kwargs)
         monkeypatch.setitem(verify.SUITES, name, (tracked, takes_tol))
     assert run_suite().passed
-    assert per_check == {"marginal_identities": 12, "transform_oracle_agreement": 45,
+    assert per_check == {"marginal_identities": 12, "transform_oracle_agreement": 5,
                          "running_wave_rejection": 1}
 
 

@@ -177,3 +177,28 @@ def test_an_array_of_times_that_is_not_real_is_refused():
                 fields[name].polar_factors(np.array([0.5]), np.array([1.0]), times[:, None])
         with pytest.raises(TypeError, match="t must be real"):
             SPEC.to_profile().bracket(1.0, times, P.omega)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_a_complex_number_is_refused_at_every_entry_point(action):
+    # float() of a numpy complex keeps its real part, warning at most; the
+    # rotation and the bare callable ignore their time unchecked
+    fields = {name: W for name, W in _fields(P).items() if name not in ("rotation", "bare")}
+    potential, W2 = PolynomialPotential((0, 0, 0, 1.0)), stationary_field(P, 2)
+    for value in (np.complex128(0.3 + 1j), np.complex64(0.3 + 1j), np.array(0.3 + 1j)):
+        calls = {
+            "x": lambda: PhasePoint(value, 0.2),
+            "p": lambda: PhasePoint(0.3, value),
+            "propagate_exact": lambda: propagate_exact(W2, P, value),
+            "moyal_rhs": lambda: moyal_rhs(potential, W2, PhasePoint(0.3, 0.2), 1.0, t=value),
+        }
+        for name, W in fields.items():
+            calls[name] = lambda W=W: W(0.3, 0.2, value)
+            calls[name + ".polar_factors"] = lambda W=W: W.polar_factors(
+                np.array([0.5]), np.array([1.0]), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for name, call in calls.items():
+                with pytest.raises(TypeError, match="must be real"):
+                    call()
+                    pytest.fail(f"{name} accepted {value!r}")

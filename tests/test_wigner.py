@@ -128,6 +128,22 @@ def test_transform_momentum_batch_equals_single_calls(params):
                     np.float64(alone[0]).tobytes(), np.float64(alone[1]).tobytes())
 
 
+@pytest.mark.parametrize("n", [0, 3, 64])
+@pytest.mark.parametrize("params", [NATURAL_UNITS, GENERAL], ids=["natural", "general"])
+def test_transform_grid_batch_equals_single_calls(params, n):
+    # each position has its own window, so one batch runs lines of nine widths
+    positions = np.linspace(-3.0, 3.0, 9)
+    momenta = np.linspace(-2.5, 2.9, 7)
+    values, ests = _transform_lines(params, n, positions[:, None], momenta)
+    assert values.shape == ests.shape == (9, 7)
+    for x, v_row, e_row in zip(positions, values, ests):
+        for p, value, est in zip(momenta, v_row, e_row):
+            alone = wigner_from_wavefunction(params, n, PhasePoint(float(x), float(p)),
+                                             return_error=True)
+            assert (value.tobytes(), est.tobytes()) == (
+                np.float64(alone[0]).tobytes(), np.float64(alone[1]).tobytes()), (x, p)
+
+
 @pytest.mark.parametrize("params", [NATURAL_UNITS, SCALED], ids=["natural", "scaled"])
 def test_transform_matches_exact_kernel_for_every_order(params):
     # the window must reach past the turning point sqrt(2n+1) of each order
