@@ -28,15 +28,16 @@ class DataError(ValueError):
     The field classes, ``radial_kernel``, the densities, ``wavefunction``,
     ``polar_from_xy`` and ``energy_xy`` raise it, naming the coordinate
     (x, p or rho), when a coordinate holds a NaN; an infinite coordinate
-    lies past every Gaussian and gives 0.  The field classes' calls and
-    ``polar_factors`` raise it, naming t, for a NaN or infinite time and
-    for a finite one whose wave phase is not finite (``propagate_exact``
-    too, for the angle omega t); an array of times raises it for any such
-    entry and for a bool array, and so do the marginals, through the
-    field.  ``PhasePoint`` raises it for a non-finite component,
+    lies past every Gaussian and gives 0.  The field classes' and the
+    rotations' calls and ``polar_factors`` raise it, naming t, for a NaN or
+    infinite time and for a finite one whose wave phase is not finite
+    (``propagate_exact`` too, for the angle omega t); an array of times
+    raises it for any such entry and for a bool array, and so do the
+    marginals, through the field.  ``PhasePoint`` raises it for a non-finite component,
     ``moyal_rhs`` for an hbar that is not finite and positive, naming
     hbar, and for a term that takes the sum past the doubles, naming the
-    term's factors hbar, U^(d)(x) and d^dW/dp^d, and
+    term's factors hbar, U^(d)(x) and d^dW/dp^d, ``p_derivative`` for a
+    value past the doubles, naming the order and the point, and
     ``wave_residual`` and ``transport_residual``, naming omega, for a
     residual that the scaling by omega takes past the doubles.
     ``read_field`` raises it, naming

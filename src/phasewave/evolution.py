@@ -23,8 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowupError, ConfigurationError, DataError
-from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _positive_real,
-                         _require_finite_scalar, polar_from_xy, xy_from_polar)
+from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _polar_grid,
+                         _positive_real, _require_finite, _require_finite_scalar, polar_from_xy,
+                         xy_from_polar)
+from .special import _derivative_order
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -91,10 +93,12 @@ class Field2D:
 
 @dataclass(frozen=True)
 class Rotation:
-    """Initial field ``W0`` carried by the exact flow for the time ``elapsed``.
+    """Initial field ``W0(x, p, t)``, used at t = 0, carried by the exact flow for ``elapsed``.
 
-    ``W0`` is called as (x, p).  A trailing time is accepted and ignored, so
-    a rotation can be passed wherever a field is expected.
+    A rotation is a field: its trailing time, one or an array, is checked as
+    a field class checks it and otherwise ignored.  Its ``polar_factors``
+    are those of ``W0`` at the turned angles, read through ``_polar_grid``,
+    so the angular factor is a grid when ``W0`` is a bare callable.
     """
 
     W0: Callable
@@ -104,30 +108,31 @@ class Rotation:
     def _start_angle(self, phi):
         return (phi + self.params.omega * self.elapsed) % TWO_PI
 
-    def __call__(self, x, p, t=None):
+    def __call__(self, x, p, t=0.0):
+        _require_finite(t, "t")
         rho, phi = polar_from_xy(self.params, x, p)
         x0, p0 = xy_from_polar(self.params, rho, self._start_angle(phi))
-        return self.W0(x0, p0)
+        return self.W0(x0, p0, 0.0)
 
-
-class _FactoredRotation(Rotation):
-    """Rotation of a field with ``polar_factors``: the radial factor stays, the angles turn."""
-
-    def polar_factors(self, rho, phi, t=None):
-        return self.W0.polar_factors(rho, self._start_angle(phi))
+    def polar_factors(self, rho, phi, t=0.0):
+        _require_finite(t, "t")
+        return _polar_grid(self.W0, self.params, rho, self._start_angle(phi), 0.0)
 
 
 def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     """Exact solution of W_t = omega W_phi for the initial field ``W0``.
 
-    ``W0`` is a field class, which is used at t = 0, or any callable of
-    (x, p).  Returns the field at time ``t``, i.e. (x, p) -> W0 evaluated
-    at the same radius and angle phi + omega t; it has ``polar_factors``
-    exactly when ``W0`` has.  A NaN or infinite ``t`` raises ``DataError``,
-    and so does a finite one whose angle omega t overflows.
+    ``W0`` is a field ``W(x, p, t)``, a field class or a bare callable,
+    used at t = 0; a callable of (x, p) alone is refused with ``TypeError``
+    when the rotation is evaluated.  Returns the field at time ``t``, i.e.
+    (x, p) -> W0 evaluated at the same radius and angle phi + omega t.  It
+    always has ``polar_factors``, whose angular factor is an
+    (n_rho, n_phi) grid when ``W0`` is a bare callable.  A NaN or infinite
+    ``t`` raises ``DataError``, and so does a finite one whose angle
+    omega t overflows.
     """
     _phase(params.omega, _require_finite_scalar(t, "t"))
-    return (_FactoredRotation if hasattr(W0, "polar_factors") else Rotation)(W0, params, t)
+    return Rotation(W0, params, t)
 
 
 def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Field2D:
@@ -286,14 +291,14 @@ class PolynomialPotential:
 
 
 def poly_derivative(U: PolynomialPotential, order: int) -> PolynomialPotential:
-    """Exact derivative d^order U / dx^order by coefficient shift."""
-    if order < 0 or int(order) != order:
-        raise ValueError(f"order must be a non-negative integer, got {order}")
+    """Exact derivative d^order U / dx^order by coefficient shift.
+
+    After len(U.coeffs) shifts the derivative is (0.0,), which every further
+    shift keeps, so no more are taken.
+    """
     coeffs = list(U.coeffs)
-    for _ in range(int(order)):
-        coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-        if not coeffs:
-            coeffs = [0.0]
+    for _ in range(min(_derivative_order(order), len(coeffs))):
+        coeffs = [k * coeffs[k] for k in range(1, len(coeffs))] or [0.0]
     return PolynomialPotential(tuple(coeffs))
 
 

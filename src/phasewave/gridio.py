@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .evolution import Field2D, GridSpec
-from .oscillator import OscillatorParams, xy_from_polar
-from .quadrature import _polar_factor_vectors
+from .oscillator import OscillatorParams, _polar_grid, xy_from_polar
 
 #: Fixed key order of the self-describing parameter block.
 _META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",
@@ -29,21 +28,19 @@ _META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",
 def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field2D:
     """Evaluate W(x, p, t) at the polar grid nodes, rho-major.
 
-    A field with ``polar_factors`` is sampled as the outer product of its
-    radial factor on the radii and its angular factor on the angles, the
-    closed form at each node (rho_i, phi_j); any other callable is
-    evaluated at the (x, p) image of every node.  Raises
-    :class:`~phasewave.errors.DataError` naming the first offending node if
-    any sampled value is non-finite.
+    Every field ``W(x, p, t)`` is read through the one polar adapter and
+    sampled as the outer product of its radial factor on the radii and its
+    angular factor on the angles.  For a field class that is the closed form
+    at each node (rho_i, phi_j); any other callable is evaluated at the
+    (x, p) image of every node.  A rotation from ``propagate_exact`` always
+    has ``polar_factors``, whose angular factor is such a grid when it
+    turns a bare callable.  Raises :class:`~phasewave.errors.DataError`
+    naming the first offending node if any sampled value is non-finite.
     """
     rho = grid.rho_nodes()
     phi = grid.phi_nodes()
-    if hasattr(W, "polar_factors"):
-        radial, angular = _polar_factor_vectors(W, rho, phi, t)
-        vals = radial[:, None] * angular
-    else:
-        x, p = xy_from_polar(params, rho[:, None], phi[None, :])
-        vals = np.broadcast_to(np.asarray(W(x, p, t), dtype=float), x.shape).copy()
+    radial, angular = _polar_grid(W, params, rho, phi, t)
+    vals = radial[:, None] * angular
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), vals.shape)

@@ -183,6 +183,27 @@ def xy_from_polar(params: OscillatorParams, rho, phi):
     return x, p
 
 
+def _polar_grid(W, params: OscillatorParams, rho, phi, t):
+    """Any field W on the polar tensor grid of the 1-d ``rho`` and ``phi``, as (radial, angular).
+
+    Both are float arrays and radial[:, None] * angular is W(rho_i, phi_j, t);
+    every field is read on a polar grid here.  A field with ``polar_factors``
+    gives its factors broadcast to the nodes: the radial one to the radii,
+    the angular one to the angles, or to the whole grid if it is one (a
+    rotation of a bare callable gives such a factor).  Any other callable
+    gives ones on the radii and its values at the (x, p) image of the grid
+    as an (n_rho, n_phi) angular factor.
+    """
+    if not hasattr(W, "polar_factors"):
+        x, p = xy_from_polar(params, rho[:, None], phi[None, :])
+        return np.ones(rho.shape), np.broadcast_to(np.asarray(W(x, p, t), dtype=float), x.shape)
+    radial, angular = W.polar_factors(rho, phi, t)
+    angular = np.asarray(angular, dtype=float)
+    nodes = phi.shape if angular.ndim < 2 else rho.shape + phi.shape
+    return (np.broadcast_to(np.asarray(radial, dtype=float), rho.shape),
+            np.broadcast_to(angular, nodes))
+
+
 def energy_xy(params: OscillatorParams, x, p):
     """Vectorized dimensionless energy eps = (xi^2 + eta^2)/2 in units of hbar omega.
 

@@ -17,14 +17,15 @@ n <= ``MAX_ORDER`` is more than rounding, and runs with the node counts
 :data:`N_RHO`, :data:`N_PHI` and :data:`N_LINE` and the tolerance
 :data:`TOL`; the quadrature has no settings.
 
-Fields are callables ``W(x, p, t)`` accepting numpy arrays in ``x, p``.
-A field that also has ``polar_factors(rho, phi, t)``, returning a radial
-factor on 1-d radii and an angular factor on 1-d angles whose outer
-product is W on the polar grid, is integrated over the disk as one radial
-sum times one angular sum on the same nodes.  Nothing tells a rule how far
-any other callable extends, so each rule raises
-:class:`~phasewave.errors.ConfigurationError` for one that has not decayed
-at the edge of its extent.
+Every field is a callable ``W(x, p, t)`` accepting numpy arrays in
+``x, p``.  The disk rule reads it on the polar grid through one adapter,
+:func:`~phasewave.oscillator._polar_grid`: a field with
+``polar_factors(rho, phi, t)``, whose radial and angular factors have W on
+the grid as their outer product, is integrated as one radial sum times one
+angular sum on the same nodes.  Any other callable, and a rotation of one,
+is tabulated on the grid; nothing tells a rule how far it extends, so each
+rule raises :class:`~phasewave.errors.ConfigurationError` for one that has
+not decayed at the edge of its extent.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, ConfigurationError
-from .oscillator import TWO_PI, OscillatorParams, xy_from_polar
+from .oscillator import TWO_PI, OscillatorParams, _polar_grid
 from .special import MAX_ORDER, check_order, laguerre
 
 #: Half-width, in Gaussian widths, of every rule: the order-MAX_ORDER
@@ -112,44 +113,30 @@ def _gl_nodes(n, a, b):
     return (half * (xg + 1.0) + a).astype(float), (half * wg).astype(float)
 
 
-def _polar_factor_vectors(W, rho, phi, t):
-    """``W.polar_factors(rho, phi, t)`` as float arrays of the shapes of ``rho`` and ``phi``.
-
-    A factor that does not vary, such as the 0-d angular factor of a
-    stationary profile, is broadcast to its nodes.
-    """
-    radial, angular = W.polar_factors(rho, phi, t)
-    return (np.broadcast_to(np.asarray(radial, dtype=float), rho.shape),
-            np.broadcast_to(np.asarray(angular, dtype=float), phi.shape))
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a sum that overflows is non-finite, a failure
 def _disk_sum(W, params, n_rho, n_phi, t, radial_weight, label):
     """One fixed-size evaluation of hbar * integral of W g r dr dphi over r <= ``EXTENT``.
 
-    The field sees the radii rho = rho_scale r.  A field with
-    ``polar_factors`` takes the factored form (sum_i w_i J_i radial_i)
-    (dphi sum_j angular_j) of the tensor-product rule, with J = r g(r).
-    Any other callable is evaluated on the full grid and refused when
-    hbar |W| J on the outermost ring, times ``EXTENT``, exceeds ``TOL``.
+    The field sees the radii rho = rho_scale r, through ``_polar_grid``.
+    A 1-d angular factor takes the factored form (sum_i w_i J_i radial_i)
+    (dphi sum_j angular_j) of the tensor-product rule, with J = r g(r).  A
+    tabulated (2-d) one is summed ring by ring and refused when hbar |W| J
+    on the outermost ring, times ``EXTENT``, exceeds ``TOL``.
     """
     r, wr = _gl_nodes(n_rho, 0.0, EXTENT)
-    rho = params.rho_scale * r
     phi = TWO_PI * np.arange(n_phi) / n_phi
     jac = r if radial_weight is None else r * radial_weight(r)
     cell = TWO_PI / n_phi * params.area
-    if hasattr(W, "polar_factors"):
-        radial, angular = _polar_factor_vectors(W, rho, phi, t)
+    radial, angular = _polar_grid(W, params, params.rho_scale * r, phi, t)
+    if angular.ndim == 1:
         return float(np.dot(wr, jac * radial)) * float(angular.sum()) * cell
-    x, p = xy_from_polar(params, rho[:, None], phi[None, :])
-    vals = np.broadcast_to(np.asarray(W(x, p, t), dtype=float), x.shape)
-    edge = float(np.max(np.abs(vals[-1]))) * jac[-1] * EXTENT * params.area
+    edge = float(np.max(np.abs(radial[-1] * angular[-1]))) * jac[-1] * EXTENT * params.area
     if edge > TOL:
         raise ConfigurationError(
             f"{label}: the integrand on the outermost ring can truncate up to {edge:.3e}, "
             f"above tol {TOL:g}; it has not decayed within {EXTENT:.2f} Gaussian widths"
         )
-    return float(np.dot(wr * jac, vals.sum(axis=1))) * cell
+    return float(np.dot(wr * jac * radial, angular.sum(axis=1))) * cell
 
 
 def _refined(rule, label):

@@ -24,6 +24,17 @@ def check_order(n):
     return int(n)
 
 
+def _derivative_order(order):
+    """Validate a derivative order, returning it as a plain int.
+
+    Any non-negative integer is one; a bool, a float such as 2.0 and a
+    negative number raise ``ValueError``.
+    """
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"derivative order must be a non-negative integer, got {order!r}")
+    return int(order)
+
+
 def _finite_values(x, name):
     vals = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(vals)):

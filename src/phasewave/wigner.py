@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
 from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint,
                          _require_finite, coordinate, energy_xy, xi_of)
 from .quadrature import EXTENT, N_LINE, TOL, _line_integral
-from .special import check_order, hermite, laguerre, log_weight
+from .special import _derivative_order, check_order, hermite, laguerre, log_weight
 
 
 def _kernel(params: OscillatorParams, n: int, eps):
@@ -72,16 +73,18 @@ class StationaryWigner:
         _require_finite(t, "t")
         return radial_kernel(self.params, self.n, rho), np.ones(np.shape(phi))
 
+    @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
     def p_derivative(self, order, x, p):
         """Exact d^order W / dp^order at the scalar point (x, p).
 
         W(x, p) = K exp(-xi^2) exp(-eta^2) q(eta) with q a polynomial, and
         each derivative in p is one in eta divided by sigma_p.  Where the
         Gaussian underflows the value is 0, and q, which could overflow
-        there, is not formed.
+        there, is not formed.  A value that is not finite, as q's
+        coefficients overflow at orders past about 250, raises ``DataError``
+        naming the order and the point.
         """
-        if order < 0 or int(order) != order:
-            raise ValueError(f"derivative order must be a non-negative integer, got {order}")
+        order = _derivative_order(order)
         pr = self.params
         xi = (float(coordinate(x, "x")) + pr.shift) / pr.sigma_x
         eta = float(coordinate(p, "p")) / pr.sigma_p
@@ -101,14 +104,17 @@ class StationaryWigner:
             q = np.convolve(q, base)
             q[0] += c
         two_eta = np.array([0.0, 2.0])
-        for _ in range(int(order)):
+        for _ in range(order):
             dq = q[1:] * np.arange(1, len(q)) if len(q) > 1 else q * 0
             q = -np.convolve(two_eta, q)
             q[:len(dq)] += dq
         # Horner at 0.0 + eta, where numpy.polynomial evaluates, so -0.0 as 0.0
         value = float(np.polyval(q[::-1], 0.0 + eta)) * gauss
-        for _ in range(int(order)):
+        for _ in range(order):
             value /= pr.sigma_p
+        if not math.isfinite(value):
+            raise DataError(f"d^{order}W/dp^{order} at (x, p) = ({x!r}, {p!r}) is {value!r}, "
+                            f"not a finite double")
         return value
 
 

@@ -87,7 +87,7 @@ def test_propagate_exact_shifts_single_chirality_phase():
     kappa = 3
     W0 = kernel_times_sin(kappa)
     t = 0.41
-    adv = propagate_exact(W0, P, t)
+    adv = propagate_exact(lambda x, p, t: W0(x, p), P, t)
     for x, p in ((0.8, 0.5), (-0.4, 1.1)):
         rho, phi = polar_from_xy(P, x, p)
         expected = radial_kernel(P, 0, rho) * math.sin(kappa * phi + kappa * P.omega * t)
@@ -96,35 +96,40 @@ def test_propagate_exact_shifts_single_chirality_phase():
 
 def test_propagate_exact_full_rotation_identity():
     W0 = kernel_times_sin(2)
-    adv = propagate_exact(W0, P, 2.0 * math.pi / P.omega)
+    adv = propagate_exact(lambda x, p, t: W0(x, p), P, 2.0 * math.pi / P.omega)
     for x, p in ((0.8, 0.5), (-1.4, 0.2)):
         assert float(adv(x, p)) == pytest.approx(float(W0(x, p)), abs=1e-12)
 
 
 def test_propagate_exact_rotation_is_ring_shift():
-    # a bare W0 has no polar_factors, and neither has its rotation, which is
-    # sampled at the (x, p) image of every node
+    # a bare W0 has no polar_factors; its rotation's angular factor is W0
+    # tabulated at the (x, p) image of every turned node
     grid = GridSpec(rho_max=3.0, n_rho=6, n_phi=32)
     W0 = kernel_times_sin(2)
-    base = sample_field(lambda x, p, t: W0(x, p), grid, 0.0, P)
+    bare = lambda x, p, t: W0(x, p)
+    base = sample_field(bare, grid, 0.0, P)
     k = 5
     t = k * grid.delta_phi / P.omega
-    adv = propagate_exact(W0, P, t)
-    assert not hasattr(adv, "polar_factors")
+    adv = propagate_exact(bare, P, t)
+    radial, angular = adv.polar_factors(grid.rho_nodes(), grid.phi_nodes(), t)
+    assert np.array_equal(radial, np.ones(grid.n_rho)) and angular.shape == (6, 32)
     rotated = sample_field(adv, grid, t, P)
     assert np.max(np.abs(rotated.values - np.roll(base.values, -k, axis=1))) <= 1e-12
 
 
-def test_snapshots_and_rotations_keep_polar_factors_exactly_when_the_field_has_them():
+def test_rotations_always_have_polar_factors_and_take_fields_of_x_p_t():
     W = standing_wave_field(P, 2, StandingWaveSpec(ell=3, A=2.0, C=5.0))
-    bare = lambda x, p: W(x, p)
+    bare = lambda x, p, t: W(x, p, t)
     assert hasattr(propagate_exact(W, P, 1.1), "polar_factors")
-    assert not hasattr(propagate_exact(bare, P, 1.1), "polar_factors")
+    assert hasattr(propagate_exact(bare, P, 1.1), "polar_factors")
     x, p = np.array([0.7, -1.2, 0.0]), np.array([0.4, 0.9, -1.5])
-    # the (x, p) call is kept, and a trailing time is ignored
+    # the (x, p) call is kept, and a trailing time is checked and ignored
     adv = propagate_exact(W, P, 1.1)
     assert np.array_equal(adv(x, p, 7.0), adv(x, p))
     assert np.array_equal(adv(x, p), propagate_exact(bare, P, 1.1)(x, p))
+    # a callable of (x, p) alone is not a field
+    with pytest.raises(TypeError):
+        propagate_exact(lambda x, p: W(x, p), P, 1.1)(x, p)
 
 
 @pytest.mark.parametrize("n", [0, 5])
@@ -402,6 +407,25 @@ def test_polynomial_evaluation_and_degree():
 def test_polynomial_degree_cap():
     with pytest.raises(ConfigurationError):
         PolynomialPotential(tuple(range(14)))
+
+
+def test_derivative_orders_are_non_negative_integers():
+    W, U = stationary_field(P, 2), PolynomialPotential((1.0, 2.0, 3.0))
+    for bad in (True, False, 2.0, 1.5, -1, "2", None):
+        with pytest.raises(ValueError, match="derivative order must be a non-negative integer"):
+            poly_derivative(U, bad)
+        with pytest.raises(ValueError, match="derivative order must be a non-negative integer"):
+            W.p_derivative(bad, 0.3, 0.2)
+    assert poly_derivative(U, np.int64(1)).coeffs == (2.0, 6.0)
+    assert W.p_derivative(np.int64(3), 0.3, 0.2) == W.p_derivative(3, 0.3, 0.2)
+
+
+def test_poly_derivative_stops_at_the_zero_polynomial():
+    # an order-linear loop would not return for 10^100
+    U = PolynomialPotential(tuple(float(k + 1) for k in range(13)))
+    for order in (13, 14, 10**6, 10**100):
+        assert poly_derivative(U, order).coeffs == (0.0,)
+    assert poly_derivative(U, 12).coeffs == (13.0 * math.factorial(12),)
 
 
 def test_poly_derivative_examples():

@@ -179,11 +179,23 @@ def test_an_array_of_times_that_is_not_real_is_refused():
             SPEC.to_profile().bracket(1.0, times, P.omega)
 
 
+def test_a_rotation_checks_the_time_it_ignores():
+    rotation = _fields(P)["rotation"]
+    rho, phi = np.array([0.5, 1.0]), np.array([0.0, 1.0])
+    for bad in (math.nan, np.array([0.0, math.inf]), np.array([False, True])):
+        with pytest.raises(DataError, match="t must be finite"):
+            rotation(0.3, 0.2, bad)
+        with pytest.raises(DataError, match="t must be finite"):
+            rotation.polar_factors(rho, phi, bad)
+    with pytest.raises(TypeError, match="t must be real"):
+        rotation(0.3, 0.2, np.array(["0.1"]))
+
+
 @pytest.mark.parametrize("action", ["error", "ignore"])
 def test_a_complex_number_is_refused_at_every_entry_point(action):
     # float() of a numpy complex keeps its real part, warning at most; the
-    # rotation and the bare callable ignore their time unchecked
-    fields = {name: W for name, W in _fields(P).items() if name not in ("rotation", "bare")}
+    # bare callable ignores its time unchecked
+    fields = {name: W for name, W in _fields(P).items() if name != "bare"}
     potential, W2 = PolynomialPotential((0, 0, 0, 1.0)), stationary_field(P, 2)
     for value in (np.complex128(0.3 + 1j), np.complex64(0.3 + 1j), np.array(0.3 + 1j)):
         calls = {

@@ -235,6 +235,34 @@ def test_no_module_raises_a_parameter_to_a_power():
     assert powers == {}
 
 
+def _polar_protocol(tree):
+    """Lines of ``hasattr(..., "polar_factors")`` and of the forks the polar adapter replaced."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                node.func.id == "hasattr" and len(node.args) == 2 and \
+                isinstance(node.args[1], ast.Constant) and node.args[1].value == "polar_factors":
+            lines.append(("hasattr", node.lineno))
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)) and \
+                node.name in ("_FactoredRotation", "_polar_factor_vectors"):
+            lines.append((node.name, node.lineno))
+    return sorted(lines, key=lambda entry: entry[1])
+
+
+def test_every_field_is_read_on_the_polar_grid_through_one_adapter():
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _polar_protocol(ast.parse(path.read_text(), path.name)))}
+    assert list(found) == ["oscillator.py"], found
+    assert [kind for kind, _ in found["oscillator.py"]] == ["hasattr"], found
+
+
+def test_the_polar_guard_sees_what_it_forbids():
+    tree = ast.parse("if hasattr(W, 'polar_factors'):\n    pass\nhasattr(W, 'p_derivative')\n"
+                     "class _FactoredRotation:\n    pass\ndef _polar_factor_vectors():\n    pass\n")
+    assert _polar_protocol(tree) == [("hasattr", 1), ("_FactoredRotation", 4),
+                                     ("_polar_factor_vectors", 6)]
+
+
 def test_the_guard_sees_what_it_forbids():
     tree = ast.parse("a = params.omega**2\nb = (hbar / 2.0) ** k\nc = (-1.0) ** k * rho**2\n")
     assert _parameter_powers(tree) == [1, 2]

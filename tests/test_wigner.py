@@ -208,6 +208,17 @@ def test_p_derivative_has_the_bits_of_the_polynomial_class_form(params):
                 assert struct.pack("<d", got) == struct.pack("<d", want), (n, order, x, p)
 
 
+@pytest.mark.parametrize("n, first", [(0, 263), (2, 259), (5, 255)])
+def test_p_derivative_past_the_doubles_raises_a_data_error(n, first):
+    # the coefficients of q overflow first at these orders at (0.3, 0.2)
+    W = stationary_field(NATURAL_UNITS, n)
+    assert math.isfinite(W.p_derivative(first - 1, 0.3, 0.2))
+    for order in (first, first + 40):
+        with pytest.raises(DataError, match=rf"^d\^{order}W/dp\^{order} at \(x, p\) = "
+                                            rf"\(0\.3, 0\.2\) is nan, not a finite double$"):
+            W.p_derivative(order, 0.3, 0.2)
+
+
 def test_nan_coordinate_raises_a_data_error_naming_it():
     P = NATURAL_UNITS
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
