@@ -1,4 +1,16 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks of number arguments.
+
+Every number an argument of the library takes goes through one of three
+checks: one finite real, one integer in a range, or an array of reals.  A
+Python or numpy bool, a non-finite value and a value out of range raise
+:class:`DataError`; a complex number, text, or an array where one number is
+due raises ``TypeError``.  An integer argument refuses anything that is not
+one integer, a float such as 2.0 or text included, with ``DataError``.
+"""
+
+import math
+
+import numpy as np
 
 
 class AccuracyError(RuntimeError):
@@ -23,25 +35,95 @@ class BlowupError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Bad data: a NaN coordinate, a non-finite time or sampled value, or a malformed field file.
+    """Bad data: a bool, NaN, infinite or out-of-range number, or a malformed field file.
 
-    The field classes, ``radial_kernel``, the densities, ``wavefunction``,
-    ``polar_from_xy`` and ``energy_xy`` raise it, naming the coordinate
-    (x, p or rho), when a coordinate holds a NaN; an infinite coordinate
-    lies past every Gaussian and gives 0.  The field classes' and the
-    rotations' calls and ``polar_factors`` raise it, naming t, for a NaN or
-    infinite time and for a finite one whose wave phase is not finite
-    (``propagate_exact`` too, for the angle omega t); an array of times
-    raises it for any such entry and for a bool array, and so do the
-    marginals, through the field.  ``PhasePoint`` raises it for a non-finite component,
-    ``moyal_rhs`` for an hbar that is not finite and positive, naming
-    hbar, and for a term that takes the sum past the doubles, naming the
-    term's factors hbar, U^(d)(x) and d^dW/dp^d, ``p_derivative`` for a
-    value past the doubles, naming the order and the point, and
-    ``wave_residual`` and ``transport_residual``, naming omega, for a
-    residual that the scaling by omega takes past the doubles.
-    ``read_field`` raises it, naming
-    the file, for a missing header or metadata, a ragged, short or
-    non-numeric body, a CSV row that is not at its grid node, a value array
-    that does not match the grid, and a non-finite time or value.
+    Every number argument raises it, naming the argument, for a Python or
+    numpy bool, for a NaN or infinite value where a finite one is due (a
+    time, an amplitude, a unit, a grid length or step, a potential
+    coefficient, the tolerance), for one that is not positive where a
+    positive one is due, and for an integer argument that is not one
+    integer in its range; an array of times raises it for any such entry
+    and for a bool array.  The field classes, ``radial_kernel``, the
+    densities, ``wavefunction``, ``polar_from_xy``, ``xy_from_polar``,
+    ``energy_xy`` and the marginals raise it, naming the coordinate (x, p,
+    rho or phi), when a coordinate holds a bool or a NaN; an infinite
+    coordinate lies past every Gaussian and gives 0.  The field classes' and the rotations'
+    calls and ``polar_factors`` raise it, naming t, for a finite time whose
+    wave phase is not finite (``propagate_exact`` too, for the angle
+    omega t).  ``moyal_rhs`` raises it for a term that takes the sum past
+    the doubles, naming the term's factors hbar, U^(d)(x) and d^dW/dp^d,
+    ``p_derivative`` for a value past the doubles, naming the order and the
+    point, and ``wave_residual`` and ``transport_residual``, naming omega,
+    for a residual that the scaling by omega takes past the doubles.
+    ``read_field`` raises it, naming the file, for a missing header or
+    metadata, a ragged, short or non-numeric body, a CSV row that is not at
+    its grid node, a value array that does not match the grid, and a
+    non-finite time or value.
     """
+
+
+#: numpy's kind code of the Python number types: bool, int, float, complex.
+_PYTHON_KINDS = {bool: "b", int: "i", float: "f", complex: "c"}
+
+
+def _scalar_kind(value, name):
+    """numpy's kind code of the one number ``value``: "b" bool, "i"/"u" int, "f" float, ...
+
+    A Python int of any size is "i"; numpy would hold one past int64 as an
+    object.  An array, even of one entry, raises ``TypeError`` naming ``name``.
+    """
+    kind = _PYTHON_KINDS.get(type(value))
+    if kind is None:
+        vals = np.asarray(value)
+        if vals.ndim:
+            raise TypeError(f"{name} must be one number, got an array of shape {vals.shape}")
+        kind = vals.dtype.kind
+    return kind
+
+
+def _real(value, name, positive=False):
+    """``value`` as one finite float, and a positive one if ``positive``.
+
+    A bool, a NaN or infinite value, an int past the doubles and, if
+    ``positive``, a value <= 0 raise ``DataError`` naming ``name``; a
+    complex number, text or an array raise ``TypeError``.
+    """
+    kind = _scalar_kind(value, name)
+    if kind not in "biuf":
+        raise TypeError(f"{name} must be real, got {value!r}")
+    try:
+        v = math.nan if kind == "b" else float(value)
+    except OverflowError:  # an int past the doubles
+        v = math.inf
+    if not (math.isfinite(v) and (v > 0.0 or not positive)):
+        raise DataError(f"{name} must be finite{' and positive' if positive else ''}, got {value}")
+    return v
+
+
+def _integer(value, name, least=0, most=math.inf):
+    """``value`` as one int in [least, most].
+
+    Anything else that is one value, a bool, a float such as 2.0 or text,
+    raises ``DataError`` naming ``name``; an array raises ``TypeError``.
+    """
+    if _scalar_kind(value, name) not in "iu" or not least <= value <= most:
+        raise DataError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return int(value)
+
+
+def _reals(values, name):
+    """``values``, one number or an array of them, as a float array.
+
+    An int array is cast once and a float array is returned as it is.  A
+    bool or a bool array raises ``DataError`` naming ``name``, and a
+    complex number, text or an array of them ``TypeError``.
+    """
+    kind = _PYTHON_KINDS.get(type(values))
+    vals = values if kind else np.asarray(values)
+    kind = kind or vals.dtype.kind
+    if kind in "iuf":
+        return np.asarray(vals, dtype=float)
+    got = repr(values) if np.ndim(vals) == 0 else f"a {vals.dtype} array"
+    if kind == "b":
+        raise DataError(f"{name} must be finite, got {got}")
+    raise TypeError(f"{name} must be real, got {got}")

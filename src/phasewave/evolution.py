@@ -22,11 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError, ConfigurationError, DataError
+from .errors import BlowupError, ConfigurationError, DataError, _integer, _real
 from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _polar_grid,
-                         _positive_real, _require_finite, _require_finite_scalar, polar_from_xy,
-                         xy_from_polar)
-from .special import _derivative_order
+                         _require_finite, polar_from_xy, xy_from_polar)
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -36,7 +34,8 @@ class GridSpec:
     """Polar sampling grid; ``dt`` is required only for time stepping.
 
     Sampling and export work on any grid; the time stepper additionally
-    requires at least 16 angular nodes.
+    requires at least 16 angular nodes.  Lengths are kept as floats and
+    counts as ints.
     """
 
     rho_max: float
@@ -45,16 +44,11 @@ class GridSpec:
     dt: float | None = None
 
     def __post_init__(self):
-        if not _positive_real(self.rho_max):
-            raise ValueError(f"rho_max must be a positive real, got {self.rho_max!r}")
-        for name, least in (("n_rho", 1), ("n_phi", 2)):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < least:
-                raise ValueError(f"{name} must be at least {least}, got {count}")
-        if self.dt is not None and not _positive_real(self.dt):
-            raise ValueError(f"dt must be a positive real, got {self.dt!r}")
+        object.__setattr__(self, "rho_max", _real(self.rho_max, "rho_max", positive=True))
+        object.__setattr__(self, "n_rho", _integer(self.n_rho, "n_rho", 1))
+        object.__setattr__(self, "n_phi", _integer(self.n_phi, "n_phi", 2))
+        if self.dt is not None:
+            object.__setattr__(self, "dt", _real(self.dt, "dt", positive=True))
 
     @property
     def delta_phi(self) -> float:
@@ -88,7 +82,7 @@ class Field2D:
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "time_tag", float(self.time_tag))
+        object.__setattr__(self, "time_tag", _real(self.time_tag, "time_tag"))
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     ``t`` raises ``DataError``, and so does a finite one whose angle
     omega t overflows.
     """
-    _phase(params.omega, _require_finite_scalar(t, "t"))
+    _phase(params.omega, _real(t, "t"))
     return Rotation(W0, params, t)
 
 
@@ -164,9 +158,8 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
             f"Courant number {c:.6g} exceeds 1; reduce dt below "
             f"{grid.delta_phi / params.omega:.6g}"
         )
-    if isinstance(t_final, bool) or not math.isfinite(t_final):
-        raise ConfigurationError(f"t_final must be finite, got {t_final}")
-    span = float(t_final) - field0.time_tag
+    t_final = _real(t_final, "t_final")
+    span = t_final - field0.time_tag
     if span < 0.0:
         raise ConfigurationError("t_final precedes the field's time tag")
     steps = int(math.floor(span / grid.dt + 1e-9))
@@ -188,7 +181,7 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
     meta = dict(field0.meta)
     meta.update(steps=total, scheme="upwind1-euler", courant=c,
                 ring_sum_drift=float(np.max(np.abs(vals.sum(axis=1) - v0.sum(axis=1)))))
-    return Field2D(grid=grid, values=vals, time_tag=float(t_final), meta=meta)
+    return Field2D(grid=grid, values=vals, time_tag=t_final, meta=meta)
 
 
 def _check_triplet(fields):
@@ -263,12 +256,7 @@ class PolynomialPotential:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            coeffs = (0.0,)
-        # a bool is not a coefficient
-        if any(isinstance(c, bool) for c in self.coeffs) or not all(map(math.isfinite, coeffs)):
-            raise ValueError("potential coefficients must be finite")
+        coeffs = tuple(_real(c, "potential coefficients") for c in self.coeffs) or (0.0,)
         if len(coeffs) - 1 > MAX_POTENTIAL_DEGREE:
             raise ConfigurationError(
                 f"potential degree {len(coeffs) - 1} exceeds {MAX_POTENTIAL_DEGREE}"
@@ -297,7 +285,7 @@ def poly_derivative(U: PolynomialPotential, order: int) -> PolynomialPotential:
     shift keeps, so no more are taken.
     """
     coeffs = list(U.coeffs)
-    for _ in range(min(_derivative_order(order), len(coeffs))):
+    for _ in range(min(_integer(order, "derivative order"), len(coeffs))):
         coeffs = [k * coeffs[k] for k in range(1, len(coeffs))] or [0.0]
     return PolynomialPotential(tuple(coeffs))
 
@@ -352,9 +340,8 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     doubles, raises ``DataError``; the last names the term's factors hbar,
     U^(d)(x) and d^dW/dp^d, since any of them can be the one that overflows.
     """
-    t = _require_finite_scalar(t, "t")  # one point, one time
-    if not _positive_real(hbar):
-        raise DataError(f"hbar must be finite and positive, got {hbar}")
+    t = _real(t, "t")  # one point, one time
+    hbar = _real(hbar, "hbar", positive=True)
     deg = U.degree
     exact = getattr(W, "p_derivative", None)
     total = 0.0

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateProfileError
+from .errors import DegenerateProfileError, _integer, _real
 from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint, _phase,
-                         _positive_real, _require_finite, polar_from_xy)
+                         _require_finite, polar_from_xy)
 from .special import check_order
 from .wigner import radial_kernel
 
@@ -70,8 +70,9 @@ class WaveProfile:
     ``f`` and ``g`` must be numpy-evaluable callables of one argument,
     periodic with period 2 pi kappa; periodicity is verified at construction
     on 128 angles drawn by the standard library's seeded ``random.Random``
-    rather than assumed.  ``norm`` is the profile's :func:`normalization`,
-    computed on first use and kept.
+    rather than assumed.  ``C`` is kept as a float and ``kappa`` as an int.
+    ``norm`` is the profile's :func:`normalization`, computed on first use
+    and kept.
     """
 
     f: Callable
@@ -80,12 +81,8 @@ class WaveProfile:
     kappa: int
 
     def __post_init__(self):
-        if isinstance(self.kappa, bool) or not isinstance(self.kappa, (int, np.integer)):
-            raise ValueError(f"kappa must be a positive integer, got {self.kappa!r}")
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be a positive integer, got {self.kappa}")
-        if isinstance(self.C, bool) or not math.isfinite(self.C):
-            raise ValueError("C must be finite")
+        object.__setattr__(self, "kappa", _integer(self.kappa, "kappa", 1))
+        object.__setattr__(self, "C", _real(self.C, "C"))
         _sample_periodic(self.f, "f", self.kappa)
         _sample_periodic(self.g, "g", self.kappa)
 
@@ -116,6 +113,7 @@ def running_wave_profile(A: float, C: float, kappa: int) -> WaveProfile:
     Its angular factor is not odd in xbar or p, so the marginal identities
     fail for it; it exists as the negative test case.
     """
+    A = _real(A, "A")
     return WaveProfile(f=lambda th: 0.0, g=lambda th: A * np.cos(th), C=C, kappa=kappa)
 
 
@@ -123,8 +121,9 @@ def running_wave_profile(A: float, C: float, kappa: int) -> WaveProfile:
 class StandingWaveSpec:
     """Standing-wave instance: amplitude A, offset C > 0, index ell >= 1.
 
-    Derived quantities: wave number kappa = 2 ell, frequency
-    Omega = 2 omega ell, period T = 2 pi / Omega.
+    ``ell`` is kept as an int and A and C as floats.  Derived quantities:
+    wave number kappa = 2 ell, frequency Omega = 2 omega ell, period
+    T = 2 pi / Omega.
     """
 
     ell: int
@@ -132,14 +131,9 @@ class StandingWaveSpec:
     C: float
 
     def __post_init__(self):
-        if isinstance(self.ell, bool) or not isinstance(self.ell, (int, np.integer)):
-            raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
-        if self.ell < 1:
-            raise ValueError(f"ell must be a positive integer, got {self.ell}")
-        if isinstance(self.A, bool) or not math.isfinite(self.A):
-            raise ValueError("A must be finite")
-        if not _positive_real(self.C):
-            raise ValueError(f"C must be finite and positive, got {self.C}")
+        object.__setattr__(self, "ell", _integer(self.ell, "ell", 1))
+        object.__setattr__(self, "A", _real(self.A, "A"))
+        object.__setattr__(self, "C", _real(self.C, "C", positive=True))
         if not math.isfinite(2.0 * self.A / self.C):
             raise ValueError(f"2A/C must be finite, got A = {self.A!r}, C = {self.C!r}")
 
@@ -155,11 +149,10 @@ class StandingWaveSpec:
 
     def to_profile(self) -> WaveProfile:
         """Counter-propagating pair A sin(.) - A sin(.) realizing the standing wave."""
-        amp = float(self.A)
         return WaveProfile(
-            f=lambda th: amp * np.sin(th),
-            g=lambda th: -amp * np.sin(th),
-            C=float(self.C),
+            f=lambda th: self.A * np.sin(th),
+            g=lambda th: -self.A * np.sin(th),
+            C=self.C,
             kappa=self.kappa,
         )
 

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _scalar_kind
 from .evolution import Field2D, GridSpec
 from .oscillator import OscillatorParams, _polar_grid, xy_from_polar
 
@@ -35,7 +35,8 @@ def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field
     (x, p) image of every node.  A rotation from ``propagate_exact`` always
     has ``polar_factors``, whose angular factor is such a grid when it
     turns a bare callable.  Raises :class:`~phasewave.errors.DataError`
-    naming the first offending node if any sampled value is non-finite.
+    naming the first offending node if any sampled value is non-finite,
+    and naming the time tag if ``t`` is not one finite real.
     """
     rho = grid.rho_nodes()
     phi = grid.phi_nodes()
@@ -47,13 +48,11 @@ def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field
         raise DataError(
             f"non-finite value at node (i={i}, j={j}), rho={rho[i]!r}, phi={phi[j]!r}"
         )
-    return Field2D(grid=grid, values=vals, time_tag=float(t))
+    return Field2D(grid=grid, values=vals, time_tag=t)
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return f"{float(v):.17g}"
+    return str(int(v)) if _scalar_kind(v, "metadata") in "iu" else f"{float(v):.17g}"
 
 
 def _metadata(field: Field2D, params: OscillatorParams, extra=None) -> dict:

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _real, _reals
 
 TWO_PI = 2.0 * math.pi
-
-
-def _positive_real(value) -> bool:
-    """True for a finite positive number; a bool is not one."""
-    return not isinstance(value, bool) and math.isfinite(value) and value > 0.0
 
 
 #: Largest accepted shift in widths: a double x that far out still resolves
@@ -38,8 +33,9 @@ MAX_SHIFT_WIDTHS = 2.0**23
 class OscillatorParams:
     """Mass, angular frequency, action quantum and linear-shift coefficient.
 
-    Construction sets the read-only scales of the module docstring and
-    raises ``ValueError`` naming the first that does not fit in a double.
+    Each field is kept as a float.  Construction sets the read-only scales
+    of the module docstring and raises ``ValueError`` naming the first that
+    does not fit in a double.
     """
 
     m: float = 1.0
@@ -48,18 +44,14 @@ class OscillatorParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        for name in ("m", "omega", "hbar"):
-            v = getattr(self, name)
-            if not _positive_real(v):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
-        if isinstance(self.alpha, bool) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        for name in ("m", "omega", "hbar", "alpha"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, name != "alpha"))
         root_m, root_w, root_h = math.sqrt(self.m), math.sqrt(self.omega), math.sqrt(self.hbar)
         for name, v in (("sigma_x", root_h / root_m / root_w),
                         ("sigma_p", root_m * root_h * root_w),
                         ("rho_scale", root_h * root_w / root_m),
                         ("value_scale", 1.0 / (math.pi * self.hbar)),
-                        ("area", float(self.hbar))):
+                        ("area", self.hbar)):
             if not (math.isfinite(v) and v >= sys.float_info.min):
                 raise ValueError(f"the scale {name} = {v!r} is not a finite normal double")
             object.__setattr__(self, name, v)
@@ -75,8 +67,11 @@ NATURAL_UNITS = OscillatorParams(m=1.0, omega=1.0, hbar=1.0, alpha=0.0)
 
 
 def coordinate(values, name):
-    """``values`` as a float array; raises ``DataError`` naming the coordinate if it holds a NaN."""
-    vals = np.asarray(values, dtype=float)
+    """``values`` as a float array; raises ``DataError`` naming the coordinate if it holds a NaN.
+
+    A bool raises ``DataError`` and a complex number or text ``TypeError``, as for a time.
+    """
+    vals = _reals(values, name)
     if np.isnan(vals).any():
         raise DataError(f"coordinate {name} is NaN")
     return vals
@@ -87,18 +82,6 @@ def _first_entry(values, bad):
     return values[np.unravel_index(np.argmax(bad), bad.shape)].item()
 
 
-def _real_values(value, name):
-    """``value`` as a float array; raises ``TypeError`` naming it if it holds no real numbers.
-
-    A complex array would lose its imaginary part, and a string array would
-    be parsed, in the cast to float.
-    """
-    vals = np.asarray(value)
-    if vals.dtype.kind not in "biuf":  # bool, signed and unsigned int, float
-        raise TypeError(f"{name} must be real, got a {vals.dtype} array")
-    return vals.astype(float)
-
-
 def _require_finite(value, name):
     """``value`` as a float, or an array of values as a float array.
 
@@ -107,25 +90,12 @@ def _require_finite(value, name):
     for an array that does not hold real numbers.
     """
     if np.ndim(value) == 0:
-        if np.iscomplexobj(value):  # float() would keep the real part alone
-            raise TypeError(f"{name} must be real, got {value!r}")
-        if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
-            raise DataError(f"{name} must be finite, got {value}")
-        return float(value)
-    if np.asarray(value).dtype == bool:
-        raise DataError(f"{name} must be finite, got a bool array")
-    vals = _real_values(value, name)
+        return _real(value, name)
+    vals = _reals(value, name)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise DataError(f"{name} must be finite, got {_first_entry(vals, bad)} in an array")
     return vals
-
-
-def _require_finite_scalar(value, name):
-    """``value`` as one finite float; an array, even of one entry, raises ``TypeError``."""
-    if np.ndim(value) != 0:
-        raise TypeError(f"{name} must be one number, got an array of shape {np.shape(value)}")
-    return _require_finite(value, name)
 
 
 def _phase(rate, t):
@@ -134,7 +104,7 @@ def _phase(rate, t):
     Raises ``DataError`` naming t if a phase is not finite: a finite t can
     still take it to inf, where no angle is defined.
     """
-    t = _real_values(t, "t")
+    t = _reals(t, "t")
     with np.errstate(over="ignore"):
         phase = rate * t
     bad = ~np.isfinite(phase)
@@ -152,8 +122,8 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _require_finite_scalar(self.x, "x"))
-        object.__setattr__(self, "p", _require_finite_scalar(self.p, "p"))
+        object.__setattr__(self, "x", _real(self.x, "x"))
+        object.__setattr__(self, "p", _real(self.p, "p"))
 
 
 def xi_of(params: OscillatorParams, x):
@@ -176,8 +146,8 @@ def polar_from_xy(params: OscillatorParams, x, p):
 
 
 def xy_from_polar(params: OscillatorParams, rho, phi):
-    """Vectorized (rho, phi) -> (x, p) inverse of :func:`polar_from_xy`."""
-    r = np.asarray(rho, dtype=float) / params.rho_scale
+    """Vectorized (rho, phi) -> (x, p) inverse of :func:`polar_from_xy`; both are coordinates."""
+    r, phi = coordinate(rho, "rho") / params.rho_scale, coordinate(phi, "phi")
     x = params.sigma_x * r * np.cos(phi) - params.shift
     p = params.sigma_p * r * np.sin(phi)
     return x, p

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigurationError
+from .errors import AccuracyError, ConfigurationError, _reals
 from .oscillator import TWO_PI, OscillatorParams, _polar_grid
 from .special import MAX_ORDER, check_order, laguerre
 
@@ -265,13 +265,14 @@ def mean_energy(W, params: OscillatorParams, t: float = 0.0, return_error: bool 
 def _marginal(integrand, fixed, t, a, b, tol, label, return_error):
     """Line integrals of ``integrand(lines, times, nodes)`` over [a, b] for every (fixed, t).
 
+    ``fixed`` is the float array of the lines' positions or momenta.
     The lines and an array ``t`` each gain a trailing axis for the nodes, so
     the field is evaluated once on the broadcast of the positions and the
     times, and what does not depend on t is formed once for all of them.
     Value and estimate take the shape of ``np.broadcast(fixed, t)``, also
     for a field that ignores t.
     """
-    lines = np.asarray(fixed, dtype=float)[..., None]
+    lines = fixed[..., None]
     times = t if np.ndim(t) == 0 else np.asarray(t)[..., None]
     value, est = _line_integral(lambda nodes: integrand(lines, times, nodes), a, b, N_LINE,
                                 tol, label)
@@ -294,7 +295,7 @@ def marginal_over_p(W, params: OscillatorParams, x, t: float = 0.0,
     negligible, which no field of order n <= ``MAX_ORDER`` reaches.
     """
     half = EXTENT * params.sigma_p
-    return _marginal(lambda xs, ts, ps: W(xs, ps, ts), x, t, -half, half,
+    return _marginal(lambda xs, ts, ps: W(xs, ps, ts), _reals(x, "x"), t, -half, half,
                      TOL / params.sigma_x, "marginal_over_p", return_error)
 
 
@@ -308,8 +309,8 @@ def marginal_over_x(W, params: OscillatorParams, p, t: float = 0.0,
     """
     half = EXTENT * params.sigma_x
     center = -params.shift
-    return _marginal(lambda ps, ts, xs: W(xs, ps, ts), p, t, center - half, center + half,
-                     TOL / params.sigma_p, "marginal_over_x", return_error)
+    return _marginal(lambda ps, ts, xs: W(xs, ps, ts), _reals(p, "p"), t, center - half,
+                     center + half, TOL / params.sigma_p, "marginal_over_x", return_error)
 
 
 def laguerre_energy_identity(n, return_error: bool = False):

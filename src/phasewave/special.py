@@ -12,33 +12,20 @@ import math
 
 import numpy as np
 
+from .errors import DataError, _integer, _reals
+
 MAX_ORDER = 64
 
 
 def check_order(n):
     """Validate a polynomial/state index, returning it as a plain int."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {n!r}")
-    if n < 0 or n > MAX_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_ORDER}], got {n}")
-    return int(n)
-
-
-def _derivative_order(order):
-    """Validate a derivative order, returning it as a plain int.
-
-    Any non-negative integer is one; a bool, a float such as 2.0 and a
-    negative number raise ``ValueError``.
-    """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"derivative order must be a non-negative integer, got {order!r}")
-    return int(order)
+    return _integer(n, "order", 0, MAX_ORDER)
 
 
 def _finite_values(x, name):
-    vals = np.asarray(x, dtype=float)
+    vals = _reals(x, "x")
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{name}: argument must be finite")
+        raise DataError(f"{name}: x must be finite")
     return vals
 
 

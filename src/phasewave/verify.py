@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import _real
 from .evolution import (GridSpec, PolynomialPotential, evolve_fd, moyal_rhs,
                         propagate_exact, transport_residual, wave_residual)
 from .extended import (StandingWaveSpec, WaveProfile, antinode_angles, check_parity,
@@ -487,8 +488,8 @@ def run_suite(names=("all",), tol_override: float | None = None) -> Verification
     An empty selection raises ``ValueError``: a report of no checks proves
     nothing.
     """
-    if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol_override!r}")
+    if tol_override is not None:
+        tol_override = _real(tol_override, "tolerance", positive=True)
     names = (names,) if isinstance(names, str) else tuple(names)
     if not names:
         raise ValueError(f"no suite selected; known: all, {', '.join(SUITES)}")

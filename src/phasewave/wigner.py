@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _integer
 from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint,
                          _require_finite, coordinate, energy_xy, xi_of)
 from .quadrature import EXTENT, N_LINE, TOL, _line_integral
-from .special import _derivative_order, check_order, hermite, laguerre, log_weight
+from .special import check_order, hermite, laguerre, log_weight
 
 
 def _kernel(params: OscillatorParams, n: int, eps):
@@ -84,7 +84,7 @@ class StationaryWigner:
         coefficients overflow at orders past about 250, raises ``DataError``
         naming the order and the point.
         """
-        order = _derivative_order(order)
+        order = _integer(order, "derivative order")
         pr = self.params
         xi = (float(coordinate(x, "x")) + pr.shift) / pr.sigma_x
         eta = float(coordinate(p, "p")) / pr.sigma_p

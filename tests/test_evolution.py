@@ -34,9 +34,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(rho_max=4.0, n_rho=8, n_phi=32, dt=-0.1)
     # a bool is neither a length nor a time step
-    with pytest.raises(ValueError, match="rho_max must be a positive real"):
+    with pytest.raises(ValueError, match="rho_max must be finite and positive"):
         GridSpec(rho_max=True, n_rho=8, n_phi=32)
-    with pytest.raises(ValueError, match="dt must be a positive real"):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
         GridSpec(rho_max=4.0, n_rho=8, n_phi=32, dt=True)
     # node counts are integers, and a bool is not one
     for counts in ({"n_rho": 10.5, "n_phi": 16}, {"n_rho": 10, "n_phi": 16.5},
@@ -171,14 +171,14 @@ def test_evolve_rejects_backward_time():
 def test_evolve_rejects_nonfinite_time(t_final):
     grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
     f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
-    with pytest.raises(ConfigurationError, match="finite"):
+    with pytest.raises(DataError, match="finite"):
         evolve_fd(f0, P, t_final)
 
 
 def test_evolve_refuses_a_bool_time():
     grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
     f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
-    with pytest.raises(ConfigurationError, match="t_final must be finite, got True"):
+    with pytest.raises(DataError, match="t_final must be finite, got True"):
         evolve_fd(f0, P, True)
 
 
@@ -412,9 +412,9 @@ def test_polynomial_degree_cap():
 def test_derivative_orders_are_non_negative_integers():
     W, U = stationary_field(P, 2), PolynomialPotential((1.0, 2.0, 3.0))
     for bad in (True, False, 2.0, 1.5, -1, "2", None):
-        with pytest.raises(ValueError, match="derivative order must be a non-negative integer"):
+        with pytest.raises(ValueError, match=r"derivative order must be an integer in \[0, inf\]"):
             poly_derivative(U, bad)
-        with pytest.raises(ValueError, match="derivative order must be a non-negative integer"):
+        with pytest.raises(ValueError, match=r"derivative order must be an integer in \[0, inf\]"):
             W.p_derivative(bad, 0.3, 0.2)
     assert poly_derivative(U, np.int64(1)).coeffs == (2.0, 6.0)
     assert W.p_derivative(np.int64(3), 0.3, 0.2) == W.p_derivative(3, 0.3, 0.2)

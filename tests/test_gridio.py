@@ -231,8 +231,8 @@ def _json_doc(tmp_path):
     (lambda doc: doc["values"][1].pop(), "malformed JSON"),
     (lambda doc: doc.pop("grid"), "malformed JSON"),
     (lambda doc: doc["grid"].update(n_rho=10.5), "n_rho must be an integer"),
-    (lambda doc: doc["grid"].update(rho_max=True), "rho_max must be a positive real"),
-    (lambda doc: doc["grid"].update(dt=True), "dt must be a positive real"),
+    (lambda doc: doc["grid"].update(rho_max=True), "rho_max must be finite and positive"),
+    (lambda doc: doc["grid"].update(dt=True), "dt must be finite and positive"),
 ], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid", "fractional-n_rho",
         "bool-rho_max", "bool-dt"])
 def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match):

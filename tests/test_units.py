@@ -266,3 +266,32 @@ def test_the_polar_guard_sees_what_it_forbids():
 def test_the_guard_sees_what_it_forbids():
     tree = ast.parse("a = params.omega**2\nb = (hbar / 2.0) ** k\nc = (-1.0) ** k * rho**2\n")
     assert _parameter_powers(tree) == [1, 2]
+
+
+def _number_type_tests(tree):
+    """Lines of ``isinstance(..., bool)`` or of an int type: the number checks of ``errors.py``."""
+    def number_type(node):
+        return (isinstance(node, ast.Name) and node.id in ("bool", "int")) or \
+            (isinstance(node, ast.Attribute) and node.attr in ("bool_", "integer"))
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                node.func.id == "isinstance" and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(number_type(t) for t in types):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_errors_py_decides_what_a_number_is():
+    found = {path.name: lines for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+             if (lines := _number_type_tests(ast.parse(path.read_text(), path.name)))}
+    assert found == {}
+
+
+def test_the_number_guard_sees_what_it_forbids():
+    tree = ast.parse("isinstance(v, bool)\nisinstance(v, (int, np.integer)) and not "
+                     "isinstance(v, bool)\nisinstance(v, np.bool_)\nisinstance(v, str)\n"
+                     "isinstance(wave, StandingWaveSpec)\n")
+    assert _number_type_tests(tree) == [1, 2, 2, 3]
