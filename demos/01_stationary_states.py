@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from phasewave import (NATURAL_UNITS, PhasePoint, marginal_over_p, mean_energy,
+from phasewave import (NATURAL_UNITS, marginal_over_p, mean_energy,
                        momentum_density, phase_space_integral, position_density,
                        stationary_field, wigner_from_wavefunction, wigner_stationary)
 
@@ -18,13 +18,13 @@ params = NATURAL_UNITS
 
 print("=== values at the origin: (-1)^n / pi, alternating sign ===")
 for n in range(6):
-    print(f"  W_{n}(0, 0) = {wigner_stationary(params, n, PhasePoint(0, 0)):+.6f}")
+    print(f"  W_{n}(0, 0) = {wigner_stationary(params, n, 0.0, 0.0):+.6f}")
 
 print("\n=== closed form vs Fourier-transform construction ===")
-pt = PhasePoint(0.7, -1.1)
+x, p = 0.7, -1.1
 for n in (0, 1, 3, 5):
-    closed = wigner_stationary(params, n, pt)
-    transform = wigner_from_wavefunction(params, n, pt)
+    closed = wigner_stationary(params, n, x, p)
+    transform = wigner_from_wavefunction(params, n, x, p)
     print(f"  n={n}: closed {closed:+.12f}  transform {transform:+.12f}  "
           f"diff {abs(closed - transform):.2e}")
 

@@ -17,8 +17,7 @@ from .extended import (ExtendedWigner, ParityReport, StandingWaveSpec,
                        running_wave_profile, standing_wave_eval, standing_wave_factor,
                        standing_wave_field, stationary_profile)
 from .gridio import export_field, read_field, sample_field
-from .oscillator import (NATURAL_UNITS, OscillatorParams, PhasePoint, energy_xy, polar_from_xy,
-                         xy_from_polar)
+from .oscillator import NATURAL_UNITS, OscillatorParams, energy_xy, polar_from_xy, xy_from_polar
 from .quadrature import (laguerre_energy_identity, marginal_over_p, marginal_over_x,
                          mean_energy, phase_space_integral)
 from .special import MAX_ORDER, hermite, laguerre, log_weight

@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import verify
-from .errors import AccuracyError, ConfigurationError
+from .errors import AccuracyError, ConfigurationError, _real
 from .evolution import GridSpec, evolve_fd, propagate_exact
 from .extended import StandingWaveSpec, antinode_angles, node_angles, standing_wave_field
 from .gridio import export_field, sample_field
-from .oscillator import NATURAL_UNITS, OscillatorParams, PhasePoint
+from .oscillator import NATURAL_UNITS, OscillatorParams
 from .wigner import stationary_field
 
 _TIME_RE = re.compile(r"^([0-9]*\.?[0-9]*)\s*T\s*(?:/\s*([0-9]*\.?[0-9]+))?$")
@@ -189,9 +189,9 @@ def _export_path(args, fmt: str, stem: str, tag: str | None = None) -> str:
 def _cmd_eval(args) -> int:
     params = _params(args)
     W = _field(args, params)
-    pt = PhasePoint(args.x, args.p)
+    x, p = _real(args.x, "x"), _real(args.p, "p")
     times = _times(args, params)
-    values = [float(W(pt.x, pt.p, t)) for t in times]
+    values = [float(W(x, p, t)) for t in times]
     if args.fmt == "json":
         print(json.dumps({"x": args.x, "p": args.p, "t": times, "W": values}))
     else:

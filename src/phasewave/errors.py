@@ -1,11 +1,13 @@
 """Exception types shared across the library, and the checks of number arguments.
 
-Every number an argument of the library takes goes through one of three
-checks: one finite real, one integer in a range, or an array of reals.  A
-Python or numpy bool, a non-finite value and a value out of range raise
-:class:`DataError`; a complex number, text, or an array where one number is
-due raises ``TypeError``.  An integer argument refuses anything that is not
-one integer, a float such as 2.0 or text included, with ``DataError``.
+Every number an argument of the library takes goes through one of the
+checks here: one finite real, one integer in a range, an array of reals, a
+coordinate (reals with no NaN) or a time (finite reals).  A Python or numpy
+bool, a non-finite value and a value out of range raise :class:`DataError`;
+a complex number, text, a ragged nested sequence, or an array where one
+number is due raises ``TypeError``.  An integer argument refuses anything
+that is not one integer, a float such as 2.0 or text included, with
+``DataError``.
 """
 
 import math
@@ -39,18 +41,23 @@ class DataError(ValueError):
 
     Every number argument raises it, naming the argument, for a Python or
     numpy bool, for a NaN or infinite value where a finite one is due (a
-    time, an amplitude, a unit, a grid length or step, a potential
+    time, a point of ``moyal_rhs`` or ``wigner_from_wavefunction``, an
+    amplitude, a unit, a wave's omega, a grid length or step, a potential
     coefficient, the tolerance), for one that is not positive where a
     positive one is due, and for an integer argument that is not one
     integer in its range; an array of times raises it for any such entry
-    and for a bool array.  The field classes, ``radial_kernel``, the
-    densities, ``wavefunction``, ``polar_from_xy``, ``xy_from_polar``,
-    ``energy_xy`` and the marginals raise it, naming the coordinate (x, p,
-    rho or phi), when a coordinate holds a bool or a NaN; an infinite
-    coordinate lies past every Gaussian and gives 0.  The field classes' and the rotations'
-    calls and ``polar_factors`` raise it, naming t, for a finite time whose
-    wave phase is not finite (``propagate_exact`` too, for the angle
-    omega t).  ``moyal_rhs`` raises it for a term that takes the sum past
+    and for a bool array.  ``OscillatorParams`` raises it for a unit scale
+    or a shift that does not fit in a double, ``StandingWaveSpec`` for a
+    2A/C past the doubles, and ``Field2D`` for values of the wrong shape or
+    not finite.  The field classes and their ``polar_factors``,
+    ``radial_kernel``, the densities, ``wavefunction``, ``polar_from_xy``,
+    ``xy_from_polar``, ``energy_xy``, the marginals, a wave's ``bracket``,
+    ``standing_wave_factor`` and a potential's value raise it, naming the
+    coordinate (x, p, rho or phi), when a coordinate holds a bool or a NaN;
+    an infinite coordinate lies past every Gaussian and gives 0.  The field
+    classes' and the rotations' calls and ``polar_factors`` raise it,
+    naming t, for a finite time whose wave phase is not finite
+    (``propagate_exact`` too, for the angle omega t).  ``moyal_rhs`` raises it for a term that takes the sum past
     the doubles, naming the term's factors hbar, U^(d)(x) and d^dW/dp^d,
     ``p_derivative`` for a value past the doubles, naming the order and the
     point, and ``wave_residual`` and ``transport_residual``, naming omega,
@@ -66,6 +73,15 @@ class DataError(ValueError):
 _PYTHON_KINDS = {bool: "b", int: "i", float: "f", complex: "c"}
 
 
+def _array(values, name):
+    """``np.asarray(values)``; a ragged nested sequence raises ``TypeError`` naming ``name``."""
+    try:
+        return np.asarray(values)
+    except ValueError:  # numpy's inhomogeneous-shape refusal
+        raise TypeError(f"{name} must be a number or an array of them, "
+                        f"got a ragged sequence {values!r}") from None
+
+
 def _scalar_kind(value, name):
     """numpy's kind code of the one number ``value``: "b" bool, "i"/"u" int, "f" float, ...
 
@@ -74,7 +90,7 @@ def _scalar_kind(value, name):
     """
     kind = _PYTHON_KINDS.get(type(value))
     if kind is None:
-        vals = np.asarray(value)
+        vals = _array(value, name)
         if vals.ndim:
             raise TypeError(f"{name} must be one number, got an array of shape {vals.shape}")
         kind = vals.dtype.kind
@@ -116,10 +132,10 @@ def _reals(values, name):
 
     An int array is cast once and a float array is returned as it is.  A
     bool or a bool array raises ``DataError`` naming ``name``, and a
-    complex number, text or an array of them ``TypeError``.
+    complex number, text, an array of them or a ragged sequence ``TypeError``.
     """
     kind = _PYTHON_KINDS.get(type(values))
-    vals = values if kind else np.asarray(values)
+    vals = values if kind else _array(values, name)
     kind = kind or vals.dtype.kind
     if kind in "iuf":
         return np.asarray(vals, dtype=float)
@@ -127,3 +143,35 @@ def _reals(values, name):
     if kind == "b":
         raise DataError(f"{name} must be finite, got {got}")
     raise TypeError(f"{name} must be real, got {got}")
+
+
+def coordinate(values, name):
+    """``values`` as a float array; raises ``DataError`` naming the coordinate if it holds a NaN.
+
+    A bool raises ``DataError`` and a complex number or text ``TypeError``, as for a time.
+    """
+    vals = _reals(values, name)
+    if np.isnan(vals).any():
+        raise DataError(f"coordinate {name} is NaN")
+    return vals
+
+
+def _first_entry(values, bad):
+    """The first entry of the array ``values`` where ``bad`` holds, as a Python scalar."""
+    return values[np.unravel_index(np.argmax(bad), bad.shape)].item()
+
+
+def _require_finite(value, name):
+    """``value`` as a float, or an array of values as a float array.
+
+    Raises ``DataError`` naming it if it, or an entry, is NaN or infinite,
+    and for a bool or a bool array; ``TypeError`` for a complex number, for
+    an array that does not hold real numbers and for a ragged sequence.
+    """
+    if _array(value, name).ndim == 0:
+        return _real(value, name)
+    vals = _reals(value, name)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise DataError(f"{name} must be finite, got {_first_entry(vals, ~finite)} in an array")
+    return vals

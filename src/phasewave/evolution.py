@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BlowupError, ConfigurationError, DataError, _integer, _real
-from .oscillator import (TWO_PI, OscillatorParams, PhasePoint, _phase, _polar_grid,
-                         _require_finite, polar_from_xy, xy_from_polar)
+from .errors import (BlowupError, ConfigurationError, DataError, _integer, _real, _reals,
+                     _require_finite, coordinate)
+from .oscillator import TWO_PI, OscillatorParams, _phase, _polar_grid, polar_from_xy, xy_from_polar
 
 MAX_POTENTIAL_DEGREE = 12
 
@@ -73,14 +73,14 @@ class Field2D:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _reals(self.values, "values")
         if vals.shape != (self.grid.n_rho, self.grid.n_phi):
-            raise ValueError(
+            raise DataError(
                 f"values shape {vals.shape} does not match grid "
                 f"({self.grid.n_rho}, {self.grid.n_phi})"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+            raise DataError("field values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time_tag", _real(self.time_tag, "time_tag"))
 
@@ -272,10 +272,11 @@ class PolynomialPotential:
         return 0
 
     def __call__(self, x):
-        acc = np.zeros_like(np.asarray(x, dtype=float))
+        xs = coordinate(x, "x")
+        acc = np.zeros_like(xs)
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc if np.ndim(x) else float(acc)
+            acc = acc * xs + c
+        return acc if xs.ndim else float(acc)
 
 
 def poly_derivative(U: PolynomialPotential, order: int) -> PolynomialPotential:
@@ -326,21 +327,21 @@ def _fd_p_derivative(W, order, x, p, t):
     return float(np.dot(weights, vals))
 
 
-def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
-              t: float = 0.0) -> float:
-    """Right-hand side of the quantum transport equation at one point.
+def moyal_rhs(U: PolynomialPotential, W, x, p, hbar: float, t: float = 0.0) -> float:
+    """Right-hand side of the quantum transport equation at the point (x, p).
 
     Sums (-1)^k (hbar/2)^(2k) / (2k+1)! * U^(2k+1)(x) * d^(2k+1)W/dp^(2k+1)
     over the finitely many odd orders not exceeding deg U.  Quadratic
     potentials contribute no terms, so the result is exactly zero without
     touching ``W``.  If ``W`` exposes ``p_derivative(order, x, p)`` the
     exact derivatives are used; otherwise central differences with step
-    h = max(1e-3, 1e-3 |p|).  A ``t`` that is not finite, an ``hbar``
-    that is not finite and positive, or a term that takes the sum past the
-    doubles, raises ``DataError``; the last names the term's factors hbar,
-    U^(d)(x) and d^dW/dp^d, since any of them can be the one that overflows.
+    h = max(1e-3, 1e-3 |p|).  An ``x``, ``p`` or ``t`` that is not one
+    finite real, an ``hbar`` that is not finite and positive, or a term
+    that takes the sum past the doubles, raises ``DataError``; the last
+    names the term's factors hbar, U^(d)(x) and d^dW/dp^d, since any of
+    them can be the one that overflows.
     """
-    t = _real(t, "t")  # one point, one time
+    x, p, t = _real(x, "x"), _real(p, "p"), _real(t, "t")  # one point, one time
     hbar = _real(hbar, "hbar", positive=True)
     deg = U.degree
     exact = getattr(W, "p_derivative", None)
@@ -349,12 +350,12 @@ def moyal_rhs(U: PolynomialPotential, W, pt: PhasePoint, hbar: float,
     while 2 * k + 1 <= deg:
         d = 2 * k + 1
         with np.errstate(over="ignore"):  # an overflow is refused below, by the sum
-            u_d = poly_derivative(U, d)(pt.x)
+            u_d = poly_derivative(U, d)(x)
         if u_d != 0.0:
             if exact is not None:
-                w_d = exact(d, pt.x, pt.p)
+                w_d = exact(d, x, p)
             else:
-                w_d = _fd_p_derivative(W, d, pt.x, pt.p, t)
+                w_d = _fd_p_derivative(W, d, x, p, t)
             scale = math.prod([hbar / 2.0] * (2 * k))  # no float power: it raises on overflow
             term = (-1.0) ** k * scale / math.factorial(d) * u_d * w_d
             total += term

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateProfileError, _integer, _real
-from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint, _phase,
-                         _require_finite, polar_from_xy)
+from .errors import (DataError, DegenerateProfileError, _integer, _real, _require_finite,
+                     coordinate)
+from .oscillator import NATURAL_UNITS, TWO_PI, OscillatorParams, _phase, polar_from_xy
 from .special import check_order
 from .wigner import radial_kernel
 
@@ -91,15 +91,15 @@ class WaveProfile:
         return normalization(self)
 
     def omega_wave(self, omega: float) -> float:
-        """Wave frequency Omega = omega * kappa."""
-        return omega * self.kappa
+        """Wave frequency Omega = omega * kappa; ``omega`` is checked as a positive real."""
+        return _real(omega, "omega", positive=True) * self.kappa
 
     def bracket(self, phi, t, omega):
         """Angular factor C + f(Omega t + kappa phi) + g(Omega t - kappa phi); ``t`` may be
         an array that broadcasts with ``phi``."""
         th = _phase(self.omega_wave(omega), t)
-        return self.C + self.f(th + self.kappa * np.asarray(phi, dtype=float)) \
-            + self.g(th - self.kappa * np.asarray(phi, dtype=float))
+        kphi = self.kappa * coordinate(phi, "phi")
+        return self.C + self.f(th + kphi) + self.g(th - kphi)
 
 
 def stationary_profile(C: float = 1.0) -> WaveProfile:
@@ -135,14 +135,15 @@ class StandingWaveSpec:
         object.__setattr__(self, "A", _real(self.A, "A"))
         object.__setattr__(self, "C", _real(self.C, "C", positive=True))
         if not math.isfinite(2.0 * self.A / self.C):
-            raise ValueError(f"2A/C must be finite, got A = {self.A!r}, C = {self.C!r}")
+            raise DataError(f"2A/C must be finite, got A = {self.A!r}, C = {self.C!r}")
 
     @property
     def kappa(self) -> int:
         return 2 * self.ell
 
     def omega_wave(self, omega: float) -> float:
-        return 2.0 * omega * self.ell
+        """Wave frequency Omega = 2 omega ell; ``omega`` is checked as a positive real."""
+        return 2.0 * _real(omega, "omega", positive=True) * self.ell
 
     def period(self, omega: float) -> float:
         return TWO_PI / self.omega_wave(omega)
@@ -166,7 +167,7 @@ def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
     """
     phase = _phase(spec.omega_wave(omega), t)
     cos = np.array([math.cos(v) for v in np.ravel(phase)]).reshape(np.shape(phase))
-    return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * np.asarray(phi, dtype=float))
+    return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * coordinate(phi, "phi"))
 
 
 def normalization(profile: WaveProfile) -> float:
@@ -237,14 +238,13 @@ def extended_field(params: OscillatorParams, n, profile: WaveProfile) -> Extende
     return ExtendedWigner(params, n, profile)
 
 
-def extended_eval(params: OscillatorParams, n, profile: WaveProfile, pt: PhasePoint,
-                  t: float) -> float:
-    """Modulated Wigner value N * kernel_n(rho) * [C + f(.) + g(.)] at a point.
+def extended_eval(params: OscillatorParams, n, profile: WaveProfile, x, p, t: float) -> float:
+    """Modulated Wigner value N * kernel_n(rho) * [C + f(.) + g(.)] at the point (x, p).
 
     The angular factor is undefined at rho = 0; the value there is fixed by
     the node-line convention to N * C * kernel_n(0).
     """
-    return float(extended_field(params, n, profile)(pt.x, pt.p, t))
+    return float(extended_field(params, n, profile)(x, p, t))
 
 
 @dataclass(frozen=True)
@@ -281,13 +281,13 @@ def standing_wave_field(params: OscillatorParams, n, spec: StandingWaveSpec) -> 
 
 
 def standing_wave_eval(params: OscillatorParams, n, spec: StandingWaveSpec,
-                       pt: PhasePoint, t: float) -> float:
+                       x, p, t: float) -> float:
     """Standing-wave Wigner value kernel_n(rho) [1 + (2A/C) cos(2 omega ell t) sin(2 ell phi)].
 
     The origin needs no special casing: its conventional angle 0 lies on a
     node line, where the factor is already 1.
     """
-    return float(standing_wave_field(params, n, spec)(pt.x, pt.p, t))
+    return float(standing_wave_field(params, n, spec)(x, p, t))
 
 
 def node_angles(spec: StandingWaveSpec) -> np.ndarray:

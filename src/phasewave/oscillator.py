@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _real, _reals
+from .errors import DataError, _first_entry, _real, _reals, coordinate
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,8 +34,8 @@ class OscillatorParams:
     """Mass, angular frequency, action quantum and linear-shift coefficient.
 
     Each field is kept as a float.  Construction sets the read-only scales
-    of the module docstring and raises ``ValueError`` naming the first that
-    does not fit in a double.
+    of the module docstring and raises ``DataError``, a ``ValueError``,
+    naming the first that does not fit in a double.
     """
 
     m: float = 1.0
@@ -53,49 +53,17 @@ class OscillatorParams:
                         ("value_scale", 1.0 / (math.pi * self.hbar)),
                         ("area", self.hbar)):
             if not (math.isfinite(v) and v >= sys.float_info.min):
-                raise ValueError(f"the scale {name} = {v!r} is not a finite normal double")
+                raise DataError(f"the scale {name} = {v!r} is not a finite normal double")
             object.__setattr__(self, name, v)
         widths = self.alpha / self.omega / self.sigma_p
         shift = widths * self.sigma_x
         if not (abs(widths) <= MAX_SHIFT_WIDTHS and math.isfinite(shift)):
-            raise ValueError(f"the scale shift = {shift!r} is {widths!r} widths sigma_x, "
-                             f"not finite or beyond {MAX_SHIFT_WIDTHS:.0f}")
+            raise DataError(f"the scale shift = {shift!r} is {widths!r} widths sigma_x, "
+                            f"not finite or beyond {MAX_SHIFT_WIDTHS:.0f}")
         object.__setattr__(self, "shift", shift)
 
 
 NATURAL_UNITS = OscillatorParams(m=1.0, omega=1.0, hbar=1.0, alpha=0.0)
-
-
-def coordinate(values, name):
-    """``values`` as a float array; raises ``DataError`` naming the coordinate if it holds a NaN.
-
-    A bool raises ``DataError`` and a complex number or text ``TypeError``, as for a time.
-    """
-    vals = _reals(values, name)
-    if np.isnan(vals).any():
-        raise DataError(f"coordinate {name} is NaN")
-    return vals
-
-
-def _first_entry(values, bad):
-    """The first entry of the array ``values`` where ``bad`` holds, as a Python scalar."""
-    return values[np.unravel_index(np.argmax(bad), bad.shape)].item()
-
-
-def _require_finite(value, name):
-    """``value`` as a float, or an array of values as a float array.
-
-    Raises ``DataError`` naming it if it, or an entry, is NaN or infinite,
-    and for a bool or a bool array; ``TypeError`` for a complex number and
-    for an array that does not hold real numbers.
-    """
-    if np.ndim(value) == 0:
-        return _real(value, name)
-    vals = _reals(value, name)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise DataError(f"{name} must be finite, got {_first_entry(vals, bad)} in an array")
-    return vals
 
 
 def _phase(rate, t):
@@ -112,18 +80,6 @@ def _phase(rate, t):
         raise DataError(f"t = {_first_entry(t, bad)!r} takes the wave phase {rate!r} * t "
                         f"to {_first_entry(phase, bad)!r}")
     return phase
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A location (x, p) in unshifted phase-plane coordinates."""
-
-    x: float
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _real(self.x, "x"))
-        object.__setattr__(self, "p", _real(self.p, "p"))
 
 
 def xi_of(params: OscillatorParams, x):

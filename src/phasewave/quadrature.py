@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigurationError, _reals
+from .errors import AccuracyError, ConfigurationError, _reals, _require_finite
 from .oscillator import TWO_PI, OscillatorParams, _polar_grid
 from .special import MAX_ORDER, check_order, laguerre
 
@@ -270,10 +270,11 @@ def _marginal(integrand, fixed, t, a, b, tol, label, return_error):
     the field is evaluated once on the broadcast of the positions and the
     times, and what does not depend on t is formed once for all of them.
     Value and estimate take the shape of ``np.broadcast(fixed, t)``, also
-    for a field that ignores t.
+    for a field that ignores t, whose ``t`` is checked as a field's is.
     """
     lines = fixed[..., None]
-    times = t if np.ndim(t) == 0 else np.asarray(t)[..., None]
+    t = _require_finite(t, "t")
+    times = t if np.ndim(t) == 0 else t[..., None]
     value, est = _line_integral(lambda nodes: integrand(lines, times, nodes), a, b, N_LINE,
                                 tol, label)
     shape = np.broadcast(lines[..., 0], t).shape

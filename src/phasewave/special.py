@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, _integer, _reals
+from .errors import _integer, _require_finite
 
 MAX_ORDER = 64
 
@@ -22,22 +22,15 @@ def check_order(n):
     return _integer(n, "order", 0, MAX_ORDER)
 
 
-def _finite_values(x, name):
-    vals = _reals(x, "x")
-    if not np.all(np.isfinite(vals)):
-        raise DataError(f"{name}: x must be finite")
-    return vals
-
-
 def laguerre(n, x):
     """Evaluate the Laguerre polynomial L_n(x).
 
     Uses (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, in place on three
     working arrays.  Accepts scalars or arrays; scalar input returns a
-    float.
+    float.  A NaN or infinite ``x`` raises ``DataError`` naming it.
     """
     n = check_order(n)
-    xs = _finite_values(x, "laguerre")
+    xs = np.asarray(_require_finite(x, "x"))
     prev = np.ones_like(xs)
     if n == 0:
         return prev if xs.ndim else 1.0
@@ -58,7 +51,7 @@ def hermite(n, x):
     Uses H_{k+1} = 2x H_k - 2k H_{k-1}.
     """
     n = check_order(n)
-    xs = _finite_values(x, "hermite")
+    xs = np.asarray(_require_finite(x, "x"))
     prev = np.ones_like(xs)
     if n == 0:
         return prev if xs.ndim else 1.0

@@ -27,11 +27,11 @@ from .extended import (StandingWaveSpec, WaveProfile, antinode_angles, check_par
                        extended_field, node_angles, normalization, running_wave_profile,
                        standing_wave_field)
 from .gridio import sample_field
-from .oscillator import NATURAL_UNITS, PhasePoint, polar_from_xy, xy_from_polar
+from .oscillator import NATURAL_UNITS, polar_from_xy, xy_from_polar
 from .quadrature import (laguerre_energy_identity, marginal_over_p, marginal_over_x,
                          mean_energy, phase_space_integral)
-from .wigner import (_transform_lines, momentum_density, position_density, radial_kernel,
-                     stationary_field)
+from .wigner import (momentum_density, position_density, radial_kernel, stationary_field,
+                     wigner_from_wavefunction)
 
 
 @dataclass(kw_only=True)
@@ -217,7 +217,7 @@ def check_transform_oracle_agreement(tol: float = 1e-7) -> CheckResult:
     pts = np.linspace(-3.0, 3.0, 9)
     worst = 0.0
     for n in (0, 1, 2, 3, 5):  # one 9x9 batch per order: the lines' windows follow x
-        transform, _ = _transform_lines(params, n, pts[:, None], pts)
+        transform = wigner_from_wavefunction(params, n, pts[:, None], pts)
         closed = stationary_field(params, n)(pts[:, None], pts)
         worst = max(worst, float(np.max(np.abs(transform - closed))))
     return CheckResult(
@@ -453,23 +453,23 @@ def check_moyal_degeneration(tol: float = 1e-6) -> CheckResult:
     quadratic = PolynomialPotential((0.5 * params.alpha * params.shift, params.alpha,
                                      0.5 * params.m * params.omega * params.omega))
     shifted = PolynomialPotential((0.3, 1.7, 0.9))
-    pts = [PhasePoint(0.3, -0.4), PhasePoint(1.1, 0.7)]
-    vanishes = all(moyal_rhs(U, _MustNotEvaluate(), pt, hbar) == 0.0
-                   for U in (quadratic, shifted) for pt in pts)
+    pts = [(0.3, -0.4), (1.1, 0.7)]
+    vanishes = all(moyal_rhs(U, _MustNotEvaluate(), x, p, hbar) == 0.0
+                   for U in (quadratic, shifted) for x, p in pts)
     W = stationary_field(params, 2)
     cubic = PolynomialPotential((0.0, 0.0, 0.0, 1.0))
     quartic = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 1.0))
     worst_exact = 0.0 if vanishes else math.inf
     worst_fd = 0.0 if vanishes else math.inf
     plain = lambda x, p, t=0.0: W(x, p, t)  # hides p_derivative: forces the FD path
-    for pt in pts:
-        wppp = W.p_derivative(3, pt.x, pt.p)
+    for x, p in pts:
+        wppp = W.p_derivative(3, x, p)
         closed_cubic = -(hbar * hbar / 4.0) * wppp
-        closed_quartic = -(hbar * hbar) * pt.x * wppp
+        closed_quartic = -(hbar * hbar) * x * wppp
         for U, closed in ((cubic, closed_cubic), (quartic, closed_quartic)):
             scale = max(1.0, abs(closed))
-            worst_exact = max(worst_exact, abs(moyal_rhs(U, W, pt, hbar) - closed) / scale)
-            worst_fd = max(worst_fd, abs(moyal_rhs(U, plain, pt, hbar) - closed) / scale)
+            worst_exact = max(worst_exact, abs(moyal_rhs(U, W, x, p, hbar) - closed) / scale)
+            worst_fd = max(worst_fd, abs(moyal_rhs(U, plain, x, p, hbar) - closed) / scale)
     return CheckResult(
         provenance="odd derivatives above the potential degree vanish; "
                    "x^3 and x^4 leave one closed-form term",

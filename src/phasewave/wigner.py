@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, _integer
-from .oscillator import (NATURAL_UNITS, TWO_PI, OscillatorParams, PhasePoint,
-                         _require_finite, coordinate, energy_xy, xi_of)
+from .errors import DataError, _integer, _require_finite, coordinate
+from .oscillator import NATURAL_UNITS, TWO_PI, OscillatorParams, energy_xy, xi_of
 from .quadrature import EXTENT, N_LINE, TOL, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
@@ -71,7 +70,7 @@ class StationaryWigner:
         angular dependence, so its angular factor is 1.
         """
         _require_finite(t, "t")
-        return radial_kernel(self.params, self.n, rho), np.ones(np.shape(phi))
+        return radial_kernel(self.params, self.n, rho), np.ones(coordinate(phi, "phi").shape)
 
     @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
     def p_derivative(self, order, x, p):
@@ -123,9 +122,9 @@ def stationary_field(params: OscillatorParams, n) -> StationaryWigner:
     return StationaryWigner(params, check_order(n))
 
 
-def wigner_stationary(params: OscillatorParams, n, pt: PhasePoint) -> float:
-    """Stationary Wigner value (-1)^n value_scale exp(-2 eps) L_n(4 eps) at a point."""
-    return float(stationary_field(params, n)(pt.x, pt.p))
+def wigner_stationary(params: OscillatorParams, n, x, p) -> float:
+    """Stationary Wigner value (-1)^n value_scale exp(-2 eps) L_n(4 eps) at the point (x, p)."""
+    return float(stationary_field(params, n)(x, p))
 
 
 def _hermite_gauss(n: int, xi):
@@ -170,9 +169,8 @@ def wavefunction(params: OscillatorParams, n, x):
     return out if np.ndim(x) else float(out)
 
 
-def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
-                             return_error: bool = False):
-    """Wigner value by Fourier transform of the eigenfunction pair product.
+def wigner_from_wavefunction(params: OscillatorParams, n, x, p, return_error: bool = False):
+    """Wigner values by Fourier transform of the eigenfunction pair product.
 
     Evaluates (1/(2 pi hbar)) * integral of exp(-i p s / hbar)
     Psi_n(xbar + s/2) Psi_n(xbar - s/2) ds for the pure eigenstate; the
@@ -181,25 +179,19 @@ def wigner_from_wavefunction(params: OscillatorParams, n, pt: PhasePoint,
     times an integral over s/sigma_x, which spans 2 (|xi| + ``EXTENT``) on
     ``N_LINE`` trapezoid panels, refined by midpoints where needed; raises
     ``AccuracyError`` when its mesh-halving estimate exceeds ``TOL``.
+
+    ``x`` and ``p`` are finite numbers or arrays that broadcast together,
+    and the result has their broadcast shape; a NaN or infinite entry
+    raises ``DataError`` naming its coordinate.  A line's window depends on
+    its position only, so the eigenfunction pair product is formed once per
+    position for all the momenta, and the lines run as one batch of the
+    line rule; each gets the bits a call with that point alone would give.
     """
-    value, est = _transform_lines(params, check_order(n), pt.x, pt.p)
-    return (value, est) if return_error else value
-
-
-def _transform_lines(params: OscillatorParams, n: int, x, p):
-    """Transform values and estimates at the positions ``x`` and momenta ``p``.
-
-    ``x`` and ``p`` are numbers or arrays that broadcast together, and the
-    result has their broadcast shape.  A line's window depends on its
-    position only, so the eigenfunction pair product is formed once per
-    position for all the momenta, and the lines run as one batch of
-    :func:`_line_integral`; each gets the bits a call with that point
-    alone would give.
-    """
-    xi = np.asarray(xi_of(params, x))
+    n = check_order(n)
+    xi = np.asarray(xi_of(params, _require_finite(x, "x")))
     s_max = 2.0 * (np.abs(xi) + EXTENT)  # psi_n is negligible past EXTENT widths
     centers = xi[..., None]
-    lines = (np.asarray(p, dtype=float) / params.sigma_p)[..., None]
+    lines = (np.asarray(_require_finite(p, "p")) / params.sigma_p)[..., None]
 
     def integrand(s):  # the eigenfunctions of unit width are those of natural units
         left = wavefunction(NATURAL_UNITS, n, centers + s / 2.0)
@@ -207,4 +199,5 @@ def _transform_lines(params: OscillatorParams, n: int, x, p):
         return np.cos(lines * s) * left * right / TWO_PI
 
     value, est = _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction")
-    return value / params.area, est / params.area
+    value, est = value / params.area, est / params.area
+    return (value, est) if return_error else value

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError, Field2D,
-                       GridSpec, OscillatorParams, PhasePoint, PolynomialPotential, evolve_fd,
+                       GridSpec, OscillatorParams, PolynomialPotential, evolve_fd,
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field)
@@ -464,30 +464,30 @@ class _MustNotBeCalled:
 
 
 def test_moyal_rhs_vanishes_for_quadratic_potentials():
-    pts = [PhasePoint(0.3, -0.4), PhasePoint(1.5, 2.0)]
+    pts = [(0.3, -0.4), (1.5, 2.0)]
     for coeffs in ((0.0, 0.0, 0.5), (2.0, 1.7, 0.9), (0.0, 3.0)):
         U = PolynomialPotential(coeffs)
-        for pt in pts:
-            assert moyal_rhs(U, _MustNotBeCalled(), pt, hbar=1.0) == 0.0
+        for x, p in pts:
+            assert moyal_rhs(U, _MustNotBeCalled(), x, p, hbar=1.0) == 0.0
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_moyal_rhs_cubic_single_term(hbar):
     W = stationary_field(NATURAL_UNITS, 2)
     U = PolynomialPotential((0.0, 0.0, 0.0, 1.0))
-    for pt in (PhasePoint(0.3, -0.4), PhasePoint(1.1, 0.7)):
-        closed = -(hbar**2 / 4.0) * W.p_derivative(3, pt.x, pt.p)
-        assert moyal_rhs(U, W, pt, hbar) == pytest.approx(closed, rel=1e-12)
+    for x, p in ((0.3, -0.4), (1.1, 0.7)):
+        closed = -(hbar**2 / 4.0) * W.p_derivative(3, x, p)
+        assert moyal_rhs(U, W, x, p, hbar) == pytest.approx(closed, rel=1e-12)
         plain = lambda x, p, t=0.0: W(x, p, t)
-        assert moyal_rhs(U, plain, pt, hbar) == pytest.approx(closed, rel=1e-6, abs=1e-10)
+        assert moyal_rhs(U, plain, x, p, hbar) == pytest.approx(closed, rel=1e-6, abs=1e-10)
 
 
 def test_moyal_rhs_quartic_single_term():
     W = stationary_field(NATURAL_UNITS, 1)
     U = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 1.0))
-    for pt in (PhasePoint(0.6, -0.2), PhasePoint(-0.8, 0.9)):
-        closed = -P.hbar**2 * pt.x * W.p_derivative(3, pt.x, pt.p)
-        assert moyal_rhs(U, W, pt, P.hbar) == pytest.approx(closed, rel=1e-12)
+    for x, p in ((0.6, -0.2), (-0.8, 0.9)):
+        closed = -P.hbar**2 * x * W.p_derivative(3, x, p)
+        assert moyal_rhs(U, W, x, p, P.hbar) == pytest.approx(closed, rel=1e-12)
 
 
 @pytest.mark.parametrize("hbar", [math.nan, math.inf, -math.inf, 0.0, -1.0],
@@ -499,7 +499,23 @@ def test_moyal_rhs_refuses_non_finite_hbar(coeffs, hbar):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="hbar must be finite"):
-            moyal_rhs(PolynomialPotential(coeffs), W, PhasePoint(0.3, 0.2), hbar)
+            moyal_rhs(PolynomialPotential(coeffs), W, 0.3, 0.2, hbar)
+
+
+def test_moyal_rhs_refuses_a_non_finite_point():
+    U, W = PolynomialPotential((0.0, 0.0, 0.0, 1.0)), stationary_field(NATURAL_UNITS, 2)
+    with pytest.raises(ValueError):
+        moyal_rhs(U, W, float("nan"), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        moyal_rhs(U, W, 0.0, float("inf"), 1.0)
+
+
+def test_moyal_rhs_refuses_bool_coordinates():
+    U, W = PolynomialPotential((0.0, 0.0, 0.0, 1.0)), stationary_field(NATURAL_UNITS, 2)
+    with pytest.raises(DataError, match="x must be finite, got True"):
+        moyal_rhs(U, W, True, 0.0, 1.0)
+    with pytest.raises(DataError, match="p must be finite, got False"):
+        moyal_rhs(U, W, 0.0, False, 1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True],
@@ -513,7 +529,7 @@ def test_moyal_rhs_refuses_non_finite_time(t):
         warnings.simplefilter("error")
         for field in (W, plain):
             with pytest.raises(DataError, match="t must be finite"):
-                moyal_rhs(U, field, PhasePoint(0.3, 0.2), 1.0, t=t)
+                moyal_rhs(U, field, 0.3, 0.2, 1.0, t=t)
 
 
 def test_moyal_rhs_refuses_an_hbar_whose_term_overflows():
@@ -523,7 +539,7 @@ def test_moyal_rhs_refuses_an_hbar_whose_term_overflows():
         with pytest.raises(DataError, match=r"order-3 Moyal term takes the sum to -inf: "
                                             r"hbar = 1e\+160, U\^\(3\)\(x\) = 6.0, "):
             moyal_rhs(PolynomialPotential((0, 0, 0, 1.0)), stationary_field(NATURAL_UNITS, 2),
-                      PhasePoint(0.3, 0.2), 1e160)
+                      0.3, 0.2, 1e160)
 
 
 def test_moyal_rhs_refuses_a_position_whose_term_overflows():
@@ -535,7 +551,7 @@ def test_moyal_rhs_refuses_a_position_whose_term_overflows():
                                             r"hbar = 1.0, U\^\(3\)\(x\) = inf, "
                                             r"d\^3W/dp\^3 = 0.0$"):
             moyal_rhs(PolynomialPotential((0, 0, 0, 0, 0, 1.0)),
-                      stationary_field(NATURAL_UNITS, 2), PhasePoint(1e200, 0.0), 1.0)
+                      stationary_field(NATURAL_UNITS, 2), 1e200, 0.0, 1.0)
 
 
 def test_potential_refuses_bool_coefficients():
@@ -547,5 +563,5 @@ def test_potential_refuses_bool_coefficients():
 def test_moyal_rhs_degree_twelve_runs():
     W = stationary_field(NATURAL_UNITS, 0)
     U = PolynomialPotential((0.0,) * 12 + (1.0,))
-    val = moyal_rhs(U, W, PhasePoint(0.5, 0.3), 1.0)
+    val = moyal_rhs(U, W, 0.5, 0.3, 1.0)
     assert math.isfinite(val)

@@ -7,7 +7,7 @@ import pytest
 
 import phasewave.extended
 from phasewave import (NATURAL_UNITS, DataError, DegenerateProfileError, GridSpec,
-                       OscillatorParams, PhasePoint, StandingWaveSpec, WaveProfile,
+                       OscillatorParams, StandingWaveSpec, WaveProfile,
                        antinode_angles, check_parity, extended_eval, extended_field,
                        marginal_over_p, node_angles, normalization, phase_space_integral,
                        running_wave_profile, sample_field, standing_wave_eval,
@@ -19,12 +19,12 @@ SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
 
 
 def polar_point(rho, phi):
-    return PhasePoint(*(float(c) for c in xy_from_polar(P, rho, phi)))
+    return tuple(float(c) for c in xy_from_polar(P, rho, phi))
 
 
 def seeded_points(count=200, seed=3):
     rng = np.random.default_rng(seed)
-    return [PhasePoint(float(x), float(p))
+    return [(float(x), float(p))
             for x, p in zip(rng.uniform(-3, 3, count), rng.uniform(-3, 3, count))]
 
 
@@ -128,7 +128,7 @@ def test_extended_field_rejects_a_degenerate_profile_at_construction():
     with pytest.raises(DegenerateProfileError):
         extended_field(P, 0, profile)
     with pytest.raises(DegenerateProfileError):
-        extended_eval(P, 0, profile, PhasePoint(0.3, 0.2), 0.0)
+        extended_eval(P, 0, profile, 0.3, 0.2, 0.0)
 
 
 def test_profile_normalizes_once_and_takes_no_norm_from_the_caller(monkeypatch):
@@ -143,13 +143,13 @@ def test_profile_normalizes_once_and_takes_no_norm_from_the_caller(monkeypatch):
     profile = WaveProfile(f=lambda th: 1.0 + np.sin(th), g=lambda th: 0.0, C=1.0, kappa=2)
     W = extended_field(P, 1, profile)
     for pt in seeded_points(5):
-        assert extended_eval(P, 1, profile, pt, 0.3) == float(W(pt.x, pt.p, 0.3))
+        assert extended_eval(P, 1, profile, *pt, 0.3) == float(W(*pt, 0.3))
     extended_field(P, 4, profile)
     assert calls == [profile]
     assert profile.norm == real(profile)
     assert profile.norm == pytest.approx(0.5, abs=1e-13)
     with pytest.raises(TypeError):
-        extended_eval(P, 1, profile, PhasePoint(0.3, 0.2), 0.0, norm=real(profile))
+        extended_eval(P, 1, profile, 0.3, 0.2, 0.0, norm=real(profile))
     with pytest.raises(TypeError):
         extended_field(P, 1, profile, real(profile))
 
@@ -184,8 +184,8 @@ def test_standing_wave_factor_peak_value():
 def test_extended_reduces_to_stationary():
     profile = stationary_profile(1.0)
     for pt in seeded_points(1000):
-        got = extended_eval(P, 2, profile, pt, 0.7)
-        ref = wigner_stationary(P, 2, pt)
+        got = extended_eval(P, 2, profile, *pt, 0.7)
+        ref = wigner_stationary(P, 2, *pt)
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
 
 
@@ -194,7 +194,7 @@ def test_extended_eval_standing_wave_example():
     pt = polar_point(0.1, math.pi / 12.0)
     expected = (1.0 / math.pi) * math.exp(-0.01) * 1.8
     profile = SPEC.to_profile()
-    got = extended_eval(P, 0, profile, pt, 0.0)
+    got = extended_eval(P, 0, profile, *pt, 0.0)
     assert got == pytest.approx(expected, rel=1e-13)
     assert got == pytest.approx(0.5673, abs=2e-4)
 
@@ -205,15 +205,15 @@ def test_extended_eval_initial_time_form():
     N = normalization(profile)
     rho, phi = 1.1, 0.77
     pt = polar_point(rho, phi)
-    kern = wigner_stationary(P, 1, pt)  # radial kernel value for n=1
+    kern = wigner_stationary(P, 1, *pt)  # radial kernel value for n=1
     manual = N * kern * (2.0 + 0.3 * math.sin(2 * phi) + 0.2 * math.cos(-2 * phi))
-    assert extended_eval(P, 1, profile, pt, 0.0) == pytest.approx(manual, rel=1e-12)
+    assert extended_eval(P, 1, profile, *pt, 0.0) == pytest.approx(manual, rel=1e-12)
 
 
 def test_extended_eval_origin_uses_node_line_convention():
     profile = WaveProfile(f=lambda th: 0.5 * np.sin(th), g=lambda th: 0.0, C=2.0, kappa=2)
     N = normalization(profile)
-    got = extended_eval(P, 0, profile, PhasePoint(0.0, 0.0), 0.3)
+    got = extended_eval(P, 0, profile, 0.0, 0.0, 0.3)
     assert got == pytest.approx(N * profile.C / math.pi, rel=1e-14)
 
 
@@ -221,31 +221,31 @@ def test_extended_field_matches_pointwise_eval():
     profile = SPEC.to_profile()
     W = extended_field(P, 0, profile)
     for pt in seeded_points(50, seed=5):
-        assert float(W(pt.x, pt.p, 0.4)) == pytest.approx(
-            extended_eval(P, 0, profile, pt, 0.4), rel=1e-13)
+        assert float(W(*pt, 0.4)) == pytest.approx(
+            extended_eval(P, 0, profile, *pt, 0.4), rel=1e-13)
 
 
 def test_standing_wave_eval_matches_extended_machinery():
     profile = SPEC.to_profile()
     for t in (0.0, 0.11, 0.37):
         for pt in seeded_points(60, seed=7):
-            a = standing_wave_eval(P, 5, SPEC, pt, t)
-            b = extended_eval(P, 5, profile, pt, t)
+            a = standing_wave_eval(P, 5, SPEC, *pt, t)
+            b = extended_eval(P, 5, profile, *pt, t)
             assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
 
 
 def test_standing_wave_zero_amplitude_is_stationary():
     spec = StandingWaveSpec(ell=3, A=0.0, C=5.0)
     for pt in seeded_points(50, seed=9):
-        assert standing_wave_eval(P, 1, spec, pt, 0.9) == pytest.approx(
-            wigner_stationary(P, 1, pt), rel=1e-14)
+        assert standing_wave_eval(P, 1, spec, *pt, 0.9) == pytest.approx(
+            wigner_stationary(P, 1, *pt), rel=1e-14)
 
 
 def test_standing_wave_quarter_period_snapshots():
     T = SPEC.period(P.omega)
     for t in (T / 4.0, 3.0 * T / 4.0):
         for pt in seeded_points(100, seed=13):
-            dev = abs(standing_wave_eval(P, 0, SPEC, pt, t) - wigner_stationary(P, 0, pt))
+            dev = abs(standing_wave_eval(P, 0, SPEC, *pt, t) - wigner_stationary(P, 0, *pt))
             assert dev <= 1e-12
 
 
@@ -263,8 +263,8 @@ def test_node_invariance_all_times():
             for t in (0.0, T / 8.0, 0.61 * T):
                 for phi in node_angles(SPEC):
                     pt = polar_point(rho, float(phi))
-                    dev = abs(standing_wave_eval(P, n, SPEC, pt, t)
-                              - wigner_stationary(P, n, pt))
+                    dev = abs(standing_wave_eval(P, n, SPEC, *pt, t)
+                              - wigner_stationary(P, n, *pt))
                     assert dev <= 1e-12
 
 
@@ -272,8 +272,8 @@ def test_temporal_periodicity():
     T = SPEC.period(P.omega)
     for pt in seeded_points(60, seed=17):
         for t in (0.0, 0.123, 0.4):
-            a = standing_wave_eval(P, 0, SPEC, pt, t)
-            b = standing_wave_eval(P, 0, SPEC, pt, t + T)
+            a = standing_wave_eval(P, 0, SPEC, *pt, t)
+            b = standing_wave_eval(P, 0, SPEC, *pt, t + T)
             assert abs(a - b) <= 1e-12
 
 
@@ -293,9 +293,9 @@ def test_oscillation_symmetry_about_quarter_period():
     T = SPEC.period(P.omega)
     for pt in seeded_points(60, seed=19):
         for t in (0.0, 0.1 * T, 0.37 * T):
-            total = (standing_wave_eval(P, 0, SPEC, pt, t)
-                     + standing_wave_eval(P, 0, SPEC, pt, T / 2.0 - t))
-            assert total == pytest.approx(2.0 * wigner_stationary(P, 0, pt), abs=1e-12)
+            total = (standing_wave_eval(P, 0, SPEC, *pt, t)
+                     + standing_wave_eval(P, 0, SPEC, *pt, T / 2.0 - t))
+            assert total == pytest.approx(2.0 * wigner_stationary(P, 0, *pt), abs=1e-12)
 
 
 def test_antinode_extremality_on_dense_grid():
@@ -305,7 +305,7 @@ def test_antinode_extremality_on_dense_grid():
     W = standing_wave_field(P, 0, SPEC)
     x = rho * np.cos(phis)
     p = rho * np.sin(phis)
-    diff = np.abs(W(x, p, 0.0) - wigner_stationary(P, 0, PhasePoint(rho, 0.0)))
+    diff = np.abs(W(x, p, 0.0) - wigner_stationary(P, 0, rho, 0.0))
     top = diff.max()
     assert np.all(np.abs(diff[anti_idx] - top) <= 1e-12)
 

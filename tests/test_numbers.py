@@ -2,38 +2,47 @@
 
 A Python or numpy bool, a NaN or infinite value and a value out of range
 raise ``DataError``; a complex number or an array where one number is due
-raises ``TypeError``; an integer parameter refuses anything that is not one
-integer, a complex number included, with ``DataError``.  Each error names the
-parameter.  ``np.float64``, ``np.int64``, Python ints and 0-d arrays are
-accepted and give what the plain number gives.
+raises ``TypeError``, and so does a ragged nested list where an array is
+allowed; an integer parameter refuses anything that is not one integer, a
+complex number included, with ``DataError``.  Each error names the parameter.
+``np.float64``, ``np.int64``, Python ints and 0-d arrays are accepted and give
+what the plain number gives.  Every number parameter of the public surface has
+a row here, which ``test_every_public_number_parameter_has_a_row`` checks.
 """
 
 import dataclasses
+import inspect
 import math
 import re
+import types
 
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, DataError, Field2D, GridSpec, OscillatorParams, PhasePoint,
-                       PolynomialPotential, StandingWaveSpec, WaveProfile, energy_xy, evolve_fd,
-                       extended_field, hermite, laguerre, marginal_over_p, marginal_over_x,
-                       momentum_density, moyal_rhs, phase_space_integral, poly_derivative,
-                       polar_from_xy, position_density, propagate_exact, radial_kernel,
-                       run_suite, sample_field, standing_wave_field, stationary_field,
-                       wavefunction, xy_from_polar)
+import phasewave
+from phasewave import (NATURAL_UNITS, DataError, ExtendedWigner, Field2D, GridSpec,
+                       OscillatorParams, PolynomialPotential, StandingWaveSpec, StandingWaveWigner,
+                       StationaryWigner, WaveProfile, energy_xy, evolve_fd, extended_eval,
+                       extended_field, hermite, laguerre, laguerre_energy_identity, log_weight,
+                       marginal_over_p, marginal_over_x, mean_energy, momentum_density, moyal_rhs,
+                       phase_space_integral, poly_derivative, polar_from_xy, position_density,
+                       propagate_exact, radial_kernel, run_suite, running_wave_profile,
+                       sample_field, standing_wave_eval, standing_wave_factor,
+                       standing_wave_field, stationary_field, stationary_profile, wavefunction,
+                       wigner_from_wavefunction, wigner_stationary, xy_from_polar)
 from phasewave.cli import build_parser, run
 from phasewave.special import check_order
 
 P = NATURAL_UNITS
 SPEC = StandingWaveSpec(ell=2, A=1.0, C=2.0)
+PROFILE = SPEC.to_profile()
 GRID = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.01)
 RHO, PHI = np.array([0.5, 1.0]), np.array([0.0, 1.0])
 QUARTIC = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 0.1))
 FIELDS = {
     "stationary": stationary_field(P, 1),
     "standing": standing_wave_field(P, 2, SPEC),
-    "extended": extended_field(P, 2, SPEC.to_profile()),
+    "extended": extended_field(P, 2, PROFILE),
     "rotation": propagate_exact(standing_wave_field(P, 2, SPEC), P, 0.4),
 }
 F0 = sample_field(FIELDS["stationary"], GRID, 0.0, P)
@@ -45,6 +54,7 @@ def _bare(x, p, t):
 
 
 SCALAR = (True, np.True_, np.complex128(1 + 2j), np.array([1.0]), math.nan, math.inf)
+RAGGED = [[0.1], [0.2, 0.3]]  # no array has this shape
 #: The values each kind of parameter must refuse.
 FAULTS = {
     "real": SCALAR,
@@ -52,8 +62,9 @@ FAULTS = {
     "count": SCALAR + (0, -1, 2.0),             # an integer >= 1
     "index": SCALAR + (-1, 2.0),                # an integer >= 0
     "order": SCALAR + (-1, 65, 2.0),            # an integer in [0, MAX_ORDER]
-    "times": SCALAR[:3] + (math.nan, math.inf, -math.inf),  # one time or an array
-    "coordinate": SCALAR[:3] + (math.nan,),     # an infinite one lies past every Gaussian
+    # one finite number or an array of them: a time, or a point of the transform oracle
+    "times": SCALAR[:3] + (math.nan, math.inf, -math.inf, RAGGED),
+    "coordinate": SCALAR[:3] + (math.nan, RAGGED),  # an infinite one lies past every Gaussian
 }
 INTEGERS = ("count", "index", "order")
 
@@ -72,10 +83,31 @@ ENTRIES = [
     ("StandingWaveSpec.C", "C", "positive", lambda v: StandingWaveSpec(2, 1.0, v), 2.0),
     ("WaveProfile.C", "C", "real", lambda v: WaveProfile(np.sin, np.cos, v, 2), 2.0),
     ("WaveProfile.kappa", "kappa", "count", lambda v: WaveProfile(np.sin, np.cos, 2.0, v), 2),
-    ("PolynomialPotential", "potential coefficients", "real",
+    ("StandingWaveSpec.omega_wave.omega", "omega", "positive", lambda v: SPEC.omega_wave(v), 2.0),
+    ("StandingWaveSpec.period.omega", "omega", "positive", lambda v: SPEC.period(v), 2.0),
+    ("WaveProfile.omega_wave.omega", "omega", "positive", lambda v: PROFILE.omega_wave(v), 2.0),
+    ("WaveProfile.bracket.omega", "omega", "positive", lambda v: PROFILE.bracket(PHI, 0.1, v),
+     2.0),
+    ("WaveProfile.bracket.t", "t", "times", lambda v: PROFILE.bracket(PHI, v, 1.0), 1.0),
+    ("WaveProfile.bracket.phi", "phi", "coordinate", lambda v: PROFILE.bracket(v, 0.1, 1.0), 1.0),
+    ("standing_wave_factor.omega", "omega", "positive",
+     lambda v: standing_wave_factor(SPEC, PHI, 0.1, v), 2.0),
+    ("standing_wave_factor.t", "t", "times", lambda v: standing_wave_factor(SPEC, PHI, v, 1.0),
+     1.0),
+    ("standing_wave_factor.phi", "phi", "coordinate",
+     lambda v: standing_wave_factor(SPEC, v, 0.1, 1.0), 1.0),
+    ("running_wave_profile.A", "A", "real", lambda v: running_wave_profile(v, 2.0, 2).C, 1.0),
+    ("running_wave_profile.C", "C", "real", lambda v: running_wave_profile(1.0, v, 2).C, 2.0),
+    ("running_wave_profile.kappa", "kappa", "count",
+     lambda v: running_wave_profile(1.0, 2.0, v).kappa, 2),
+    ("stationary_profile.C", "C", "real", lambda v: stationary_profile(v).C, 2.0),
+    ("PolynomialPotential.coeffs", "potential coefficients", "real",
      lambda v: PolynomialPotential((v, 0.0, 1.0)), 1.0),
-    ("PhasePoint.x", "x", "real", lambda v: PhasePoint(v, 0.2), 1.0),
-    ("PhasePoint.p", "p", "real", lambda v: PhasePoint(0.3, v), 1.0),
+    ("PolynomialPotential.__call__.x", "x", "coordinate", lambda v: QUARTIC(v), 1.0),
+    ("moyal_rhs.x", "x", "real", lambda v: moyal_rhs(QUARTIC, FIELDS["stationary"], v, 0.2, 1.0),
+     1.0),
+    ("moyal_rhs.p", "p", "real", lambda v: moyal_rhs(QUARTIC, FIELDS["stationary"], 0.3, v, 1.0),
+     1.0),
     ("propagate_exact.t", "t", "real",
      lambda v: propagate_exact(FIELDS["standing"], P, v)(0.3, 0.2), 1.0),
     ("evolve_fd.t_final", "t_final", "real", lambda v: evolve_fd(F0, P, v), 1.0),
@@ -84,9 +116,8 @@ ENTRIES = [
     ("sample_field.t.standing", "t|time_tag", "real",
      lambda v: sample_field(FIELDS["standing"], GRID, v, P), 1.0),
     ("moyal_rhs.hbar", "hbar", "positive",
-     lambda v: moyal_rhs(QUARTIC, FIELDS["stationary"], PhasePoint(0.3, 0.2), v), 1.0),
-    ("moyal_rhs.t", "t", "real",
-     lambda v: moyal_rhs(QUARTIC, _bare, PhasePoint(0.3, 0.2), 1.0, v), 1.0),
+     lambda v: moyal_rhs(QUARTIC, FIELDS["stationary"], 0.3, 0.2, v), 1.0),
+    ("moyal_rhs.t", "t", "real", lambda v: moyal_rhs(QUARTIC, _bare, 0.3, 0.2, 1.0, v), 1.0),
     ("run_suite.tol_override", "tolerance", "positive",
      lambda v: run_suite("laguerre_moment_identity", tol_override=v).checks[0].tolerance, 1.0),
     ("check_order", "order", "order", check_order, 3),
@@ -94,15 +125,19 @@ ENTRIES = [
     ("laguerre.n", "order", "order", lambda v: laguerre(v, 0.7), 3),
     ("poly_derivative.order", "derivative order", "index",
      lambda v: poly_derivative(QUARTIC, v), 1),
-    ("p_derivative.order", "derivative order", "index",
+    ("StationaryWigner.p_derivative.order", "derivative order", "index",
      lambda v: FIELDS["stationary"].p_derivative(v, 0.3, 0.2), 1),
-    ("p_derivative.x", "x", "coordinate",
+    ("StationaryWigner.p_derivative.x", "x", "coordinate",
      lambda v: FIELDS["stationary"].p_derivative(1, v, 0.2), 1.0),
+    ("StationaryWigner.p_derivative.p", "p", "coordinate",
+     lambda v: FIELDS["stationary"].p_derivative(1, 0.3, v), 1.0),
     ("radial_kernel.rho", "rho", "coordinate", lambda v: radial_kernel(P, 1, v), 1.0),
     ("position_density.x", "x", "coordinate", lambda v: position_density(P, 1, v), 1.0),
     ("momentum_density.p", "p", "coordinate", lambda v: momentum_density(P, 1, v), 1.0),
     ("wavefunction.x", "x", "coordinate", lambda v: wavefunction(P, 1, v), 1.0),
     ("polar_from_xy.x", "x", "coordinate", lambda v: polar_from_xy(P, v, 0.2), 1.0),
+    ("polar_from_xy.p", "p", "coordinate", lambda v: polar_from_xy(P, 0.3, v), 1.0),
+    ("energy_xy.x", "x", "coordinate", lambda v: energy_xy(P, v, 0.2), 1.0),
     ("energy_xy.p", "p", "coordinate", lambda v: energy_xy(P, 0.3, v), 1.0),
     ("xy_from_polar.rho", "rho", "coordinate", lambda v: xy_from_polar(P, v, 0.2), 1.0),
     ("xy_from_polar.phi", "phi", "coordinate", lambda v: xy_from_polar(P, 0.5, v), 1.0),
@@ -114,22 +149,73 @@ ENTRIES = [
      lambda v: marginal_over_x(FIELDS["stationary"], P, v), 1.0),
     ("marginal_over_p.t", "t", "times", lambda v: marginal_over_p(FIELDS["standing"], P, 0.3, v),
      1.0),
+    ("marginal_over_p.t.bare", "t", "times", lambda v: marginal_over_p(_bare, P, 0.3, v), 1.0),
+    ("marginal_over_x.t", "t", "times", lambda v: marginal_over_x(FIELDS["standing"], P, 0.3, v),
+     1.0),
     ("phase_space_integral.t", "t", "times",
      lambda v: phase_space_integral(FIELDS["standing"], P, v), 1.0),
+    ("mean_energy.t", "t", "times", lambda v: mean_energy(FIELDS["standing"], P, v), 1.0),
+    ("wigner_from_wavefunction.x", "x", "times", lambda v: wigner_from_wavefunction(P, 1, v, 0.2),
+     1.0),
+    ("wigner_from_wavefunction.p", "p", "times", lambda v: wigner_from_wavefunction(P, 1, 0.3, v),
+     1.0),
+    ("wigner_stationary.x", "x", "coordinate", lambda v: wigner_stationary(P, 1, v, 0.2), 1.0),
+    ("wigner_stationary.p", "p", "coordinate", lambda v: wigner_stationary(P, 1, 0.3, v), 1.0),
+    ("extended_eval.x", "x", "coordinate",
+     lambda v: extended_eval(P, 2, PROFILE, v, 0.2, 0.1), 1.0),
+    ("extended_eval.p", "p", "coordinate",
+     lambda v: extended_eval(P, 2, PROFILE, 0.3, v, 0.1), 1.0),
+    ("extended_eval.t", "t", "times", lambda v: extended_eval(P, 2, PROFILE, 0.3, 0.2, v), 1.0),
+    ("standing_wave_eval.x", "x", "coordinate",
+     lambda v: standing_wave_eval(P, 2, SPEC, v, 0.2, 0.1), 1.0),
+    ("standing_wave_eval.p", "p", "coordinate",
+     lambda v: standing_wave_eval(P, 2, SPEC, 0.3, v, 0.1), 1.0),
+    ("standing_wave_eval.t", "t", "times", lambda v: standing_wave_eval(P, 2, SPEC, 0.3, 0.2, v),
+     1.0),
 ]
-for _label, _W in FIELDS.items():
+#: One call per callable that takes a state or polynomial order ``n``.
+ORDERS = {
+    "StationaryWigner": lambda v: StationaryWigner(P, v)(0.3, 0.2),
+    "StandingWaveWigner": lambda v: StandingWaveWigner(P, v, SPEC)(0.3, 0.2),
+    "ExtendedWigner": lambda v: ExtendedWigner(P, v, PROFILE)(0.3, 0.2),
+    "extended_field": lambda v: extended_field(P, v, PROFILE)(0.3, 0.2),
+    "standing_wave_field": lambda v: standing_wave_field(P, v, SPEC)(0.3, 0.2),
+    "hermite": lambda v: hermite(v, 0.7),
+    "log_weight": log_weight,
+    "laguerre_energy_identity": laguerre_energy_identity,
+    "radial_kernel": lambda v: radial_kernel(P, v, 0.5),
+    "position_density": lambda v: position_density(P, v, 0.3),
+    "momentum_density": lambda v: momentum_density(P, v, 0.2),
+    "wavefunction": lambda v: wavefunction(P, v, 0.3),
+    "wigner_from_wavefunction": lambda v: wigner_from_wavefunction(P, v, 0.3, 0.2),
+    "wigner_stationary": lambda v: wigner_stationary(P, v, 0.3, 0.2),
+    "extended_eval": lambda v: extended_eval(P, v, PROFILE, 0.3, 0.2, 0.1),
+    "standing_wave_eval": lambda v: standing_wave_eval(P, v, SPEC, 0.3, 0.2, 0.1),
+}
+ENTRIES += [(f"{_name}.n", "order", "order", _call, 3) for _name, _call in ORDERS.items()]
+for _W in (FIELDS["stationary"], FIELDS["standing"], FIELDS["extended"]):
+    _label = type(_W).__name__  # a rotation's polar_factors takes the 1-d nodes of a grid
     ENTRIES += [
-        (f"{_label}.t", "t", "times", lambda v, W=_W: W(0.3, 0.2, v), 1.0),
+        (f"{_label}.polar_factors.rho", "rho", "coordinate",
+         lambda v, W=_W: W.polar_factors(v, PHI), 1.0),
+        (f"{_label}.polar_factors.phi", "phi", "coordinate",
+         lambda v, W=_W: W.polar_factors(RHO, v), 1.0),
+    ]
+for _W in FIELDS.values():
+    _label = type(_W).__name__
+    ENTRIES += [
+        (f"{_label}.__call__.t", "t", "times", lambda v, W=_W: W(0.3, 0.2, v), 1.0),
         (f"{_label}.polar_factors.t", "t", "times", lambda v, W=_W: W.polar_factors(RHO, PHI, v),
          1.0),
-        (f"{_label}.x", "x", "coordinate", lambda v, W=_W: W(v, 0.2), 1.0),
-        (f"{_label}.p", "p", "coordinate", lambda v, W=_W: W(0.3, v), 1.0),
+        (f"{_label}.__call__.x", "x", "coordinate", lambda v, W=_W: W(v, 0.2), 1.0),
+        (f"{_label}.__call__.p", "p", "coordinate", lambda v, W=_W: W(0.3, v), 1.0),
     ]
 
 
 def _expected(kind, value):
-    """TypeError for an array where one number is due and for a complex real; else DataError."""
-    if np.ndim(value) or (np.iscomplexobj(value) and kind not in INTEGERS):
+    """TypeError for an array where one number is due, a ragged list and a complex real; else
+    DataError."""
+    if value is RAGGED or np.ndim(value) or (np.iscomplexobj(value) and kind not in INTEGERS):
         return TypeError
     return DataError
 
@@ -188,3 +274,85 @@ def test_the_cli_exits_2_naming_each_refused_number(argv, name, tmp_path, capsys
                                          ("grid", "evolve") else argv)) == 2
     err = capsys.readouterr().err
     assert re.search(rf"error: .*(?<!\w){name} must be", err), err
+
+
+#: Parameters that take no number: fields, units, grids, wave and potential
+#: objects, a flag, profile callables, a path, a format, suite names and metadata.
+NOT_NUMBERS = {"W", "W0", "field", "field0", "fields", "params", "grid", "profile", "spec",
+               "wave", "U", "return_error", "f", "g", "path", "fmt", "names", "extra", "meta"}
+#: Number parameters that take a whole sampled grid; their refusals are tested apart.
+TESTED_APART = {"Field2D.values": "test_the_callers_bad_data_raises_data_error"}
+#: Classes whose fields the library fills in rather than reads from a caller.
+RECORDS = {"CheckResult", "ParityReport", "VerificationReport"}
+
+
+def _parameters(namespace):
+    """``<callable>.<parameter>`` of every public function, constructor and method.
+
+    A constructor's parameters are ``<Class>.<parameter>`` and a method's
+    ``<Class>.<method>.<parameter>``, ``__call__`` included.
+    """
+    keys = []
+    for name, obj in sorted(vars(namespace).items()):
+        if name.startswith("_") or name in RECORDS or not callable(obj) or \
+                (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", getattr(obj, attr)) for attr, member in vars(obj).items()
+                        if inspect.isfunction(member) and
+                        (attr == "__call__" or not attr.startswith("_"))]
+        for label, fn in members:
+            keys += [f"{label}.{param}" for param in inspect.signature(fn).parameters
+                     if param != "self" and param not in NOT_NUMBERS]
+    return keys
+
+
+def _uncovered(namespace, labels):
+    """The parameters of ``namespace`` that no label (``<key>`` or ``<key>.<case>``) covers."""
+    return [key for key in _parameters(namespace) if key not in TESTED_APART and
+            not any(label == key or label.startswith(key + ".") for label in labels)]
+
+
+def test_every_public_number_parameter_has_a_row():
+    assert _uncovered(phasewave, [label for label, *_ in ENTRIES]) == []
+
+
+def test_the_coverage_guard_sees_a_planted_parameter():
+    class Planted:
+        def __init__(self, params, width):
+            pass
+
+        def __call__(self, x, p, t=0.0):
+            pass
+
+        def shift(self, amount):
+            pass
+
+        def _hidden(self, depth):
+            pass
+
+    def planted(W, params, n, sigma, return_error=False):
+        pass
+
+    surface = types.SimpleNamespace(Planted=Planted, planted=planted, _private=planted,
+                                    DataError=DataError, NATURAL_UNITS=P)
+    labels = ["planted.n", "Planted.__call__.x", "Planted.__call__.p.case"]
+    assert _uncovered(surface, labels) == ["Planted.width", "Planted.__call__.t",
+                                           "Planted.shift.amount", "planted.sigma"]
+
+
+def test_the_callers_bad_data_raises_data_error():
+    bad_values = F0.values.copy()
+    bad_values[1, 2] = math.nan
+    for call, match in (
+            (lambda: OscillatorParams(m=1e-300, omega=1e-300, hbar=1e300), "the scale sigma_x"),
+            (lambda: OscillatorParams(alpha=1e7), "the scale shift"),
+            (lambda: StandingWaveSpec(2, 1e308, 1e-10), "2A/C must be finite"),
+            (lambda: Field2D(GRID, F0.values[:2], 0.0), "values shape"),
+            (lambda: Field2D(GRID, bad_values, 0.0), "field values must be finite"),
+            (lambda: Field2D(GRID, F0.values > 0.0, 0.0), "values must be finite, got a bool")):
+        with pytest.raises(DataError, match=match):
+            call()
+    with pytest.raises(TypeError, match="values must be real"):
+        Field2D(GRID, F0.values + 1j, 0.0)

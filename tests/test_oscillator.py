@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phasewave import (NATURAL_UNITS, DataError, OscillatorParams, PhasePoint, energy_xy, polar_from_xy,
+from phasewave import (NATURAL_UNITS, OscillatorParams, energy_xy, polar_from_xy,
                        xy_from_polar)
 
 finite_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -99,16 +99,3 @@ def test_params_validation():
         with pytest.raises(ValueError):
             OscillatorParams(**bad)
 
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        PhasePoint(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        PhasePoint(0.0, float("inf"))
-
-
-def test_point_refuses_bool_coordinates():
-    with pytest.raises(DataError, match="x must be finite, got True"):
-        PhasePoint(True, 0.0)
-    with pytest.raises(DataError, match="p must be finite, got False"):
-        PhasePoint(0.0, False)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, DataError, OscillatorParams, PhasePoint,
+from phasewave import (NATURAL_UNITS, DataError, OscillatorParams,
                        PolynomialPotential, StandingWaveSpec, extended_field, marginal_over_p,
                        marginal_over_x, moyal_rhs, propagate_exact, running_wave_profile,
                        standing_wave_field, stationary_field)
@@ -161,10 +161,10 @@ def test_the_one_time_callers_refuse_a_one_entry_array():
         propagate_exact(stationary_field(P, 0), P, one)
     with pytest.raises(TypeError, match="t must be one number"):
         moyal_rhs(PolynomialPotential((0, 0, 0, 1.0)), stationary_field(P, 2),
-                  PhasePoint(0.3, 0.2), 1.0, t=one)
+                  0.3, 0.2, 1.0, t=one)
     for x, p in ((one, 0.2), (0.3, one)):
         with pytest.raises(TypeError, match="must be one number"):
-            PhasePoint(x, p)
+            moyal_rhs(PolynomialPotential((0, 0, 0, 1.0)), stationary_field(P, 2), x, p, 1.0)
 
 
 def test_an_array_of_times_that_is_not_real_is_refused():
@@ -199,10 +199,10 @@ def test_a_complex_number_is_refused_at_every_entry_point(action):
     potential, W2 = PolynomialPotential((0, 0, 0, 1.0)), stationary_field(P, 2)
     for value in (np.complex128(0.3 + 1j), np.complex64(0.3 + 1j), np.array(0.3 + 1j)):
         calls = {
-            "x": lambda: PhasePoint(value, 0.2),
-            "p": lambda: PhasePoint(0.3, value),
+            "x": lambda: moyal_rhs(potential, W2, value, 0.2, 1.0),
+            "p": lambda: moyal_rhs(potential, W2, 0.3, value, 1.0),
             "propagate_exact": lambda: propagate_exact(W2, P, value),
-            "moyal_rhs": lambda: moyal_rhs(potential, W2, PhasePoint(0.3, 0.2), 1.0, t=value),
+            "moyal_rhs": lambda: moyal_rhs(potential, W2, 0.3, 0.2, 1.0, t=value),
         }
         for name, W in fields.items():
             calls[name] = lambda W=W: W(0.3, 0.2, value)

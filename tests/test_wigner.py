@@ -4,13 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, OscillatorParams, PhasePoint, StandingWaveSpec,
+from phasewave import (NATURAL_UNITS, OscillatorParams, StandingWaveSpec,
                        energy_xy, extended_field, momentum_density,
                        polar_from_xy, position_density, radial_kernel, running_wave_profile,
                        standing_wave_field, stationary_field, wavefunction,
                        wigner_from_wavefunction, wigner_stationary)
 from phasewave.errors import DataError
-from phasewave.wigner import _transform_lines
 
 from oracles import lag_series, p_derivative_polynomial, simpson, wigner_kernel_exact
 
@@ -19,20 +18,20 @@ SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
 
 
 def test_origin_values():
-    assert wigner_stationary(NATURAL_UNITS, 0, PhasePoint(0, 0)) == pytest.approx(1 / math.pi, rel=1e-15)
-    assert wigner_stationary(NATURAL_UNITS, 1, PhasePoint(0, 0)) == pytest.approx(-1 / math.pi, rel=1e-15)
+    assert wigner_stationary(NATURAL_UNITS, 0, 0, 0) == pytest.approx(1 / math.pi, rel=1e-15)
+    assert wigner_stationary(NATURAL_UNITS, 1, 0, 0) == pytest.approx(-1 / math.pi, rel=1e-15)
 
 
 def test_second_state_value_against_series_oracle():
     # eps = 1/2 at (1, 0), so the Laguerre argument is 2
     expected = math.exp(-1.0) / math.pi * lag_series(2, 2.0)
     assert expected == pytest.approx(-0.11709966304863834, rel=1e-12)
-    assert wigner_stationary(NATURAL_UNITS, 2, PhasePoint(1.0, 0.0)) == pytest.approx(expected, rel=1e-14)
+    assert wigner_stationary(NATURAL_UNITS, 2, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_sign_structure_at_origin():
     for n in range(9):
-        val = wigner_stationary(NATURAL_UNITS, n, PhasePoint(0, 0))
+        val = wigner_stationary(NATURAL_UNITS, n, 0, 0)
         assert val == (-1.0) ** n / math.pi
 
 
@@ -42,8 +41,8 @@ def test_radial_symmetry_on_fixed_energy_circle():
     for n in (0, 3, 5):
         vals = []
         for phi in rng.uniform(0.0, 2 * math.pi, 64):
-            pt = PhasePoint(rho * math.cos(phi), rho * math.sin(phi))
-            vals.append(wigner_stationary(NATURAL_UNITS, n, pt))
+            pt = (rho * math.cos(phi), rho * math.sin(phi))
+            vals.append(wigner_stationary(NATURAL_UNITS, n, *pt))
         vals = np.asarray(vals)
         assert np.max(np.abs(vals - vals[0])) <= 1e-12 * max(1.0, abs(vals[0]))
 
@@ -93,26 +92,26 @@ def test_wavefunction_normalization_general_params():
 
 
 def test_transform_matches_closed_form_at_named_points():
-    assert wigner_from_wavefunction(NATURAL_UNITS, 0, PhasePoint(0, 0)) == pytest.approx(1 / math.pi, abs=1e-8)
-    assert wigner_from_wavefunction(NATURAL_UNITS, 1, PhasePoint(0, 0)) == pytest.approx(-1 / math.pi, abs=1e-8)
-    pt = PhasePoint(0.7, -1.1)
-    assert wigner_from_wavefunction(NATURAL_UNITS, 3, pt) == pytest.approx(
-        wigner_stationary(NATURAL_UNITS, 3, pt), abs=1e-7)
+    assert wigner_from_wavefunction(NATURAL_UNITS, 0, 0, 0) == pytest.approx(1 / math.pi, abs=1e-8)
+    assert wigner_from_wavefunction(NATURAL_UNITS, 1, 0, 0) == pytest.approx(-1 / math.pi, abs=1e-8)
+    pt = (0.7, -1.1)
+    assert wigner_from_wavefunction(NATURAL_UNITS, 3, *pt) == pytest.approx(
+        wigner_stationary(NATURAL_UNITS, 3, *pt), abs=1e-7)
 
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_transform_matches_closed_form_on_grid(n):
     for x in np.linspace(-2.0, 2.0, 5):
         for p in np.linspace(-2.0, 2.0, 5):
-            pt = PhasePoint(float(x), float(p))
-            assert wigner_from_wavefunction(NATURAL_UNITS, n, pt) == pytest.approx(
-                wigner_stationary(NATURAL_UNITS, n, pt), abs=1e-7)
+            pt = (float(x), float(p))
+            assert wigner_from_wavefunction(NATURAL_UNITS, n, *pt) == pytest.approx(
+                wigner_stationary(NATURAL_UNITS, n, *pt), abs=1e-7)
 
 
 def test_transform_matches_closed_form_general_params():
-    pt = PhasePoint(0.4, -0.6)
-    assert wigner_from_wavefunction(GENERAL, 2, pt) == pytest.approx(
-        wigner_stationary(GENERAL, 2, pt), abs=1e-7)
+    pt = (0.4, -0.6)
+    assert wigner_from_wavefunction(GENERAL, 2, *pt) == pytest.approx(
+        wigner_stationary(GENERAL, 2, *pt), abs=1e-7)
 
 
 @pytest.mark.parametrize("params", [NATURAL_UNITS, GENERAL], ids=["natural", "general"])
@@ -120,10 +119,9 @@ def test_transform_momentum_batch_equals_single_calls(params):
     momenta = np.linspace(-3.0, 3.0, 9)
     for n in (0, 3):
         for x in (-1.1, 0.4):
-            values, ests = _transform_lines(params, n, x, momenta)
+            values, ests = wigner_from_wavefunction(params, n, x, momenta, return_error=True)
             for p, value, est in zip(momenta, values, ests):
-                alone = wigner_from_wavefunction(params, n, PhasePoint(x, float(p)),
-                                                 return_error=True)
+                alone = wigner_from_wavefunction(params, n, x, float(p), return_error=True)
                 assert (value.tobytes(), est.tobytes()) == (
                     np.float64(alone[0]).tobytes(), np.float64(alone[1]).tobytes())
 
@@ -134,12 +132,12 @@ def test_transform_grid_batch_equals_single_calls(params, n):
     # each position has its own window, so one batch runs lines of nine widths
     positions = np.linspace(-3.0, 3.0, 9)
     momenta = np.linspace(-2.5, 2.9, 7)
-    values, ests = _transform_lines(params, n, positions[:, None], momenta)
+    values, ests = wigner_from_wavefunction(params, n, positions[:, None], momenta,
+                                           return_error=True)
     assert values.shape == ests.shape == (9, 7)
     for x, v_row, e_row in zip(positions, values, ests):
         for p, value, est in zip(momenta, v_row, e_row):
-            alone = wigner_from_wavefunction(params, n, PhasePoint(float(x), float(p)),
-                                             return_error=True)
+            alone = wigner_from_wavefunction(params, n, float(x), float(p), return_error=True)
             assert (value.tobytes(), est.tobytes()) == (
                 np.float64(alone[0]).tobytes(), np.float64(alone[1]).tobytes()), (x, p)
 
@@ -149,7 +147,7 @@ def test_transform_matches_exact_kernel_for_every_order(params):
     # the window must reach past the turning point sqrt(2n+1) of each order
     for n in range(65):
         for x, p in ((0.3, -0.2), (-1.1, 0.7)):
-            value = wigner_from_wavefunction(params, n, PhasePoint(x, p))
+            value = wigner_from_wavefunction(params, n, x, p)
             rho = math.hypot(params.omega * (x + params.shift), p / params.m)
             exact = float(wigner_kernel_exact(n, rho, params.m, params.omega, params.hbar))
             assert abs(value - exact) <= 1e-12, (n, x, p, value, exact)
@@ -250,4 +248,4 @@ def test_state_index_validation():
     with pytest.raises(ValueError):
         stationary_field(NATURAL_UNITS, 65)
     with pytest.raises(ValueError):
-        wigner_stationary(NATURAL_UNITS, -1, PhasePoint(0, 0))
+        wigner_stationary(NATURAL_UNITS, -1, 0, 0)
