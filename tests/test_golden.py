@@ -36,6 +36,9 @@ RUNS = {
     "grid-units": ["grid", "--n", "3", "--ell", "2", "--alpha", "0.7", "--m", "2.5",
                    "--omega", "0.8", "--hbar", "0.3", "--n-rho", "16", "--n-phi", "32",
                    "--t", "0,T/4", "--format", "json"],
+    "grid-units-csv": ["grid", "--n", "3", "--ell", "2", "--alpha", "0.7", "--m", "2.5",
+                       "--omega", "0.8", "--hbar", "0.3", "--n-rho", "16", "--n-phi", "32",
+                       "--t", "0,T/4", "--format", "csv"],
     "evolve": ["evolve", "--n", "1", "--ell", "2", "--n-rho", "8", "--n-phi", "32",
                "--t", "0.5,T/4"],
     "eval-csv": ["eval", "--n", "2", "--ell", "3", "--x", "0.7", "--p", "-1.1",
