@@ -2,12 +2,12 @@
 
 Every number an argument of the library takes goes through one of the
 checks here: one finite real, one integer in a range, an array of reals, a
-coordinate (reals with no NaN) or a time (finite reals).  A Python or numpy
-bool, a non-finite value and a value out of range raise :class:`DataError`;
-a complex number, text, a ragged nested sequence, or an array where one
-number is due raises ``TypeError``.  An integer argument refuses anything
-that is not one integer, a float such as 2.0 or text included, with
-``DataError``.
+coordinate (reals with no NaN) or a time or an angle (finite reals).  A
+Python or numpy bool, a non-finite value and a value out of range raise
+:class:`DataError`; a complex number, text, a ragged nested sequence, or an
+array where one number is due raises ``TypeError``.  An integer argument
+refuses anything that is not one integer, a float such as 2.0 or text
+included, with ``DataError``.
 """
 
 import math
@@ -41,22 +41,22 @@ class DataError(ValueError):
 
     Every number argument raises it, naming the argument, for a Python or
     numpy bool, for a NaN or infinite value where a finite one is due (a
-    time, a point of ``moyal_rhs`` or ``wigner_from_wavefunction``, an
-    amplitude, a unit, a wave's omega, a grid length or step, a potential
-    coefficient, the tolerance), for one that is not positive where a
-    positive one is due, and for an integer argument that is not one
-    integer in its range; an array of times raises it for any such entry
-    and for a bool array.  ``OscillatorParams`` raises it for a unit scale
+    time, an angle phi, a point of ``moyal_rhs`` or
+    ``wigner_from_wavefunction``, an amplitude, a unit, a wave's omega, a
+    grid length or step, a potential coefficient, the tolerance), for one
+    that is not positive where a positive one is due, and for an integer
+    argument that is not one integer in its range; an array of times raises
+    it for any such entry and for a bool array.  ``OscillatorParams`` raises it for a unit scale
     or a shift that does not fit in a double, ``StandingWaveSpec`` for a
     2A/C past the doubles, and ``Field2D`` for values of the wrong shape or
     not finite.  The field classes and their ``polar_factors``,
     ``radial_kernel``, the densities, ``wavefunction``, ``polar_from_xy``,
     ``xy_from_polar``, ``energy_xy``, the marginals, a wave's ``bracket``,
     ``standing_wave_factor`` and a potential's value raise it, naming the
-    coordinate (x, p, rho or phi), when a coordinate holds a bool or a NaN;
-    an infinite coordinate lies past every Gaussian and gives 0.  The field
-    classes' and the rotations' calls and ``polar_factors`` raise it,
-    naming t, for a finite time whose wave phase is not finite
+    coordinate (x, p or rho), when a coordinate holds a bool or a NaN; an
+    infinite coordinate lies past every Gaussian and gives 0, in a rotation
+    too.  The field classes' and the rotations' calls and ``polar_factors``
+    raise it, naming t, for a finite time whose wave phase is not finite
     (``propagate_exact`` too, for the angle omega t).  ``moyal_rhs`` raises it for a term that takes the sum past
     the doubles, naming the term's factors hbar, U^(d)(x) and d^dW/dp^d,
     ``p_derivative`` for a value past the doubles, naming the order and the

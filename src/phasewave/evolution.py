@@ -110,6 +110,7 @@ class Rotation:
 
     def polar_factors(self, rho, phi, t=0.0):
         _require_finite(t, "t")
+        phi = _require_finite(phi, "phi")
         return _polar_grid(self.W0, self.params, rho, self._start_angle(phi), 0.0)
 
 
@@ -175,7 +176,10 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
         gain = (1.0 + c * shift) ** (steps % grid.n_phi if c == 1.0 else steps)
         if partial:
             gain *= 1.0 + params.omega * remainder / grid.delta_phi * shift
-        vals = np.fft.irfft(np.fft.rfft(v0, axis=1) * gain, n=grid.n_phi, axis=1)
+        spectrum = np.fft.rfft(v0, axis=1)
+        spectrum *= gain
+        vals = np.fft.irfft(spectrum, n=grid.n_phi, axis=1)
+        del spectrum  # gone before the checks, which then run beside two grids
     if not np.all(np.isfinite(vals)):
         raise BlowupError(f"non-finite values after {total} upwind steps")
     meta = dict(field0.meta)

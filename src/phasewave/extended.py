@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DataError, DegenerateProfileError, _integer, _real, _require_finite,
-                     coordinate)
+from .errors import DataError, DegenerateProfileError, _integer, _real, _require_finite
 from .oscillator import NATURAL_UNITS, TWO_PI, OscillatorParams, _phase, polar_from_xy
 from .special import check_order
 from .wigner import radial_kernel
@@ -98,7 +97,7 @@ class WaveProfile:
         """Angular factor C + f(Omega t + kappa phi) + g(Omega t - kappa phi); ``t`` may be
         an array that broadcasts with ``phi``."""
         th = _phase(self.omega_wave(omega), t)
-        kphi = self.kappa * coordinate(phi, "phi")
+        kphi = self.kappa * _require_finite(phi, "phi")
         return self.C + self.f(th + kphi) + self.g(th - kphi)
 
 
@@ -167,7 +166,7 @@ def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
     """
     phase = _phase(spec.omega_wave(omega), t)
     cos = np.array([math.cos(v) for v in np.ravel(phase)]).reshape(np.shape(phase))
-    return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * coordinate(phi, "phi"))
+    return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * _require_finite(phi, "phi"))
 
 
 def normalization(profile: WaveProfile) -> float:
@@ -214,6 +213,9 @@ class ExtendedWigner:
     n: int
     profile: WaveProfile
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", check_order(self.n))
+
     def __call__(self, x, p, t=0.0):
         rho, phi = polar_from_xy(self.params, x, p)
         radial, angular = self.polar_factors(rho, phi, t)
@@ -233,9 +235,9 @@ class ExtendedWigner:
 
 def extended_field(params: OscillatorParams, n, profile: WaveProfile) -> ExtendedWigner:
     """Field factory; raises ``DegenerateProfileError`` for a profile that cannot be normalized."""
-    n = check_order(n)
+    W = ExtendedWigner(params, n, profile)
     profile.norm  # computed here, once per profile, so a degenerate one fails now
-    return ExtendedWigner(params, n, profile)
+    return W
 
 
 def extended_eval(params: OscillatorParams, n, profile: WaveProfile, x, p, t: float) -> float:
@@ -259,6 +261,9 @@ class StandingWaveWigner:
     n: int
     spec: StandingWaveSpec
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", check_order(self.n))
+
     def __call__(self, x, p, t=0.0):
         radial, angular = self.polar_factors(*polar_from_xy(self.params, x, p), t)
         angular *= radial  # angular has the shape of the result; radial may lack t's axes
@@ -277,7 +282,7 @@ class StandingWaveWigner:
 
 
 def standing_wave_field(params: OscillatorParams, n, spec: StandingWaveSpec) -> StandingWaveWigner:
-    return StandingWaveWigner(params, check_order(n), spec)
+    return StandingWaveWigner(params, n, spec)
 
 
 def standing_wave_eval(params: OscillatorParams, n, spec: StandingWaveSpec,

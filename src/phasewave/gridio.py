@@ -75,16 +75,17 @@ def _write_rows(fh, field: Field2D, params: OscillatorParams) -> None:
     Each ring is one ``%``-format: the rho and phi decimals repeat down the
     rows, so they are formatted once and baked into the format, and only
     x, p and W are filled in.  ``"%.17g" % v`` is the same conversion as
-    :func:`_fmt` applies to a float.
+    :func:`_fmt` applies to a float.  x and p are formed ring by ring too,
+    so the writer holds no array beyond the values larger than one ring.
     """
     rho = field.grid.rho_nodes()
     phi = field.grid.phi_nodes()
-    x, p = xy_from_polar(params, rho[:, None], phi[None, :])
-    xpw = np.stack((x, p, field.values), axis=-1)
     tail = ["%.17g" % v + ",%.17g,%.17g,%.17g\n" for v in phi.tolist()]
     for i, r in enumerate(rho.tolist()):
+        x, p = xy_from_polar(params, rho[i], phi)
+        xpw = np.stack((x, p, field.values[i]), axis=-1)
         lead = "%.17g" % r + ","
-        fh.write((lead + lead.join(tail)) % tuple(xpw[i].ravel().tolist()))
+        fh.write((lead + lead.join(tail)) % tuple(xpw.ravel().tolist()))
 
 
 def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _first_entry, _real, _reals, coordinate
+from .errors import DataError, _first_entry, _real, _reals, _require_finite, coordinate
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,11 +102,17 @@ def polar_from_xy(params: OscillatorParams, x, p):
 
 
 def xy_from_polar(params: OscillatorParams, rho, phi):
-    """Vectorized (rho, phi) -> (x, p) inverse of :func:`polar_from_xy`; both are coordinates."""
-    r, phi = coordinate(rho, "rho") / params.rho_scale, coordinate(phi, "phi")
+    """Vectorized (rho, phi) -> (x, p) inverse of :func:`polar_from_xy`.
+
+    ``rho`` is a coordinate and ``phi`` finite.  An infinite radius on a
+    ray where sin(phi) = 0 lies on that ray, at p = 0.
+    """
+    r, phi = coordinate(rho, "rho") / params.rho_scale, _require_finite(phi, "phi")
     x = params.sigma_x * r * np.cos(phi) - params.shift
-    p = params.sigma_p * r * np.sin(phi)
-    return x, p
+    pr, sin = params.sigma_p * r, np.sin(phi)
+    if np.isinf(pr).any():  # where sin(phi) = 0, pr * sin would be inf * 0 = NaN
+        pr = np.where(sin == 0.0, 0.0, pr)
+    return x, pr * sin
 
 
 def _polar_grid(W, params: OscillatorParams, rho, phi, t):

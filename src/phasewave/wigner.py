@@ -57,7 +57,7 @@ class StationaryWigner:
     n: int = 0
 
     def __post_init__(self):
-        check_order(self.n)
+        object.__setattr__(self, "n", check_order(self.n))
 
     def __call__(self, x, p, t=0.0):
         _require_finite(t, "t")
@@ -70,7 +70,7 @@ class StationaryWigner:
         angular dependence, so its angular factor is 1.
         """
         _require_finite(t, "t")
-        return radial_kernel(self.params, self.n, rho), np.ones(coordinate(phi, "phi").shape)
+        return radial_kernel(self.params, self.n, rho), np.ones(np.shape(_require_finite(phi, "phi")))
 
     @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
     def p_derivative(self, order, x, p):
@@ -119,7 +119,7 @@ class StationaryWigner:
 
 def stationary_field(params: OscillatorParams, n) -> StationaryWigner:
     """Field factory for the stationary Wigner function of eigenstate ``n``."""
-    return StationaryWigner(params, check_order(n))
+    return StationaryWigner(params, n)
 
 
 def wigner_stationary(params: OscillatorParams, n, x, p) -> float:

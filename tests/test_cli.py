@@ -421,3 +421,13 @@ def test_evolve_equals_the_library_run(tmp_path, capsys):
         export_field(evolved, params, "json", library,
                      extra={"n": 5, "ell": 3, "A": 2.0, "C": 5.0})
         assert (tmp_path / "cli" / f"evolved_t{idx}.json").read_bytes() == library.read_bytes()
+
+
+def test_evolve_holds_at_most_four_grids(traced_peak, capsys):
+    # the start grid, one evolved grid, the target grid its difference is formed in,
+    # and the ring spectrum inside evolve_fd; the earlier times' grids are gone
+    argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", "128", "--n-phi", "1024",
+            "--t", "0.7,T/4"]
+    peak = traced_peak(lambda: invoke(argv))
+    capsys.readouterr()
+    assert peak <= 4 * 128 * 1024 * 8, f"{peak / (128 * 1024 * 8):.2f} grids"

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phasewave import (NATURAL_UNITS, OscillatorParams, StandingWaveSpec, extended_field,
-                       momentum_density, position_density, radial_kernel,
+                       momentum_density, position_density, propagate_exact, radial_kernel,
                        running_wave_profile, standing_wave_field, stationary_field,
                        wavefunction)
 from phasewave.errors import DataError
@@ -75,6 +75,10 @@ def test_infinite_coordinates_give_the_limit_zero_and_nan_is_rejected():
         for x in (math.inf, -math.inf):
             assert stationary_field(P, n)(x, 0.0) == 0.0
             assert stationary_field(P, n)(0.0, x) == 0.0
+            for t in (0.0, 0.3):  # at t = 0 the ray of (inf, 0) turns onto itself, sin(phi) = 0
+                for W0 in (stationary_field(P, n), standing_wave_field(P, n, SPEC)):
+                    assert propagate_exact(W0, P, t)(x, 0.0) == 0.0
+                    assert propagate_exact(W0, P, t)(0.0, x) == 0.0
             assert radial_kernel(P, n, x) == 0.0
             for density in DENSITIES:
                 assert density(P, n, x) == 0.0

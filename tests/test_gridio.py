@@ -111,6 +111,14 @@ def test_export_is_byte_identical_across_runs(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_csv_export_holds_less_than_half_the_values(traced_peak, tmp_path):
+    # x, p and the formatted text are made ring by ring, never for the whole grid
+    grid = GridSpec(rho_max=4.5, n_rho=128, n_phi=512)
+    fld = sample_field(standing_wave_field(P, 5, SPEC), grid, 0.3, P)
+    peak = traced_peak(lambda: export_field(fld, P, "csv", tmp_path / "f.csv"))
+    assert peak < fld.values.nbytes / 2, f"{peak / fld.values.nbytes:.2f} grids"
+
+
 def test_read_field_missing_metadata(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("rho,phi,x,p,W\n1,0,1,0,0.3\n")

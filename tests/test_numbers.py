@@ -62,8 +62,8 @@ FAULTS = {
     "count": SCALAR + (0, -1, 2.0),             # an integer >= 1
     "index": SCALAR + (-1, 2.0),                # an integer >= 0
     "order": SCALAR + (-1, 65, 2.0),            # an integer in [0, MAX_ORDER]
-    # one finite number or an array of them: a time, or a point of the transform oracle
-    "times": SCALAR[:3] + (math.nan, math.inf, -math.inf, RAGGED),
+    # one finite number or an array of them: a time, an angle, or a point of the transform oracle
+    "finite": SCALAR[:3] + (math.nan, math.inf, -math.inf, RAGGED),
     "coordinate": SCALAR[:3] + (math.nan, RAGGED),  # an infinite one lies past every Gaussian
 }
 INTEGERS = ("count", "index", "order")
@@ -88,13 +88,13 @@ ENTRIES = [
     ("WaveProfile.omega_wave.omega", "omega", "positive", lambda v: PROFILE.omega_wave(v), 2.0),
     ("WaveProfile.bracket.omega", "omega", "positive", lambda v: PROFILE.bracket(PHI, 0.1, v),
      2.0),
-    ("WaveProfile.bracket.t", "t", "times", lambda v: PROFILE.bracket(PHI, v, 1.0), 1.0),
-    ("WaveProfile.bracket.phi", "phi", "coordinate", lambda v: PROFILE.bracket(v, 0.1, 1.0), 1.0),
+    ("WaveProfile.bracket.t", "t", "finite", lambda v: PROFILE.bracket(PHI, v, 1.0), 1.0),
+    ("WaveProfile.bracket.phi", "phi", "finite", lambda v: PROFILE.bracket(v, 0.1, 1.0), 1.0),
     ("standing_wave_factor.omega", "omega", "positive",
      lambda v: standing_wave_factor(SPEC, PHI, 0.1, v), 2.0),
-    ("standing_wave_factor.t", "t", "times", lambda v: standing_wave_factor(SPEC, PHI, v, 1.0),
+    ("standing_wave_factor.t", "t", "finite", lambda v: standing_wave_factor(SPEC, PHI, v, 1.0),
      1.0),
-    ("standing_wave_factor.phi", "phi", "coordinate",
+    ("standing_wave_factor.phi", "phi", "finite",
      lambda v: standing_wave_factor(SPEC, v, 0.1, 1.0), 1.0),
     ("running_wave_profile.A", "A", "real", lambda v: running_wave_profile(v, 2.0, 2).C, 1.0),
     ("running_wave_profile.C", "C", "real", lambda v: running_wave_profile(1.0, v, 2).C, 2.0),
@@ -140,24 +140,24 @@ ENTRIES = [
     ("energy_xy.x", "x", "coordinate", lambda v: energy_xy(P, v, 0.2), 1.0),
     ("energy_xy.p", "p", "coordinate", lambda v: energy_xy(P, 0.3, v), 1.0),
     ("xy_from_polar.rho", "rho", "coordinate", lambda v: xy_from_polar(P, v, 0.2), 1.0),
-    ("xy_from_polar.phi", "phi", "coordinate", lambda v: xy_from_polar(P, 0.5, v), 1.0),
+    ("xy_from_polar.phi", "phi", "finite", lambda v: xy_from_polar(P, 0.5, v), 1.0),
     ("laguerre.x", "x", "coordinate", lambda v: laguerre(2, v), 1.0),
     ("hermite.x", "x", "coordinate", lambda v: hermite(2, v), 1.0),
     ("marginal_over_p.x", "x", "coordinate",
      lambda v: marginal_over_p(FIELDS["stationary"], P, v), 1.0),
     ("marginal_over_x.p", "p", "coordinate",
      lambda v: marginal_over_x(FIELDS["stationary"], P, v), 1.0),
-    ("marginal_over_p.t", "t", "times", lambda v: marginal_over_p(FIELDS["standing"], P, 0.3, v),
+    ("marginal_over_p.t", "t", "finite", lambda v: marginal_over_p(FIELDS["standing"], P, 0.3, v),
      1.0),
-    ("marginal_over_p.t.bare", "t", "times", lambda v: marginal_over_p(_bare, P, 0.3, v), 1.0),
-    ("marginal_over_x.t", "t", "times", lambda v: marginal_over_x(FIELDS["standing"], P, 0.3, v),
+    ("marginal_over_p.t.bare", "t", "finite", lambda v: marginal_over_p(_bare, P, 0.3, v), 1.0),
+    ("marginal_over_x.t", "t", "finite", lambda v: marginal_over_x(FIELDS["standing"], P, 0.3, v),
      1.0),
-    ("phase_space_integral.t", "t", "times",
+    ("phase_space_integral.t", "t", "finite",
      lambda v: phase_space_integral(FIELDS["standing"], P, v), 1.0),
-    ("mean_energy.t", "t", "times", lambda v: mean_energy(FIELDS["standing"], P, v), 1.0),
-    ("wigner_from_wavefunction.x", "x", "times", lambda v: wigner_from_wavefunction(P, 1, v, 0.2),
+    ("mean_energy.t", "t", "finite", lambda v: mean_energy(FIELDS["standing"], P, v), 1.0),
+    ("wigner_from_wavefunction.x", "x", "finite", lambda v: wigner_from_wavefunction(P, 1, v, 0.2),
      1.0),
-    ("wigner_from_wavefunction.p", "p", "times", lambda v: wigner_from_wavefunction(P, 1, 0.3, v),
+    ("wigner_from_wavefunction.p", "p", "finite", lambda v: wigner_from_wavefunction(P, 1, 0.3, v),
      1.0),
     ("wigner_stationary.x", "x", "coordinate", lambda v: wigner_stationary(P, 1, v, 0.2), 1.0),
     ("wigner_stationary.p", "p", "coordinate", lambda v: wigner_stationary(P, 1, 0.3, v), 1.0),
@@ -165,19 +165,19 @@ ENTRIES = [
      lambda v: extended_eval(P, 2, PROFILE, v, 0.2, 0.1), 1.0),
     ("extended_eval.p", "p", "coordinate",
      lambda v: extended_eval(P, 2, PROFILE, 0.3, v, 0.1), 1.0),
-    ("extended_eval.t", "t", "times", lambda v: extended_eval(P, 2, PROFILE, 0.3, 0.2, v), 1.0),
+    ("extended_eval.t", "t", "finite", lambda v: extended_eval(P, 2, PROFILE, 0.3, 0.2, v), 1.0),
     ("standing_wave_eval.x", "x", "coordinate",
      lambda v: standing_wave_eval(P, 2, SPEC, v, 0.2, 0.1), 1.0),
     ("standing_wave_eval.p", "p", "coordinate",
      lambda v: standing_wave_eval(P, 2, SPEC, 0.3, v, 0.1), 1.0),
-    ("standing_wave_eval.t", "t", "times", lambda v: standing_wave_eval(P, 2, SPEC, 0.3, 0.2, v),
+    ("standing_wave_eval.t", "t", "finite", lambda v: standing_wave_eval(P, 2, SPEC, 0.3, 0.2, v),
      1.0),
 ]
 #: One call per callable that takes a state or polynomial order ``n``.
 ORDERS = {
-    "StationaryWigner": lambda v: StationaryWigner(P, v)(0.3, 0.2),
-    "StandingWaveWigner": lambda v: StandingWaveWigner(P, v, SPEC)(0.3, 0.2),
-    "ExtendedWigner": lambda v: ExtendedWigner(P, v, PROFILE)(0.3, 0.2),
+    "StationaryWigner": lambda v: StationaryWigner(P, v),  # refused at construction
+    "StandingWaveWigner": lambda v: StandingWaveWigner(P, v, SPEC),
+    "ExtendedWigner": lambda v: ExtendedWigner(P, v, PROFILE),
     "extended_field": lambda v: extended_field(P, v, PROFILE)(0.3, 0.2),
     "standing_wave_field": lambda v: standing_wave_field(P, v, SPEC)(0.3, 0.2),
     "hermite": lambda v: hermite(v, 0.7),
@@ -198,14 +198,17 @@ for _W in (FIELDS["stationary"], FIELDS["standing"], FIELDS["extended"]):
     ENTRIES += [
         (f"{_label}.polar_factors.rho", "rho", "coordinate",
          lambda v, W=_W: W.polar_factors(v, PHI), 1.0),
-        (f"{_label}.polar_factors.phi", "phi", "coordinate",
+        (f"{_label}.polar_factors.phi", "phi", "finite",
          lambda v, W=_W: W.polar_factors(RHO, v), 1.0),
     ]
+# a rotation's polar_factors takes the 1-d angles of a grid: a number goes in as one angle
+ENTRIES.append(("Rotation.polar_factors.phi", "phi", "finite",
+                lambda v: FIELDS["rotation"].polar_factors(RHO, v if v is RAGGED else [v]), 1.0))
 for _W in FIELDS.values():
     _label = type(_W).__name__
     ENTRIES += [
-        (f"{_label}.__call__.t", "t", "times", lambda v, W=_W: W(0.3, 0.2, v), 1.0),
-        (f"{_label}.polar_factors.t", "t", "times", lambda v, W=_W: W.polar_factors(RHO, PHI, v),
+        (f"{_label}.__call__.t", "t", "finite", lambda v, W=_W: W(0.3, 0.2, v), 1.0),
+        (f"{_label}.polar_factors.t", "t", "finite", lambda v, W=_W: W.polar_factors(RHO, PHI, v),
          1.0),
         (f"{_label}.__call__.x", "x", "coordinate", lambda v, W=_W: W(v, 0.2), 1.0),
         (f"{_label}.__call__.p", "p", "coordinate", lambda v, W=_W: W(0.3, v), 1.0),
