@@ -46,14 +46,13 @@ class DataError(ValueError):
     grid length or step, a potential coefficient, the tolerance), for one
     that is not positive where a positive one is due, and for an integer
     argument that is not one integer in its range; an array of times raises
-    it for any such entry and for a bool array.  ``OscillatorParams`` raises it for a unit scale
-    or a shift that does not fit in a double, ``StandingWaveSpec`` for a
-    2A/C past the doubles, and ``Field2D`` for values of the wrong shape or
-    not finite.  The field classes and their ``polar_factors``,
-    ``radial_kernel``, the densities, ``wavefunction``, ``polar_from_xy``,
-    ``xy_from_polar``, ``energy_xy``, the marginals, a wave's ``bracket``,
-    ``standing_wave_factor`` and a potential's value raise it, naming the
-    coordinate (x, p or rho), when a coordinate holds a bool or a NaN; an
+    it for any such entry and for a bool array.  ``OscillatorParams``
+    raises it for a unit scale or a shift that does not fit in a double,
+    ``StandingWaveSpec`` for a 2A/C past the doubles, and ``Field2D`` for
+    values of the wrong shape or not finite.  The field classes and their
+    ``polar_factors``, ``radial_kernel``, the densities, ``wavefunction``,
+    ``polar_from_xy``, ``xy_from_polar``, ``energy_xy``, the marginals and
+    a potential's value raise it, naming the coordinate (x, p or rho), when a coordinate holds a bool or a NaN; an
     infinite coordinate lies past every Gaussian and gives 0, in a rotation
     too.  The field classes' and the rotations' calls and ``polar_factors``
     raise it, naming t, for a finite time whose wave phase is not finite

@@ -70,7 +70,8 @@ class StationaryWigner:
         angular dependence, so its angular factor is 1.
         """
         _require_finite(t, "t")
-        return radial_kernel(self.params, self.n, rho), np.ones(np.shape(_require_finite(phi, "phi")))
+        angular = np.ones(np.shape(_require_finite(phi, "phi")))
+        return radial_kernel(self.params, self.n, rho), angular
 
     @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
     def p_derivative(self, order, x, p):
