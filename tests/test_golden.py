@@ -1,4 +1,4 @@
-"""Stored SHA-256 digests of the exports and reports of a few small CLI runs.
+"""Stored SHA-256 digests of the exports and reports of a few small CLI and library runs.
 
 The CLI promises that identical configurations give byte-identical output;
 these digests hold that promise from one version of the code to the next.
@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasewave import (NATURAL_UNITS, GridSpec, StandingWaveSpec, export_field, sample_field,
-                       standing_wave_field)
+from phasewave import (NATURAL_UNITS, GridSpec, OscillatorParams, StandingWaveSpec, export_field,
+                       extended_field, running_wave_profile, sample_field, standing_wave_field)
 from phasewave.cli import build_parser, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -49,6 +49,36 @@ RUNS = {
 }
 
 
+
+
+def _running_wave(out_dir):
+    """A general ``WaveProfile`` field in general units, made by the library, not the CLI.
+
+    Its ``sample_field`` CSV exports at two times, and its values at a few
+    points, the origin x = -shift, p = 0 among them, as ``%.17g`` text.
+    """
+    params = OscillatorParams(m=2.5, omega=0.8, hbar=0.3, alpha=0.7)
+    profile = running_wave_profile(0.4, 1, 2)
+    W = extended_field(params, 3, profile)
+    times = (0.0, 0.25 * 2.0 * np.pi / profile.omega_wave(params.omega))
+    grid = GridSpec(rho_max=1.5, n_rho=16, n_phi=32)
+    outputs = {}
+    for k, t in enumerate(times):
+        path = Path(out_dir) / f"field_t{k}.csv"
+        export_field(sample_field(W, grid, t, params), params, "csv", path)
+        outputs[path.name] = path.read_bytes()
+    x = np.array([-params.shift, 0.0, 0.4, -0.9, -params.shift])
+    p = np.array([0.0, 0.0, -0.35, 0.6, 0.5])
+    lines = [f"{xi:.17g} {pi:.17g} {t:.17g} {v:.17g}"
+             for t in times for xi, pi, v in zip(x, p, W(x, p, t))]
+    outputs["values.txt"] = ("\n".join(lines) + "\n").encode("ascii")
+    return outputs
+
+
+#: name -> a function of an output directory giving the bytes the library leaves, by file name
+LIBRARY = {"extended-running-units": _running_wave}
+
+
 def _without_runtimes(node):
     if isinstance(node, dict):
         return {k: _without_runtimes(v) for k, v in node.items() if k != "runtime_s"}
@@ -62,8 +92,10 @@ def _outputs(name, out_dir):
 
     The output directory's path is written as OUT in stdout.  ``check``
     keeps only its JSON report, with every ``runtime_s`` removed, since
-    its stdout prints the runtimes too.
+    its stdout prints the runtimes too.  A ``LIBRARY`` entry gives its own.
     """
+    if name in LIBRARY:
+        return {f"{name}/{key}": data for key, data in LIBRARY[name](out_dir).items()}
     argv, out_dir = RUNS[name], Path(out_dir)
     report = out_dir / "report.json"
     if argv[0] != "eval":
@@ -98,7 +130,7 @@ def _mismatches(digests, recorded):
             for key, got in digests.items() if want.get(key) != got]
 
 
-@pytest.mark.parametrize("name", list(RUNS))
+@pytest.mark.parametrize("name", [*RUNS, *LIBRARY])
 def test_every_output_keeps_its_recorded_bytes(name, tmp_path):
     digests = _digests(_outputs(name, tmp_path))
     recorded = _recorded()
@@ -129,7 +161,7 @@ if __name__ == "__main__":
     import tempfile
 
     digests = {}
-    for run_name in RUNS:
+    for run_name in [*RUNS, *LIBRARY]:
         with tempfile.TemporaryDirectory() as tmp:
             digests.update(_digests(_outputs(run_name, tmp)))
     GOLDEN.parent.mkdir(exist_ok=True)
