@@ -14,8 +14,8 @@ from .evolution import (Field2D, GridSpec, PolynomialPotential, evolve_fd, moyal
 from .extended import (ExtendedWigner, ParityReport, StandingWaveSpec,
                        StandingWaveWigner, WaveProfile, antinode_angles, check_parity,
                        extended_eval, extended_field, node_angles, normalization,
-                       running_wave_profile, standing_wave_eval, standing_wave_factor,
-                       standing_wave_field, stationary_profile)
+                       running_wave_profile, standing_wave_eval, standing_wave_field,
+                       stationary_profile)
 from .gridio import export_field, read_field, sample_field
 from .oscillator import NATURAL_UNITS, OscillatorParams, energy_xy, polar_from_xy, xy_from_polar
 from .quadrature import (laguerre_energy_identity, marginal_over_p, marginal_over_x,

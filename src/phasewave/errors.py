@@ -48,8 +48,9 @@ class DataError(ValueError):
     argument that is not one integer in its range; an array of times raises
     it for any such entry and for a bool array.  ``OscillatorParams``
     raises it for a unit scale or a shift that does not fit in a double,
-    ``StandingWaveSpec`` for a 2A/C past the doubles, and ``Field2D`` for
-    values of the wrong shape or not finite.  The field classes and their
+    ``StandingWaveSpec`` for a 2A/C past the doubles, ``WaveProfile`` and
+    ``normalization`` for a profile that is not finite or not 2 pi kappa
+    periodic, and ``Field2D`` for values of the wrong shape or not finite.  The field classes and their
     ``polar_factors``, ``radial_kernel``, the densities, ``wavefunction``,
     ``polar_from_xy``, ``xy_from_polar``, ``energy_xy``, the marginals and
     a potential's value raise it, naming the coordinate (x, p or rho), when a coordinate holds a bool or a NaN; an

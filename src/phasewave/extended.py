@@ -10,6 +10,13 @@ counter-propagating sine waves is the worked instance; with wave number
 kappa = 2 ell its factor is odd in both xbar and p, which is exactly the
 condition under which the marginals of the modulated function reproduce
 the position and momentum densities.
+
+:class:`ExtendedWigner` is the one modulated field.  Its wave is anything
+that supplies ``norm``, ``origin_value`` (the angular factor on the node
+line at the origin), ``omega_wave(omega)`` and ``bracket(phi, t, omega)``,
+the angular factor as a new array, which the field multiplies into: a
+:class:`WaveProfile`, or a :class:`StandingWaveSpec`, whose bracket is
+already divided by C, so that its norm and origin value are 1.
 """
 
 from __future__ import annotations
@@ -47,19 +54,24 @@ del _rng
 
 
 def _sample_periodic(h, name, kappa):
+    """Raise ``DataError`` unless h(theta + 2 pi kappa) = h(theta) on the seeded angles.
+
+    The deviation is held to ``_PERIOD_TOL`` times the larger of 1 and the
+    largest |h| sampled, so that a large amplitude's rounding is not taken
+    for a fault.
+    """
     period = TWO_PI * kappa
     # random.uniform(-period, period) is -period + (period - -period) * random()
     theta = -period + (2.0 * period) * _PERIOD_DRAWS
     a = np.broadcast_to(np.asarray(h(theta), dtype=float), theta.shape)
     b = np.broadcast_to(np.asarray(h(theta + period), dtype=float), theta.shape)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError(f"profile function {name} returned non-finite values")
-    worst = float(np.max(np.abs(a - b)))
-    if worst >= _PERIOD_TOL:
-        raise ValueError(
-            f"profile function {name} is not 2*pi*kappa periodic "
-            f"(max deviation {worst:.3e} over {_PERIOD_SAMPLES} sampled angles)"
-        )
+        raise DataError(f"profile function {name} returned non-finite values")
+    worst, limit = float(np.max(np.abs(a - b))), _PERIOD_TOL * max(1.0, float(np.max(np.abs(a))))
+    if worst >= limit:
+        raise DataError(f"profile function {name} is not 2*pi*kappa periodic (max deviation "
+                        f"{worst:.3e} over {_PERIOD_SAMPLES} sampled angles, not below "
+                        f"{_PERIOD_TOL:g} * max(1, max|{name}|) = {limit:.3e})")
 
 
 @dataclass(frozen=True)
@@ -69,9 +81,11 @@ class WaveProfile:
     ``f`` and ``g`` must be numpy-evaluable callables of one argument,
     periodic with period 2 pi kappa; periodicity is verified at construction
     on 128 angles drawn by the standard library's seeded ``random.Random``
-    rather than assumed.  ``C`` is kept as a float and ``kappa`` as an int.
+    rather than assumed, to ``1e-10`` times the larger of 1 and the
+    function's largest sampled magnitude; a profile that fails raises
+    ``DataError``.  ``C`` is kept as a float and ``kappa`` as an int.
     ``norm`` is the profile's :func:`normalization`, computed on first use
-    and kept.
+    and kept; ``origin_value`` is C.
     """
 
     f: Callable
@@ -88,6 +102,10 @@ class WaveProfile:
     @cached_property
     def norm(self) -> float:
         return normalization(self)
+
+    @property
+    def origin_value(self) -> float:
+        return self.C
 
     def omega_wave(self, omega: float) -> float:
         """Wave frequency Omega = omega * kappa; ``omega`` is checked as a positive real."""
@@ -122,12 +140,17 @@ class StandingWaveSpec:
 
     ``ell`` is kept as an int and A and C as floats.  Derived quantities:
     wave number kappa = 2 ell, frequency Omega = 2 omega ell, period
-    T = 2 pi / Omega.
+    T = 2 pi / Omega.  It is a wave of :class:`ExtendedWigner`: its
+    bracket is divided by C, so N = 1/C is taken in and its ``norm`` and
+    ``origin_value`` are 1.
     """
 
     ell: int
     A: float
     C: float
+
+    norm = 1.0
+    origin_value = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "ell", _integer(self.ell, "ell", 1))
@@ -140,9 +163,21 @@ class StandingWaveSpec:
     def kappa(self) -> int:
         return 2 * self.ell
 
-    def omega_wave(self, omega: float) -> float:
-        """Wave frequency Omega = 2 omega ell; ``omega`` is checked as a positive real."""
-        return 2.0 * _real(omega, "omega", positive=True) * self.ell
+    omega_wave = WaveProfile.omega_wave  # omega * 2 ell rounds as 2 omega * ell: 2 omega is exact
+
+    def bracket(self, phi, t, omega):
+        """Angular factor 1 + (2A/C) cos(Omega t) sin(2 ell phi).
+
+        ``t`` may be an array that broadcasts with ``phi``: sin(2 ell phi) is
+        formed once, and each time's cosine is ``math.cos`` of its phase, so
+        every slice has the bits of a call with that time alone.
+        """
+        phase = _phase(self.omega_wave(omega), t)
+        cos = np.array([math.cos(v) for v in np.ravel(phase)]).reshape(np.shape(phase))
+        angular = 2.0 * self.A * cos * np.sin(2.0 * self.ell * _require_finite(phi, "phi"))
+        angular /= self.C
+        angular += 1.0
+        return angular
 
     def period(self, omega: float) -> float:
         return TWO_PI / self.omega_wave(omega)
@@ -157,25 +192,13 @@ class StandingWaveSpec:
         )
 
 
-def standing_wave_factor(spec: StandingWaveSpec, phi, t, omega):
-    """Standing-wave modulation 2 A cos(2 omega ell t) sin(2 ell phi).
-
-    ``t`` may be an array that broadcasts with ``phi``: sin(2 ell phi) is
-    formed once, and each time's cosine is ``math.cos`` of its phase, so
-    every slice has the bits of a call with that time alone.
-    """
-    phase = _phase(spec.omega_wave(omega), t)
-    cos = np.array([math.cos(v) for v in np.ravel(phase)]).reshape(np.shape(phase))
-    return 2.0 * spec.A * cos * np.sin(2.0 * spec.ell * _require_finite(phi, "phi"))
-
-
 def normalization(profile: WaveProfile) -> float:
     """The normalization factor N = 1/(C + <f> + <g>) of a profile.
 
     The means are angular averages of f(Omega t + kappa phi) and
     g(Omega t - kappa phi) over phi in [0, 2 pi) by periodic trapezoid;
     periodicity makes them independent of the phase Omega t, which is
-    verified by recomputing at a second phase.
+    verified by recomputing at a second phase; ``DataError`` if they differ.
     """
     phi = TWO_PI * np.arange(_MEAN_PANELS) / _MEAN_PANELS
 
@@ -187,7 +210,7 @@ def normalization(profile: WaveProfile) -> float:
         m0 = at(0.0)
         m1 = at(2.4013)
         if abs(m0 - m1) > 1e-9 * max(1.0, abs(m0)):
-            raise ValueError(
+            raise DataError(
                 f"angular mean of {name} depends on the wave phase "
                 f"({m0!r} vs {m1!r}); the profile is not 2*pi*kappa periodic"
             )
@@ -203,15 +226,16 @@ def normalization(profile: WaveProfile) -> float:
 
 @dataclass(frozen=True)
 class ExtendedWigner:
-    """Callable field W(x, p, t) for a kernel modulated by a wave profile.
+    """Callable field W(x, p, t) for a kernel modulated by a wave.
 
+    The wave is a :class:`WaveProfile` or a :class:`StandingWaveSpec`.
     ``t`` may be an array that broadcasts with x and p; the polar map and
     the radial factor are then formed once for all its times.
     """
 
     params: OscillatorParams
     n: int
-    profile: WaveProfile
+    profile: WaveProfile | StandingWaveSpec
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_order(self.n))
@@ -219,11 +243,16 @@ class ExtendedWigner:
     def __call__(self, x, p, t=0.0):
         rho, phi = polar_from_xy(self.params, x, p)
         radial, angular = self.polar_factors(rho, phi, t)
-        # node-line convention: the angular factor is C at the origin
-        return radial * np.where(np.asarray(rho) == 0.0, self.profile.C, angular)
+        shape = np.broadcast(radial, angular).shape
+        if angular.shape != shape:  # a bracket constant in phi has fewer axes than W
+            angular = np.array(np.broadcast_to(angular, shape))
+        # node-line convention: the angular factor at the origin is the wave's origin value
+        np.copyto(angular, self.profile.origin_value, where=rho == 0.0)
+        angular *= radial  # in place: the bracket is a new array, now of W's shape
+        return angular[()]
 
     def polar_factors(self, rho, phi, t=0.0):
-        """Radial factor N kernel_n(rho) and angular factor C + f(.) + g(.) at ``phi``.
+        """Radial factor N kernel_n(rho) and the wave's angular factor (its bracket) at ``phi``.
 
         W(rho_i, phi_j, t) = radial[i] * angular[j] away from the origin.
         """
@@ -249,36 +278,12 @@ def extended_eval(params: OscillatorParams, n, profile: WaveProfile, x, p, t: fl
     return float(extended_field(params, n, profile)(x, p, t))
 
 
-@dataclass(frozen=True)
-class StandingWaveWigner:
-    """Callable field for the standing-wave instance; N = 1/C analytically.
+class StandingWaveWigner(ExtendedWigner):
+    """The :class:`ExtendedWigner` of a :class:`StandingWaveSpec`."""
 
-    ``t`` may be an array that broadcasts with x and p; the polar map, the
-    radial factor and sin(2 ell phi) are then formed once for all its times.
-    """
-
-    params: OscillatorParams
-    n: int
-    spec: StandingWaveSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", check_order(self.n))
-
-    def __call__(self, x, p, t=0.0):
-        radial, angular = self.polar_factors(*polar_from_xy(self.params, x, p), t)
-        angular *= radial  # angular has the shape of the result; radial may lack t's axes
-        return angular
-
-    def polar_factors(self, rho, phi, t=0.0):
-        """Radial factor kernel_n(rho) and angular factor 1 + (2A/C) cos(Omega t) sin(2 ell phi).
-
-        An array ``t`` broadcast with ``phi`` gives the angular factor its shape.
-        """
-        t = _require_finite(t, "t")
-        angular = standing_wave_factor(self.spec, phi, t, self.params.omega)
-        angular /= self.spec.C
-        angular += 1.0
-        return radial_kernel(self.params, self.n, rho), angular
+    # its own namespace holds __call__, so that a tracer patching each
+    # field class's own __call__ counts a standing wave's calls once
+    __call__ = ExtendedWigner.__call__
 
 
 def standing_wave_field(params: OscillatorParams, n, spec: StandingWaveSpec) -> StandingWaveWigner:
@@ -327,7 +332,8 @@ def check_parity(params: OscillatorParams, wave) -> ParityReport:
     library's ``random.Random`` seeded with ``seed``, so that their angles
     do not depend on the units, reflects them in xbar and in p, and
     measures |Phi(reflected) + Phi(point)| at five fractions of the wave
-    period against 1e-10.  Failure is reported, not
+    period, relative to the larger of 1 and the largest |Phi| sampled,
+    against 1e-10.  Failure is reported, not
     raised; the report records the samples, tolerance, seed and times.
     """
     profile = wave.to_profile() if isinstance(wave, StandingWaveSpec) else wave
@@ -340,23 +346,17 @@ def check_parity(params: OscillatorParams, wave) -> ParityReport:
     omega_w = profile.omega_wave(params.omega)
     times = tuple(TWO_PI / omega_w * frac for frac in _PARITY_PHASES)
 
-    def angle(xi, eta):  # in natural units x and p are the widths themselves
-        return polar_from_xy(NATURAL_UNITS, xi, eta)[1]
-
     def wave_part(phi, t):
         th = _phase(omega_w, t)
         return np.asarray(profile.f(th + profile.kappa * phi), dtype=float) \
             + np.asarray(profile.g(th - profile.kappa * phi), dtype=float)
 
-    phi0 = angle(xi, eta)
-    phi_x = angle(-xi, eta)
-    phi_p = angle(xi, -eta)
-    worst_x = 0.0
-    worst_p = 0.0
-    for t in times:
-        base_vals = wave_part(phi0, t)
-        worst_x = max(worst_x, float(np.max(np.abs(wave_part(phi_x, t) + base_vals))))
-        worst_p = max(worst_p, float(np.max(np.abs(wave_part(phi_p, t) + base_vals))))
+    # the angles of the points, then of their reflections; in natural units x and p are widths
+    phis = [polar_from_xy(NATURAL_UNITS, a, b)[1] for a, b in ((xi, eta), (-xi, eta), (xi, -eta))]
+    vals = [[wave_part(phi, t) for phi in phis] for t in times]
+    scale = max(1.0, *(float(np.max(np.abs(v))) for at_t in vals for v in at_t))
+    worst_x = max(float(np.max(np.abs(refl + base))) for base, refl, _ in vals) / scale
+    worst_p = max(float(np.max(np.abs(refl + base))) for base, _, refl in vals) / scale
     return ParityReport(
         passed=(worst_x <= _PARITY_TOL and worst_p <= _PARITY_TOL),
         max_violation_xbar=worst_x,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _first_entry, _real, _reals, _require_finite, coordinate
+from .errors import DataError, _array, _first_entry, _real, _reals, _require_finite, coordinate
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,37 +101,60 @@ def polar_from_xy(params: OscillatorParams, x, p):
     return rho, phi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _far forms again what overflows on the way
 def xy_from_polar(params: OscillatorParams, rho, phi):
     """Vectorized (rho, phi) -> (x, p) inverse of :func:`polar_from_xy`.
 
     ``rho`` is a coordinate and ``phi`` finite.  An infinite radius on a
-    ray where sin(phi) = 0 lies on that ray, at p = 0.
+    ray where sin(phi) = 0 lies on that ray, at p = 0.  A finite radius
+    whose x or p is a double is mapped to it, without a warning, even where
+    rho / rho_scale or sigma (rho / rho_scale) is past the doubles.
     """
-    r, phi = coordinate(rho, "rho") / params.rho_scale, _require_finite(phi, "phi")
-    x = params.sigma_x * r * np.cos(phi) - params.shift
-    pr, sin = params.sigma_p * r, np.sin(phi)
+    rho, phi = coordinate(rho, "rho"), _require_finite(phi, "phi")
+    r, cos, sin = rho / params.rho_scale, np.cos(phi), np.sin(phi)
+    xr, pr = params.sigma_x * r, params.sigma_p * r  # of rho's shape, so checked cheaply
+    if not (np.isinf(xr).any() or np.isinf(pr).any()):
+        return xr * cos - params.shift, pr * sin
     if np.isinf(pr).any():  # where sin(phi) = 0, pr * sin would be inf * 0 = NaN
         pr = np.where(sin == 0.0, 0.0, pr)
-    return x, pr * sin
+    return (_far(params, rho, params.sigma_x, cos, xr * cos - params.shift, params.shift),
+            _far(params, rho, params.sigma_p, sin, pr * sin))
+
+
+def _far(params: OscillatorParams, rho, sigma, trig, near, shift=0.0):
+    """``near``, each infinite entry at a finite rho formed again without overflow on the way.
+
+    Such an entry is rho (sigma / rho_scale) trig - shift, with the
+    mantissas and binary exponents of rho, sigma and rho_scale combined
+    apart, so that only the last step, which sets the exponent, can
+    overflow.  Every other entry keeps its bits.  It runs inside
+    :func:`xy_from_polar`'s ``errstate``: an infinite rho's entry, inf * 0
+    where trig = 0, is formed and dropped.
+    """
+    (mr, er), (ms, es), (mq, eq) = np.frexp(rho), math.frexp(sigma), math.frexp(params.rho_scale)
+    far = np.ldexp(mr * ms / mq * trig, er + es - eq) - shift
+    return np.where(np.isinf(near) & np.isfinite(rho), far, near)
 
 
 def _polar_grid(W, params: OscillatorParams, rho, phi, t):
-    """Any field W on the polar tensor grid of the 1-d ``rho`` and ``phi``, as (radial, angular).
+    """Any field W on the polar tensor grid of ``rho`` and ``phi``, as (radial, angular).
 
-    Both are float arrays and radial[:, None] * angular is W(rho_i, phi_j, t);
-    every field is read on a polar grid here.  A field with ``polar_factors``
-    gives its factors broadcast to the nodes: the radial one to the radii,
-    the angular one to the angles, or to the whole grid if it is one (a
-    rotation of a bare callable gives such a factor).  Any other callable
-    gives ones on the radii and its values at the (x, p) image of the grid
-    as an (n_rho, n_phi) angular factor.
+    Both are float arrays and radial[:, None] * angular is W(rho_i, phi_j, t)
+    for 1-d ``rho`` and ``phi``; every field is read on a polar grid here.
+    Either may also be one number, which adds no axis.  A field with
+    ``polar_factors`` gives its factors broadcast to the nodes: the radial
+    one to the radii, the angular one to the angles, or to the whole grid
+    if it has more axes than the angles (a rotation of a bare callable
+    gives such a factor).  Any other callable gives ones on the radii and
+    its values at the (x, p) image of the grid as the angular factor.
     """
+    rho, phi = _array(rho, "rho"), _array(phi, "phi")
     if not hasattr(W, "polar_factors"):
-        x, p = xy_from_polar(params, rho[:, None], phi[None, :])
+        x, p = xy_from_polar(params, rho.reshape(rho.shape + (1,) * phi.ndim), phi)
         return np.ones(rho.shape), np.broadcast_to(np.asarray(W(x, p, t), dtype=float), x.shape)
     radial, angular = W.polar_factors(rho, phi, t)
     angular = np.asarray(angular, dtype=float)
-    nodes = phi.shape if angular.ndim < 2 else rho.shape + phi.shape
+    nodes = phi.shape if angular.ndim <= phi.ndim else rho.shape + phi.shape
     return (np.broadcast_to(np.asarray(radial, dtype=float), rho.shape),
             np.broadcast_to(angular, nodes))
 

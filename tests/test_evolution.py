@@ -9,7 +9,7 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
                        GridSpec, OscillatorParams, PolynomialPotential, evolve_fd,
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
-                       wave_residual, StandingWaveSpec, standing_wave_field)
+                       wave_residual, StandingWaveSpec, standing_wave_field, xy_from_polar)
 from phasewave.evolution import _fd_weights
 
 from oracles import upwind_roll_loop
@@ -115,6 +115,21 @@ def test_propagate_exact_rotation_is_ring_shift():
     assert np.array_equal(radial, np.ones(grid.n_rho)) and angular.shape == (6, 32)
     rotated = sample_field(adv, grid, t, P)
     assert np.max(np.abs(rotated.values - np.roll(base.values, -k, axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("rho, phi", [(np.array([0.5]), 1.0), (0.5, 1.0),
+                                      (0.5, np.array([1.0, 2.0])),
+                                      (np.array([0.5, 0.8]), np.array([1.0, 2.0]))])
+def test_rotation_polar_factors_take_one_number_as_the_field_classes_do(rho, phi):
+    W = stationary_field(P, 1)
+    turned = (np.asarray(phi) + P.omega * 0.3) % (2.0 * math.pi)
+    rings = np.reshape(rho, np.shape(rho) + (1,) * np.ndim(phi))  # each radius with every angle
+    want = W(*xy_from_polar(P, rings, turned))
+    for W0 in (W, lambda x, p, t: W(x, p, t)):  # a field class and a bare callable
+        radial, angular = propagate_exact(W0, P, 0.3).polar_factors(rho, phi)
+        got = np.reshape(radial, np.shape(rings)) * angular
+        assert got.shape == np.shape(want)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_rotations_always_have_polar_factors_and_take_fields_of_x_p_t():

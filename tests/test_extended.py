@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import phasewave.extended
-from phasewave import (NATURAL_UNITS, DataError, DegenerateProfileError, GridSpec,
+from phasewave import (NATURAL_UNITS, DataError, DegenerateProfileError, ExtendedWigner, GridSpec,
                        OscillatorParams, StandingWaveSpec, WaveProfile,
                        antinode_angles, check_parity, extended_eval, extended_field,
                        marginal_over_p, node_angles, normalization, phase_space_integral,
                        running_wave_profile, sample_field, standing_wave_eval,
-                       standing_wave_factor, standing_wave_field, stationary_field,
-                       stationary_profile, wigner_stationary, xy_from_polar)
+                       standing_wave_field, stationary_field, stationary_profile,
+                       wigner_stationary, xy_from_polar)
 
 P = NATURAL_UNITS
 SPEC = StandingWaveSpec(ell=3, A=2.0, C=5.0)
@@ -33,6 +33,18 @@ def seeded_points(count=200, seed=3):
 def test_profile_periodicity_enforced():
     with pytest.raises(ValueError, match="periodic"):
         WaveProfile(f=lambda th: np.sin(th / 2.0), g=lambda th: 0.0, C=1.0, kappa=1)
+
+
+def test_large_amplitude_waves_are_periodic_to_a_tolerance_scaled_by_their_size():
+    # the rounding of A sin(theta) at |theta| up to 2 pi kappa grows as |A|; at HEAD
+    # these two were refused with deviations 1.965e-10 and 2.910e-10
+    assert StandingWaveSpec(ell=4, A=1e5, C=1.0).to_profile().norm == pytest.approx(1.0, rel=1e-11)
+    assert running_wave_profile(A=1e6, C=1.0, kappa=1).norm == pytest.approx(1.0, rel=1e-9)
+    # a half harmonic at kappa = 1 is still refused at that size, as a DataError
+    with pytest.raises(DataError, match=r"not 2\*pi\*kappa periodic .* 1e-10 \* max\(1, max\|f\|\)"):
+        WaveProfile(f=lambda th: 1e5 * np.sin(th / 2.0), g=lambda th: 0.0, C=1.0, kappa=1)
+    with pytest.raises(DataError, match="returned non-finite values"):
+        WaveProfile(f=lambda th: 0.0, g=lambda th: np.inf * th, C=1.0, kappa=1)
 
 
 def test_periodicity_angles_are_the_seeded_uniform_draws():
@@ -160,23 +172,39 @@ def test_normalization_is_time_independent():
     assert normalization(SPEC.to_profile()) == pytest.approx(0.2, abs=1e-13)
 
 
-# ------------------------------------------------------- standing-wave factor
+# ------------------------------------------------------- standing-wave bracket
 
-def test_standing_wave_factor_quarter_period_vanishes():
+def test_standing_wave_bracket_is_one_at_a_quarter_period():
     T = SPEC.period(P.omega)
     for phi in (0.1, 0.9, 2.5):
-        assert abs(standing_wave_factor(SPEC, phi, T / 4.0, P.omega)) < 1e-12
+        assert abs(SPEC.bracket(phi, T / 4.0, P.omega) - 1.0) < 1e-12
 
 
-def test_standing_wave_factor_vanishes_at_nodes():
+def test_standing_wave_bracket_is_one_at_nodes():
     for t in (0.0, 0.21, 1.3):
         for phi in node_angles(SPEC):
-            assert abs(standing_wave_factor(SPEC, float(phi), t, P.omega)) < 1e-12
+            assert abs(SPEC.bracket(float(phi), t, P.omega) - 1.0) < 1e-12
 
 
-def test_standing_wave_factor_peak_value():
+def test_standing_wave_bracket_peak_value():
     phi = math.pi / (4.0 * SPEC.ell)
-    assert standing_wave_factor(SPEC, phi, 0.0, P.omega) == pytest.approx(2.0 * SPEC.A, rel=1e-14)
+    assert SPEC.bracket(phi, 0.0, P.omega) == pytest.approx(1.0 + 2.0 * SPEC.A / SPEC.C,
+                                                            rel=1e-14)
+
+
+@pytest.mark.parametrize("params", [P, OscillatorParams(m=2.5, omega=0.8, hbar=0.3, alpha=0.7)])
+def test_a_standing_wave_field_is_the_extended_wigner_of_its_spec(params):
+    W = standing_wave_field(params, 3, SPEC)
+    same = ExtendedWigner(params, 3, SPEC)
+    assert isinstance(W, ExtendedWigner)
+    # the subclass only binds __call__ in its own namespace, for tracers that patch it there
+    assert [k for k, v in vars(type(W)).items() if callable(v)] == ["__call__"]
+    assert vars(type(W))["__call__"] is ExtendedWigner.__call__
+    rho, phi = np.array([0.0, 0.3, 1.1, 2.7]), np.linspace(0.0, 2.0 * math.pi, 9)
+    for t in (0.0, 0.37, np.array([0.0, 0.37, 1.9])[:, None]):
+        for got, want in zip(W.polar_factors(rho, phi, t), same.polar_factors(rho, phi, t)):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ----------------------------------------------------------- extended family
@@ -338,6 +366,14 @@ def test_parity_standing_wave_passes():
     assert report.max_violation_xbar <= report.tol
 
 
+@pytest.mark.parametrize("A", [1e4, 1e8, -1e12])
+def test_parity_of_a_large_standing_wave_is_measured_relative_to_its_size(A):
+    # at A = 1e4 the absolute violations were 2.0e-10 in xbar and 1.1e-10 in p
+    report = check_parity(P, StandingWaveSpec(ell=4, A=A, C=1.0))
+    assert report.passed and report.tol == 1e-10
+    assert max(report.max_violation_xbar, report.max_violation_p) <= report.tol
+
+
 def test_parity_odd_kappa_sine_fails_on_xbar():
     profile = WaveProfile(f=lambda th: np.sin(th), g=lambda th: 0.0, C=1.0, kappa=1)
     report = check_parity(P, profile)
@@ -379,7 +415,7 @@ def test_a_finite_time_whose_wave_phase_overflows_raises_a_data_error(t):
     # Omega t overflows for |t| > 4.5e307; no numpy warning is emitted first
     grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=16)
     with pytest.raises(DataError, match="wave phase"):
-        standing_wave_factor(PHASE_SPEC, 0.3, t, P.omega)
+        PHASE_SPEC.bracket(0.3, t, P.omega)
     message = re.escape(f"t = {t!r} takes the wave phase 4.0 * t to ") + "-?inf$"
     for W in _wave_fields(P):
         with pytest.raises(DataError, match=message):
@@ -397,8 +433,8 @@ def test_a_finite_time_whose_wave_phase_overflows_raises_a_data_error(t):
 def test_every_finite_wave_phase_keeps_its_bits():
     t = 4e307  # Omega t = 1.6e308, the largest phase here
     phi = np.linspace(0.0, 2.0 * math.pi, 7)
-    assert standing_wave_factor(PHASE_SPEC, phi, t, P.omega).tolist() == \
-        (2.0 * 0.4 * math.cos(4.0 * t) * np.sin(4.0 * phi)).tolist()
+    assert PHASE_SPEC.bracket(phi, t, P.omega).tolist() == \
+        (2.0 * 0.4 * math.cos(4.0 * t) * np.sin(4.0 * phi) / 1.0 + 1.0).tolist()
     profile = running_wave_profile(A=0.4, C=1.0, kappa=4)
     assert profile.bracket(phi, t, P.omega).tolist() == \
         (1.0 + 0.0 + 0.4 * np.cos(4.0 * t - 4.0 * phi)).tolist()

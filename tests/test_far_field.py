@@ -6,6 +6,7 @@ Every value that the unguarded formula gives finitely keeps its bits.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from phasewave import (NATURAL_UNITS, OscillatorParams, StandingWaveSpec, extended_field,
                        momentum_density, position_density, propagate_exact, radial_kernel,
                        running_wave_profile, standing_wave_field, stationary_field,
-                       wavefunction)
+                       wavefunction, xy_from_polar)
 from phasewave.errors import DataError
 from phasewave.special import log_weight
 
@@ -86,6 +87,23 @@ def test_infinite_coordinates_give_the_limit_zero_and_nan_is_rejected():
             stationary_field(P, n)(math.nan, 0.0)
         with pytest.raises(DataError, match="coordinate x is NaN"):
             position_density(P, n, math.nan)
+
+
+@pytest.mark.parametrize("params", [OscillatorParams(m=4.0),
+                                    OscillatorParams(m=4.0, omega=2.0, hbar=0.5, alpha=0.3)])
+def test_a_radius_past_the_doubles_in_widths_maps_to_its_x_and_p(params):
+    # rho / rho_scale overflows here, though x and p are doubles; a warning fails the test
+    rho, phi = np.array([1e308, 1.7e308, 0.9, math.inf]), np.array([0.3, 2.9, 0.3, 0.0])
+    x, p = xy_from_polar(params, rho, phi)
+    for i in range(2):  # rho (sigma / rho_scale) trig - shift in exact rationals, rounded once
+        r = Fraction(rho[i]) / Fraction(params.rho_scale)
+        want_x = float(r * Fraction(params.sigma_x) * Fraction(math.cos(phi[i])) -
+                       Fraction(params.shift))
+        want_p = float(r * Fraction(params.sigma_p) * Fraction(math.sin(phi[i])))
+        assert x[i] == pytest.approx(want_x, rel=1e-15) and p[i] == pytest.approx(want_p, rel=1e-15)
+    # an ordinary radius keeps the bits of a call of its own, and an infinite one its ray
+    assert (x[2], p[2]) == xy_from_polar(params, 0.9, 0.3)
+    assert (x[3], p[3]) == (math.inf, 0.0)
 
 
 def _magnitudes():

@@ -27,9 +27,9 @@ from phasewave import (NATURAL_UNITS, DataError, ExtendedWigner, Field2D, GridSp
                        marginal_over_p, marginal_over_x, mean_energy, momentum_density, moyal_rhs,
                        phase_space_integral, poly_derivative, polar_from_xy, position_density,
                        propagate_exact, radial_kernel, run_suite, running_wave_profile,
-                       sample_field, standing_wave_eval, standing_wave_factor,
-                       standing_wave_field, stationary_field, stationary_profile, wavefunction,
-                       wigner_from_wavefunction, wigner_stationary, xy_from_polar)
+                       sample_field, standing_wave_eval, standing_wave_field, stationary_field,
+                       stationary_profile, wavefunction, wigner_from_wavefunction,
+                       wigner_stationary, xy_from_polar)
 from phasewave.cli import build_parser, run
 from phasewave.special import check_order
 
@@ -90,12 +90,10 @@ ENTRIES = [
      2.0),
     ("WaveProfile.bracket.t", "t", "finite", lambda v: PROFILE.bracket(PHI, v, 1.0), 1.0),
     ("WaveProfile.bracket.phi", "phi", "finite", lambda v: PROFILE.bracket(v, 0.1, 1.0), 1.0),
-    ("standing_wave_factor.omega", "omega", "positive",
-     lambda v: standing_wave_factor(SPEC, PHI, 0.1, v), 2.0),
-    ("standing_wave_factor.t", "t", "finite", lambda v: standing_wave_factor(SPEC, PHI, v, 1.0),
-     1.0),
-    ("standing_wave_factor.phi", "phi", "finite",
-     lambda v: standing_wave_factor(SPEC, v, 0.1, 1.0), 1.0),
+    ("StandingWaveSpec.bracket.omega", "omega", "positive", lambda v: SPEC.bracket(PHI, 0.1, v),
+     2.0),
+    ("StandingWaveSpec.bracket.t", "t", "finite", lambda v: SPEC.bracket(PHI, v, 1.0), 1.0),
+    ("StandingWaveSpec.bracket.phi", "phi", "finite", lambda v: SPEC.bracket(v, 0.1, 1.0), 1.0),
     ("running_wave_profile.A", "A", "real", lambda v: running_wave_profile(v, 2.0, 2).C, 1.0),
     ("running_wave_profile.C", "C", "real", lambda v: running_wave_profile(1.0, v, 2).C, 2.0),
     ("running_wave_profile.kappa", "kappa", "count",
@@ -193,20 +191,13 @@ ORDERS = {
     "standing_wave_eval": lambda v: standing_wave_eval(P, v, SPEC, 0.3, 0.2, 0.1),
 }
 ENTRIES += [(f"{_name}.n", "order", "order", _call, 3) for _name, _call in ORDERS.items()]
-for _W in (FIELDS["stationary"], FIELDS["standing"], FIELDS["extended"]):
-    _label = type(_W).__name__  # a rotation's polar_factors takes the 1-d nodes of a grid
+for _W in FIELDS.values():
+    _label = type(_W).__name__
     ENTRIES += [
         (f"{_label}.polar_factors.rho", "rho", "coordinate",
          lambda v, W=_W: W.polar_factors(v, PHI), 1.0),
         (f"{_label}.polar_factors.phi", "phi", "finite",
          lambda v, W=_W: W.polar_factors(RHO, v), 1.0),
-    ]
-# a rotation's polar_factors takes the 1-d angles of a grid: a number goes in as one angle
-ENTRIES.append(("Rotation.polar_factors.phi", "phi", "finite",
-                lambda v: FIELDS["rotation"].polar_factors(RHO, v if v is RAGGED else [v]), 1.0))
-for _W in FIELDS.values():
-    _label = type(_W).__name__
-    ENTRIES += [
         (f"{_label}.__call__.t", "t", "finite", lambda v, W=_W: W(0.3, 0.2, v), 1.0),
         (f"{_label}.polar_factors.t", "t", "finite", lambda v, W=_W: W.polar_factors(RHO, PHI, v),
          1.0),
