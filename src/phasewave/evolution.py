@@ -130,6 +130,21 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
     return Rotation(W0, params, t)
 
 
+#: Values in one block of rings: a block's input, spectrum and output (about
+#: 1.5 MB) stay in a 2 MB L2 cache.  Of 2^12, 2^14, 2^16 and 2^18, 2^16 ran
+#: ``evolve`` at 256 x 1024 fastest (2-core x86-64 VM, 2 MiB of L2 per core).
+_BLOCK_VALUES = 2**16
+
+
+def _ring_blocks(grid: GridSpec) -> list:
+    """Slices of whole rings, each of about ``_BLOCK_VALUES`` values, that cover the grid.
+
+    A ring longer than a block is a block of its own.
+    """
+    rings = max(1, _BLOCK_VALUES // grid.n_phi)
+    return [slice(i, min(i + rings, grid.n_rho)) for i in range(0, grid.n_rho, rings)]
+
+
 def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Field2D:
     """Advance a sampled field to ``t_final`` by first-order upwind advection.
 
@@ -144,7 +159,11 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
     so the run multiplies the ring spectra by g_k^steps (times the partial
     step's factor) and the cost does not depend on the time span.  At
     c = 1 exactly a step is a one-node ring shift, g_k^n_phi = 1, and the
-    power is taken as steps % n_phi, so long runs stay exact shifts.
+    power is taken as steps % n_phi, so long runs stay exact shifts.  The
+    rings are transformed, multiplied and inverted one block of
+    ``_ring_blocks`` at a time, straight into the result: rows are
+    independent in ``rfft`` and ``irfft``, so no whole-grid spectrum is
+    held and every value has the bits of the whole-grid transform.
     ``meta["ring_sum_drift"]`` is the largest change of a ring's sum, which
     g_0 = 1 keeps at rounding level.
     """
@@ -176,16 +195,52 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
         gain = (1.0 + c * shift) ** (steps % grid.n_phi if c == 1.0 else steps)
         if partial:
             gain *= 1.0 + params.omega * remainder / grid.delta_phi * shift
-        spectrum = np.fft.rfft(v0, axis=1)
-        spectrum *= gain
-        vals = np.fft.irfft(spectrum, n=grid.n_phi, axis=1)
-        del spectrum  # gone before the checks, which then run beside two grids
+        vals = np.empty_like(v0)
+        for rows in _ring_blocks(grid):
+            spectrum = np.fft.rfft(v0[rows], axis=1)
+            spectrum *= gain
+            vals[rows] = np.fft.irfft(spectrum, n=grid.n_phi, axis=1)
     if not np.all(np.isfinite(vals)):
         raise BlowupError(f"non-finite values after {total} upwind steps")
     meta = dict(field0.meta)
     meta.update(steps=total, scheme="upwind1-euler", courant=c,
                 ring_sum_drift=float(np.max(np.abs(vals.sum(axis=1) - v0.sum(axis=1)))))
     return Field2D(grid=grid, values=vals, time_tag=t_final, meta=meta)
+
+
+def _finite_nodes(vals, rho, phi, first_ring=0):
+    """Raise ``DataError`` naming the first node of ``vals`` whose value is not finite.
+
+    ``vals`` holds the rings from ``first_ring`` on, at the radii ``rho`` and angles ``phi``.
+    """
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), vals.shape)
+        i += first_ring
+        raise DataError(
+            f"non-finite value at node (i={i}, j={j}), rho={rho[i]!r}, phi={phi[j]!r}"
+        )
+
+
+def _max_deviation(field: Field2D, W, params: OscillatorParams) -> float:
+    """max |W - field| over the field's nodes, with W at the field's time tag.
+
+    W is read through ``_polar_grid`` one block of ``_ring_blocks`` at a
+    time, as radial[:, None] * angular, the product ``sample_field`` forms,
+    and the difference is taken in that block's buffer: no whole grid is
+    formed, and the maximum has the bits of the whole-grid one.  A
+    non-finite value of W raises ``DataError`` naming its node.
+    """
+    grid = field.grid
+    rho, phi = grid.rho_nodes(), grid.phi_nodes()
+    worst = 0.0
+    for rows in _ring_blocks(grid):
+        radial, angular = _polar_grid(W, params, rho[rows], phi, field.time_tag)
+        diff = radial[:, None] * angular
+        _finite_nodes(diff, rho, phi, rows.start)
+        diff -= field.values[rows]
+        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+    return worst
 
 
 def _check_triplet(fields):

@@ -17,12 +17,14 @@ import os
 import numpy as np
 
 from .errors import DataError, _scalar_kind
-from .evolution import Field2D, GridSpec
+from .evolution import Field2D, GridSpec, _finite_nodes
 from .oscillator import OscillatorParams, _polar_grid, xy_from_polar
 
 #: Fixed key order of the self-describing parameter block.
 _META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",
               "rho_max", "n_rho", "n_phi", "dt")
+#: The keys of the block that fix the polar map, and so the x and p columns.
+_PARAM_KEYS = ("m", "omega", "hbar", "alpha")
 
 
 def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field2D:
@@ -42,12 +44,7 @@ def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field
     phi = grid.phi_nodes()
     radial, angular = _polar_grid(W, params, rho, phi, t)
     vals = radial[:, None] * angular
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), vals.shape)
-        raise DataError(
-            f"non-finite value at node (i={i}, j={j}), rho={rho[i]!r}, phi={phi[j]!r}"
-        )
+    _finite_nodes(vals, rho, phi)
     return Field2D(grid=grid, values=vals, time_tag=t)
 
 
@@ -178,6 +175,8 @@ def _read_csv(lines, path: str):
     with _checks_of(path):
         grid = GridSpec(rho_max=meta["rho_max"], n_rho=meta["n_rho"], n_phi=meta["n_phi"],
                         dt=meta.get("dt"))
+        params = (OscillatorParams(**{k: meta[k] for k in _PARAM_KEYS})
+                  if all(k in meta for k in _PARAM_KEYS) else None)
     n_rows = grid.n_rho * grid.n_phi
     # np.loadtxt warns on an empty body, so the first row is taken here;
     # like np.loadtxt, it skips blank lines.
@@ -209,6 +208,21 @@ def _read_csv(lines, path: str):
             f"CSV field file {path}: row {i} has rho={data[i, 0]!r}, phi={data[i, 1]!r}, "
             f"expected node rho={rho[i // grid.n_phi]!r}, phi={phi[i % grid.n_phi]!r}"
         )
+    if params is None:
+        return field, meta
+    # x and p ring by ring, through the writer's own map: an exported file
+    # matches exactly, and no temporary is larger than one ring
+    for k, r in enumerate(rho):
+        x, p = xy_from_polar(params, r, phi)
+        ring = data[k * grid.n_phi:(k + 1) * grid.n_phi]
+        bad = (ring[:, 2] != x) | (ring[:, 3] != p)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DataError(
+                f"CSV field file {path}: row {k * grid.n_phi + j} has x={float(ring[j, 2])!r}, "
+                f"p={float(ring[j, 3])!r}, expected x={float(x[j])!r}, p={float(p[j])!r} "
+                f"at its node"
+            )
     return field, meta
 
 
@@ -218,7 +232,10 @@ def read_field(path):
     Returns ``(Field2D, metadata_dict)``; values reproduce the exported
     doubles bit-exactly in both formats.  A CSV body streams from the file
     into ``np.loadtxt``; no copy of the whole text is held.  A malformed file
-    raises :class:`~phasewave.errors.DataError` naming it.
+    raises :class:`~phasewave.errors.DataError` naming it.  Each CSV row
+    must hold its node's rho and phi exactly and, when the parameter block
+    carries m, omega, hbar and alpha, the x and p that ``xy_from_polar``
+    gives there; without those four keys x and p go unchecked.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="ascii") as fh:

@@ -2,17 +2,18 @@
 
 Series oracles run in exact rational arithmetic so they are immune to the
 cancellation that motivates the recurrences in the library; the quadrature
-helpers are deliberately separate from the library's integration code, and
-the upwind loop steps the scheme the library applies in closed form, and
-the field writer and reader format and parse one value at a time where the
-library streams whole rings and hands the body to ``np.loadtxt``.  The
-whole-array kernels evaluate each formula with a fresh temporary per
-step: the library's ``laguerre`` and ``polar_from_xy`` run the same
-operations in place on preallocated arrays and must reproduce them bit for
-bit, and its ``hermite`` and ``energy_xy`` take the same form.  The unit
-scales those formulas use are restated here from (m, omega, hbar, alpha),
-as the products and quotients of square roots that ``OscillatorParams``
-forms, and not read from it.
+helpers are deliberately separate from the library's integration code,
+the upwind loop steps the scheme the library applies in closed form, the
+whole-grid transform and maximum form at once what the library forms one
+block of rings at a time, and the field writer and reader format and parse
+one value at a time where the library streams whole rings and hands the
+body to ``np.loadtxt``.  The whole-array kernels evaluate each formula
+with a fresh temporary per step: the library's ``laguerre`` and
+``polar_from_xy`` run the same operations in place on preallocated arrays
+and must reproduce them bit for bit, and its ``hermite`` and ``energy_xy``
+take the same form.  The unit scales those formulas use are restated here
+from (m, omega, hbar, alpha), as the products and quotients of square
+roots that ``OscillatorParams`` forms, and not read from it.
 """
 
 import functools
@@ -183,6 +184,38 @@ def upwind_roll_loop(values, c, steps, c_rem=0.0):
     if c_rem:
         vals += c_rem * (np.roll(vals, -1, axis=1) - vals)
     return vals
+
+
+def evolve_fd_whole_grid(field0, params, t_final):
+    """The closed-form upwind run of ``evolve_fd`` on the whole grid at once.
+
+    Restates the step count, the partial step and the Courant-1 shift, and
+    multiplies one ``rfft`` of every ring by the run's gain before one
+    ``irfft``: the library's block-by-block transforms must give these
+    values bit for bit.
+    """
+    grid = field0.grid
+    dphi = TWO_PI / grid.n_phi
+    c = params.omega * grid.dt / dphi
+    span = t_final - field0.time_tag
+    steps = int(math.floor(span / grid.dt + 1e-9))
+    remainder = span - steps * grid.dt
+    partial = remainder > 1e-12 * max(grid.dt, 1.0)
+    if steps == 0 and not partial:
+        return np.array(field0.values)
+    shift = np.exp(1j * dphi * np.arange(grid.n_phi // 2 + 1)) - 1.0
+    gain = (1.0 + c * shift) ** (steps % grid.n_phi if c == 1.0 else steps)
+    if partial:
+        gain = gain * (1.0 + params.omega * remainder / dphi * shift)
+    return np.fft.irfft(np.fft.rfft(field0.values, axis=1) * gain, n=grid.n_phi, axis=1)
+
+
+def max_deviation_whole_grid(field, W, params):
+    """max |W - field| from the whole sampled grid of W at the field's time tag."""
+    from phasewave import sample_field
+
+    exact = sample_field(W, field.grid, field.time_tag, params).values
+    return float(np.max(np.abs(exact - field.values)))
 
 
 _FIELD_META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",

@@ -431,3 +431,13 @@ def test_evolve_holds_at_most_four_grids(traced_peak, capsys):
     peak = traced_peak(lambda: invoke(argv))
     capsys.readouterr()
     assert peak <= 4 * 128 * 1024 * 8, f"{peak / (128 * 1024 * 8):.2f} grids"
+
+
+def test_evolve_holds_the_start_grid_the_result_and_one_block(traced_peak, capsys):
+    # the ring spectrum and the exact values exist one block of rings at a time,
+    # a quarter of this grid, beside the start grid and one evolved grid
+    argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", "256", "--n-phi", "1024",
+            "--t", "3.0123,4.4567"]
+    peak = traced_peak(lambda: invoke(argv))
+    capsys.readouterr()
+    assert peak < 2.75 * 256 * 1024 * 8, f"{peak / (256 * 1024 * 8):.2f} grids"

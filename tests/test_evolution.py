@@ -10,9 +10,9 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field, xy_from_polar)
-from phasewave.evolution import _fd_weights
+from phasewave.evolution import _fd_weights, _max_deviation
 
-from oracles import upwind_roll_loop
+from oracles import evolve_fd_whole_grid, max_deviation_whole_grid, upwind_roll_loop
 
 P = NATURAL_UNITS
 
@@ -307,6 +307,49 @@ def test_evolve_first_order_convergence():
     for k in range(2):
         order = math.log2(errors[k] / errors[k + 1])
         assert 0.8 <= order <= 1.2
+
+
+@pytest.mark.parametrize("n_rho, n_phi, courant, steps", [
+    (1, 64, 0.5, 40.37),
+    (100, 1024, 0.5, 40.37),
+    (2, 131072, 0.9, 40.0),
+    (100, 1024, 1.0, 10**9 + 7),
+    (5, 1024, 0.9, 0.6),
+    (100, 1024, 0.5, 0.0),
+], ids=["one-ring", "partial-last-block", "ring-longer-than-a-block", "courant-one-shift",
+        "one-partial-step", "no-time-elapsed"])
+def test_evolve_blocks_equal_the_whole_grid_transform(n_rho, n_phi, courant, steps):
+    grid = GridSpec(rho_max=3.0, n_rho=n_rho, n_phi=n_phi, dt=courant * 2.0 * math.pi / n_phi)
+    values = np.random.default_rng(n_rho * n_phi).uniform(-1.0, 1.0, (n_rho, n_phi))
+    f0 = Field2D(grid=grid, values=values, time_tag=0.25)
+    t_final = 0.25 + steps * grid.dt
+    out = evolve_fd(f0, P, t_final)
+    assert out.meta["courant"] == courant
+    assert out.values.tobytes() == evolve_fd_whole_grid(f0, P, t_final).tobytes()
+
+
+def test_max_deviation_equals_the_whole_grid_maximum():
+    # 100 rings of 1024 angles are two blocks, the second partial
+    grid = GridSpec(rho_max=4.0, n_rho=100, n_phi=1024, dt=0.5 * 2.0 * math.pi / 1024)
+    W = standing_wave_field(P, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0))
+    bare = lambda x, p, t: W(x, p, t)
+    evolved = evolve_fd(sample_field(W, grid, 0.0, P), P, 1.3)
+    # a field class, its rotation, and the rotation of a bare callable, whose
+    # angular factor is a grid
+    for target in (W, propagate_exact(W, P, 1.3), propagate_exact(bare, P, 1.3)):
+        assert _max_deviation(evolved, target, P) == max_deviation_whole_grid(evolved, target, P)
+
+
+def test_max_deviation_names_a_non_finite_target_node():
+    grid = GridSpec(rho_max=4.0, n_rho=100, n_phi=1024)
+    field = Field2D(grid=grid, values=np.zeros((100, 1024)), time_tag=0.0)
+    # infinite past rho^2 = 12 in the upper half plane: first at ring 86, in the second block
+    W = lambda x, p, t: np.where((p > 0.0) & (x * x + p * p > 12.0), np.inf, 0.0)
+    with pytest.raises(DataError) as sampled:
+        sample_field(W, grid, 0.0, P)
+    assert "(i=86, j=1)" in str(sampled.value)
+    with pytest.raises(DataError, match=re.escape(str(sampled.value))):
+        _max_deviation(field, W, P)
 
 
 # ------------------------------------------------------------------ residuals

@@ -200,6 +200,13 @@ def _replace_row(k, row):
     return lambda lines, h: lines[:h + 1 + k] + [row] + lines[h + 2 + k:]
 
 
+def _replace_x_p(k, x, p):
+    def edit(lines, h):
+        rho, phi, _, _, w = lines[h + 1 + k].split(",")
+        return _replace_row(k, f"{rho},{phi},{x},{p},{w}")(lines, h)
+    return edit
+
+
 @pytest.mark.parametrize("edit, match", [
     (_replace_row(3, "1,2,3,4\n"), "malformed row"),
     (_replace_row(3, "1,2,3,4,5,6\n"), "malformed row"),
@@ -216,9 +223,12 @@ def _replace_row(k, row):
     (_replace_row(2, "1,2,3,4,nan\n"), "finite"),
     (lambda lines, h: ["# n_rho=four\n"] + lines, "parameter line"),
     (lambda lines, h: ["# note=\u00e9\n"] + lines, "ASCII"),
+    (_replace_x_p(19, "123.0", "-7"), "row 19 has x=123.0, p=-7.0, expected x="),
+    (lambda lines, h: [ln.replace("# m=1\n", "# m=-1\n") for ln in lines],
+     "m must be finite and positive"),
 ], ids=["ragged-row", "long-row", "extra-column", "non-numeric", "hash-line-in-body",
         "short", "no-rows", "missing-header", "no-header-or-rows", "nan-time", "nan-value",
-        "bad-parameter", "non-ascii"])
+        "bad-parameter", "non-ascii", "x-p-off-the-node", "bad-mass"])
 def test_malformed_csv_raises_data_error_naming_the_file(tmp_path, edit, match):
     path = _broken_csv(tmp_path, edit)
     with pytest.raises(DataError, match=match) as info:
