@@ -136,12 +136,13 @@ def propagate_exact(W0, params: OscillatorParams, t: float) -> Rotation:
 _BLOCK_VALUES = 2**16
 
 
-def _ring_blocks(grid: GridSpec) -> list:
+def _ring_blocks(grid: GridSpec, per_node: int = 1) -> list:
     """Slices of whole rings, each of about ``_BLOCK_VALUES`` values, that cover the grid.
 
-    A ring longer than a block is a block of its own.
+    A node counts ``per_node`` values (a CSV row holds five).  A ring longer
+    than a block is a block of its own.
     """
-    rings = max(1, _BLOCK_VALUES // grid.n_phi)
+    rings = max(1, _BLOCK_VALUES // (per_node * grid.n_phi))
     return [slice(i, min(i + rings, grid.n_rho)) for i in range(0, grid.n_rho, rings)]
 
 
@@ -218,26 +219,39 @@ def _finite_nodes(vals, rho, phi, first_ring=0):
         i, j = np.unravel_index(int(np.argmax(bad)), vals.shape)
         i += first_ring
         raise DataError(
-            f"non-finite value at node (i={i}, j={j}), rho={rho[i]!r}, phi={phi[j]!r}"
+            f"non-finite value at node (i={i}, j={j}), "
+            f"rho={float(rho[i])!r}, phi={float(phi[j])!r}"
         )
+
+
+def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams):
+    """Yield ``(rows, values)``: W at time ``t`` on each block of ``_ring_blocks``, rho-major.
+
+    The values are read through ``_polar_grid`` as radial[:, None] * angular,
+    the product ``sample_field`` forms, so each has the bits of the whole
+    grid's.  A non-finite value raises ``DataError`` naming its node.  One
+    buffer of a block serves every block: a block's values are overwritten
+    by the next one, and the caller may work on them in place.
+    """
+    rho, phi = grid.rho_nodes(), grid.phi_nodes()
+    blocks = _ring_blocks(grid)
+    buffer = np.empty((blocks[0].stop, grid.n_phi))
+    for rows in blocks:
+        radial, angular = _polar_grid(W, params, rho[rows], phi, t)
+        values = np.multiply(radial[:, None], angular, out=buffer[:rows.stop - rows.start])
+        _finite_nodes(values, rho, phi, rows.start)
+        yield rows, values
 
 
 def _max_deviation(field: Field2D, W, params: OscillatorParams) -> float:
     """max |W - field| over the field's nodes, with W at the field's time tag.
 
-    W is read through ``_polar_grid`` one block of ``_ring_blocks`` at a
-    time, as radial[:, None] * angular, the product ``sample_field`` forms,
-    and the difference is taken in that block's buffer: no whole grid is
-    formed, and the maximum has the bits of the whole-grid one.  A
-    non-finite value of W raises ``DataError`` naming its node.
+    W is sampled by ``_sampled_blocks`` and the difference is taken in each
+    block's buffer: no whole grid is formed, and the maximum has the bits
+    of the whole-grid one.
     """
-    grid = field.grid
-    rho, phi = grid.rho_nodes(), grid.phi_nodes()
     worst = 0.0
-    for rows in _ring_blocks(grid):
-        radial, angular = _polar_grid(W, params, rho[rows], phi, field.time_tag)
-        diff = radial[:, None] * angular
-        _finite_nodes(diff, rho, phi, rows.start)
+    for rows, diff in _sampled_blocks(W, field.grid, field.time_tag, params):
         diff -= field.values[rows]
         worst = max(worst, float(np.max(np.abs(diff, out=diff))))
     return worst

@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DegenerateProfileError, _integer, _real, _require_finite
+from .errors import (AccuracyError, DataError, DegenerateProfileError, _integer, _real,
+                     _require_finite)
 from .oscillator import NATURAL_UNITS, TWO_PI, OscillatorParams, _phase, polar_from_xy
 from .special import check_order
 from .wigner import radial_kernel
@@ -38,8 +39,11 @@ _PERIOD_TOL = 1e-10
 _PERIOD_SAMPLES = 128
 _PROFILE_SEED = 20200828
 
-#: Periodic trapezoid panels of the profile means in :func:`normalization`.
+#: Periodic trapezoid panels of the profile means in :func:`normalization`, and
+#: their relative tolerance: on their change with the wave phase, relative to
+#: the largest sample, and on their rounding, relative to C + <f> + <g>.
 _MEAN_PANELS = 4096
+_MEAN_TOL = 1e-9
 #: Seeded phase points, tolerance and wave-period fractions of :func:`check_parity`.
 _PARITY_SAMPLES = 200
 _PARITY_TOL = 1e-10
@@ -198,28 +202,47 @@ def normalization(profile: WaveProfile) -> float:
     The means are angular averages of f(Omega t + kappa phi) and
     g(Omega t - kappa phi) over phi in [0, 2 pi) by periodic trapezoid;
     periodicity makes them independent of the phase Omega t, which is
-    verified by recomputing at a second phase; ``DataError`` if they differ.
+    verified by recomputing at a second phase.  They may differ by rounding,
+    which grows with the size of f and g, so a change above ``_MEAN_TOL``
+    times the larger of 1 and the largest |f| or |g| sampled raises
+    ``DataError``, and so does a non-finite sample.  A mean's rounding is
+    estimated as that change plus one ulp of its largest sample;
+    ``AccuracyError`` if the two estimates exceed ``_MEAN_TOL`` times
+    |C + <f> + <g>|.
     """
     phi = TWO_PI * np.arange(_MEAN_PANELS) / _MEAN_PANELS
 
     def angular_mean(h, sign, name):
         def at(phase):
             vals = np.asarray(h(phase + sign * profile.kappa * phi), dtype=float)
-            return float(np.mean(np.broadcast_to(vals, phi.shape)))
+            vals = np.broadcast_to(vals, phi.shape)
+            if not np.all(np.isfinite(vals)):
+                raise DataError(f"profile function {name} returned non-finite values")
+            return float(np.mean(vals)), float(np.max(np.abs(vals)))
 
-        m0 = at(0.0)
-        m1 = at(2.4013)
-        if abs(m0 - m1) > 1e-9 * max(1.0, abs(m0)):
+        (m0, size0), (m1, size1) = at(0.0), at(2.4013)
+        size, change = max(size0, size1), abs(m0 - m1)
+        limit = _MEAN_TOL * max(1.0, size)
+        if change > limit:
             raise DataError(
-                f"angular mean of {name} depends on the wave phase "
-                f"({m0!r} vs {m1!r}); the profile is not 2*pi*kappa periodic"
+                f"angular mean of {name} depends on the wave phase ({m0!r} vs {m1!r}, "
+                f"not within {_MEAN_TOL:g} * max(1, max|{name}|) = {limit:.3e}); "
+                f"the profile is not 2*pi*kappa periodic"
             )
-        return m0
+        return m0, change + np.finfo(float).eps * size
 
-    den = profile.C + angular_mean(profile.f, +1.0, "f") + angular_mean(profile.g, -1.0, "g")
+    mean_f, err_f = angular_mean(profile.f, +1.0, "f")
+    mean_g, err_g = angular_mean(profile.g, -1.0, "g")
+    den = profile.C + mean_f + mean_g
     if abs(den) < 1e-12:
         raise DegenerateProfileError(
             f"C + <f> + <g> = {den!r} is numerically zero; the profile cannot be normalized"
+        )
+    if err_f + err_g > _MEAN_TOL * abs(den):
+        raise AccuracyError(
+            f"the angular means of f and g carry an estimated rounding of "
+            f"{err_f + err_g:.3e}, above {_MEAN_TOL:g} * |C + <f> + <g>| = "
+            f"{_MEAN_TOL * abs(den):.3e}; N = 1/(C + <f> + <g>) is not known to that accuracy"
         )
     return 1.0 / den
 

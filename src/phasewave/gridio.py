@@ -13,11 +13,12 @@ import itertools
 import json
 import math
 import os
+import re
 
 import numpy as np
 
 from .errors import DataError, _scalar_kind
-from .evolution import Field2D, GridSpec, _finite_nodes
+from .evolution import Field2D, GridSpec, _finite_nodes, _ring_blocks
 from .oscillator import OscillatorParams, _polar_grid, xy_from_polar
 
 #: Fixed key order of the self-describing parameter block.
@@ -150,7 +151,15 @@ def _read_json(text: str, path: str):
 
 
 def _read_csv(lines, path: str):
-    """Parse the parameter block and header line by line, the body with np.loadtxt."""
+    """Parse the parameter block and header line by line, the body a block at a time.
+
+    The body goes to ``np.loadtxt`` one block of ``_ring_blocks`` (sized
+    in table values, five per node) at a time, from the same line iterator,
+    with blank lines dropped; each block is checked by ``_check_block`` and
+    its W column copied into the one values array, so beyond the values no
+    more than one block of the table is held.  A row past the last block
+    is refused with the row count.
+    """
     meta = {}
     for line in lines:
         line = line.rstrip("\n")
@@ -178,52 +187,62 @@ def _read_csv(lines, path: str):
         params = (OscillatorParams(**{k: meta[k] for k in _PARAM_KEYS})
                   if all(k in meta for k in _PARAM_KEYS) else None)
     n_rows = grid.n_rho * grid.n_phi
-    # np.loadtxt warns on an empty body, so the first row is taken here;
-    # like np.loadtxt, it skips blank lines.
-    first = next((ln for ln in lines if ln != "\n"), None)
-    if first is None:
-        raise DataError(f"CSV field file {path} has 0 rows, expected {n_rows}")
-    # comments=None: a '#' line in the body is a malformed row, not metadata.
-    try:
-        data = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2,
-                          comments=None)
-    except ValueError as exc:
-        raise DataError(f"CSV field file {path} has a malformed row: {exc}") from None
-    if data.shape[1] != 5:
-        raise DataError(f"CSV field file {path} has {data.shape[1]} columns, expected 5")
-    if data.shape[0] != n_rows:
-        raise DataError(f"CSV field file {path} has {data.shape[0]} rows, expected {n_rows}")
-    values = np.ascontiguousarray(data[:, 4]).reshape(grid.n_rho, grid.n_phi)
+    values = np.empty((grid.n_rho, grid.n_phi))
+    # np.loadtxt warns on a blank line, and on an empty body, so neither reaches it
+    body = filter(str.strip, lines)
+    for rows in _ring_blocks(grid, 5):
+        first = rows.start * grid.n_phi
+        head = next(body, None)
+        if head is None:
+            raise DataError(f"CSV field file {path} has {first} rows, expected {n_rows}")
+        size = (rows.stop - rows.start) * grid.n_phi
+        # comments=None: a '#' line in the body is a malformed row, not metadata.
+        try:
+            block = np.loadtxt(itertools.chain([head], body), delimiter=",", ndmin=2,
+                               comments=None, max_rows=size)
+        except ValueError as exc:
+            # numpy counts rows within the block; offset, they count in the body, as a
+            # parse of the whole body would
+            msg = re.sub(r"at row (\d+)", lambda m: f"at row {first + int(m[1])}", str(exc))
+            raise DataError(f"CSV field file {path} has a malformed row: {msg}") from None
+        if block.shape[1] != 5:
+            raise DataError(f"CSV field file {path} has {block.shape[1]} columns, expected 5")
+        if len(block) != size:
+            raise DataError(f"CSV field file {path} has {first + len(block)} rows, "
+                            f"expected {n_rows}")
+        _check_block(block.reshape(-1, grid.n_phi, 5), rows, grid, params, path)
+        values[rows] = block[:, 4].reshape(-1, grid.n_phi)
+    extra = sum(1 for _ in body)
+    if extra:
+        raise DataError(f"CSV field file {path} has {n_rows + extra} rows, expected {n_rows}")
     with _checks_of(path):
-        field = Field2D(grid=grid, values=values, time_tag=meta["t"])
-    # Values are placed by row order, so each row must sit at its own node;
-    # exported decimals round-trip, so the match is exact.
-    rho = grid.rho_nodes()
-    phi = grid.phi_nodes()
-    shape = (grid.n_rho, grid.n_phi)
-    bad = (data[:, 0].reshape(shape) != rho[:, None]) | (data[:, 1].reshape(shape) != phi)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(
-            f"CSV field file {path}: row {i} has rho={data[i, 0]!r}, phi={data[i, 1]!r}, "
-            f"expected node rho={rho[i // grid.n_phi]!r}, phi={phi[i % grid.n_phi]!r}"
-        )
-    if params is None:
-        return field, meta
-    # x and p ring by ring, through the writer's own map: an exported file
-    # matches exactly, and no temporary is larger than one ring
-    for k, r in enumerate(rho):
-        x, p = xy_from_polar(params, r, phi)
-        ring = data[k * grid.n_phi:(k + 1) * grid.n_phi]
-        bad = (ring[:, 2] != x) | (ring[:, 3] != p)
+        return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
+
+
+def _check_block(block, rows, grid: GridSpec, params, path: str) -> None:
+    """Check one block of rings, its rows shaped (rings, n_phi, 5), against its nodes.
+
+    W must be finite, checked first.  Values are placed by row order, so
+    each row must sit at its own node: its rho and phi, and, when
+    ``params`` is known, its x and p through the writer's own map, match
+    exactly, as exported decimals round-trip.
+    """
+    rho, phi = grid.rho_nodes(), grid.phi_nodes()
+    with _checks_of(path):
+        _finite_nodes(block[..., 4], rho, phi, rows.start)
+    radii = rho[rows, None]
+    pairs = [(("rho", "phi"), np.broadcast_arrays(radii, phi))]
+    if params is not None:
+        pairs.append((("x", "p"), xy_from_polar(params, radii, phi)))
+    for k, (names, node) in enumerate(pairs):
+        got = block[..., 2 * k], block[..., 2 * k + 1]
+        bad = (got[0] != node[0]) | (got[1] != node[1])
         if bad.any():
-            j = int(np.argmax(bad))
-            raise DataError(
-                f"CSV field file {path}: row {k * grid.n_phi + j} has x={float(ring[j, 2])!r}, "
-                f"p={float(ring[j, 3])!r}, expected x={float(x[j])!r}, p={float(p[j])!r} "
-                f"at its node"
-            )
-    return field, meta
+            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            has, want = (", ".join(f"{name}={float(v[i, j])!r}" for name, v in zip(names, vs))
+                         for vs in (got, node))
+            raise DataError(f"CSV field file {path}: row {(rows.start + i) * grid.n_phi + j} "
+                            f"has {has}, expected {want} at its node")
 
 
 def read_field(path):
@@ -231,8 +250,10 @@ def read_field(path):
 
     Returns ``(Field2D, metadata_dict)``; values reproduce the exported
     doubles bit-exactly in both formats.  A CSV body streams from the file
-    into ``np.loadtxt``; no copy of the whole text is held.  A malformed file
-    raises :class:`~phasewave.errors.DataError` naming it.  Each CSV row
+    into ``np.loadtxt`` one block of whole rings at a time: no copy of the
+    whole text or table is held, only the values and one block.  A
+    malformed file raises :class:`~phasewave.errors.DataError` naming it,
+    and the body row at fault where there is one.  Each CSV row
     must hold its node's rho and phi exactly and, when the parameter block
     carries m, omega, hbar and alpha, the x and p that ``xy_from_polar``
     gives there; without those four keys x and p go unchecked.

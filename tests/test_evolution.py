@@ -10,7 +10,8 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field, xy_from_polar)
-from phasewave.evolution import _fd_weights, _max_deviation
+from phasewave.evolution import _fd_weights, _max_deviation, _ring_blocks, _sampled_blocks
+from phasewave.verify import check_positivity_edge
 
 from oracles import evolve_fd_whole_grid, max_deviation_whole_grid, upwind_roll_loop
 
@@ -338,6 +339,26 @@ def test_max_deviation_equals_the_whole_grid_maximum():
     # angular factor is a grid
     for target in (W, propagate_exact(W, P, 1.3), propagate_exact(bare, P, 1.3)):
         assert _max_deviation(evolved, target, P) == max_deviation_whole_grid(evolved, target, P)
+
+
+@pytest.mark.parametrize("n_rho", [512, 300], ids=["positivity-grid", "partial-last-block"])
+@pytest.mark.parametrize("A", [2.0, 3.0])
+def test_block_minimum_is_the_whole_grid_minimum(n_rho, A):
+    # 512 angles make blocks of 128 rings, so 300 rings end in a block of 44
+    grid = GridSpec(rho_max=4.0, n_rho=n_rho, n_phi=512)
+    assert [r.stop - r.start for r in _ring_blocks(grid)][-1] == (128 if n_rho == 512 else 44)
+    W = standing_wave_field(P, 0, StandingWaveSpec(ell=3, A=A, C=5.0))
+    blocks = [values.copy() for _, values in _sampled_blocks(W, grid, 0.0, P)]
+    whole = sample_field(W, grid, 0.0, P).values
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    assert min(float(b.min()) for b in blocks) == float(whole.min())
+
+
+def test_positivity_check_holds_one_block(traced_peak):
+    # a block of 128 rings is a quarter of one 512 x 512 grid, and its one buffer
+    # serves every block
+    peak = traced_peak(check_positivity_edge)
+    assert peak < 0.6 * 512 * 512 * 8, f"{peak / (512 * 512 * 8):.2f} grids"
 
 
 def test_max_deviation_names_a_non_finite_target_node():

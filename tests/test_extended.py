@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import phasewave.extended
-from phasewave import (NATURAL_UNITS, DataError, DegenerateProfileError, ExtendedWigner, GridSpec,
-                       OscillatorParams, StandingWaveSpec, WaveProfile,
+from phasewave import (NATURAL_UNITS, AccuracyError, DataError, DegenerateProfileError,
+                       ExtendedWigner, GridSpec, OscillatorParams, StandingWaveSpec, WaveProfile,
                        antinode_angles, check_parity, extended_eval, extended_field,
                        marginal_over_p, node_angles, normalization, phase_space_integral,
                        running_wave_profile, sample_field, standing_wave_eval,
@@ -164,6 +164,34 @@ def test_profile_normalizes_once_and_takes_no_norm_from_the_caller(monkeypatch):
         extended_eval(P, 1, profile, 0.3, 0.2, 0.0, norm=real(profile))
     with pytest.raises(TypeError):
         extended_field(P, 1, profile, real(profile))
+
+
+@pytest.mark.parametrize("kappa", [1, 3])
+@pytest.mark.parametrize("A", [1e6, 1e8, 1e10, 1e12])
+def test_large_amplitude_means_are_backed_by_their_rounding_or_refused(A, kappa):
+    # the means of A cos carry rounding of about u A: held against the mean
+    # rather than against A, it would read as a phase dependence past A = 1e9
+    if A == 1e6:
+        assert running_wave_profile(A=A, C=1.0, kappa=kappa).norm == pytest.approx(1.0, rel=1e-9)
+    else:
+        message = r"estimated rounding of .*, above 1e-09 \* \|C \+ <f> \+ <g>\| = 1\.000e-09"
+        with pytest.raises(AccuracyError, match=message):
+            running_wave_profile(A=A, C=1.0, kappa=kappa).norm
+    # against a larger C the same rounding is small enough, and the value is right to it
+    N = running_wave_profile(A=A, C=1e6, kappa=kappa).norm
+    assert N * 1e6 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_phase_dependent_mean_is_refused_relative_to_the_largest_sample():
+    # periodic on the sampled angles, so construction accepts it, but its mean
+    # over the 4096 panels depends on the phase by far more than rounding
+    f = lambda th: np.where(np.abs(np.sin(2048.0 * th)) < 0.01, 1e3, 0.0)
+    with pytest.raises(DataError, match=r"depends on the wave phase .* 1e-09 \* max\(1, max\|f\|\)"):
+        normalization(WaveProfile(f=f, g=lambda th: 0.0, C=1.0, kappa=1))
+    with pytest.raises(DataError, match="profile function g returned non-finite values"):
+        # infinite at theta = 0 alone, a panel angle but none of the periodicity angles
+        normalization(WaveProfile(f=lambda th: 0.0, g=lambda th: np.where(th == 0.0, np.inf, 0.0),
+                                  C=1.0, kappa=1))
 
 
 def test_normalization_is_time_independent():

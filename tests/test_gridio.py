@@ -1,5 +1,7 @@
 import json
+import functools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from phasewave import (NATURAL_UNITS, DataError, ExtendedWigner, Field2D, GridSp
                        export_field, extended_field, phase_space_integral, propagate_exact,
                        radial_kernel, read_field, run_suite, running_wave_profile, sample_field,
                        standing_wave_field, stationary_field, stationary_profile)
+from phasewave.evolution import _ring_blocks
 
 P = NATURAL_UNITS
 SCALED = OscillatorParams(m=1.7, omega=0.6, hbar=0.3, alpha=0.9)
@@ -168,10 +171,24 @@ def test_export_matches_per_value_oracle(case, fmt):
     assert back.grid == fld.grid
 
 
-def _valid_csv(tmp_path):
-    fld = sample_field(standing_wave_field(P, 5, SPEC), small_grid(), 0.21, P)
-    path = export_field(fld, P, "csv", tmp_path / "w.csv", extra={"n": 5})
-    return fld, Path(path).read_text().splitlines(keepends=True)
+#: A grid whose CSV body the reader takes in three blocks of rings, 2, 2 and 1.
+BLOCKED = GridSpec(rho_max=2.0, n_rho=5, n_phi=4400)
+#: The first body row of the last block, and the rows in all.
+LAST, ROWS = 4 * 4400, 5 * 4400
+PHI = BLOCKED.phi_nodes()
+
+
+@functools.cache
+def _valid_lines():
+    fld = sample_field(standing_wave_field(P, 5, SPEC), BLOCKED, 0.21, P)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = export_field(fld, P, "csv", Path(tmp) / "w.csv", extra={"n": 5})
+        return fld, tuple(Path(path).read_text().splitlines(keepends=True))
+
+
+def _valid_csv():
+    fld, lines = _valid_lines()
+    return fld, list(lines)
 
 
 def _header_index(lines):
@@ -179,7 +196,7 @@ def _header_index(lines):
 
 
 def test_csv_with_crlf_and_blank_lines_reads_bit_exact(tmp_path):
-    fld, lines = _valid_csv(tmp_path)
+    fld, lines = _valid_csv()
     h = _header_index(lines)
     text = "\n" + "".join(lines[:h]) + "\n" + lines[h] + "".join(ln + "\n" for ln in lines[h + 1:])
     path = tmp_path / "crlf.csv"
@@ -189,8 +206,30 @@ def test_csv_with_crlf_and_blank_lines_reads_bit_exact(tmp_path):
     assert back.time_tag == fld.time_tag
 
 
+@pytest.mark.parametrize("grid, rings", [
+    (GridSpec(rho_max=2.0, n_rho=1, n_phi=16), [1]),
+    (BLOCKED, [2, 2, 1]),
+    (GridSpec(rho_max=2.0, n_rho=2, n_phi=2**14), [1, 1]),
+], ids=["one-ring", "partial-last-block", "ring-longer-than-a-block"])
+def test_csv_round_trip_in_blocks_is_bit_exact(tmp_path, grid, rings):
+    assert [r.stop - r.start for r in _ring_blocks(grid, 5)] == rings
+    fld = sample_field(standing_wave_field(SCALED, 5, SPEC), grid, 0.37, SCALED)
+    back, _ = read_field(export_field(fld, SCALED, "csv", tmp_path / "w.csv"))
+    assert back.values.tobytes() == fld.values.tobytes()
+    assert back.grid == grid
+
+
+def test_csv_read_holds_the_values_and_one_block(traced_peak, tmp_path):
+    # the table is parsed and checked a block of rings at a time, never whole
+    grid = GridSpec(rho_max=4.5, n_rho=256, n_phi=1024)
+    fld = sample_field(standing_wave_field(P, 5, SPEC), grid, 0.3, P)
+    path = export_field(fld, P, "csv", tmp_path / "f.csv")
+    peak = traced_peak(lambda: read_field(path))
+    assert peak < 2 * fld.values.nbytes, f"{peak / fld.values.nbytes:.2f} grids"
+
+
 def _broken_csv(tmp_path, edit):
-    _, lines = _valid_csv(tmp_path)
+    _, lines = _valid_csv()
     path = tmp_path / "broken.csv"
     path.write_text("".join(edit(lines, _header_index(lines))), encoding="utf-8")
     return path
@@ -207,33 +246,50 @@ def _replace_x_p(k, x, p):
     return edit
 
 
+def _swap_rows(i, j):
+    def edit(lines, h):
+        lines[h + 1 + i], lines[h + 1 + j] = lines[h + 1 + j], lines[h + 1 + i]
+        return lines
+    return edit
+
+
+# Most faults sit in the last block, a partial one, so the checks run in every block.
 @pytest.mark.parametrize("edit, match", [
-    (_replace_row(3, "1,2,3,4\n"), "malformed row"),
-    (_replace_row(3, "1,2,3,4,5,6\n"), "malformed row"),
+    (_replace_row(LAST + 3, "1,2,3,4\n"), "malformed row"),
+    (_replace_row(LAST + 3, "1,2,3,4,5,6\n"), "malformed row"),
     (lambda lines, h: [ln.replace(",", ",6,", 1) if i > h else ln
                        for i, ln in enumerate(lines)], "6 columns"),
-    (_replace_row(0, "1,2,abc,4,5\n"), "malformed row"),
-    (lambda lines, h: lines + ["# t=5\n"], "malformed row"),
-    (lambda lines, h: lines[:-1], "rows, expected"),
-    (lambda lines, h: lines[:h + 1], "0 rows"),
+    (_replace_row(LAST + 5, "1,2,abc,4,5\n"),
+     rf"malformed row: .*'abc'.* at row {LAST + 5}, column 3"),
+    # numpy counts from 0 in a conversion error and from 1 when the column count changes
+    (_replace_row(LAST + 5, "# t=5\n"), f"malformed row: .* from 5 to 1 at row {LAST + 6};"),
+    (lambda lines, h: lines + ["# t=5\n"], f"has {ROWS + 1} rows, expected {ROWS}"),
+    (lambda lines, h: lines[:-1], f"has {ROWS - 1} rows, expected {ROWS}"),
+    (lambda lines, h: lines + lines[-1:], f"has {ROWS + 1} rows, expected {ROWS}"),
+    (lambda lines, h: lines[:h + 1], f"has 0 rows, expected {ROWS}"),
     (lambda lines, h: lines[:h] + lines[h + 1:], "header"),
     (lambda lines, h: lines[:h], "header"),
     (lambda lines, h: [ln.replace("# t=0.20999999999999999", "# t=nan") for ln in lines],
      "non-finite time"),
-    (_replace_row(2, "1,2,3,4,nan\n"), "finite"),
+    (_replace_row(LAST + 2, "1,2,3,4,nan\n"), r"non-finite value at node \(i=4, j=2\), rho=2.0,"),
     (lambda lines, h: ["# n_rho=four\n"] + lines, "parameter line"),
     (lambda lines, h: ["# note=\u00e9\n"] + lines, "ASCII"),
-    (_replace_x_p(19, "123.0", "-7"), "row 19 has x=123.0, p=-7.0, expected x="),
+    (_replace_x_p(LAST + 19, "123.0", "-7"), rf"row {LAST + 19} has x=123.0, p=-7.0, expected x="),
+    (_swap_rows(LAST + 1, LAST + 7),
+     re.escape(f"row {LAST + 1} has rho=2.0, phi={float(PHI[7])!r}, "
+               f"expected rho=2.0, phi={float(PHI[1])!r} at its node")),
     (lambda lines, h: [ln.replace("# m=1\n", "# m=-1\n") for ln in lines],
      "m must be finite and positive"),
 ], ids=["ragged-row", "long-row", "extra-column", "non-numeric", "hash-line-in-body",
-        "short", "no-rows", "missing-header", "no-header-or-rows", "nan-time", "nan-value",
-        "bad-parameter", "non-ascii", "x-p-off-the-node", "bad-mass"])
+        "hash-line-after-body", "short", "one-extra-row", "no-rows", "missing-header",
+        "no-header-or-rows", "nan-time", "nan-value", "bad-parameter", "non-ascii",
+        "x-p-off-the-node", "swapped-rows", "bad-mass"])
 def test_malformed_csv_raises_data_error_naming_the_file(tmp_path, edit, match):
     path = _broken_csv(tmp_path, edit)
     with pytest.raises(DataError, match=match) as info:
         read_field(path)
     assert str(path) in str(info.value)
+    assert "np.float64" not in str(info.value)
 
 
 def _json_doc(tmp_path):
@@ -344,13 +400,15 @@ def test_sampling_field_classes_never_calls_a_field(monkeypatch):
     assert report.passed
 
 
-def test_nonfinite_factored_sample_names_the_node():
+@pytest.mark.parametrize("i, rho", [(1, "1.0"), (2, "1.5")])
+def test_nonfinite_factored_sample_names_the_node(i, rho):
     class NanAtOneRadius:
-        def polar_factors(self, rho, phi, t):
-            return np.where(rho == rho[2], np.nan, 1.0), np.ones_like(phi)
+        def polar_factors(self, r, phi, t):
+            return np.where(r == r[i], np.nan, 1.0), np.ones_like(phi)
 
         def __call__(self, x, p, t):
             raise AssertionError("evaluated at (x, p)")
 
-    with pytest.raises(DataError, match=r"i=2, j=0"):
+    with pytest.raises(DataError, match=rf"\(i={i}, j=0\), rho={rho}, phi=0.0$") as info:
         sample_field(NanAtOneRadius(), small_grid(), 0.0, P)
+    assert "np.float64" not in str(info.value)
