@@ -228,8 +228,9 @@ def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams):
     """Yield ``(rows, values)``: W at time ``t`` on each block of ``_ring_blocks``, rho-major.
 
     The values are read through ``_polar_grid`` as radial[:, None] * angular,
-    the product ``sample_field`` forms, so each has the bits of the whole
-    grid's.  A non-finite value raises ``DataError`` naming its node.  One
+    an elementwise product, so each has the bits of the whole grid's.  This
+    is the one walker of sampled grids: ``sample_field`` fills its grid
+    from it.  A non-finite value raises ``DataError`` naming its node.  One
     buffer of a block serves every block: a block's values are overwritten
     by the next one, and the caller may work on them in place.
     """

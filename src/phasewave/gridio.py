@@ -1,14 +1,16 @@
 """Polar-grid sampling and bit-stable CSV/JSON field export.
 
+A grid is sampled one block of rings at a time by
+``evolution._sampled_blocks``, the walker every sampled grid goes through.
 Exports are deterministic byte-for-byte: decimals carry 17 significant
 digits so every double round-trips exactly, and row order is fixed
 (rho-major, then phi).  Both formats are self-describing through a
-parameter block.
+parameter block.  The readers raise without naming the file; ``read_field``
+names it, once, for every malformed-file error.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -18,8 +20,8 @@ import re
 import numpy as np
 
 from .errors import DataError, _scalar_kind
-from .evolution import Field2D, GridSpec, _finite_nodes, _ring_blocks
-from .oscillator import OscillatorParams, _polar_grid, xy_from_polar
+from .evolution import Field2D, GridSpec, _finite_nodes, _ring_blocks, _sampled_blocks
+from .oscillator import OscillatorParams, xy_from_polar
 
 #: Fixed key order of the self-describing parameter block.
 _META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",
@@ -31,21 +33,21 @@ _PARAM_KEYS = ("m", "omega", "hbar", "alpha")
 def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field2D:
     """Evaluate W(x, p, t) at the polar grid nodes, rho-major.
 
-    Every field ``W(x, p, t)`` is read through the one polar adapter and
-    sampled as the outer product of its radial factor on the radii and its
-    angular factor on the angles.  For a field class that is the closed form
-    at each node (rho_i, phi_j); any other callable is evaluated at the
-    (x, p) image of every node.  A rotation from ``propagate_exact`` always
+    The values are allocated once and filled one block of rings at a time
+    by ``_sampled_blocks``, the one walker of every sampled grid: each
+    block is the product of a field's radial factor on its radii and its
+    angular factor on the angles, so a value has the same bits whichever
+    block it falls in.  For a field class that is the closed form at each
+    node (rho_i, phi_j); any other callable is evaluated at the (x, p)
+    image of a block's nodes.  A rotation from ``propagate_exact`` always
     has ``polar_factors``, whose angular factor is such a grid when it
     turns a bare callable.  Raises :class:`~phasewave.errors.DataError`
     naming the first offending node if any sampled value is non-finite,
     and naming the time tag if ``t`` is not one finite real.
     """
-    rho = grid.rho_nodes()
-    phi = grid.phi_nodes()
-    radial, angular = _polar_grid(W, params, rho, phi, t)
-    vals = radial[:, None] * angular
-    _finite_nodes(vals, rho, phi)
+    vals = np.empty((grid.n_rho, grid.n_phi))
+    for rows, block in _sampled_blocks(W, grid, t, params):
+        vals[rows] = block
     return Field2D(grid=grid, values=vals, time_tag=t)
 
 
@@ -120,21 +122,12 @@ def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,
     return path
 
 
-def _check_time(t: float, path: str) -> None:
+def _check_time(t: float) -> None:
     if not math.isfinite(t):
-        raise DataError(f"field file {path} has a non-finite time tag {t!r}")
+        raise DataError(f"non-finite time tag {t!r}")
 
 
-@contextlib.contextmanager
-def _checks_of(path: str):
-    """Re-raise a failed GridSpec or Field2D check as a DataError naming ``path``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DataError(f"field file {path}: {exc}") from exc
-
-
-def _read_json(text: str, path: str):
+def _read_json(text: str):
     try:
         doc = json.loads(text)
         g = doc["grid"]
@@ -144,13 +137,12 @@ def _read_json(text: str, path: str):
         t = float(doc["time"])
         meta = dict(doc["params"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"malformed JSON field file {path}: {exc!r}") from exc
-    _check_time(t, path)
-    with _checks_of(path):
-        return Field2D(grid=grid, values=values, time_tag=t), meta
+        raise DataError(f"malformed JSON: {exc!r}") from None
+    _check_time(t)
+    return Field2D(grid=grid, values=values, time_tag=t), meta
 
 
-def _read_csv(lines, path: str):
+def _read_csv(lines):
     """Parse the parameter block and header line by line, the body a block at a time.
 
     The body goes to ``np.loadtxt`` one block of ``_ring_blocks`` (sized
@@ -158,7 +150,8 @@ def _read_csv(lines, path: str):
     with blank lines dropped; each block is checked by ``_check_block`` and
     its W column copied into the one values array, so beyond the values no
     more than one block of the table is held.  A row past the last block
-    is refused with the row count.
+    is refused with the row count.  Every message names the body row at
+    fault counted from 0.
     """
     meta = {}
     for line in lines:
@@ -172,20 +165,19 @@ def _read_csv(lines, path: str):
         try:
             meta[key] = int(raw) if key in ("n", "ell", "n_rho", "n_phi") else float(raw)
         except ValueError:
-            raise DataError(f"malformed parameter line {line!r} in {path}") from None
+            raise DataError(f"malformed parameter line {line!r}") from None
     else:
-        raise DataError(f"CSV field file {path} has no rho,phi,x,p,W header")
+        raise DataError("CSV has no rho,phi,x,p,W header")
     if line != "rho,phi,x,p,W":
-        raise DataError(f"unexpected CSV header {line!r} in {path}")
+        raise DataError(f"unexpected CSV header {line!r}")
     for key in ("rho_max", "n_rho", "n_phi", "t"):
         if key not in meta:
-            raise DataError(f"CSV field file {path} lacks required metadata {key!r}")
-    _check_time(meta["t"], path)
-    with _checks_of(path):
-        grid = GridSpec(rho_max=meta["rho_max"], n_rho=meta["n_rho"], n_phi=meta["n_phi"],
-                        dt=meta.get("dt"))
-        params = (OscillatorParams(**{k: meta[k] for k in _PARAM_KEYS})
-                  if all(k in meta for k in _PARAM_KEYS) else None)
+            raise DataError(f"CSV lacks required metadata {key!r}")
+    _check_time(meta["t"])
+    grid = GridSpec(rho_max=meta["rho_max"], n_rho=meta["n_rho"], n_phi=meta["n_phi"],
+                    dt=meta.get("dt"))
+    params = (OscillatorParams(**{k: meta[k] for k in _PARAM_KEYS})
+              if all(k in meta for k in _PARAM_KEYS) else None)
     n_rows = grid.n_rho * grid.n_phi
     values = np.empty((grid.n_rho, grid.n_phi))
     # np.loadtxt warns on a blank line, and on an empty body, so neither reaches it
@@ -194,32 +186,31 @@ def _read_csv(lines, path: str):
         first = rows.start * grid.n_phi
         head = next(body, None)
         if head is None:
-            raise DataError(f"CSV field file {path} has {first} rows, expected {n_rows}")
+            raise DataError(f"CSV body has {first} rows, expected {n_rows}")
         size = (rows.stop - rows.start) * grid.n_phi
         # comments=None: a '#' line in the body is a malformed row, not metadata.
         try:
             block = np.loadtxt(itertools.chain([head], body), delimiter=",", ndmin=2,
                                comments=None, max_rows=size)
         except ValueError as exc:
-            # numpy counts rows within the block; offset, they count in the body, as a
-            # parse of the whole body would
-            msg = re.sub(r"at row (\d+)", lambda m: f"at row {first + int(m[1])}", str(exc))
-            raise DataError(f"CSV field file {path} has a malformed row: {msg}") from None
+            # numpy counts rows within the block, from 0 in a conversion error and
+            # from 1 when the column count changes: offset both to the body row
+            shift = first - ("columns changed" in str(exc))
+            msg = re.sub(r"at row (\d+)", lambda m: f"at row {shift + int(m[1])}", str(exc))
+            raise DataError(f"CSV has a malformed row: {msg}") from None
         if block.shape[1] != 5:
-            raise DataError(f"CSV field file {path} has {block.shape[1]} columns, expected 5")
+            raise DataError(f"CSV body has {block.shape[1]} columns, expected 5")
         if len(block) != size:
-            raise DataError(f"CSV field file {path} has {first + len(block)} rows, "
-                            f"expected {n_rows}")
-        _check_block(block.reshape(-1, grid.n_phi, 5), rows, grid, params, path)
+            raise DataError(f"CSV body has {first + len(block)} rows, expected {n_rows}")
+        _check_block(block.reshape(-1, grid.n_phi, 5), rows, grid, params)
         values[rows] = block[:, 4].reshape(-1, grid.n_phi)
     extra = sum(1 for _ in body)
     if extra:
-        raise DataError(f"CSV field file {path} has {n_rows + extra} rows, expected {n_rows}")
-    with _checks_of(path):
-        return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
+        raise DataError(f"CSV body has {n_rows + extra} rows, expected {n_rows}")
+    return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
 
 
-def _check_block(block, rows, grid: GridSpec, params, path: str) -> None:
+def _check_block(block, rows, grid: GridSpec, params) -> None:
     """Check one block of rings, its rows shaped (rings, n_phi, 5), against its nodes.
 
     W must be finite, checked first.  Values are placed by row order, so
@@ -228,8 +219,7 @@ def _check_block(block, rows, grid: GridSpec, params, path: str) -> None:
     exactly, as exported decimals round-trip.
     """
     rho, phi = grid.rho_nodes(), grid.phi_nodes()
-    with _checks_of(path):
-        _finite_nodes(block[..., 4], rho, phi, rows.start)
+    _finite_nodes(block[..., 4], rho, phi, rows.start)
     radii = rho[rows, None]
     pairs = [(("rho", "phi"), np.broadcast_arrays(radii, phi))]
     if params is not None:
@@ -241,7 +231,7 @@ def _check_block(block, rows, grid: GridSpec, params, path: str) -> None:
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             has, want = (", ".join(f"{name}={float(v[i, j])!r}" for name, v in zip(names, vs))
                          for vs in (got, node))
-            raise DataError(f"CSV field file {path}: row {(rows.start + i) * grid.n_phi + j} "
+            raise DataError(f"CSV row {(rows.start + i) * grid.n_phi + j} "
                             f"has {has}, expected {want} at its node")
 
 
@@ -251,19 +241,24 @@ def read_field(path):
     Returns ``(Field2D, metadata_dict)``; values reproduce the exported
     doubles bit-exactly in both formats.  A CSV body streams from the file
     into ``np.loadtxt`` one block of whole rings at a time: no copy of the
-    whole text or table is held, only the values and one block.  A
-    malformed file raises :class:`~phasewave.errors.DataError` naming it,
-    and the body row at fault where there is one.  Each CSV row
-    must hold its node's rho and phi exactly and, when the parameter block
-    carries m, omega, hbar and alpha, the x and p that ``xy_from_polar``
-    gives there; without those four keys x and p go unchecked.
+    whole text or table is held, only the values and one block.  Each CSV
+    row must hold its node's rho and phi exactly and, when the parameter
+    block carries m, omega, hbar and alpha, the x and p that
+    ``xy_from_polar`` gives there; without those four keys x and p go
+    unchecked.  Every malformed file raises
+    :class:`~phasewave.errors.DataError`, and this is the one place that
+    names the file: the readers below raise without it, and whatever
+    ``ValueError`` they or numpy raise is re-raised here as a ``DataError``
+    naming the file, with the body row at fault where there is one.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="ascii") as fh:
         try:
             line = next((ln for ln in fh if ln.strip()), "")
             if line.lstrip().startswith("{"):
-                return _read_json(line + fh.read(), path)
-            return _read_csv(itertools.chain([line], fh), path)
+                return _read_json(line + fh.read())
+            return _read_csv(itertools.chain([line], fh))
         except UnicodeDecodeError as exc:
             raise DataError(f"field file {path} is not ASCII text: {exc}") from None
+        except ValueError as exc:
+            raise DataError(f"field file {path}: {exc}") from None

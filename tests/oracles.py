@@ -4,8 +4,8 @@ Series oracles run in exact rational arithmetic so they are immune to the
 cancellation that motivates the recurrences in the library; the quadrature
 helpers are deliberately separate from the library's integration code,
 the upwind loop steps the scheme the library applies in closed form, the
-whole-grid transform and maximum form at once what the library forms one
-block of rings at a time, and the field writer and reader format and parse
+whole-grid sample, transform and maximum form at once what the library
+forms one block of rings at a time, and the field writer and reader format and parse
 one value at a time where the library streams whole rings and hands the
 body to ``np.loadtxt``.  The whole-array kernels evaluate each formula
 with a fresh temporary per step: the library's ``laguerre`` and
@@ -210,11 +210,22 @@ def evolve_fd_whole_grid(field0, params, t_final):
     return np.fft.irfft(np.fft.rfft(field0.values, axis=1) * gain, n=grid.n_phi, axis=1)
 
 
+def sample_field_whole_grid(W, grid, t, params):
+    """W at time ``t`` on the whole polar grid, as one outer product of its factors.
+
+    ``radial[:, None] * angular`` from one ``_polar_grid`` call on every
+    radius: the library's block-by-block walker must give these values
+    bit for bit.
+    """
+    from phasewave.oscillator import _polar_grid
+
+    radial, angular = _polar_grid(W, params, grid.rho_nodes(), grid.phi_nodes(), t)
+    return radial[:, None] * angular
+
+
 def max_deviation_whole_grid(field, W, params):
     """max |W - field| from the whole sampled grid of W at the field's time tag."""
-    from phasewave import sample_field
-
-    exact = sample_field(W, field.grid, field.time_tag, params).values
+    exact = sample_field_whole_grid(W, field.grid, field.time_tag, params)
     return float(np.max(np.abs(exact - field.values)))
 
 

@@ -13,7 +13,8 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
 from phasewave.evolution import _fd_weights, _max_deviation, _ring_blocks, _sampled_blocks
 from phasewave.verify import check_positivity_edge
 
-from oracles import evolve_fd_whole_grid, max_deviation_whole_grid, upwind_roll_loop
+from oracles import (evolve_fd_whole_grid, max_deviation_whole_grid, sample_field_whole_grid,
+                     upwind_roll_loop)
 
 P = NATURAL_UNITS
 
@@ -349,7 +350,7 @@ def test_block_minimum_is_the_whole_grid_minimum(n_rho, A):
     assert [r.stop - r.start for r in _ring_blocks(grid)][-1] == (128 if n_rho == 512 else 44)
     W = standing_wave_field(P, 0, StandingWaveSpec(ell=3, A=A, C=5.0))
     blocks = [values.copy() for _, values in _sampled_blocks(W, grid, 0.0, P)]
-    whole = sample_field(W, grid, 0.0, P).values
+    whole = sample_field_whole_grid(W, grid, 0.0, P)
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
     assert min(float(b.min()) for b in blocks) == float(whole.min())
 

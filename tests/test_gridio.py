@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from decimal import Decimal
 
-from oracles import export_field_per_value, read_field_line_by_line, wigner_kernel_exact
+from oracles import (export_field_per_value, read_field_line_by_line, sample_field_whole_grid,
+                     wigner_kernel_exact)
 from phasewave import (NATURAL_UNITS, DataError, ExtendedWigner, Field2D, GridSpec,
                        OscillatorParams, StandingWaveSpec, StandingWaveWigner, StationaryWigner,
                        export_field, extended_field, phase_space_integral, propagate_exact,
@@ -53,6 +54,32 @@ def test_standing_wave_at_quarter_period_equals_stationary_sample():
     a = sample_field(standing_wave_field(P, 1, SPEC), grid, T / 4.0, P)
     b = sample_field(stationary_field(P, 1), grid, T / 4.0, P)
     assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid, rings", [
+    (GridSpec(rho_max=2.0, n_rho=1, n_phi=16), [1]),
+    (GridSpec(rho_max=4.0, n_rho=100, n_phi=1024), [64, 36]),
+    (GridSpec(rho_max=2.0, n_rho=2, n_phi=2**17), [1, 1]),
+], ids=["one-ring", "partial-last-block", "ring-longer-than-a-block"])
+def test_sample_field_fills_the_whole_grid_product_block_by_block(grid, rings):
+    assert [r.stop - r.start for r in _ring_blocks(grid)] == rings
+    W = standing_wave_field(SCALED, 5, SPEC)
+    bare = lambda x, p, t: W(x, p, t)
+    # a field class, a bare callable, and a rotation of one, whose angular factor is a grid
+    for field in (W, bare, propagate_exact(bare, SCALED, 0.8)):
+        got = sample_field(field, grid, 0.37, SCALED).values
+        assert got.tobytes() == sample_field_whole_grid(field, grid, 0.37, SCALED).tobytes()
+
+
+@pytest.mark.parametrize("bare, grids", [(False, 1.5), (True, 5.0)],
+                         ids=["field-class", "bare-callable"])
+def test_sample_field_holds_the_values_and_one_block(traced_peak, bare, grids):
+    # the values are allocated once; a bare callable's x, p and temporaries span one block
+    grid = GridSpec(rho_max=4.5, n_rho=256, n_phi=1024)
+    W = standing_wave_field(P, 5, SPEC)
+    field = (lambda x, p, t: W(x, p, t)) if bare else W
+    peak = traced_peak(lambda: sample_field(field, grid, 0.3, P))
+    assert peak < grids * grid.n_rho * grid.n_phi * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
 
 
 def test_nonfinite_sample_names_the_node():
@@ -261,8 +288,8 @@ def _swap_rows(i, j):
                        for i, ln in enumerate(lines)], "6 columns"),
     (_replace_row(LAST + 5, "1,2,abc,4,5\n"),
      rf"malformed row: .*'abc'.* at row {LAST + 5}, column 3"),
-    # numpy counts from 0 in a conversion error and from 1 when the column count changes
-    (_replace_row(LAST + 5, "# t=5\n"), f"malformed row: .* from 5 to 1 at row {LAST + 6};"),
+    # the same body row is named whether a value or the column count is at fault
+    (_replace_row(LAST + 5, "# t=5\n"), f"malformed row: .* from 5 to 1 at row {LAST + 5};"),
     (lambda lines, h: lines + ["# t=5\n"], f"has {ROWS + 1} rows, expected {ROWS}"),
     (lambda lines, h: lines[:-1], f"has {ROWS - 1} rows, expected {ROWS}"),
     (lambda lines, h: lines + lines[-1:], f"has {ROWS + 1} rows, expected {ROWS}"),
@@ -280,10 +307,13 @@ def _swap_rows(i, j):
                f"expected rho=2.0, phi={float(PHI[1])!r} at its node")),
     (lambda lines, h: [ln.replace("# m=1\n", "# m=-1\n") for ln in lines],
      "m must be finite and positive"),
+    # numpy refuses a 10^20-value grid before it allocates anything
+    (lambda lines, h: [re.sub(r"^# (n_rho|n_phi)=\d+", r"# \1=10000000000", ln)
+                       for ln in lines], "array is too big"),
 ], ids=["ragged-row", "long-row", "extra-column", "non-numeric", "hash-line-in-body",
         "hash-line-after-body", "short", "one-extra-row", "no-rows", "missing-header",
         "no-header-or-rows", "nan-time", "nan-value", "bad-parameter", "non-ascii",
-        "x-p-off-the-node", "swapped-rows", "bad-mass"])
+        "x-p-off-the-node", "swapped-rows", "bad-mass", "huge-grid"])
 def test_malformed_csv_raises_data_error_naming_the_file(tmp_path, edit, match):
     path = _broken_csv(tmp_path, edit)
     with pytest.raises(DataError, match=match) as info:

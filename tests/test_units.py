@@ -263,6 +263,39 @@ def test_the_polar_guard_sees_what_it_forbids():
                                      ("_polar_factor_vectors", 6)]
 
 
+def _polar_grid_calls(tree):
+    """(scope, line) of each call of ``_polar_grid``; the scope dots its classes and functions."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and "_polar_grid" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                calls.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(calls, key=lambda call: call[1])
+
+
+def test_every_sampled_grid_is_read_by_one_walker():
+    # the block walker samples grids; a rotation and the disk rule read factors at their own nodes
+    found = sorted((path.stem, scope) for path in SRC.glob("*.py")
+                   for scope, _ in _polar_grid_calls(ast.parse(path.read_text(), path.name)))
+    assert found == [("evolution", "Rotation.polar_factors"), ("evolution", "_sampled_blocks"),
+                     ("quadrature", "_disk_sum")]
+
+
+def test_the_walker_guard_sees_what_it_forbids():
+    tree = ast.parse("from .oscillator import _polar_grid\n_polar_grid(W)\n"
+                     "class R:\n    def f(self):\n        return oscillator._polar_grid(W)\n"
+                     "def g():\n    def h():\n        return [_polar_grid(W)]\n    _polar_factors(W)\n")
+    assert _polar_grid_calls(tree) == [("", 2), ("R.f", 5), ("g.h", 8)]
+
+
 def test_the_guard_sees_what_it_forbids():
     tree = ast.parse("a = params.omega**2\nb = (hbar / 2.0) ** k\nc = (-1.0) ** k * rho**2\n")
     assert _parameter_powers(tree) == [1, 2]
