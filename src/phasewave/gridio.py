@@ -247,7 +247,7 @@ def read_field(path):
     ``xy_from_polar`` gives there; without those four keys x and p go
     unchecked.  Every malformed file raises
     :class:`~phasewave.errors.DataError`, and this is the one place that
-    names the file: the readers below raise without it, and whatever
+    names the file: the readers raise without it, and whatever
     ``ValueError`` they or numpy raise is re-raised here as a ``DataError``
     naming the file, with the body row at fault where there is one.
     """

@@ -5,13 +5,13 @@ cancellation that motivates the recurrences in the library; the quadrature
 helpers are deliberately separate from the library's integration code,
 the upwind loop steps the scheme the library applies in closed form, the
 whole-grid sample, transform and maximum form at once what the library
-forms one block of rings at a time, and the field writer and reader format and parse
-one value at a time where the library streams whole rings and hands the
-body to ``np.loadtxt``.  The whole-array kernels evaluate each formula
-with a fresh temporary per step: the library's ``laguerre`` and
-``polar_from_xy`` run the same operations in place on preallocated arrays
-and must reproduce them bit for bit, and its ``hermite`` and ``energy_xy``
-take the same form.  The unit scales those formulas use are restated here
+forms one block of rings at a time, and the field writer and reader
+format and parse one value at a time where the library streams whole
+rings and hands the body to ``np.loadtxt``.  The whole-array kernels
+evaluate each formula with a fresh temporary per step: the library's
+``laguerre`` and ``polar_from_xy`` run the same operations in place on
+preallocated arrays and must reproduce them bit for bit, and its
+``hermite`` and ``energy_xy`` take the same form.  The unit scales those formulas use are restated here
 from (m, omega, hbar, alpha), as the products and quotients of square
 roots that ``OscillatorParams`` forms, and not read from it.
 """

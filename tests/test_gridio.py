@@ -79,7 +79,8 @@ def test_sample_field_holds_the_values_and_one_block(traced_peak, bare, grids):
     W = standing_wave_field(P, 5, SPEC)
     field = (lambda x, p, t: W(x, p, t)) if bare else W
     peak = traced_peak(lambda: sample_field(field, grid, 0.3, P))
-    assert peak < grids * grid.n_rho * grid.n_phi * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
+    one_grid = grid.n_rho * grid.n_phi * 8
+    assert peak < grids * one_grid, f"{peak / one_grid:.2f} grids"
 
 
 def test_nonfinite_sample_names_the_node():
