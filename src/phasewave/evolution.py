@@ -146,29 +146,18 @@ def _ring_blocks(grid: GridSpec, per_node: int = 1) -> list:
     return [slice(i, min(i + rings, grid.n_rho)) for i in range(0, grid.n_rho, rings)]
 
 
-def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Field2D:
-    """Advance a sampled field to ``t_final`` by first-order upwind advection.
+def _upwind_run(grid: GridSpec, params: OscillatorParams, t_start, t_final):
+    """Check an upwind run on ``grid`` from ``t_start`` to ``t_final``; return its steps, c, gain.
 
-    Integrates W_t = omega W_phi with forward Euler in time and the upwind
-    neighbour (j+1, the direction values arrive from for omega > 0) in the
-    periodic angle.  Requires ``grid.dt`` with Courant number
-    omega dt / delta_phi <= 1; a final partial step lands exactly on
-    ``t_final``.  Rings with distinct radii are independent.
-
-    The scheme is applied in closed form: a step v += c (v[j+1] - v[j])
-    multiplies angular wavenumber k by g_k = 1 + c (e^{i k delta_phi} - 1),
-    so the run multiplies the ring spectra by g_k^steps (times the partial
-    step's factor) and the cost does not depend on the time span.  At
-    c = 1 exactly a step is a one-node ring shift, g_k^n_phi = 1, and the
-    power is taken as steps % n_phi, so long runs stay exact shifts.  The
-    rings are transformed, multiplied and inverted one block of
-    ``_ring_blocks`` at a time, straight into the result: rows are
-    independent in ``rfft`` and ``irfft``, so no whole-grid spectrum is
-    held and every value has the bits of the whole-grid transform.
-    ``meta["ring_sum_drift"]`` is the largest change of a ring's sum, which
-    g_0 = 1 keeps at rounding level.
+    Requires ``grid.dt``, at least 16 angular nodes, Courant number
+    c = omega dt / delta_phi <= 1 and a span that does not run backwards.
+    The gain multiplies each ring's ``rfft`` spectrum by the whole run: a
+    step v += c (v[j+1] - v[j]) multiplies angular wavenumber k by
+    g_k = 1 + c (e^{i k delta_phi} - 1), so the run is g_k^steps times the
+    final partial step's factor.  At c = 1 exactly a step is a one-node
+    ring shift, g_k^n_phi = 1, and the power is taken as steps % n_phi, so
+    long runs stay exact shifts.  The gain is None when no step runs.
     """
-    grid = field0.grid
     if grid.n_phi < 16:
         raise ConfigurationError(f"time stepping needs n_phi >= 16, got {grid.n_phi}")
     if grid.dt is None:
@@ -179,34 +168,90 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
             f"Courant number {c:.6g} exceeds 1; reduce dt below "
             f"{grid.delta_phi / params.omega:.6g}"
         )
-    t_final = _real(t_final, "t_final")
-    span = t_final - field0.time_tag
+    span = _real(t_final, "t_final") - t_start
     if span < 0.0:
         raise ConfigurationError("t_final precedes the field's time tag")
     steps = int(math.floor(span / grid.dt + 1e-9))
     remainder = span - steps * grid.dt
     partial = remainder > 1e-12 * max(grid.dt, 1.0)
-    total = steps + int(partial)
+    if steps == 0 and not partial:
+        return 0, c, None
+    shift = np.exp(1j * grid.delta_phi * np.arange(grid.n_phi // 2 + 1)) - 1.0
+    gain = (1.0 + c * shift) ** (steps % grid.n_phi if c == 1.0 else steps)
+    if partial:
+        gain *= 1.0 + params.omega * remainder / grid.delta_phi * shift
+    return steps + int(partial), c, gain
 
+
+def _stepped_blocks(blocks, gain, steps: int, out=None):
+    """Yield ``(rows, values)``: each ``(rows, start values)`` of ``blocks`` after the run.
+
+    A block's rings are transformed, multiplied by ``gain`` and inverted;
+    rows are independent in ``rfft`` and ``irfft``, so every value has the
+    bits of the whole-grid transform.  With no gain the start values pass
+    through.  A block with a non-finite value raises ``BlowupError``
+    before it is yielded; given ``out``, an (n_rho, n_phi) array, each
+    block is copied into its rows of ``out`` first.  The spectrum is
+    released before the block is yielded.  The previous block stays alive
+    through the next transform: releasing it too saved a quarter of a
+    256 x 1024 grid of traced peak, but the allocator then handed the
+    pages back and refetched them for every block, and a warm ``evolve``
+    at 1024 x 4096 took 28,700 minor page faults instead of 1,220 and ran
+    about 20% slower (2-core x86-64 VM, numpy 2.4.6).
+    """
+    for rows, start in blocks:
+        if gain is None:
+            values = start
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+                spectrum = np.fft.rfft(start, axis=1)
+                spectrum *= gain
+                values = np.fft.irfft(spectrum, n=start.shape[1], axis=1)
+            del spectrum
+        if not np.all(np.isfinite(values)):
+            raise BlowupError(f"non-finite values after {steps} upwind steps")
+        if out is not None:
+            out[rows] = values
+        yield rows, values
+
+
+def _field_blocks(field: Field2D):
+    """Yield ``(rows, values)``: the field's values on each block of ``_ring_blocks``."""
+    for rows in _ring_blocks(field.grid):
+        yield rows, field.values[rows]
+
+
+def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Field2D:
+    """Advance a sampled field to ``t_final`` by first-order upwind advection.
+
+    Integrates W_t = omega W_phi with forward Euler in time and the upwind
+    neighbour (j+1, the direction values arrive from for omega > 0) in the
+    periodic angle.  Requires ``grid.dt`` with Courant number
+    omega dt / delta_phi <= 1; a final partial step lands exactly on
+    ``t_final``.  Rings with distinct radii are independent.
+
+    The scheme is applied in closed form by ``_upwind_run``'s gain, one
+    multiply of each ring's angular spectrum, so the cost does not depend
+    on the time span.  The rings are transformed, multiplied and inverted
+    one block of ``_ring_blocks`` at a time by ``_stepped_blocks`` and
+    copied into the result, so beside the start field and the result only
+    one block's spectrum and values are held: two grids, 64 MB at
+    1024 x 4096.  The ``evolve`` command runs the same stepper on sampled
+    blocks and compares each with the exact rotation as it goes, holding
+    no grid at all (33 MB peak RSS at 1024 x 4096, the import's 30 MB
+    included); this function is for callers that want the evolved field.
+    ``meta["ring_sum_drift"]`` is the largest change of a ring's sum, which
+    g_0 = 1 keeps at rounding level.
+    """
+    steps, c, gain = _upwind_run(field0.grid, params, field0.time_tag, t_final)
     v0 = field0.values
-    if total == 0:
-        vals = v0.copy()
-    else:
-        shift = np.exp(1j * grid.delta_phi * np.arange(grid.n_phi // 2 + 1)) - 1.0
-        gain = (1.0 + c * shift) ** (steps % grid.n_phi if c == 1.0 else steps)
-        if partial:
-            gain *= 1.0 + params.omega * remainder / grid.delta_phi * shift
-        vals = np.empty_like(v0)
-        for rows in _ring_blocks(grid):
-            spectrum = np.fft.rfft(v0[rows], axis=1)
-            spectrum *= gain
-            vals[rows] = np.fft.irfft(spectrum, n=grid.n_phi, axis=1)
-    if not np.all(np.isfinite(vals)):
-        raise BlowupError(f"non-finite values after {total} upwind steps")
+    vals = np.empty_like(v0)
+    for _ in _stepped_blocks(_field_blocks(field0), gain, steps, out=vals):
+        pass
     meta = dict(field0.meta)
-    meta.update(steps=total, scheme="upwind1-euler", courant=c,
+    meta.update(steps=steps, scheme="upwind1-euler", courant=c,
                 ring_sum_drift=float(np.max(np.abs(vals.sum(axis=1) - v0.sum(axis=1)))))
-    return Field2D(grid=grid, values=vals, time_tag=t_final, meta=meta)
+    return Field2D(grid=field0.grid, values=vals, time_tag=t_final, meta=meta)
 
 
 def _finite_nodes(vals, rho, phi, first_ring=0):
@@ -224,38 +269,63 @@ def _finite_nodes(vals, rho, phi, first_ring=0):
         )
 
 
-def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams):
+def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None):
     """Yield ``(rows, values)``: W at time ``t`` on each block of ``_ring_blocks``, rho-major.
 
     The values are read through ``_polar_grid`` as radial[:, None] * angular,
     an elementwise product, so each has the bits of the whole grid's.  This
-    is the one walker of sampled grids: ``sample_field`` fills its grid
-    from it.  A non-finite value raises ``DataError`` naming its node.  One
-    buffer of a block serves every block: a block's values are overwritten
-    by the next one, and the caller may work on them in place.
+    is the one walker of sampled grids.  A non-finite value raises
+    ``DataError`` naming its node.  Given ``out``, an (n_rho, n_phi) array,
+    each block is written straight into its rows of ``out``, as
+    ``sample_field`` fills its grid.  Otherwise one buffer of a block serves
+    every block: a block's values are overwritten by the next one, and the
+    caller may work on them in place.
     """
     rho, phi = grid.rho_nodes(), grid.phi_nodes()
     blocks = _ring_blocks(grid)
-    buffer = np.empty((blocks[0].stop, grid.n_phi))
+    buffer = np.empty((blocks[0].stop, grid.n_phi)) if out is None else None
     for rows in blocks:
         radial, angular = _polar_grid(W, params, rho[rows], phi, t)
-        values = np.multiply(radial[:, None], angular, out=buffer[:rows.stop - rows.start])
+        dest = buffer[:rows.stop - rows.start] if out is None else out[rows]
+        values = np.multiply(radial[:, None], angular, out=dest)
         _finite_nodes(values, rho, phi, rows.start)
         yield rows, values
 
 
-def _max_deviation(field: Field2D, W, params: OscillatorParams) -> float:
-    """max |W - field| over the field's nodes, with W at the field's time tag.
+def _max_deviation(blocks, W, grid: GridSpec, t, params: OscillatorParams) -> float:
+    """max |W - v| over a stream ``blocks`` of ``(rows, v)`` on ``grid``, with W at time ``t``.
 
-    W is sampled by ``_sampled_blocks`` and the difference is taken in each
-    block's buffer: no whole grid is formed, and the maximum has the bits
-    of the whole-grid one.
+    ``blocks`` covers the grid in the order of ``_ring_blocks``; each block
+    is drawn before W is sampled on its rows, by ``_sampled_blocks``, and
+    the difference is taken in the sample's buffer.  No whole grid is
+    formed, and the maximum has the bits of the whole-grid one.
     """
+    exact = _sampled_blocks(W, grid, t, params)
     worst = 0.0
-    for rows, diff in _sampled_blocks(W, field.grid, field.time_tag, params):
-        diff -= field.values[rows]
+    for _, values in blocks:
+        _, diff = next(exact)
+        diff -= values
         worst = max(worst, float(np.max(np.abs(diff, out=diff))))
     return worst
+
+
+def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, t_final, keep=False):
+    """Evolve W from t = 0 to ``t_final`` on ``grid`` and compare it with the exact rotation.
+
+    Returns ``(steps, err, values)``: the upwind step count, max |exact - fd|
+    over the nodes, and, when ``keep``, the evolved (n_rho, n_phi) values,
+    else None.  One block of rings at a time is sampled at t = 0, advanced
+    by ``_stepped_blocks``, compared with ``propagate_exact(W)`` sampled on
+    the same rings, and dropped, so without ``keep`` no grid-sized array is
+    held at all.  Every value and ``err`` have the bits of
+    ``evolve_fd(sample_field(W, grid, 0.0, params), params, t_final)``
+    compared by ``_max_deviation``.
+    """
+    steps, _, gain = _upwind_run(grid, params, 0.0, t_final)
+    values = np.empty((grid.n_rho, grid.n_phi)) if keep else None
+    evolved = _stepped_blocks(_sampled_blocks(W, grid, 0.0, params), gain, steps, out=values)
+    err = _max_deviation(evolved, propagate_exact(W, params, t_final), grid, t_final, params)
+    return steps, err, values
 
 
 def _check_triplet(fields):

@@ -33,21 +33,21 @@ _PARAM_KEYS = ("m", "omega", "hbar", "alpha")
 def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field2D:
     """Evaluate W(x, p, t) at the polar grid nodes, rho-major.
 
-    The values are allocated once and filled one block of rings at a time
-    by ``_sampled_blocks``, the one walker of every sampled grid: each
-    block is the product of a field's radial factor on its radii and its
-    angular factor on the angles, so a value has the same bits whichever
-    block it falls in.  For a field class that is the closed form at each
-    node (rho_i, phi_j); any other callable is evaluated at the (x, p)
-    image of a block's nodes.  A rotation from ``propagate_exact`` always
+    The values are allocated once and written one block of rings at a
+    time, in place, by ``_sampled_blocks``, the one walker of every sampled
+    grid: each block is the product of a field's radial factor on its radii
+    and its angular factor on the angles, so a value has the same bits
+    whichever block it falls in.  For a field class that is the closed
+    form at each node (rho_i, phi_j); any other callable is evaluated at
+    the (x, p) image of a block's nodes.  A rotation from ``propagate_exact`` always
     has ``polar_factors``, whose angular factor is such a grid when it
     turns a bare callable.  Raises :class:`~phasewave.errors.DataError`
     naming the first offending node if any sampled value is non-finite,
     and naming the time tag if ``t`` is not one finite real.
     """
     vals = np.empty((grid.n_rho, grid.n_phi))
-    for rows, block in _sampled_blocks(W, grid, t, params):
-        vals[rows] = block
+    for _ in _sampled_blocks(W, grid, t, params, out=vals):
+        pass
     return Field2D(grid=grid, values=vals, time_tag=t)
 
 
@@ -128,17 +128,27 @@ def _check_time(t: float) -> None:
 
 
 def _read_json(text: str):
+    """Parse the document, then check its grid and time as the CSV reader does.
+
+    A number out of its range reads as the ``GridSpec`` or ``Field2D``
+    message alone; only a document that does not parse, lacks a key, or
+    holds a grid entry that is not one number reads as malformed JSON.
+    """
     try:
         doc = json.loads(text)
         g = doc["grid"]
-        grid = GridSpec(rho_max=g["rho_max"], n_rho=g["n_rho"], n_phi=g["n_phi"],
-                        dt=g.get("dt"))
+        spec = {key: g[key] for key in ("rho_max", "n_rho", "n_phi")}
+        spec["dt"] = g.get("dt")
         values = np.asarray(doc["values"], dtype=float)
         t = float(doc["time"])
         meta = dict(doc["params"])
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"malformed JSON: {exc!r}") from None
     _check_time(t)
+    try:
+        grid = GridSpec(**spec)
+    except TypeError as exc:  # an array or text where a number is due
+        raise DataError(f"malformed JSON: {exc}") from None
     return Field2D(grid=grid, values=values, time_tag=t), meta
 
 

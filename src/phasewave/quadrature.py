@@ -8,9 +8,10 @@ Legendre recurrence, O(n^2) work in a few vectorised passes, with a last
 step in ``np.longdouble``; each mapped radius and weight rounds to a double
 once.  A line is a composite trapezoid too: its analytic integrand
 falls to rounding inside the window, where the rule converges geometrically,
-and a line whose estimate fails refines by midpoints up to eight times its
-panels.  Every routine reports convergence failure, a non-finite value
-included, as :class:`~phasewave.errors.AccuracyError` instead of returning
+and a line whose estimate fails refines by midpoints up to
+``LINE_REFINE`` times its panels.  Every routine reports convergence
+failure, a non-finite value included, as
+:class:`~phasewave.errors.AccuracyError` instead of returning
 a value it cannot back with an error estimate.  Every rule spans
 :data:`EXTENT` Gaussian widths, past which no field of order
 n <= ``MAX_ORDER`` is more than rounding, and runs with the node counts
@@ -49,6 +50,8 @@ EXTENT = math.sqrt(2 * MAX_ORDER + 1) + 4.5
 N_RHO, N_PHI, N_LINE = 512, 512, 512
 #: Absolute tolerance of every mesh-halving estimate, in the value's natural unit.
 TOL = 1e-8
+#: Factor by which a line rule may refine its first panel count.
+LINE_REFINE = 8
 
 
 def _newton_step(n, x):
@@ -182,7 +185,7 @@ def _nodes(a, b, n):
     return np.ascontiguousarray(np.linspace(a, b, n, axis=-1))
 
 
-def _line_integral(f, a, b, n_panels, tol, label):
+def _line_integral(f, a, b, n_panels, tol, label, max_step=math.inf):
     """Composite trapezoid with midpoint refinement and an error estimate.
 
     ``f(xs)`` returns the integrand at the nodes ``xs`` along its last
@@ -193,9 +196,13 @@ def _line_integral(f, a, b, n_panels, tol, label):
     ``f``'s values may broadcast them further.  Each line is estimated on
     its own, against the rule on every other node.  While some fail, ``f``
     runs on the midpoints of the current mesh,
-    T_2n = T_n / 2 + h_2n sum f(midpoints), up to 8 ``n_panels`` panels;
-    only the failing lines take the finer value and its distance from the
-    coarser one, so a line integrates exactly as it would alone.
+    T_2n = T_n / 2 + h_2n sum f(midpoints), up to ``LINE_REFINE``
+    ``n_panels`` panels; only the failing lines take the finer value and
+    its distance from the coarser one, so a line integrates exactly as it
+    would alone.  A line whose step is above ``max_step``, a number or an
+    array that broadcasts to the lines, fails too, whatever its estimate:
+    the caller sets it where two meshes can agree on a wrong value, and
+    makes sure the finest mesh meets it.
 
     The mesh estimate cannot see what lies outside [a, b].  A line whose
     integrand at a or b, times its b - a, exceeds ``tol`` is truncated by
@@ -205,7 +212,7 @@ def _line_integral(f, a, b, n_panels, tol, label):
     """
     n = int(n_panels)
     n += n % 2
-    finest = 8 * n
+    finest = LINE_REFINE * n
     width = b - a
     vals = _line_values(f, _nodes(a, b, n + 1))
     end = np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
@@ -223,14 +230,15 @@ def _line_integral(f, a, b, n_panels, tol, label):
         value = 0.5 * coarse + h * vals[..., 1::2].sum(axis=-1)
         est = abs(value - coarse)
         level = value
-        while n < finest and not np.all(est <= tol):
-            failed = ~(est <= tol)
+        failed = ~(est <= tol) | (h > max_step)
+        while n < finest and np.any(failed):
             h = 0.5 * h
             finer = 0.5 * level + h * _line_values(f, _nodes(a + h, b - h, n)).sum(axis=-1)
             value = np.where(failed, finer, value)
             est = np.where(failed, abs(finer - level), est)
             level = finer
             n *= 2
+            failed = ~(est <= tol) | (h > max_step)
     if not np.all(est <= tol):
         worst = np.unravel_index(np.argmax(est), est.shape)
         raise AccuracyError(

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, _integer, _require_finite, coordinate
+from .errors import AccuracyError, DataError, _integer, _require_finite, coordinate
 from .oscillator import NATURAL_UNITS, TWO_PI, OscillatorParams, energy_xy, xi_of
-from .quadrature import EXTENT, N_LINE, TOL, _line_integral
+from .quadrature import EXTENT, LINE_REFINE, N_LINE, TOL, _line_integral
 from .special import check_order, hermite, laguerre, log_weight
 
 
@@ -179,7 +179,11 @@ def wigner_from_wavefunction(params: OscillatorParams, n, x, p, return_error: bo
     closed form, hence usable as an oracle for it.  In widths it is 1/hbar
     times an integral over s/sigma_x, which spans 2 (|xi| + ``EXTENT``) on
     ``N_LINE`` trapezoid panels, refined by midpoints where needed; raises
-    ``AccuracyError`` when its mesh-halving estimate exceeds ``TOL``.
+    ``AccuracyError`` when its mesh-halving estimate exceeds ``TOL``.  A
+    line is accepted only on a step h <= pi / (|eta| + ``EXTENT``), where
+    neither the mesh nor its sub-mesh aliases the transform, and a
+    momentum that would need more panels than the rule refines to raises
+    ``AccuracyError`` naming p and the panels.
 
     ``x`` and ``p`` are finite numbers or arrays that broadcast together,
     and the result has their broadcast shape; a NaN or infinite entry
@@ -192,13 +196,31 @@ def wigner_from_wavefunction(params: OscillatorParams, n, x, p, return_error: bo
     xi = np.asarray(xi_of(params, _require_finite(x, "x")))
     s_max = 2.0 * (np.abs(xi) + EXTENT)  # psi_n is negligible past EXTENT widths
     centers = xi[..., None]
-    lines = (np.asarray(_require_finite(p, "p")) / params.sigma_p)[..., None]
+    p = np.asarray(_require_finite(p, "p"))
+    # Poisson summation: a mesh of step h adds W at eta + 2 pi k / h for every k != 0,
+    # and W is below TOL past EXTENT widths, so a mesh is free of aliases when
+    # h <= 2 pi / (|eta| + EXTENT).  The estimate compares the mesh with its sub-mesh
+    # of step 2 h, so the line rule takes half that step as its bound.  An eta or a
+    # panel count that overflows is refused below.
+    with np.errstate(over="ignore"):
+        eta = p / params.sigma_p
+        max_step = math.pi / (np.abs(eta) + EXTENT)
+        panels = 2.0 * s_max * (np.abs(eta) + EXTENT) / math.pi
+        if np.any(panels > LINE_REFINE * N_LINE):
+            worst = np.unravel_index(np.argmax(panels), panels.shape)
+            at = float(np.broadcast_to(p, panels.shape)[worst])
+            need = N_LINE * np.exp2(np.ceil(np.log2(panels[worst] / N_LINE)))
+            raise AccuracyError(f"wigner_from_wavefunction: p = {at!r} needs {need:g} panels to "
+                                f"keep the transform from aliasing, more than "
+                                f"{LINE_REFINE * N_LINE}")
+    lines = eta[..., None]
 
     def integrand(s):  # the eigenfunctions of unit width are those of natural units
         left = wavefunction(NATURAL_UNITS, n, centers + s / 2.0)
         right = wavefunction(NATURAL_UNITS, n, centers - s / 2.0)
         return np.cos(lines * s) * left * right / TWO_PI
 
-    value, est = _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction")
+    value, est = _line_integral(integrand, -s_max, s_max, N_LINE, TOL, "wigner_from_wavefunction",
+                                max_step)
     value, est = value / params.area, est / params.area
     return (value, est) if return_error else value

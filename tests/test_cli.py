@@ -13,6 +13,8 @@ from phasewave import (NATURAL_UNITS, GridSpec, OscillatorParams, StandingWaveSp
                        export_field, propagate_exact, read_field, sample_field,
                        standing_wave_field, stationary_field)
 from phasewave.cli import build_parser, parse_time, run
+from phasewave.errors import BlowupError
+from phasewave.evolution import _evolve_against_exact, _field_blocks, _max_deviation
 
 
 def invoke(argv):
@@ -402,18 +404,21 @@ def test_grid_equals_the_library_export(tmp_path, capsys):
         assert (tmp_path / "cli" / f"field_t{idx}.csv").read_bytes() == library.read_bytes()
 
 
-def test_evolve_equals_the_library_run(tmp_path, capsys):
-    assert invoke(["evolve", "--n", "5", "--ell", "3", "--omega", "1.3", "--n-rho", "4",
-                   "--n-phi", "64", "--t", "0.3,T/4", "--format", "json",
+# 66 rings of 1024 angles are two blocks, the second of two rings
+@pytest.mark.parametrize("n_rho, n_phi", [(4, 64), (66, 1024)], ids=["one-block", "two-blocks"])
+def test_evolve_equals_the_library_run(tmp_path, capsys, n_rho, n_phi):
+    assert invoke(["evolve", "--n", "5", "--ell", "3", "--omega", "1.3", "--n-rho", str(n_rho),
+                   "--n-phi", str(n_phi), "--t", "0,0.3,T/4", "--format", "json",
                    "--out", str(tmp_path / "cli")]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("t=")]
     params = OscillatorParams(omega=1.3)
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     W = standing_wave_field(params, 5, spec)
-    grid = GridSpec(rho_max=4.5, n_rho=4, n_phi=64, dt=0.5 * (2.0 * math.pi / 64) / 1.3)
+    grid = GridSpec(rho_max=4.5, n_rho=n_rho, n_phi=n_phi,
+                    dt=0.5 * (2.0 * math.pi / n_phi) / 1.3)
     start = sample_field(W, grid, 0.0, params)
     library = tmp_path / "library.json"
-    for idx, t in enumerate((0.3, spec.period(params.omega) / 4.0)):
+    for idx, t in enumerate((0.0, 0.3, spec.period(params.omega) / 4.0)):
         evolved = evolve_fd(start, params, t)
         exact = sample_field(propagate_exact(W, params, t), grid, t, params)
         err = float(np.max(np.abs(evolved.values - exact.values)))
@@ -423,21 +428,67 @@ def test_evolve_equals_the_library_run(tmp_path, capsys):
         assert (tmp_path / "cli" / f"evolved_t{idx}.json").read_bytes() == library.read_bytes()
 
 
-def test_evolve_holds_at_most_four_grids(traced_peak, capsys):
-    # the start grid, one evolved grid, the target grid its difference is formed in,
-    # and the ring spectrum inside evolve_fd; the earlier times' grids are gone
-    argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", "128", "--n-phi", "1024",
-            "--t", "0.7,T/4"]
-    peak = traced_peak(lambda: invoke(argv))
-    capsys.readouterr()
-    assert peak <= 4 * 128 * 1024 * 8, f"{peak / (128 * 1024 * 8):.2f} grids"
-
-
-def test_evolve_holds_the_start_grid_the_result_and_one_block(traced_peak, capsys):
-    # the ring spectrum and the exact values exist one block of rings at a time,
-    # a quarter of this grid, beside the start grid and one evolved grid
+def test_evolve_holds_a_few_blocks_and_no_grid(traced_peak, capsys):
+    # the start values, their spectrum, the evolved values and the exact values
+    # exist one block of rings at a time, a quarter of this grid each, beside
+    # the previous block's evolved values
     argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", "256", "--n-phi", "1024",
             "--t", "3.0123,4.4567"]
     peak = traced_peak(lambda: invoke(argv))
     capsys.readouterr()
-    assert peak < 2.75 * 256 * 1024 * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
+    assert peak < 1.5 * 256 * 1024 * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
+
+
+@pytest.mark.parametrize("n_rho", [256, 1024])
+def test_evolve_memory_does_not_grow_with_the_rings(traced_peak, capsys, n_rho):
+    argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", str(n_rho), "--n-phi", "1024",
+            "--t", "0.7,T/4"]
+    peak = traced_peak(lambda: invoke(argv))
+    capsys.readouterr()
+    assert peak < 3.5e6, f"{peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("n_rho, n_phi, courant, t", [
+    (100, 1024, 0.5, 1.3),
+    (2, 2**17, 0.5, 0.01),
+    (100, 1024, 0.5, 0.0),
+    (100, 1024, 1.0, 2.2),
+], ids=["partial-last-block", "ring-longer-than-a-block", "zero-steps", "courant-one"])
+def test_streamed_evolve_equals_evolve_fd_and_max_deviation(n_rho, n_phi, courant, t):
+    grid = GridSpec(rho_max=4.0, n_rho=n_rho, n_phi=n_phi, dt=courant * 2.0 * math.pi / n_phi)
+    W = standing_wave_field(NATURAL_UNITS, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0))
+    evolved = evolve_fd(sample_field(W, grid, 0.0, NATURAL_UNITS), NATURAL_UNITS, t)
+    assert evolved.meta["courant"] == courant
+    err = _max_deviation(_field_blocks(evolved), propagate_exact(W, NATURAL_UNITS, t), grid, t,
+                         NATURAL_UNITS)
+    steps, streamed, none = _evolve_against_exact(W, grid, NATURAL_UNITS, t)
+    assert (steps, streamed, none) == (evolved.meta["steps"], err, None)
+    steps, streamed, values = _evolve_against_exact(W, grid, NATURAL_UNITS, t, keep=True)
+    assert (steps, streamed) == (evolved.meta["steps"], err)
+    assert values.tobytes() == evolved.values.tobytes()
+
+
+def test_non_finite_evolved_block_raises_before_its_exact_values_are_sampled():
+    # 100 rings of 1024 angles are two blocks; every ring of the second lies past
+    # rho = 2.6, where the start values overflow a ring's transform
+    grid = GridSpec(rho_max=4.0, n_rho=100, n_phi=1024, dt=0.5 * 2.0 * math.pi / 1024)
+    sampled = []
+
+    def W(x, p, t):
+        sampled.append(np.shape(x)[0])
+        return np.where(x * x + p * p > 2.6**2, 1e308, 1.0)
+
+    with pytest.raises(BlowupError, match="non-finite values after 1 upwind steps"):
+        _evolve_against_exact(W, grid, NATURAL_UNITS, 0.5 * grid.dt)
+    # the start and exact values of the first block, then the start values of the second
+    assert sampled == [64, 64, 36]
+
+
+def test_evolve_blowup_is_reported_without_a_traceback(capsys):
+    # values near 1 / (pi hbar) = 3e305 overflow the sum of a ring of 1024
+    argv = ["evolve", "--hbar", "1e-306", "--rho-max", "1e-153", "--n-rho", "4",
+            "--n-phi", "1024", "--t", "0.5"]
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "phasewave: blowup: non-finite values after 163 upwind steps\n"

@@ -10,7 +10,8 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field, xy_from_polar)
-from phasewave.evolution import _fd_weights, _max_deviation, _ring_blocks, _sampled_blocks
+from phasewave.evolution import (_fd_weights, _field_blocks, _max_deviation, _ring_blocks,
+                                _sampled_blocks)
 from phasewave.verify import check_positivity_edge
 
 from oracles import (evolve_fd_whole_grid, max_deviation_whole_grid, sample_field_whole_grid,
@@ -339,7 +340,8 @@ def test_max_deviation_equals_the_whole_grid_maximum():
     # a field class, its rotation, and the rotation of a bare callable, whose
     # angular factor is a grid
     for target in (W, propagate_exact(W, P, 1.3), propagate_exact(bare, P, 1.3)):
-        assert _max_deviation(evolved, target, P) == max_deviation_whole_grid(evolved, target, P)
+        got = _max_deviation(_field_blocks(evolved), target, grid, 1.3, P)
+        assert got == max_deviation_whole_grid(evolved, target, P)
 
 
 @pytest.mark.parametrize("n_rho", [512, 300], ids=["positivity-grid", "partial-last-block"])
@@ -371,7 +373,7 @@ def test_max_deviation_names_a_non_finite_target_node():
         sample_field(W, grid, 0.0, P)
     assert "(i=86, j=1)" in str(sampled.value)
     with pytest.raises(DataError, match=re.escape(str(sampled.value))):
-        _max_deviation(field, W, P)
+        _max_deviation(_field_blocks(field), W, grid, 0.0, P)
 
 
 # ------------------------------------------------------------------ residuals

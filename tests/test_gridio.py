@@ -71,10 +71,11 @@ def test_sample_field_fills_the_whole_grid_product_block_by_block(grid, rings):
         assert got.tobytes() == sample_field_whole_grid(field, grid, 0.37, SCALED).tobytes()
 
 
-@pytest.mark.parametrize("bare, grids", [(False, 1.5), (True, 5.0)],
+@pytest.mark.parametrize("bare, grids", [(False, 1.2), (True, 5.0)],
                          ids=["field-class", "bare-callable"])
 def test_sample_field_holds_the_values_and_one_block(traced_peak, bare, grids):
-    # the values are allocated once; a bare callable's x, p and temporaries span one block
+    # the values are allocated once and each block is written into them in place;
+    # a bare callable's x, p and temporaries span one block
     grid = GridSpec(rho_max=4.5, n_rho=256, n_phi=1024)
     W = standing_wave_field(P, 5, SPEC)
     field = (lambda x, p, t: W(x, p, t)) if bare else W
@@ -335,11 +336,15 @@ def _json_doc(tmp_path):
     (lambda doc: doc.update(values=doc["values"][:-1]), "does not match grid"),
     (lambda doc: doc["values"][1].pop(), "malformed JSON"),
     (lambda doc: doc.pop("grid"), "malformed JSON"),
-    (lambda doc: doc["grid"].update(n_rho=10.5), "n_rho must be an integer"),
+    # a grid number out of range reads as the CSV reader words it, with no repr
+    (lambda doc: doc["grid"].update(n_rho=10.5),
+     r": n_rho must be an integer in \[1, inf\], got 10\.5$"),
+    (lambda doc: doc["grid"].update(n_phi=[16]),
+     r": malformed JSON: n_phi must be one number, got an array of shape \(1,\)$"),
     (lambda doc: doc["grid"].update(rho_max=True), "rho_max must be finite and positive"),
     (lambda doc: doc["grid"].update(dt=True), "dt must be finite and positive"),
 ], ids=["nan-time", "inf-time", "short-values", "ragged-values", "no-grid", "fractional-n_rho",
-        "bool-rho_max", "bool-dt"])
+        "array-n_phi", "bool-rho_max", "bool-dt"])
 def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match):
     doc = _json_doc(tmp_path)
     edit(doc)

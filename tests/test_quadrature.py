@@ -477,14 +477,14 @@ def test_line_rules_of_the_suite_run_on_n_line_panels(monkeypatch):
     traffic, current = [], []
     rule = quadrature._line_integral
 
-    def counted(f, a, b, n_panels, tol, label):
+    def counted(f, a, b, n_panels, tol, label, *max_step):
         nodes = []
         traffic.append((current[-1], label, nodes))
 
         def g(xs):
             nodes.append(xs.shape[-1])
             return f(xs)
-        return rule(g, a, b, n_panels, tol, label)
+        return rule(g, a, b, n_panels, tol, label, *max_step)
 
     for module in (quadrature, wigner):
         monkeypatch.setattr(module, "_line_integral", counted)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,8 @@ from phasewave import (NATURAL_UNITS, OscillatorParams, StandingWaveSpec,
                        polar_from_xy, position_density, radial_kernel, running_wave_profile,
                        standing_wave_field, stationary_field, wavefunction,
                        wigner_from_wavefunction, wigner_stationary)
-from phasewave.errors import DataError
+from phasewave.errors import AccuracyError, DataError
+from phasewave.quadrature import TOL
 
 from oracles import lag_series, p_derivative_polynomial, simpson, wigner_kernel_exact
 
@@ -151,6 +153,26 @@ def test_transform_matches_exact_kernel_for_every_order(params):
             rho = math.hypot(params.omega * (x + params.shift), p / params.m)
             exact = float(wigner_kernel_exact(n, rho, params.m, params.omega, params.hbar))
             assert abs(value - exact) <= 1e-12, (n, x, p, value, exact)
+
+
+@pytest.mark.parametrize("n", [0, 5, 64])
+def test_transform_is_right_within_its_estimate_or_raises_out_to_p_200(n):
+    # the aliasing scan, coarse: on the first mesh the transform was wrong from
+    # p ~ 36 at x = 1.3 with an estimate below TOL, and read 0.04 at (0, 100)
+    W = stationary_field(NATURAL_UNITS, n)
+    for x in (0.0, 1.3):
+        for p in map(float, range(201)):
+            try:
+                value, est = wigner_from_wavefunction(NATURAL_UNITS, n, x, p, return_error=True)
+            except AccuracyError as exc:
+                assert p > 150.0 and re.search(rf"p = {p!r} needs \d+ panels", str(exc))
+                continue
+            assert abs(value - W(x, p)) <= max(est, TOL), (x, p, value, est)
+
+
+def test_transform_refuses_a_momentum_its_finest_mesh_would_alias():
+    with pytest.raises(AccuracyError, match=r"p = 200.0 needs 8192 panels .* more than 4096"):
+        wigner_from_wavefunction(NATURAL_UNITS, 0, 1.3, [0.5, 200.0])
 
 
 def test_stationary_field_ignores_time():
