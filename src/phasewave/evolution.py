@@ -183,35 +183,48 @@ def _upwind_run(grid: GridSpec, params: OscillatorParams, t_start, t_final):
     return steps + int(partial), c, gain
 
 
-def _stepped_blocks(blocks, gain, steps: int, out=None):
+def _block_buffer(grid: GridSpec, spectrum: bool = False) -> np.ndarray:
+    """An empty array for the largest block of ``_ring_blocks(grid)``: its values, or its spectrum.
+
+    A block's leading rows of it hold any smaller block, so one buffer
+    serves every block of a walk.
+    """
+    rings = _ring_blocks(grid)[0].stop
+    if spectrum:
+        return np.empty((rings, grid.n_phi // 2 + 1), dtype=complex)
+    return np.empty((rings, grid.n_phi))
+
+
+def _stepped_blocks(blocks, gain, steps: int, spectrum, out=None):
     """Yield ``(rows, values)``: each ``(rows, start values)`` of ``blocks`` after the run.
 
-    A block's rings are transformed, multiplied by ``gain`` and inverted;
-    rows are independent in ``rfft`` and ``irfft``, so every value has the
-    bits of the whole-grid transform.  With no gain the start values pass
-    through.  A block with a non-finite value raises ``BlowupError``
-    before it is yielded; given ``out``, an (n_rho, n_phi) array, each
-    block is copied into its rows of ``out`` first.  The spectrum is
-    released before the block is yielded.  The previous block stays alive
-    through the next transform: releasing it too saved a quarter of a
-    256 x 1024 grid of traced peak, but the allocator then handed the
-    pages back and refetched them for every block, and a warm ``evolve``
-    at 1024 x 4096 took 28,700 minor page faults instead of 1,220 and ran
-    about 20% slower (2-core x86-64 VM, numpy 2.4.6).
+    A block's rings are transformed into ``spectrum``, a buffer from
+    ``_block_buffer`` that every block reuses, multiplied by ``gain`` and
+    inverted into the block's rows of ``out``, an (n_rho, n_phi) array,
+    or, without ``out``, into the start values themselves, which must then
+    be a buffer the caller lets go (as ``_sampled_blocks``' is).  Rows are
+    independent in ``rfft`` and ``irfft``, and writing through their
+    ``out=`` changes no bit, so every value has the bits of the whole-grid
+    transform.  With no gain the start values pass through, copied into
+    ``out`` when given.  A block with a non-finite value raises
+    ``BlowupError`` before it is yielded.  With buffers made once per
+    call, a warm ``evolve`` takes 352 minor page faults per run at any grid
+    size; fresh arrays for every block's spectrum and values took about
+    1,220, and releasing each block before the next transform took 28,700
+    at 1024 x 4096 (2-core x86-64 VM, numpy 2.4.6).
     """
     for rows, start in blocks:
-        if gain is None:
-            values = start
-        else:
+        values = start if out is None else out[rows]
+        if gain is not None:
+            spec = spectrum[:len(start)]
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-                spectrum = np.fft.rfft(start, axis=1)
-                spectrum *= gain
-                values = np.fft.irfft(spectrum, n=start.shape[1], axis=1)
-            del spectrum
+                np.fft.rfft(start, axis=1, out=spec)
+                spec *= gain
+                np.fft.irfft(spec, n=start.shape[1], axis=1, out=values)
+        elif out is not None:
+            values[...] = start
         if not np.all(np.isfinite(values)):
             raise BlowupError(f"non-finite values after {steps} upwind steps")
-        if out is not None:
-            out[rows] = values
         yield rows, values
 
 
@@ -233,25 +246,26 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
     The scheme is applied in closed form by ``_upwind_run``'s gain, one
     multiply of each ring's angular spectrum, so the cost does not depend
     on the time span.  The rings are transformed, multiplied and inverted
-    one block of ``_ring_blocks`` at a time by ``_stepped_blocks`` and
-    copied into the result, so beside the start field and the result only
-    one block's spectrum and values are held: two grids, 64 MB at
-    1024 x 4096.  The ``evolve`` command runs the same stepper on sampled
-    blocks and compares each with the exact rotation as it goes, holding
-    no grid at all (33 MB peak RSS at 1024 x 4096, the import's 30 MB
-    included); this function is for callers that want the evolved field.
-    ``meta["ring_sum_drift"]`` is the largest change of a ring's sum, which
-    g_0 = 1 keeps at rounding level.
+    one block of ``_ring_blocks`` at a time by ``_stepped_blocks``, through
+    one spectrum buffer that every block reuses, straight into the result,
+    so beside the start field and the result only that one block is held:
+    two grids, 64 MB at 1024 x 4096.  The ``evolve`` command runs the same
+    stepper on sampled blocks and compares each with the exact rotation as
+    it goes, holding no grid at all (33 MB peak RSS at 1024 x 4096, the
+    import's 30 MB included); this function is for callers that want the
+    evolved field.  ``meta["ring_sum_drift"]`` is the largest change of a
+    ring's sum, which g_0 = 1 keeps at rounding level.
     """
-    steps, c, gain = _upwind_run(field0.grid, params, field0.time_tag, t_final)
+    grid = field0.grid
+    steps, c, gain = _upwind_run(grid, params, field0.time_tag, t_final)
     v0 = field0.values
     vals = np.empty_like(v0)
-    for _ in _stepped_blocks(_field_blocks(field0), gain, steps, out=vals):
+    for _ in _stepped_blocks(_field_blocks(field0), gain, steps, _block_buffer(grid, True), vals):
         pass
     meta = dict(field0.meta)
     meta.update(steps=steps, scheme="upwind1-euler", courant=c,
                 ring_sum_drift=float(np.max(np.abs(vals.sum(axis=1) - v0.sum(axis=1)))))
-    return Field2D(grid=field0.grid, values=vals, time_tag=t_final, meta=meta)
+    return Field2D(grid=grid, values=vals, time_tag=t_final, meta=meta)
 
 
 def _finite_nodes(vals, rho, phi, first_ring=0):
@@ -269,38 +283,51 @@ def _finite_nodes(vals, rho, phi, first_ring=0):
         )
 
 
-def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None):
+def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None, buffer=None):
     """Yield ``(rows, values)``: W at time ``t`` on each block of ``_ring_blocks``, rho-major.
 
     The values are read through ``_polar_grid`` as radial[:, None] * angular,
     an elementwise product, so each has the bits of the whole grid's.  This
-    is the one walker of sampled grids.  A non-finite value raises
-    ``DataError`` naming its node.  Given ``out``, an (n_rho, n_phi) array,
-    each block is written straight into its rows of ``out``, as
-    ``sample_field`` fills its grid.  Otherwise one buffer of a block serves
-    every block: a block's values are overwritten by the next one, and the
-    caller may work on them in place.
+    is the one walker of sampled grids.  A field whose angular factor is
+    1-d (a field class, or a rotation of one) is read at most twice per
+    sampling, whatever the number of blocks: on the first block's radii,
+    then on every remaining radius, and each block takes its rows of that
+    radial factor.  An (n_rho, n_phi) angular factor (a bare callable, or a
+    rotation of one) is read one block at a time, so no more than a block
+    of its values is held.  A non-finite value raises ``DataError`` naming
+    its node.  Given ``out``, an (n_rho, n_phi) array, each block is written
+    straight into its rows of ``out``, as ``sample_field`` fills its grid.
+    Otherwise every block is written into ``buffer`` from ``_block_buffer``,
+    made here when not given: a block's values are overwritten by the next
+    one, and the caller may work on them in place.
     """
     rho, phi = grid.rho_nodes(), grid.phi_nodes()
-    blocks = _ring_blocks(grid)
-    buffer = np.empty((blocks[0].stop, grid.n_phi)) if out is None else None
-    for rows in blocks:
-        radial, angular = _polar_grid(W, params, rho[rows], phi, t)
-        dest = buffer[:rows.stop - rows.start] if out is None else out[rows]
-        values = np.multiply(radial[:, None], angular, out=dest)
+    if out is None and buffer is None:
+        buffer = _block_buffer(grid)
+    first = read = 0  # the factors in hand are those of the rings first .. read - 1
+    for rows in _ring_blocks(grid):
+        if rows.stop > read:  # after the first block, a 1-d angular factor serves every ring
+            first = rows.start
+            read = grid.n_rho if first and angular.ndim == 1 else rows.stop
+            radial, angular = _polar_grid(W, params, rho[first:read], phi, t)
+        part = slice(rows.start - first, rows.stop - first)
+        dest = out[rows] if out is not None else buffer[:rows.stop - rows.start]
+        values = np.multiply(radial[part, None], angular if angular.ndim == 1 else angular[part],
+                             out=dest)
         _finite_nodes(values, rho, phi, rows.start)
         yield rows, values
 
 
-def _max_deviation(blocks, W, grid: GridSpec, t, params: OscillatorParams) -> float:
+def _max_deviation(blocks, W, grid: GridSpec, t, params: OscillatorParams, buffer=None) -> float:
     """max |W - v| over a stream ``blocks`` of ``(rows, v)`` on ``grid``, with W at time ``t``.
 
     ``blocks`` covers the grid in the order of ``_ring_blocks``; each block
-    is drawn before W is sampled on its rows, by ``_sampled_blocks``, and
-    the difference is taken in the sample's buffer.  No whole grid is
-    formed, and the maximum has the bits of the whole-grid one.
+    is drawn before W is sampled on its rows, by ``_sampled_blocks`` into
+    ``buffer`` (see there), and the difference is taken in that buffer.  No
+    whole grid is formed, and the maximum has the bits of the whole-grid
+    one.
     """
-    exact = _sampled_blocks(W, grid, t, params)
+    exact = _sampled_blocks(W, grid, t, params, buffer=buffer)
     worst = 0.0
     for _, values in blocks:
         _, diff = next(exact)
@@ -309,23 +336,31 @@ def _max_deviation(blocks, W, grid: GridSpec, t, params: OscillatorParams) -> fl
     return worst
 
 
-def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, t_final, keep=False):
-    """Evolve W from t = 0 to ``t_final`` on ``grid`` and compare it with the exact rotation.
+def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, times, keep=False):
+    """Evolve W from t = 0 to each of ``times`` on ``grid`` and compare it with the exact rotation.
 
-    Returns ``(steps, err, values)``: the upwind step count, max |exact - fd|
-    over the nodes, and, when ``keep``, the evolved (n_rho, n_phi) values,
-    else None.  One block of rings at a time is sampled at t = 0, advanced
-    by ``_stepped_blocks``, compared with ``propagate_exact(W)`` sampled on
-    the same rings, and dropped, so without ``keep`` no grid-sized array is
-    held at all.  Every value and ``err`` have the bits of
-    ``evolve_fd(sample_field(W, grid, 0.0, params), params, t_final)``
-    compared by ``_max_deviation``.
+    Yields ``(steps, err, values)`` for each time in turn, before the next
+    time starts: the upwind step count, max |exact - fd| over the nodes,
+    and, when ``keep``, the evolved (n_rho, n_phi) values, a new array for
+    each time, else None.  One block of rings at a time is sampled at
+    t = 0, advanced by ``_stepped_blocks``, compared with
+    ``propagate_exact(W)`` sampled on the same rings, and dropped, so
+    without ``keep`` no grid-sized array is held at all.  Three block
+    buffers, made once per call, serve every block of every time: the start
+    values, which are evolved in place unless ``keep`` takes them into the
+    kept array, their spectrum, and the exact values.  Every
+    value and ``err`` have the bits of
+    ``evolve_fd(sample_field(W, grid, 0.0, params), params, t)`` compared
+    by ``_max_deviation``.
     """
-    steps, _, gain = _upwind_run(grid, params, 0.0, t_final)
-    values = np.empty((grid.n_rho, grid.n_phi)) if keep else None
-    evolved = _stepped_blocks(_sampled_blocks(W, grid, 0.0, params), gain, steps, out=values)
-    err = _max_deviation(evolved, propagate_exact(W, params, t_final), grid, t_final, params)
-    return steps, err, values
+    start, spectrum, exact = _block_buffer(grid), _block_buffer(grid, True), _block_buffer(grid)
+    for t in times:
+        steps, _, gain = _upwind_run(grid, params, 0.0, t)
+        values = np.empty((grid.n_rho, grid.n_phi)) if keep else None
+        stepped = _stepped_blocks(_sampled_blocks(W, grid, 0.0, params, buffer=start), gain, steps,
+                                  spectrum, values)
+        err = _max_deviation(stepped, propagate_exact(W, params, t), grid, t, params, buffer=exact)
+        yield steps, err, values
 
 
 def _check_triplet(fields):

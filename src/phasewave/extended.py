@@ -206,9 +206,12 @@ def normalization(profile: WaveProfile) -> float:
     which grows with the size of f and g, so a change above ``_MEAN_TOL``
     times the larger of 1 and the largest |f| or |g| sampled raises
     ``DataError``, and so does a non-finite sample.  A mean's rounding is
-    estimated as that change plus one ulp of its largest sample;
+    estimated as that change plus one ulp of its largest sample.
+    ``DegenerateProfileError`` if C + <f> + <g> is zero, no larger than
+    the two estimates, or so small that its reciprocal is not finite;
     ``AccuracyError`` if the two estimates exceed ``_MEAN_TOL`` times
-    |C + <f> + <g>|.
+    |C + <f> + <g>|.  There is no absolute floor: C = 1e-13 or 1e-300
+    with f = g = 0 gives N = 1/C.
     """
     phi = TWO_PI * np.arange(_MEAN_PANELS) / _MEAN_PANELS
 
@@ -234,9 +237,15 @@ def normalization(profile: WaveProfile) -> float:
     mean_f, err_f = angular_mean(profile.f, +1.0, "f")
     mean_g, err_g = angular_mean(profile.g, -1.0, "g")
     den = profile.C + mean_f + mean_g
-    if abs(den) < 1e-12:
+    if abs(den) <= err_f + err_g:
         raise DegenerateProfileError(
-            f"C + <f> + <g> = {den!r} is numerically zero; the profile cannot be normalized"
+            f"C + <f> + <g> = {den!r} is zero to within the means' estimated rounding of "
+            f"{err_f + err_g:.3e}; the profile cannot be normalized"
+        )
+    if not math.isfinite(1.0 / den):
+        raise DegenerateProfileError(
+            f"N = 1/(C + <f> + <g>) = 1/{den!r} is past the doubles; "
+            f"the profile cannot be normalized"
         )
     if err_f + err_g > _MEAN_TOL * abs(den):
         raise AccuracyError(

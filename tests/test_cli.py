@@ -76,6 +76,19 @@ def test_amplitude_whose_modulation_overflows_is_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--t", ","],
+    ["grid", "--n-rho", "4", "--n-phi", "16", "--t", ","],
+    ["evolve", "--n-rho", "4", "--n-phi", "32", "--t", ",,,"],
+], ids=["eval", "grid", "evolve"])
+def test_a_time_list_with_no_time_is_usage_error(argv, tmp_path, capsys):
+    assert invoke([*argv, "--out", str(tmp_path)] if argv[0] != "eval" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"phasewave: error: --t {argv[-1]!r} lists no time\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_nonfinite_time_writes_nothing(tmp_path, capsys):
     out = tmp_path / "field.csv"
     assert invoke(["grid", "--n-rho", "4", "--n-phi", "16", "--t", "nan",
@@ -448,24 +461,34 @@ def test_evolve_memory_does_not_grow_with_the_rings(traced_peak, capsys, n_rho):
     assert peak < 3.5e6, f"{peak / 1e6:.2f} MB"
 
 
-@pytest.mark.parametrize("n_rho, n_phi, courant, t", [
-    (100, 1024, 0.5, 1.3),
-    (2, 2**17, 0.5, 0.01),
-    (100, 1024, 0.5, 0.0),
-    (100, 1024, 1.0, 2.2),
-], ids=["partial-last-block", "ring-longer-than-a-block", "zero-steps", "courant-one"])
-def test_streamed_evolve_equals_evolve_fd_and_max_deviation(n_rho, n_phi, courant, t):
+# every case puts a zero-step time among non-zero ones
+@pytest.mark.parametrize("n_rho, n_phi, courant, times, bare", [
+    (100, 1024, 0.5, (1.3, 0.0, 0.7), False),
+    (2, 2**17, 0.5, (0.01, 0.0, 0.004), False),
+    (100, 1024, 0.5, (0.0, 1.3, 0.0), False),
+    (100, 1024, 1.0, (2.2, 0.0, 5.1), False),
+    (100, 1024, 0.5, (0.0, 1.3, 0.7), True),
+], ids=["partial-last-block", "ring-longer-than-a-block", "zero-steps", "courant-one",
+        "bare-callable"])
+def test_streamed_evolve_equals_evolve_fd_and_max_deviation(n_rho, n_phi, courant, times, bare):
     grid = GridSpec(rho_max=4.0, n_rho=n_rho, n_phi=n_phi, dt=courant * 2.0 * math.pi / n_phi)
     W = standing_wave_field(NATURAL_UNITS, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0))
-    evolved = evolve_fd(sample_field(W, grid, 0.0, NATURAL_UNITS), NATURAL_UNITS, t)
-    assert evolved.meta["courant"] == courant
-    err = _max_deviation(_field_blocks(evolved), propagate_exact(W, NATURAL_UNITS, t), grid, t,
-                         NATURAL_UNITS)
-    steps, streamed, none = _evolve_against_exact(W, grid, NATURAL_UNITS, t)
-    assert (steps, streamed, none) == (evolved.meta["steps"], err, None)
-    steps, streamed, values = _evolve_against_exact(W, grid, NATURAL_UNITS, t, keep=True)
-    assert (steps, streamed) == (evolved.meta["steps"], err)
-    assert values.tobytes() == evolved.values.tobytes()
+    if bare:  # the same field without polar_factors
+        W = lambda x, p, t, field=W: field(x, p, t)
+    start = sample_field(W, grid, 0.0, NATURAL_UNITS)
+    # two calls at once, drawn in turn: neither sees the other's buffers
+    streamed = _evolve_against_exact(W, grid, NATURAL_UNITS, times)
+    kept = _evolve_against_exact(W, grid, NATURAL_UNITS, times, keep=True)
+    for t, run, run_kept in zip(times, streamed, kept, strict=True):
+        evolved = evolve_fd(start, NATURAL_UNITS, t)
+        assert evolved.meta["courant"] == courant
+        err = _max_deviation(_field_blocks(evolved), propagate_exact(W, NATURAL_UNITS, t), grid,
+                             t, NATURAL_UNITS)
+        assert run == (evolved.meta["steps"], err, None)
+        steps, err_kept, values = run_kept
+        assert (steps, err_kept) == (evolved.meta["steps"], err)
+        assert values.tobytes() == evolved.values.tobytes()
+    assert 0 in [evolve_fd(start, NATURAL_UNITS, t).meta["steps"] for t in times]
 
 
 def test_non_finite_evolved_block_raises_before_its_exact_values_are_sampled():
@@ -479,9 +502,19 @@ def test_non_finite_evolved_block_raises_before_its_exact_values_are_sampled():
         return np.where(x * x + p * p > 2.6**2, 1e308, 1.0)
 
     with pytest.raises(BlowupError, match="non-finite values after 1 upwind steps"):
-        _evolve_against_exact(W, grid, NATURAL_UNITS, 0.5 * grid.dt)
+        list(_evolve_against_exact(W, grid, NATURAL_UNITS, [0.5 * grid.dt]))
     # the start and exact values of the first block, then the start values of the second
     assert sampled == [64, 64, 36]
+
+
+def test_evolve_prints_each_time_before_the_next_blows_up(capsys):
+    # t = 0 takes no step and passes; any step overflows the ring sums of these values
+    argv = ["evolve", "--hbar", "1e-306", "--rho-max", "1e-153", "--n-rho", "4",
+            "--n-phi", "1024", "--t", "0,0.5"]
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "t=0 steps=0 max|fd-exact|=0.000000e+00\n"
+    assert captured.err == "phasewave: blowup: non-finite values after 163 upwind steps\n"
 
 
 def test_evolve_blowup_is_reported_without_a_traceback(capsys):

@@ -10,8 +10,8 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field, xy_from_polar)
-from phasewave.evolution import (_fd_weights, _field_blocks, _max_deviation, _ring_blocks,
-                                _sampled_blocks)
+from phasewave.evolution import (_evolve_against_exact, _fd_weights, _field_blocks,
+                                _max_deviation, _ring_blocks, _sampled_blocks)
 from phasewave.verify import check_positivity_edge
 
 from oracles import (evolve_fd_whole_grid, max_deviation_whole_grid, sample_field_whole_grid,
@@ -355,6 +355,46 @@ def test_block_minimum_is_the_whole_grid_minimum(n_rho, A):
     whole = sample_field_whole_grid(W, grid, 0.0, P)
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
     assert min(float(b.min()) for b in blocks) == float(whole.min())
+
+
+class _CountingWave:
+    """A standing wave that records how many radii each ``polar_factors`` call reads."""
+
+    def __init__(self, W):
+        self.W, self.reads = W, []
+
+    def __call__(self, x, p, t=0.0):
+        return self.W(x, p, t)
+
+    def polar_factors(self, rho, phi, t=0.0):
+        self.reads.append(np.shape(rho)[0])
+        return self.W.polar_factors(rho, phi, t)
+
+
+# 1024 angles make blocks of 64 rings: 50, 100, 256 and 1000 rings are 1, 2, 4 and 16 blocks
+@pytest.mark.parametrize("n_rho", [50, 100, 256, 1000])
+def test_a_separable_field_is_read_a_fixed_number_of_times_per_sampling(n_rho):
+    grid = GridSpec(rho_max=4.0, n_rho=n_rho, n_phi=1024, dt=0.5 * 2.0 * math.pi / 1024)
+    W = _CountingWave(standing_wave_field(P, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0)))
+    # the first block's radii, then every remaining radius at once
+    per_sampling = [n_rho] if n_rho <= 64 else [64, n_rho - 64]
+    values = sample_field(W, grid, 0.3, P).values
+    assert W.reads == per_sampling
+    assert values.tobytes() == sample_field_whole_grid(W.W, grid, 0.3, P).tobytes()
+    W.reads.clear()
+    # each time samples the start values and, through W's factors, the exact rotation's,
+    # the two samplings taking their blocks in turn
+    assert len(list(_evolve_against_exact(W, grid, P, [0.0, 1.3, 0.7]))) == 3
+    assert sorted(W.reads) == sorted(per_sampling * 6)
+    # a bare callable is still read one block at a time
+    sampled = []
+
+    def bare(x, p, t):
+        sampled.append(np.shape(x)[0])
+        return W.W(x, p, t)
+
+    sample_field(bare, grid, 0.3, P)
+    assert sampled == [r.stop - r.start for r in _ring_blocks(grid)]
 
 
 def test_positivity_check_holds_one_block(traced_peak):

@@ -135,6 +135,27 @@ def test_normalization_degenerate_profile():
         normalization(profile)
 
 
+@pytest.mark.parametrize("C", [1e-13, -1e-13, 1e-300])
+def test_a_small_offset_normalizes_with_no_absolute_floor(C):
+    profile = stationary_profile(C)
+    assert normalization(profile) == 1.0 / C
+    x, p = np.array(seeded_points(200)).T
+    got = extended_field(P, 3, profile)(x, p, 0.7)
+    # to rounding: as at C = 1 (test_extended_reduces_to_stationary), and within
+    # the rounding of 1/C and of two products of the same field at C = 1
+    want = stationary_field(P, 3)(x, p, 0.7)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    at_one = extended_field(P, 3, stationary_profile(1.0))(x, p, 0.7)
+    np.testing.assert_allclose(got, at_one, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_an_offset_whose_reciprocal_overflows_is_degenerate():
+    with pytest.raises(DegenerateProfileError, match=r"1/5e-324 is past the doubles"):
+        normalization(stationary_profile(5e-324))
+    with pytest.raises(DegenerateProfileError, match="zero to within the means' estimated"):
+        normalization(stationary_profile(0.0))
+
+
 def test_extended_field_rejects_a_degenerate_profile_at_construction():
     profile = WaveProfile(f=lambda th: 0.0, g=lambda th: 0.0, C=0.0, kappa=1)
     with pytest.raises(DegenerateProfileError):
