@@ -157,6 +157,12 @@ def _upwind_run(grid: GridSpec, params: OscillatorParams, t_start, t_final):
     final partial step's factor.  At c = 1 exactly a step is a one-node
     ring shift, g_k^n_phi = 1, and the power is taken as steps % n_phi, so
     long runs stay exact shifts.  The gain is None when no step runs.
+
+    Its three tolerances are fractions of one step, so they hold in any
+    units: a step may move 1e-12 of an angular cell past one cell
+    (c <= 1 + 1e-12), a span within 1e-9 of a step short of a whole count
+    of steps is that count, and a remainder of at most 1e-12 of dt is no
+    partial step.
     """
     if grid.n_phi < 16:
         raise ConfigurationError(f"time stepping needs n_phi >= 16, got {grid.n_phi}")
@@ -173,7 +179,7 @@ def _upwind_run(grid: GridSpec, params: OscillatorParams, t_start, t_final):
         raise ConfigurationError("t_final precedes the field's time tag")
     steps = int(math.floor(span / grid.dt + 1e-9))
     remainder = span - steps * grid.dt
-    partial = remainder > 1e-12 * max(grid.dt, 1.0)
+    partial = remainder > 1e-12 * grid.dt
     if steps == 0 and not partial:
         return 0, c, None
     shift = np.exp(1j * grid.delta_phi * np.arange(grid.n_phi // 2 + 1)) - 1.0
@@ -195,43 +201,33 @@ def _block_buffer(grid: GridSpec, spectrum: bool = False) -> np.ndarray:
     return np.empty((rings, grid.n_phi))
 
 
-def _stepped_blocks(blocks, gain, steps: int, spectrum, out=None):
-    """Yield ``(rows, values)``: each ``(rows, start values)`` of ``blocks`` after the run.
+def _stepped_blocks(blocks, gain, steps: int, spectrum):
+    """Yield each ``(rows, values)`` of ``blocks`` after the run, stepped in place.
 
     A block's rings are transformed into ``spectrum``, a buffer from
     ``_block_buffer`` that every block reuses, multiplied by ``gain`` and
-    inverted into the block's rows of ``out``, an (n_rho, n_phi) array,
-    or, without ``out``, into the start values themselves, which must then
-    be a buffer the caller lets go (as ``_sampled_blocks``' is).  Rows are
-    independent in ``rfft`` and ``irfft``, and writing through their
-    ``out=`` changes no bit, so every value has the bits of the whole-grid
-    transform.  With no gain the start values pass through, copied into
-    ``out`` when given.  A block with a non-finite value raises
-    ``BlowupError`` before it is yielded.  With buffers made once per
-    call, a warm ``evolve`` takes 352 minor page faults per run at any grid
-    size; fresh arrays for every block's spectrum and values took about
-    1,220, and releasing each block before the next transform took 28,700
-    at 1024 x 4096 (2-core x86-64 VM, numpy 2.4.6).
+    inverted back into the block's own values, which the caller lets go
+    (``evolve_fd`` steps its copy of the start field, ``_evolve_against_exact``
+    its start buffer).  Rows are independent in ``rfft`` and ``irfft``,
+    and writing through their ``out=`` changes no bit, so every value has
+    the bits of the whole-grid transform.  With no gain the values are left
+    as they are.  A block with a non-finite value raises ``BlowupError``
+    before it is yielded.  With buffers made once per call, a warm
+    ``evolve`` takes 352 minor page faults per run at any grid size; fresh
+    arrays for every block's spectrum and values took about 1,220, and
+    releasing each block before the next transform took 28,700 at
+    1024 x 4096 (2-core x86-64 VM, numpy 2.4.6).
     """
-    for rows, start in blocks:
-        values = start if out is None else out[rows]
+    for rows, values in blocks:
         if gain is not None:
-            spec = spectrum[:len(start)]
+            spec = spectrum[:len(values)]
             with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-                np.fft.rfft(start, axis=1, out=spec)
+                np.fft.rfft(values, axis=1, out=spec)
                 spec *= gain
-                np.fft.irfft(spec, n=start.shape[1], axis=1, out=values)
-        elif out is not None:
-            values[...] = start
+                np.fft.irfft(spec, n=values.shape[1], axis=1, out=values)
         if not np.all(np.isfinite(values)):
             raise BlowupError(f"non-finite values after {steps} upwind steps")
         yield rows, values
-
-
-def _field_blocks(field: Field2D):
-    """Yield ``(rows, values)``: the field's values on each block of ``_ring_blocks``."""
-    for rows in _ring_blocks(field.grid):
-        yield rows, field.values[rows]
 
 
 def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Field2D:
@@ -245,22 +241,24 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
 
     The scheme is applied in closed form by ``_upwind_run``'s gain, one
     multiply of each ring's angular spectrum, so the cost does not depend
-    on the time span.  The rings are transformed, multiplied and inverted
-    one block of ``_ring_blocks`` at a time by ``_stepped_blocks``, through
-    one spectrum buffer that every block reuses, straight into the result,
-    so beside the start field and the result only that one block is held:
-    two grids, 64 MB at 1024 x 4096.  The ``evolve`` command runs the same
-    stepper on sampled blocks and compares each with the exact rotation as
-    it goes, holding no grid at all (33 MB peak RSS at 1024 x 4096, the
-    import's 30 MB included); this function is for callers that want the
-    evolved field.  ``meta["ring_sum_drift"]`` is the largest change of a
-    ring's sum, which g_0 = 1 keeps at rounding level.
+    on the time span.  The start values are copied once, and the copy is
+    stepped in place one block of ``_ring_blocks`` at a time by
+    ``_stepped_blocks``, through one spectrum buffer that every block
+    reuses, so beside the start field and the result only that one block
+    is held: two grids, 64 MB at 1024 x 4096.  The ``evolve`` command runs
+    the same stepper on sampled blocks and compares each with the exact
+    rotation as it goes, holding no grid at all (33 MB peak RSS at
+    1024 x 4096, the import's 30 MB included); this function is for
+    callers that want the evolved field.  ``meta["ring_sum_drift"]`` is
+    the largest change of a ring's sum, which g_0 = 1 keeps at rounding
+    level.
     """
     grid = field0.grid
     steps, c, gain = _upwind_run(grid, params, field0.time_tag, t_final)
     v0 = field0.values
-    vals = np.empty_like(v0)
-    for _ in _stepped_blocks(_field_blocks(field0), gain, steps, _block_buffer(grid, True), vals):
+    vals = v0.copy()
+    blocks = ((rows, vals[rows]) for rows in _ring_blocks(grid))
+    for _ in _stepped_blocks(blocks, gain, steps, _block_buffer(grid, True)):
         pass
     meta = dict(field0.meta)
     meta.update(steps=steps, scheme="upwind1-euler", courant=c,
@@ -283,7 +281,7 @@ def _finite_nodes(vals, rho, phi, first_ring=0):
         )
 
 
-def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None, buffer=None):
+def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None):
     """Yield ``(rows, values)``: W at time ``t`` on each block of ``_ring_blocks``, rho-major.
 
     The values are read through ``_polar_grid`` as radial[:, None] * angular,
@@ -295,15 +293,15 @@ def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None, bu
     radial factor.  An (n_rho, n_phi) angular factor (a bare callable, or a
     rotation of one) is read one block at a time, so no more than a block
     of its values is held.  A non-finite value raises ``DataError`` naming
-    its node.  Given ``out``, an (n_rho, n_phi) array, each block is written
-    straight into its rows of ``out``, as ``sample_field`` fills its grid.
-    Otherwise every block is written into ``buffer`` from ``_block_buffer``,
-    made here when not given: a block's values are overwritten by the next
-    one, and the caller may work on them in place.
+    its node.  ``out`` is the one destination: an (n_rho, n_phi) array,
+    whose rows each block fills, as ``sample_field`` fills its grid, or a
+    buffer from ``_block_buffer`` (made here when not given), which each
+    block overwrites and the caller may work on in place.  On a grid of
+    one block the two are the same rows, so ``len(out)`` tells them apart.
     """
     rho, phi = grid.rho_nodes(), grid.phi_nodes()
-    if out is None and buffer is None:
-        buffer = _block_buffer(grid)
+    if out is None:
+        out = _block_buffer(grid)
     first = read = 0  # the factors in hand are those of the rings first .. read - 1
     for rows in _ring_blocks(grid):
         if rows.stop > read:  # after the first block, a 1-d angular factor serves every ring
@@ -311,56 +309,39 @@ def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None, bu
             read = grid.n_rho if first and angular.ndim == 1 else rows.stop
             radial, angular = _polar_grid(W, params, rho[first:read], phi, t)
         part = slice(rows.start - first, rows.stop - first)
-        dest = out[rows] if out is not None else buffer[:rows.stop - rows.start]
+        dest = out[rows] if len(out) == grid.n_rho else out[:rows.stop - rows.start]
         values = np.multiply(radial[part, None], angular if angular.ndim == 1 else angular[part],
                              out=dest)
         _finite_nodes(values, rho, phi, rows.start)
         yield rows, values
 
 
-def _max_deviation(blocks, W, grid: GridSpec, t, params: OscillatorParams, buffer=None) -> float:
-    """max |W - v| over a stream ``blocks`` of ``(rows, v)`` on ``grid``, with W at time ``t``.
-
-    ``blocks`` covers the grid in the order of ``_ring_blocks``; each block
-    is drawn before W is sampled on its rows, by ``_sampled_blocks`` into
-    ``buffer`` (see there), and the difference is taken in that buffer.  No
-    whole grid is formed, and the maximum has the bits of the whole-grid
-    one.
-    """
-    exact = _sampled_blocks(W, grid, t, params, buffer=buffer)
-    worst = 0.0
-    for _, values in blocks:
-        _, diff = next(exact)
-        diff -= values
-        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
-    return worst
-
-
-def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, times, keep=False):
+def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, times):
     """Evolve W from t = 0 to each of ``times`` on ``grid`` and compare it with the exact rotation.
 
-    Yields ``(steps, err, values)`` for each time in turn, before the next
-    time starts: the upwind step count, max |exact - fd| over the nodes,
-    and, when ``keep``, the evolved (n_rho, n_phi) values, a new array for
-    each time, else None.  One block of rings at a time is sampled at
-    t = 0, advanced by ``_stepped_blocks``, compared with
-    ``propagate_exact(W)`` sampled on the same rings, and dropped, so
-    without ``keep`` no grid-sized array is held at all.  Three block
-    buffers, made once per call, serve every block of every time: the start
-    values, which are evolved in place unless ``keep`` takes them into the
-    kept array, their spectrum, and the exact values.  Every
-    value and ``err`` have the bits of
-    ``evolve_fd(sample_field(W, grid, 0.0, params), params, t)`` compared
-    by ``_max_deviation``.
+    Yields ``(steps, err)`` for each time in turn, before the next time
+    starts: the upwind step count and max |exact - fd| over the nodes.
+    One block of rings at a time is sampled at t = 0, advanced in place by
+    ``_stepped_blocks``, and only then is ``propagate_exact(W)`` sampled on
+    the same rings, so a block that blows up raises before its exact values
+    are read; the difference is taken in the exact block, and both are
+    dropped.  No grid-sized array is held: three block buffers, made once
+    per call, serve every block of every time: the start values, their
+    spectrum and the exact values.  ``err`` is a maximum, which is exact,
+    so it has the bits of the whole-grid comparison of
+    ``evolve_fd(sample_field(W, grid, 0.0, params), params, t)``.
     """
     start, spectrum, exact = _block_buffer(grid), _block_buffer(grid, True), _block_buffer(grid)
     for t in times:
         steps, _, gain = _upwind_run(grid, params, 0.0, t)
-        values = np.empty((grid.n_rho, grid.n_phi)) if keep else None
-        stepped = _stepped_blocks(_sampled_blocks(W, grid, 0.0, params, buffer=start), gain, steps,
-                                  spectrum, values)
-        err = _max_deviation(stepped, propagate_exact(W, params, t), grid, t, params, buffer=exact)
-        yield steps, err, values
+        stepped = _stepped_blocks(_sampled_blocks(W, grid, 0.0, params, start), gain, steps,
+                                  spectrum)
+        target = _sampled_blocks(propagate_exact(W, params, t), grid, t, params, exact)
+        err = 0.0
+        for (_, values), (_, diff) in zip(stepped, target):
+            diff -= values
+            err = max(err, float(np.max(np.abs(diff, out=diff))))
+        yield steps, err
 
 
 def _check_triplet(fields):

@@ -10,8 +10,7 @@ from phasewave import (NATURAL_UNITS, BlowupError, ConfigurationError, DataError
                        moyal_rhs, poly_derivative, polar_from_xy, propagate_exact, radial_kernel,
                        sample_field, stationary_field, transport_residual,
                        wave_residual, StandingWaveSpec, standing_wave_field, xy_from_polar)
-from phasewave.evolution import (_evolve_against_exact, _fd_weights, _field_blocks,
-                                _max_deviation, _ring_blocks, _sampled_blocks)
+from phasewave.evolution import _evolve_against_exact, _fd_weights, _ring_blocks, _sampled_blocks
 from phasewave.verify import check_positivity_edge
 
 from oracles import (evolve_fd_whole_grid, max_deviation_whole_grid, sample_field_whole_grid,
@@ -240,6 +239,27 @@ def test_evolve_partial_final_step():
     assert out.meta["steps"] == 3  # two whole steps plus one partial
 
 
+def _run_to_two_and_a_half_steps(s):
+    """Steps and max|fd - exact| of a run to t = 2.5 dt in units m = s, omega = 1/s."""
+    units = OscillatorParams(m=s, omega=1.0 / s)
+    grid = GridSpec(rho_max=4.0 * units.rho_scale, n_rho=16, n_phi=64,
+                    dt=0.5 * 2.0 * math.pi / 64 / units.omega)
+    W = standing_wave_field(units, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0))
+    t = 2.5 * grid.dt
+    out = evolve_fd(sample_field(W, grid, 0.0, units), units, t)
+    exact = sample_field(propagate_exact(W, units, t), grid, t, units)
+    return out.meta["steps"], float(np.max(np.abs(out.values - exact.values)))
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-13, 1e-40, 1e40])
+def test_the_partial_final_step_is_kept_in_any_units(s):
+    # m = s and omega = 1/s scale time by s and the phase plane not at all, so the
+    # run is two whole steps and a half step whatever dt is, 4.9e-15 at s = 1e-13
+    steps, err = _run_to_two_and_a_half_steps(s)
+    assert steps == 3
+    assert err == pytest.approx(_run_to_two_and_a_half_steps(1.0)[1], rel=1e-9)
+
+
 def test_evolve_conserves_ring_sums():
     spec = StandingWaveSpec(ell=3, A=2.0, C=5.0)
     grid = GridSpec(rho_max=4.0, n_rho=8, n_phi=64, dt=0.5 * 2.0 * math.pi / 64)
@@ -331,17 +351,19 @@ def test_evolve_blocks_equal_the_whole_grid_transform(n_rho, n_phi, courant, ste
     assert out.values.tobytes() == evolve_fd_whole_grid(f0, P, t_final).tobytes()
 
 
-def test_max_deviation_equals_the_whole_grid_maximum():
+@pytest.mark.parametrize("bare", [False, True], ids=["field-class", "bare-callable"])
+def test_evolve_against_exact_equals_the_whole_grid_maximum(bare):
     # 100 rings of 1024 angles are two blocks, the second partial
     grid = GridSpec(rho_max=4.0, n_rho=100, n_phi=1024, dt=0.5 * 2.0 * math.pi / 1024)
     W = standing_wave_field(P, 5, StandingWaveSpec(ell=3, A=2.0, C=5.0))
-    bare = lambda x, p, t: W(x, p, t)
-    evolved = evolve_fd(sample_field(W, grid, 0.0, P), P, 1.3)
-    # a field class, its rotation, and the rotation of a bare callable, whose
-    # angular factor is a grid
-    for target in (W, propagate_exact(W, P, 1.3), propagate_exact(bare, P, 1.3)):
-        got = _max_deviation(_field_blocks(evolved), target, grid, 1.3, P)
-        assert got == max_deviation_whole_grid(evolved, target, P)
+    if bare:  # the same field without polar_factors: its rotation's angular factor is a grid
+        W = lambda x, p, t, field=W: field(x, p, t)
+    start = sample_field(W, grid, 0.0, P)
+    times = [1.3, 0.7]
+    for t, (steps, err) in zip(times, _evolve_against_exact(W, grid, P, times), strict=True):
+        evolved = evolve_fd(start, P, t)
+        assert steps == evolved.meta["steps"]
+        assert err == max_deviation_whole_grid(evolved, propagate_exact(W, P, t), P)
 
 
 @pytest.mark.parametrize("n_rho", [512, 300], ids=["positivity-grid", "partial-last-block"])
@@ -404,16 +426,25 @@ def test_positivity_check_holds_one_block(traced_peak):
     assert peak < 0.6 * 512 * 512 * 8, f"{peak / (512 * 512 * 8):.2f} grids"
 
 
-def test_max_deviation_names_a_non_finite_target_node():
-    grid = GridSpec(rho_max=4.0, n_rho=100, n_phi=1024)
-    field = Field2D(grid=grid, values=np.zeros((100, 1024)), time_tag=0.0)
-    # infinite past rho^2 = 12 in the upper half plane: first at ring 86, in the second block
-    W = lambda x, p, t: np.where((p > 0.0) & (x * x + p * p > 12.0), np.inf, 0.0)
+def test_evolve_against_exact_names_a_non_finite_target_node():
+    # infinite past rho^2 = 12 in a wedge strictly between the angles of nodes 0 and 1:
+    # finite on every node, but a turn by half a cell lands node 0 of ring 86, in the
+    # second block, inside it
+    grid = GridSpec(rho_max=4.0, n_rho=100, n_phi=1024, dt=0.5 * 2.0 * math.pi / 1024)
+    dphi = grid.delta_phi
+
+    def W(x, p, t):
+        rho, phi = polar_from_xy(P, x, p)
+        return np.where((rho * rho > 12.0) & (phi > 0.25 * dphi) & (phi < 0.75 * dphi),
+                        np.inf, 0.0)
+
+    t = 0.5 * dphi / P.omega
+    sample_field(W, grid, 0.0, P)
     with pytest.raises(DataError) as sampled:
-        sample_field(W, grid, 0.0, P)
-    assert "(i=86, j=1)" in str(sampled.value)
+        sample_field(propagate_exact(W, P, t), grid, t, P)
+    assert "(i=86, j=0)" in str(sampled.value)
     with pytest.raises(DataError, match=re.escape(str(sampled.value))):
-        _max_deviation(_field_blocks(field), W, grid, 0.0, P)
+        list(_evolve_against_exact(W, grid, P, [t]))
 
 
 # ------------------------------------------------------------------ residuals

@@ -263,8 +263,8 @@ def test_the_polar_guard_sees_what_it_forbids():
                                      ("_polar_factor_vectors", 6)]
 
 
-def _polar_grid_calls(tree):
-    """(scope, line) of each call of ``_polar_grid``; the scope dots its classes and functions."""
+def _calls(tree, name):
+    """(scope, line) of each call of ``name``; the scope dots its classes and functions."""
     calls = []
 
     def visit(node, scope):
@@ -272,7 +272,7 @@ def _polar_grid_calls(tree):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and "_polar_grid" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 calls.append((".".join(scope), child.lineno))
             visit(child, scope)
@@ -284,7 +284,7 @@ def _polar_grid_calls(tree):
 def test_every_sampled_grid_is_read_by_one_walker():
     # the block walker samples grids; a rotation and the disk rule read factors at their own nodes
     found = sorted((path.stem, scope) for path in SRC.glob("*.py")
-                   for scope, _ in _polar_grid_calls(ast.parse(path.read_text(), path.name)))
+                   for scope, _ in _calls(ast.parse(path.read_text(), path.name), "_polar_grid"))
     assert found == [("evolution", "Rotation.polar_factors"), ("evolution", "_sampled_blocks"),
                      ("quadrature", "_disk_sum")]
 
@@ -293,7 +293,24 @@ def test_the_walker_guard_sees_what_it_forbids():
     tree = ast.parse("from .oscillator import _polar_grid\n_polar_grid(W)\n"
                      "class R:\n    def f(self):\n        return oscillator._polar_grid(W)\n"
                      "def g():\n    def h():\n        return [_polar_grid(W)]\n    _polar_factors(W)\n")
-    assert _polar_grid_calls(tree) == [("", 2), ("R.f", 5), ("g.h", 8)]
+    assert _calls(tree, "_polar_grid") == [("", 2), ("R.f", 5), ("g.h", 8)]
+
+
+def test_every_ring_transform_is_in_the_stepper():
+    # evolve_fd and the evolve command step their rings through one path
+    found = sorted((path.stem, name, scope) for path in SRC.glob("*.py")
+                   for name in ("rfft", "irfft")
+                   for scope, _ in _calls(ast.parse(path.read_text(), path.name), name))
+    assert found == [("evolution", "irfft", "_stepped_blocks"),
+                     ("evolution", "rfft", "_stepped_blocks")]
+
+
+def test_the_transform_guard_sees_what_it_forbids():
+    tree = ast.parse("import numpy as np\nnp.fft.rfft(v)\ndef f():\n    return np.fft.irfft(s)\n"
+                     "from numpy.fft import rfft\nclass R:\n    def g(self):\n        rfft(v)\n"
+                     "np.fft.rfftn(v)\n")
+    assert _calls(tree, "rfft") == [("", 2), ("R.g", 8)]
+    assert _calls(tree, "irfft") == [("f", 4)]
 
 
 def test_the_guard_sees_what_it_forbids():
