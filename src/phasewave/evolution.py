@@ -158,11 +158,12 @@ def _upwind_run(grid: GridSpec, params: OscillatorParams, t_start, t_final):
     ring shift, g_k^n_phi = 1, and the power is taken as steps % n_phi, so
     long runs stay exact shifts.  The gain is None when no step runs.
 
-    Its three tolerances are fractions of one step, so they hold in any
-    units: a step may move 1e-12 of an angular cell past one cell
-    (c <= 1 + 1e-12), a span within 1e-9 of a step short of a whole count
-    of steps is that count, and a remainder of at most 1e-12 of dt is no
-    partial step.
+    Its tolerances are fractions of one step, so they hold in any units:
+    a step may move 1e-12 of an angular cell past one cell
+    (c <= 1 + 1e-12), and a span within 1e-9 of a step of a whole count of
+    steps, on either side, is that count, so the rounding of a long span
+    (about 2.2e-16 of a step per step) adds no partial step below some
+    4 million steps.
     """
     if grid.n_phi < 16:
         raise ConfigurationError(f"time stepping needs n_phi >= 16, got {grid.n_phi}")
@@ -179,7 +180,7 @@ def _upwind_run(grid: GridSpec, params: OscillatorParams, t_start, t_final):
         raise ConfigurationError("t_final precedes the field's time tag")
     steps = int(math.floor(span / grid.dt + 1e-9))
     remainder = span - steps * grid.dt
-    partial = remainder > 1e-12 * grid.dt
+    partial = remainder > 1e-9 * grid.dt
     if steps == 0 and not partial:
         return 0, c, None
     shift = np.exp(1j * grid.delta_phi * np.arange(grid.n_phi // 2 + 1)) - 1.0

@@ -200,7 +200,7 @@ def evolve_fd_whole_grid(field0, params, t_final):
     span = t_final - field0.time_tag
     steps = int(math.floor(span / grid.dt + 1e-9))
     remainder = span - steps * grid.dt
-    partial = remainder > 1e-12 * max(grid.dt, 1.0)
+    partial = remainder > 1e-9 * grid.dt
     if steps == 0 and not partial:
         return np.array(field0.values)
     shift = np.exp(1j * dphi * np.arange(grid.n_phi // 2 + 1)) - 1.0

@@ -455,9 +455,9 @@ def test_evolve_holds_a_few_blocks_and_no_grid(traced_peak, capsys):
 
 
 def test_evolve_out_holds_two_grids(traced_peak, capsys, tmp_path):
-    # the start grid and one evolved grid, beside a block's spectrum or the CSV
-    # writer's rows; each time's stream frees its block buffers before its grid
-    # is evolved
+    # the start grid and one evolved grid, beside a block's spectrum, a block of
+    # exact values or the CSV writer's rows; the block of exact values is freed
+    # before the export, and the evolved grid before the next time evolves its own
     argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", "256", "--n-phi", "1024",
             "--t", "3.0123,4.4567", "--out", str(tmp_path)]
     peak = traced_peak(lambda: invoke(argv))

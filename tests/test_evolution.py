@@ -339,15 +339,21 @@ def test_evolve_first_order_convergence():
     (100, 1024, 1.0, 10**9 + 7),
     (5, 1024, 0.9, 0.6),
     (100, 1024, 0.5, 0.0),
+    (5, 1024, 0.5, 10354),
+    (5, 1024, 0.01, 40 + 1e-8),
 ], ids=["one-ring", "partial-last-block", "ring-longer-than-a-block", "courant-one-shift",
-        "one-partial-step", "no-time-elapsed"])
+        "one-partial-step", "no-time-elapsed", "long-run-of-whole-steps",
+        "partial-step-below-1e-12"])
 def test_evolve_blocks_equal_the_whole_grid_transform(n_rho, n_phi, courant, steps):
+    # 0.25 + 10354 dt - 0.25 rounds to 1.2e-12 of a step above 10354 dt; a
+    # remainder of 1e-8 dt is 6.1e-13 here, below 1e-12 but still a partial step
     grid = GridSpec(rho_max=3.0, n_rho=n_rho, n_phi=n_phi, dt=courant * 2.0 * math.pi / n_phi)
     values = np.random.default_rng(n_rho * n_phi).uniform(-1.0, 1.0, (n_rho, n_phi))
     f0 = Field2D(grid=grid, values=values, time_tag=0.25)
     t_final = 0.25 + steps * grid.dt
     out = evolve_fd(f0, P, t_final)
     assert out.meta["courant"] == courant
+    assert out.meta["steps"] == math.ceil(steps)
     assert out.values.tobytes() == evolve_fd_whole_grid(f0, P, t_final).tobytes()
 
 
