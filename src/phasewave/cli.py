@@ -177,8 +177,8 @@ def _extra_meta(args) -> dict:
     return extra
 
 
-def _export_path(args, fmt: str, stem: str, tag: str | None = None) -> str:
-    """Path of one export: ``<stem>.<fmt>`` inside the output directory.
+def _export(args, fmt: str, fld, params, extra: dict, stem: str, tag: str | None = None):
+    """Export ``fld`` as ``<stem>.<fmt>`` inside the output directory and print its path.
 
     An output path ending in .csv or .json names the file itself; ``tag``,
     given when a command writes several files, goes before its extension.
@@ -186,10 +186,12 @@ def _export_path(args, fmt: str, stem: str, tag: str | None = None) -> str:
     out = _out_dir(args)
     root, ext = os.path.splitext(out)
     if ext.lower() in (".csv", ".json"):
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        return f"{root}_{tag}{ext}" if tag else out
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, f"{stem}.{fmt}")
+        path = f"{root}_{tag}{ext}" if tag else out
+    else:
+        path = os.path.join(out, f"{stem}.{fmt}")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    export_field(fld, params, fmt, path, extra=extra)
+    print(path)
 
 
 def _cmd_eval(args) -> int:
@@ -215,11 +217,9 @@ def _cmd_grid(args) -> int:
     times = _times(args, params)
     multi = len(times) > 1
     for idx, t in enumerate(times):
-        fld = sample_field(W, grid, t, params)
         tag = f"t{idx}" if multi else None
-        path = _export_path(args, fmt, f"field_{tag}" if multi else "field", tag)
-        export_field(fld, params, fmt, path, extra=_extra_meta(args))
-        print(path)
+        _export(args, fmt, sample_field(W, grid, t, params), params, _extra_meta(args),
+                f"field_{tag}" if multi else "field", tag)
     return 0
 
 
@@ -270,9 +270,8 @@ def _cmd_evolve(args) -> int:
             err = max(err, float(np.max(np.abs(exact, out=exact))))
         del exact  # the block buffer, freed before the export
         print(line(t, evolved.meta["steps"], err))
-        path = _export_path(args, fmt, f"evolved_t{idx}", f"t{idx}" if len(times) > 1 else None)
-        export_field(evolved, params, fmt, path, extra=_extra_meta(args))
-        print(path)
+        _export(args, fmt, evolved, params, _extra_meta(args), f"evolved_t{idx}",
+                f"t{idx}" if len(times) > 1 else None)
         del evolved  # freed before the next time evolves its own
     return 0
 
@@ -297,11 +296,8 @@ def _cmd_figures(args) -> int:
     for n in (0, 5):
         W = standing_wave_field(NATURAL_UNITS, n, spec)
         for tag, t in (("0", 0.0), ("T4", period / 4.0), ("T2", period / 2.0)):
-            fld = sample_field(W, grid, t, NATURAL_UNITS)
-            path = _export_path(args, fmt, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
-            export_field(fld, NATURAL_UNITS, fmt, path,
-                         extra={"n": n, "ell": 3, "A": 2.0, "C": 5.0})
-            print(path)
+            _export(args, fmt, sample_field(W, grid, t, NATURAL_UNITS), NATURAL_UNITS,
+                    {"n": n, "ell": 3, "A": 2.0, "C": 5.0}, f"wigner_n{n}_t{tag}", f"n{n}_t{tag}")
     return 0
 
 

@@ -2,12 +2,20 @@
 
 Each test delegates to the corresponding verification check (the same code
 the ``phasewave check`` command runs) and prints one pass/fail line; run
-with ``pytest -s tests/test_acceptance.py`` to see the lines.
+with ``pytest -s tests/test_acceptance.py`` to see the lines.  The last
+tests pin which checks take a tolerance and which tolerances they accept.
 """
 
 import dataclasses
+import math
 
-from phasewave import verify
+import pytest
+
+from phasewave import DataError, verify
+
+#: The checks declared with a fixed tolerance, and that tolerance.
+FIXED = {"positivity_edge": 0.0, "residual_discrimination": 3.5, "solver_convergence": 0.2,
+         "running_wave_rejection": 1e-3}
 
 
 def _run(fn, **kwargs):
@@ -78,3 +86,31 @@ def test_criterion_12_running_wave_rejected():
 
 def test_criterion_13_moyal_degeneration_within_1e6():
     _run(verify.check_moyal_degeneration, tol=1e-6)
+
+
+def _takes_tol():
+    return [check for check, takes_tol in verify.SUITES.values() if takes_tol]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0, True])
+def test_every_check_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    for check in _takes_tol():
+        with pytest.raises(DataError, match="^tolerance must be finite and positive"):
+            check(tol=tol)
+
+
+def test_every_check_refuses_a_text_tolerance():
+    for check in _takes_tol():
+        with pytest.raises(TypeError, match="^tolerance must be real"):
+            check(tol="1e-3")
+
+
+def test_the_override_reaches_exactly_the_checks_declared_with_a_default():
+    report = verify.run_suite(tol_override=0.5)
+    assert report.passed and len(report.checks) == 13
+    assert {c.name: c.tolerance for c in report.checks} == \
+        {name: FIXED.get(name, 0.5) for name in verify.SUITES}
+    assert [name for name, (_, takes_tol) in verify.SUITES.items() if not takes_tol] == list(FIXED)
+    for name in FIXED:
+        with pytest.raises(TypeError):
+            verify.SUITES[name][0](tol=0.5)

@@ -296,6 +296,23 @@ def test_the_walker_guard_sees_what_it_forbids():
     assert _calls(tree, "_polar_grid") == [("", 2), ("R.f", 5), ("g.h", 8)]
 
 
+def test_only_the_registration_builds_a_check_result():
+    # each check declares its constants and returns what it measured; and the
+    # registration reads no check's parameters to decide which takes --tol
+    found = sorted((path.stem, scope) for path in SRC.glob("*.py")
+                   for scope, _ in _calls(ast.parse(path.read_text(), path.name), "CheckResult"))
+    assert found == [("verify", "_check.register.judged")]
+    assert _calls(ast.parse((SRC / "verify.py").read_text(), "verify.py"), "signature") == []
+
+
+def test_the_result_guard_sees_what_it_forbids():
+    tree = ast.parse("def _check(p):\n    def register(body):\n        return CheckResult(p=p)\n"
+                     "@_check('p')\ndef check_x(tol):\n    return verify.CheckResult(tol=tol)\n"
+                     "inspect.signature(check_x)\n")
+    assert _calls(tree, "CheckResult") == [("_check.register", 3), ("check_x", 6)]
+    assert _calls(tree, "signature") == [("", 7)]
+
+
 def test_every_ring_transform_is_in_the_stepper():
     # evolve_fd and the evolve command step their rings through one path
     found = sorted((path.stem, name, scope) for path in SRC.glob("*.py")
