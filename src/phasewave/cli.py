@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verify
 from .errors import AccuracyError, BlowupError, ConfigurationError, _real
-from .evolution import GridSpec, _evolve_against_exact, _sampled_blocks, evolve_fd, propagate_exact
+from .evolution import Field2D, GridSpec, _evolve_against_exact
 from .extended import StandingWaveSpec, antinode_angles, node_angles, standing_wave_field
 from .gridio import export_field, sample_field
 from .oscillator import NATURAL_UNITS, OscillatorParams
@@ -240,39 +240,29 @@ def _cmd_check(args) -> int:
 def _cmd_evolve(args) -> int:
     """Evolve the sampled field to each ``--t`` and print max|fd-exact|; export it with ``--out``.
 
-    Each time's line is printed before the next time starts.  Without
-    ``--out`` the lines come from one stream of one block of rings at a
-    time: sampled at t = 0, advanced and compared with the exact rotation,
-    then dropped.  Every block of every time reuses the same three block
-    buffers, made once, and no grid-sized array is held: at 1024 x 4096 the
-    command peaks at about 33 MB of resident memory, its import included.
-    With ``--out`` the start grid is sampled once and each time's
-    ``evolve_fd`` of it is compared with the exact rotation one block at a
-    time, then exported and freed, so the command holds two grids: the
-    start and one evolved grid.
+    Each time's line is printed before the next time starts.  The lines
+    come from one stream, ``_evolve_against_exact``, of one block of rings
+    at a time: sampled at t = 0, advanced and compared with the exact
+    rotation.  Without ``--out`` every block of every time reuses the same
+    three block buffers, made once, and no grid-sized array is held: at
+    1024 x 4096 the command peaks at about 33 MB of resident memory, its
+    import included.  With ``--out`` the same stream samples and steps its
+    blocks in one grid, which after each time's line holds that time's
+    evolved field and is exported before the next time samples over it,
+    so the command holds one grid and two blocks.
     """
     fmt = _export_format(args)
     params = _params(args)
     W = _field(args, params)
     grid = _grid(args, params)
     times = _times(args, params)
-    line = "t={:.17g} steps={} max|fd-exact|={:.6e}".format
-    if not args.out:
-        for t, (steps, err) in zip(times, _evolve_against_exact(W, grid, params, times)):
-            print(line(t, steps, err))
-        return 0
-    start = sample_field(W, grid, 0.0, params)
-    for idx, t in enumerate(times):
-        evolved = evolve_fd(start, params, t)
-        err = 0.0
-        for rows, exact in _sampled_blocks(propagate_exact(W, params, t), grid, t, params):
-            exact -= evolved.values[rows]
-            err = max(err, float(np.max(np.abs(exact, out=exact))))
-        del exact  # the block buffer, freed before the export
-        print(line(t, evolved.meta["steps"], err))
-        _export(args, fmt, evolved, params, _extra_meta(args), f"evolved_t{idx}",
-                f"t{idx}" if len(times) > 1 else None)
-        del evolved  # freed before the next time evolves its own
+    values = np.empty((grid.n_rho, grid.n_phi)) if args.out else None
+    runs = _evolve_against_exact(W, grid, params, times, values)
+    for idx, (t, (steps, err)) in enumerate(zip(times, runs)):
+        print("t={:.17g} steps={} max|fd-exact|={:.6e}".format(t, steps, err))
+        if args.out:
+            _export(args, fmt, Field2D(grid, values, t), params, _extra_meta(args),
+                    f"evolved_t{idx}", f"t{idx}" if len(times) > 1 else None)
     return 0
 
 

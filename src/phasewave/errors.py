@@ -65,7 +65,8 @@ class DataError(ValueError):
     ``read_field`` raises it, naming the file, for a missing header or
     metadata, a ragged, short or non-numeric body, a CSV row that is not at
     its grid node, a value array that does not match the grid, and a
-    non-finite time or value.
+    non-finite time or value; ``export_field`` raises it for an ``extra``
+    key other than n, ell, A and C.
     """
 
 

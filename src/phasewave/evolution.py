@@ -209,9 +209,10 @@ def _stepped_blocks(blocks, gain, steps: int, spectrum):
     ``_block_buffer`` that every block reuses, multiplied by ``gain`` and
     inverted back into the block's own values, which the caller lets go
     (``evolve_fd`` steps its copy of the start field, ``_evolve_against_exact``
-    its start buffer).  Rows are independent in ``rfft`` and ``irfft``,
-    and writing through their ``out=`` changes no bit, so every value has
-    the bits of the whole-grid transform.  With no gain the values are left
+    its start values, in a block buffer or a whole grid).  Rows are
+    independent in ``rfft`` and ``irfft``, and writing through their
+    ``out=`` changes no bit, so every value has the bits of the whole-grid
+    transform.  With no gain the values are left
     as they are.  A block with a non-finite value raises ``BlowupError``
     before it is yielded.  With buffers made once per call, a warm
     ``evolve`` takes 352 minor page faults per run at any grid size; fresh
@@ -317,22 +318,28 @@ def _sampled_blocks(W, grid: GridSpec, t, params: OscillatorParams, out=None):
         yield rows, values
 
 
-def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, times):
+def _evolve_against_exact(W, grid: GridSpec, params: OscillatorParams, times, out=None):
     """Evolve W from t = 0 to each of ``times`` on ``grid`` and compare it with the exact rotation.
 
     Yields ``(steps, err)`` for each time in turn, before the next time
     starts: the upwind step count and max |exact - fd| over the nodes.
-    One block of rings at a time is sampled at t = 0, advanced in place by
-    ``_stepped_blocks``, and only then is ``propagate_exact(W)`` sampled on
-    the same rings, so a block that blows up raises before its exact values
-    are read; the difference is taken in the exact block, and both are
-    dropped.  No grid-sized array is held: three block buffers, made once
-    per call, serve every block of every time: the start values, their
-    spectrum and the exact values.  ``err`` is a maximum, which is exact,
-    so it has the bits of the whole-grid comparison of
+    This is the one comparison of an upwind run with the exact rotation.
+    One block of rings at a time is sampled at t = 0 into ``out``, advanced
+    in place by ``_stepped_blocks``, and only then is ``propagate_exact(W)``
+    sampled on the same rings, so a block that blows up raises before its
+    exact values are read; the difference is taken in the exact block.
+    ``out`` is the start values' destination, as ``_sampled_blocks`` takes
+    it: a block buffer (made here when not given), so that no grid-sized
+    array is held and three block buffers, made once per call, serve every
+    block of every time (the start values, their spectrum and the exact
+    values); or an (n_rho, n_phi) array, which then holds each time's
+    evolved field from its yield until the next time samples over it.
+    ``err`` is a maximum, which is exact, so it has the bits of the
+    whole-grid comparison of
     ``evolve_fd(sample_field(W, grid, 0.0, params), params, t)``.
     """
-    start, spectrum, exact = _block_buffer(grid), _block_buffer(grid, True), _block_buffer(grid)
+    start = _block_buffer(grid) if out is None else out
+    spectrum, exact = _block_buffer(grid, True), _block_buffer(grid)
     for t in times:
         steps, _, gain = _upwind_run(grid, params, 0.0, t)
         stepped = _stepped_blocks(_sampled_blocks(W, grid, 0.0, params, start), gain, steps,

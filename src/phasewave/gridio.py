@@ -5,8 +5,9 @@ A grid is sampled one block of rings at a time by
 Exports are deterministic byte-for-byte: decimals carry 17 significant
 digits so every double round-trips exactly, and row order is fixed
 (rho-major, then phi).  Both formats are self-describing through a
-parameter block.  The readers raise without naming the file; ``read_field``
-names it, once, for every malformed-file error.
+parameter block, and both writers stream the values one ring at a time.
+The readers raise without naming the file; ``read_field`` names it, once,
+for every malformed-file error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 
 import numpy as np
 
-from .errors import DataError, _scalar_kind
+from .errors import DataError, _integer, _real, _scalar_kind
 from .evolution import Field2D, GridSpec, _finite_nodes, _ring_blocks, _sampled_blocks
 from .oscillator import OscillatorParams, xy_from_polar
 
@@ -28,6 +29,8 @@ _META_KEYS = ("n", "ell", "A", "C", "m", "omega", "hbar", "alpha", "t",
               "rho_max", "n_rho", "n_phi", "dt")
 #: The keys of the block that fix the polar map, and so the x and p columns.
 _PARAM_KEYS = ("m", "omega", "hbar", "alpha")
+#: The keys of the block that hold integers; every other key holds a real.
+_INT_KEYS = ("n", "ell", "n_rho", "n_phi")
 
 
 def sample_field(W, grid: GridSpec, t: float, params: OscillatorParams) -> Field2D:
@@ -64,8 +67,11 @@ def _metadata(field: Field2D, params: OscillatorParams, extra=None) -> dict:
     }
     if field.grid.dt is not None:
         meta["dt"] = field.grid.dt
-    if extra:
-        meta.update({k: v for k, v in extra.items() if v is not None})
+    for k, v in (extra or {}).items():
+        if k not in ("n", "ell", "A", "C"):
+            raise DataError(f"extra may carry only n, ell, A and C, got {k!r}")
+        if v is not None:
+            meta[k] = _integer(v, k) if k in _INT_KEYS else _real(v, k)
     return {k: meta[k] for k in _META_KEYS if k in meta}
 
 
@@ -93,9 +99,13 @@ def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,
     """Write a field to ``path`` as CSV or JSON; returns the path written.
 
     CSV: '#'-prefixed key=value parameter block, one ``rho,phi,x,p,W``
-    header line, one row per node, streamed ring by ring.  JSON: parameter
-    block plus nested value array.  ``extra`` may carry identifying keys
-    (n, ell, A, C).
+    header line, one row per node.  JSON: parameter block plus nested
+    value array.  Both writers stream the values one ring at a time, so
+    beside the field they hold no more than a ring's text.  ``extra`` may
+    carry the state's identifying keys n and ell, integers, and A and C,
+    finite reals; a key given as None is left out.  Any other key, or a
+    value of the wrong kind, raises ``DataError`` (``TypeError`` for a
+    text or complex A or C) before the file is opened.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -110,15 +120,19 @@ def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,
             "grid": {"rho_max": field.grid.rho_max, "n_rho": field.grid.n_rho,
                      "n_phi": field.grid.n_phi, "dt": field.grid.dt},
             "time": field.time_tag,
-            "values": field.values.tolist(),
         }
-        # json.dumps runs the C encoder; json.dump streams through the
-        # pure-Python one.  Both give the same bytes.
-        head = json.dumps(doc) + "\n"
+        # the document's closing brace gives way to the values, written ring
+        # by ring below with json.dumps's own separators: the same bytes as
+        # one json.dumps of the whole document with its values
+        head = json.dumps(doc)[:-1] + ', "values": ['
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(head)
         if fmt == "csv":
             _write_rows(fh, field, params)
+        else:
+            for i, ring in enumerate(field.values):
+                fh.write((", " if i else "") + json.dumps(ring.tolist()))
+            fh.write("]}\n")
     return path
 
 
@@ -173,7 +187,7 @@ def _read_csv(lines):
         key, _, raw = line[1:].strip().partition("=")
         key = key.strip()
         try:
-            meta[key] = int(raw) if key in ("n", "ell", "n_rho", "n_phi") else float(raw)
+            meta[key] = int(raw) if key in _INT_KEYS else float(raw)
         except ValueError:
             raise DataError(f"malformed parameter line {line!r}") from None
     else:

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from phasewave import DataError, verify
+from phasewave import DataError, evolution, verify
 
 #: The checks declared with a fixed tolerance, and that tolerance.
 FIXED = {"positivity_edge": 0.0, "residual_discrimination": 3.5, "solver_convergence": 0.2,
@@ -71,13 +71,17 @@ def test_criterion_11_solver_convergence_order():
 
 
 def test_criterion_11_rejects_a_half_speed_solver(monkeypatch):
-    solver = verify.evolve_fd
+    solver = evolution._upwind_run
+    runs = []
 
-    def half_speed(field0, params, t_final):
-        return solver(field0, dataclasses.replace(params, omega=params.omega / 2.0), t_final)
+    def half_speed(grid, params, t_start, t_final):
+        runs.append(grid.n_phi)
+        return solver(grid, dataclasses.replace(params, omega=params.omega / 2.0), t_start,
+                      t_final)
 
-    monkeypatch.setattr(verify, "evolve_fd", half_speed)
+    monkeypatch.setattr(evolution, "_upwind_run", half_speed)
     assert not verify.check_solver_convergence().passed
+    assert runs == [128, 256, 512]  # the injected solver ran once per grid
 
 
 def test_criterion_12_running_wave_rejected():

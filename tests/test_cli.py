@@ -454,15 +454,16 @@ def test_evolve_holds_a_few_blocks_and_no_grid(traced_peak, capsys):
     assert peak < 1.5 * 256 * 1024 * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
 
 
-def test_evolve_out_holds_two_grids(traced_peak, capsys, tmp_path):
-    # the start grid and one evolved grid, beside a block's spectrum, a block of
-    # exact values or the CSV writer's rows; the block of exact values is freed
-    # before the export, and the evolved grid before the next time evolves its own
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_out_holds_one_grid_and_blocks(traced_peak, capsys, tmp_path, fmt):
+    # the stream samples and steps its blocks in the one exported grid, beside a
+    # block's spectrum and a block of exact values; either writer then adds no
+    # more than a ring's text
     argv = ["evolve", "--n", "5", "--ell", "3", "--n-rho", "256", "--n-phi", "1024",
-            "--t", "3.0123,4.4567", "--out", str(tmp_path)]
+            "--t", "3.0123,4.4567", "--format", fmt, "--out", str(tmp_path)]
     peak = traced_peak(lambda: invoke(argv))
     capsys.readouterr()
-    assert peak < 2.5 * 256 * 1024 * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
+    assert peak < 2.0 * 256 * 1024 * 8, f"{peak / (256 * 1024 * 8):.2f} grids"
 
 
 @pytest.mark.parametrize("n_rho", [256, 1024])
@@ -489,15 +490,18 @@ def test_streamed_evolve_equals_evolve_fd_and_max_deviation(n_rho, n_phi, couran
     if bare:  # the same field without polar_factors
         W = lambda x, p, t, field=W: field(x, p, t)
     start = sample_field(W, grid, 0.0, NATURAL_UNITS)
-    # two calls at once, drawn in turn: neither sees the other's buffers
+    # two calls at once, drawn in turn: neither sees the other's buffers; the
+    # other steps its blocks in a whole grid, which then holds each time's field
+    values = np.empty((n_rho, n_phi))
     streamed = _evolve_against_exact(W, grid, NATURAL_UNITS, times)
-    other = _evolve_against_exact(W, grid, NATURAL_UNITS, times)
+    other = _evolve_against_exact(W, grid, NATURAL_UNITS, times, values)
     for t, run, run_other in zip(times, streamed, other, strict=True):
         evolved = evolve_fd(start, NATURAL_UNITS, t)
         assert evolved.meta["courant"] == courant
         err = max_deviation_whole_grid(evolved, propagate_exact(W, NATURAL_UNITS, t),
                                        NATURAL_UNITS)
         assert run == run_other == (evolved.meta["steps"], err)
+        assert values.tobytes() == evolved.values.tobytes()
     assert 0 in [evolve_fd(start, NATURAL_UNITS, t).meta["steps"] for t in times]
 
 

@@ -135,6 +135,36 @@ def test_export_rejects_unknown_format(tmp_path):
         export_field(fld, P, "xml", tmp_path / "w.xml")
 
 
+@pytest.mark.parametrize("extra, error, match", [
+    ({"t": 5.0}, DataError, "^extra may carry only n, ell, A and C, got 't'$"),
+    ({"n_rho": 3}, DataError, "got 'n_rho'$"),
+    ({"omega": 2.0}, DataError, "got 'omega'$"),
+    ({"n": 2.5}, DataError, "^n must be an integer"),
+    ({"n": True}, DataError, "^n must be an integer"),
+    ({"ell": "x"}, DataError, "^ell must be an integer"),
+    ({"A": math.nan}, DataError, "^A must be finite"),
+    ({"C": True}, DataError, "^C must be finite"),
+    ({"C": "x"}, TypeError, "^C must be real"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_refuses_extra_metadata_it_could_not_read_back(tmp_path, extra, error, match, fmt):
+    # the field's own keys come from the field and the params, never from extra
+    fld = sample_field(stationary_field(P, 0), GridSpec(rho_max=2.0, n_rho=2, n_phi=4), 0.0, P)
+    path = tmp_path / f"f.{fmt}"
+    with pytest.raises(error, match=match):
+        export_field(fld, P, fmt, path, extra=extra)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_writes_numpy_extra_metadata_as_numbers_and_skips_none(tmp_path, fmt):
+    fld = sample_field(stationary_field(P, 0), GridSpec(rho_max=2.0, n_rho=2, n_phi=4), 0.0, P)
+    extra = {"n": np.int64(2), "ell": None, "A": np.float64(0.5), "C": 1}
+    _, meta = read_field(export_field(fld, P, fmt, tmp_path / f"f.{fmt}", extra=extra))
+    assert {k: meta.get(k) for k in extra} == {"n": 2, "ell": None, "A": 0.5, "C": 1.0}
+    assert type(meta["n"]) is int and type(meta["C"]) is float
+
+
 def test_export_is_byte_identical_across_runs(tmp_path):
     grid = small_grid()
     fld = sample_field(standing_wave_field(P, 5, SPEC), grid, 0.37, P)

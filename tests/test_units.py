@@ -294,6 +294,23 @@ def test_the_walker_guard_sees_what_it_forbids():
                      "class R:\n    def f(self):\n        return oscillator._polar_grid(W)\n"
                      "def g():\n    def h():\n        return [_polar_grid(W)]\n    _polar_factors(W)\n")
     assert _calls(tree, "_polar_grid") == [("", 2), ("R.f", 5), ("g.h", 8)]
+    # a call passed as another call's argument, as a stream is to zip
+    assert _calls(ast.parse("def f():\n    return zip(ts, evolution.propagate_exact(W, P, t))\n"),
+                  "propagate_exact") == [("f", 2)]
+
+
+def test_one_comparison_of_an_upwind_run_with_the_exact_rotation():
+    # evolve, evolve --out and the convergence check run the one stream, which
+    # alone turns the exact rotation; evolve_fd is for callers that want a field
+    def found(name):
+        return sorted((path.stem, scope) for path in SRC.glob("*.py")
+                      for scope, _ in _calls(ast.parse(path.read_text(), path.name), name))
+
+    assert found("propagate_exact") == [("evolution", "_evolve_against_exact")]
+    assert found("evolve_fd") == []
+    assert found("_sampled_blocks") == [("evolution", "_evolve_against_exact")] * 2 + \
+        [("gridio", "sample_field"), ("verify", "check_positivity_edge")]
+    assert ("verify", "check_solver_convergence") not in found("sample_field")
 
 
 def test_only_the_registration_builds_a_check_result():
