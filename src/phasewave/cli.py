@@ -1,8 +1,9 @@
 """Command-line surface: evaluate, sample, verify, evolve, inspect geometry.
 
 Every run is deterministic: identical configurations produce byte-identical
-artifacts.  Exit status is 0 on success, 1 when a requested check fails,
-2 for usage errors.
+artifacts.  Exit status is 0 on success, 1 when a requested check fails
+or a run cannot finish (an accuracy shortfall, a blowup, an i/o error or
+too little memory), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .errors import AccuracyError, BlowupError, ConfigurationError, _real
+from .errors import AccuracyError, BlowupError, _real
 from .evolution import Field2D, GridSpec, _evolve_against_exact
 from .extended import StandingWaveSpec, antinode_angles, node_angles, standing_wave_field
 from .gridio import export_field, sample_field
@@ -117,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rho-max", type=float, default=4.5, dest="rho_max")
         sp.add_argument("--n-rho", type=int, default=64, dest="n_rho")
         sp.add_argument("--n-phi", type=int, default=128, dest="n_phi")
-        sp.add_argument("--dt", type=float, default=None,
-                        help="time step; default 0.5*delta_phi/omega")
 
     def add_io(sp):
+        sp.add_argument("--dt", type=float, default=None,
+                        help="time step; default 0.5*delta_phi/omega")
         sp.add_argument("--t", default="0", help="comma-separated times; accepts T/4 etc.")
         sp.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt",
                         help="file format; default from the --out extension, else csv")
@@ -305,7 +306,7 @@ def run(args: argparse.Namespace) -> int:
     """Run the command of the parsed arguments; returns the process exit status."""
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ConfigurationError) as exc:
+    except ValueError as exc:
         print(f"phasewave: error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
@@ -316,6 +317,9 @@ def run(args: argparse.Namespace) -> int:
         return 1
     except OSError as exc:
         print(f"phasewave: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("phasewave: out of memory:", str(exc) or "the request does not fit", file=sys.stderr)
         return 1
 
 

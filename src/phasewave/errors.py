@@ -48,7 +48,8 @@ class DataError(ValueError):
     argument that is not one integer in its range; an array of times raises
     it for any such entry and for a bool array.  ``OscillatorParams``
     raises it for a unit scale or a shift that does not fit in a double,
-    ``StandingWaveSpec`` for a 2A/C past the doubles, ``WaveProfile`` and
+    ``StandingWaveSpec`` for a 2A/C past the doubles, ``GridSpec`` for an
+    outermost node n_rho * rho_max past the doubles, ``WaveProfile`` and
     ``normalization`` for a profile that is not finite or not 2 pi kappa
     periodic, and ``Field2D`` for values of the wrong shape or not finite.  The field classes and their
     ``polar_factors``, ``radial_kernel``, the densities, ``wavefunction``,
@@ -64,9 +65,10 @@ class DataError(ValueError):
     for a residual that the scaling by omega takes past the doubles.
     ``read_field`` raises it, naming the file, for a missing header or
     metadata, a ragged, short or non-numeric body, a CSV row that is not at
-    its grid node, a value array that does not match the grid, and a
-    non-finite time or value; ``export_field`` raises it for an ``extra``
-    key other than n, ell, A and C.
+    its grid node, a JSON grid block that is not ``GridSpec``'s fields, a
+    value array that does not match the grid, and a non-finite time or
+    value; ``export_field`` raises it for a format other than csv and json
+    and for an ``extra`` key other than n, ell, A and C.
     """
 
 

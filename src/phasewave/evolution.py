@@ -35,7 +35,9 @@ class GridSpec:
 
     Sampling and export work on any grid; the time stepper additionally
     requires at least 16 angular nodes.  Lengths are kept as floats and
-    counts as ints.
+    counts as ints.  The node formula forms n_rho * rho_max, so a grid
+    where that product, or n_rho itself, is past the doubles is refused
+    with ``DataError``.
     """
 
     rho_max: float
@@ -46,6 +48,8 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "rho_max", _real(self.rho_max, "rho_max", positive=True))
         object.__setattr__(self, "n_rho", _integer(self.n_rho, "n_rho", 1))
+        if not math.isfinite(_real(self.n_rho, "n_rho") * self.rho_max):
+            raise DataError(f"rho_max = {self.rho_max!r} takes n_rho * rho_max past the doubles")
         object.__setattr__(self, "n_phi", _integer(self.n_phi, "n_phi", 2))
         if self.dt is not None:
             object.__setattr__(self, "dt", _real(self.dt, "dt", positive=True))
@@ -251,21 +255,18 @@ def evolve_fd(field0: Field2D, params: OscillatorParams, t_final: float) -> Fiel
     the same stepper on sampled blocks and compares each with the exact
     rotation as it goes, holding no grid at all (33 MB peak RSS at
     1024 x 4096, the import's 30 MB included); this function is for
-    callers that want the evolved field.  ``meta["ring_sum_drift"]`` is
-    the largest change of a ring's sum, which g_0 = 1 keeps at rounding
-    level.
+    callers that want the evolved field.  Its ``meta`` is the start
+    field's with ``steps``, the upwind step count, and ``courant``, the
+    Courant number.
     """
     grid = field0.grid
     steps, c, gain = _upwind_run(grid, params, field0.time_tag, t_final)
-    v0 = field0.values
-    vals = v0.copy()
+    vals = field0.values.copy()
     blocks = ((rows, vals[rows]) for rows in _ring_blocks(grid))
     for _ in _stepped_blocks(blocks, gain, steps, _block_buffer(grid, True)):
         pass
-    meta = dict(field0.meta)
-    meta.update(steps=steps, scheme="upwind1-euler", courant=c,
-                ring_sum_drift=float(np.max(np.abs(vals.sum(axis=1) - v0.sum(axis=1)))))
-    return Field2D(grid=grid, values=vals, time_tag=t_final, meta=meta)
+    return Field2D(grid=grid, values=vals, time_tag=t_final,
+                   meta={**field0.meta, "steps": steps, "courant": c})
 
 
 def _finite_nodes(vals, rho, phi, first_ring=0):
@@ -367,15 +368,15 @@ def _check_triplet(fields):
     return fm, f0, fp, 0.5 * (dt1 + dt2)
 
 
-def _residual_field(res, f0, params, kind, dt):
-    """The residual values ``res`` as a field on ``f0``'s grid.
+def _residual_field(res, f0, params, kind):
+    """The residual values ``res`` as a field on ``f0``'s grid, at its time, with no meta.
 
     The inputs are finite, so a non-finite residual comes from the scaling
-    by omega; ``DataError`` names omega then.
+    by omega; ``DataError`` then names omega and ``kind``, the residual's name.
     """
     if not np.all(np.isfinite(res)):
         raise DataError(f"omega = {params.omega!r} takes the {kind} to a non-finite value")
-    return Field2D(grid=f0.grid, values=res, time_tag=f0.time_tag, meta={"kind": kind, "dt": dt})
+    return Field2D(grid=f0.grid, values=res, time_tag=f0.time_tag)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # refused below, not warned
@@ -395,7 +396,7 @@ def wave_residual(fields, params: OscillatorParams) -> Field2D:
     dphi = f0.grid.delta_phi
     wpp = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / (dphi * dphi)
     res = params.omega * (params.omega * (wtt - wpp))
-    return _residual_field(res, f0, params, "wave_residual", dt)
+    return _residual_field(res, f0, params, "wave_residual")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
@@ -414,7 +415,7 @@ def transport_residual(fields, params: OscillatorParams) -> Field2D:
     v = f0.values
     wphi = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * dphi)
     res = wt - params.omega * wphi
-    return _residual_field(res, f0, params, "transport_residual", dt)
+    return _residual_field(res, f0, params, "transport_residual")
 
 
 @dataclass(frozen=True)
@@ -459,18 +460,18 @@ def poly_derivative(U: PolynomialPotential, order: int) -> PolynomialPotential:
     return PolynomialPotential(tuple(coeffs))
 
 
-def _fd_weights(z, xs, m):
-    """Finite-difference weights for d^m/dx^m at z from nodes xs (Fornberg)."""
+def _fd_weights(xs, m):
+    """Finite-difference weights for d^m/dx^m at 0 from the nodes xs (Fornberg)."""
     n = len(xs)
     c = np.zeros((n, m + 1))
     c[0, 0] = 1.0
     c1 = 1.0
-    c4 = xs[0] - z
+    c4 = xs[0]
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = xs[i] - z
+        c4 = xs[i]
         for j in range(i):
             c3 = xs[i] - xs[j]
             c2 *= c3
@@ -490,7 +491,7 @@ def _fd_p_derivative(W, order, x, p, t):
     h = max(1e-3, 1e-3 * abs(p))
     r = (order + 3) // 2
     offsets = np.arange(-r, r + 1, dtype=float) * h
-    weights = _fd_weights(0.0, offsets, order)
+    weights = _fd_weights(offsets, order)
     vals = np.asarray(W(x, p + offsets, t), dtype=float)
     return float(np.dot(weights, vals))
 

@@ -108,7 +108,7 @@ def export_field(field: Field2D, params: OscillatorParams, fmt: str, path,
     text or complex A or C) before the file is opened.
     """
     if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+        raise DataError(f"format must be 'csv' or 'json', got {fmt!r}")
     meta = _metadata(field, params, extra)
     path = os.fspath(path)
     if fmt == "csv":
@@ -144,15 +144,15 @@ def _check_time(t: float) -> None:
 def _read_json(text: str):
     """Parse the document, then check its grid and time as the CSV reader does.
 
-    A number out of its range reads as the ``GridSpec`` or ``Field2D``
+    The grid block holds exactly ``GridSpec``'s fields, ``dt`` optional.  A
+    number out of its range reads as the ``GridSpec`` or ``Field2D``
     message alone; only a document that does not parse, lacks a key, or
-    holds a grid entry that is not one number reads as malformed JSON.
+    holds a grid entry that is not one number, or one that is not a
+    ``GridSpec`` field, reads as malformed JSON.
     """
     try:
         doc = json.loads(text)
-        g = doc["grid"]
-        spec = {key: g[key] for key in ("rho_max", "n_rho", "n_phi")}
-        spec["dt"] = g.get("dt")
+        spec = doc["grid"]
         values = np.asarray(doc["values"], dtype=float)
         t = float(doc["time"])
         meta = dict(doc["params"])
@@ -161,7 +161,7 @@ def _read_json(text: str):
     _check_time(t)
     try:
         grid = GridSpec(**spec)
-    except TypeError as exc:  # an array or text where a number is due
+    except TypeError as exc:  # a missing or unknown key, or an array or text for a number
         raise DataError(f"malformed JSON: {exc}") from None
     return Field2D(grid=grid, values=values, time_tag=t), meta
 
@@ -194,14 +194,13 @@ def _read_csv(lines):
         raise DataError("CSV has no rho,phi,x,p,W header")
     if line != "rho,phi,x,p,W":
         raise DataError(f"unexpected CSV header {line!r}")
-    for key in ("rho_max", "n_rho", "n_phi", "t"):
+    for key in _PARAM_KEYS + ("rho_max", "n_rho", "n_phi", "t"):
         if key not in meta:
             raise DataError(f"CSV lacks required metadata {key!r}")
     _check_time(meta["t"])
     grid = GridSpec(rho_max=meta["rho_max"], n_rho=meta["n_rho"], n_phi=meta["n_phi"],
                     dt=meta.get("dt"))
-    params = (OscillatorParams(**{k: meta[k] for k in _PARAM_KEYS})
-              if all(k in meta for k in _PARAM_KEYS) else None)
+    params = OscillatorParams(**{k: meta[k] for k in _PARAM_KEYS})
     n_rows = grid.n_rho * grid.n_phi
     values = np.empty((grid.n_rho, grid.n_phi))
     # np.loadtxt warns on a blank line, and on an empty body, so neither reaches it
@@ -234,20 +233,19 @@ def _read_csv(lines):
     return Field2D(grid=grid, values=values, time_tag=meta["t"]), meta
 
 
-def _check_block(block, rows, grid: GridSpec, params) -> None:
+def _check_block(block, rows, grid: GridSpec, params: OscillatorParams) -> None:
     """Check one block of rings, its rows shaped (rings, n_phi, 5), against its nodes.
 
     W must be finite, checked first.  Values are placed by row order, so
-    each row must sit at its own node: its rho and phi, and, when
-    ``params`` is known, its x and p through the writer's own map, match
-    exactly, as exported decimals round-trip.
+    each row must sit at its own node: its rho and phi, and its x and p
+    through the writer's own map, match exactly, as exported decimals
+    round-trip.
     """
     rho, phi = grid.rho_nodes(), grid.phi_nodes()
     _finite_nodes(block[..., 4], rho, phi, rows.start)
     radii = rho[rows, None]
-    pairs = [(("rho", "phi"), np.broadcast_arrays(radii, phi))]
-    if params is not None:
-        pairs.append((("x", "p"), xy_from_polar(params, radii, phi)))
+    pairs = ((("rho", "phi"), np.broadcast_arrays(radii, phi)),
+             (("x", "p"), xy_from_polar(params, radii, phi)))
     for k, (names, node) in enumerate(pairs):
         got = block[..., 2 * k], block[..., 2 * k + 1]
         bad = (got[0] != node[0]) | (got[1] != node[1])
@@ -265,11 +263,11 @@ def read_field(path):
     Returns ``(Field2D, metadata_dict)``; values reproduce the exported
     doubles bit-exactly in both formats.  A CSV body streams from the file
     into ``np.loadtxt`` one block of whole rings at a time: no copy of the
-    whole text or table is held, only the values and one block.  Each CSV
-    row must hold its node's rho and phi exactly and, when the parameter
-    block carries m, omega, hbar and alpha, the x and p that
-    ``xy_from_polar`` gives there; without those four keys x and p go
-    unchecked.  Every malformed file raises
+    whole text or table is held, only the values and one block.  A CSV's
+    parameter block must carry m, omega, hbar, alpha, t, rho_max, n_rho
+    and n_phi, and each row must hold its node's rho and phi exactly and
+    the x and p that ``xy_from_polar`` gives there.  A JSON grid block
+    holds exactly ``GridSpec``'s fields.  Every malformed file raises
     :class:`~phasewave.errors.DataError`, and this is the one place that
     names the file: the readers raise without it, and whatever
     ``ValueError`` they or numpy raise is re-raised here as a ``DataError``

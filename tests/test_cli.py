@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import phasewave
+from phasewave import cli, verify
 from phasewave import (NATURAL_UNITS, GridSpec, OscillatorParams, StandingWaveSpec, evolve_fd,
                        export_field, propagate_exact, read_field, sample_field,
                        standing_wave_field, stationary_field)
 from phasewave.cli import build_parser, parse_time, run
-from phasewave.errors import BlowupError
+from phasewave.errors import AccuracyError, BlowupError
 from phasewave.evolution import _evolve_against_exact
 
 from oracles import max_deviation_whole_grid
@@ -539,3 +540,59 @@ def test_evolve_blowup_is_reported_without_a_traceback(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "phasewave: blowup: non-finite values after 163 upwind steps\n"
+
+
+def test_only_the_commands_that_write_a_time_step_take_one(capsys):
+    # figures writes no dt line, so a --dt would be ignored
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(["figures", "--dt", "0.1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --dt 0.1" in capsys.readouterr().err
+    for command in ("grid", "evolve"):
+        assert build_parser().parse_args([command, "--dt", "0.1"]).dt == 0.1
+
+
+def test_grid_whose_outermost_node_overflows_is_usage_error(tmp_path, capsys):
+    argv = ["grid", "--rho-max", "1e308", "--n-rho", "4", "--n-phi", "4",
+            "--out", str(tmp_path / "w.csv")]
+    assert invoke(argv) == 2
+    assert "rho_max = 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_out_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = ["grid", "--n-rho", "2", "--n-phi", "4", "--out", str(tmp_path / "file" / "sub")]
+    assert invoke(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"phasewave: i/o error: .*\n", captured.err)
+
+
+def test_accuracy_shortfall_is_reported_without_a_traceback(monkeypatch, capsys):
+    def fails():
+        raise AccuracyError("no estimate under the tolerance")
+
+    monkeypatch.setitem(verify.SUITES, "stationary_normalization", (fails, False))
+    assert invoke(["check", "--suite", "stationary_normalization"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "phasewave: accuracy error: no estimate under the tolerance\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    # numpy's refusal of an array past memory, and Python's own, which says nothing
+    ("Unable to allocate 728. TiB for an array with shape (10000000, 10000000)",
+     "Unable to allocate 728. TiB for an array with shape (10000000, 10000000)"),
+    ("", "the request does not fit"),
+], ids=["numpy", "python"])
+def test_out_of_memory_is_reported_without_a_traceback(monkeypatch, capsys, message, line):
+    # raised by a stand-in, so nothing is allocated
+    def refuses(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample_field", refuses)
+    assert invoke(["grid", "--n-rho", "10000000", "--n-phi", "10000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"phasewave: out of memory: {line}\n"

@@ -50,6 +50,18 @@ def test_grid_validation():
     assert grid.phi_nodes().shape == (16,)
 
 
+def test_grid_whose_outermost_node_overflows_is_refused():
+    # the nodes are (i + 1) * rho_max / n_rho, so n_rho * rho_max must be a double
+    with pytest.raises(DataError, match=r"rho_max = 1e\+308 takes n_rho \* rho_max past"):
+        GridSpec(rho_max=1e308, n_rho=4, n_phi=4)
+    with pytest.raises(DataError, match="n_rho must be finite"):
+        GridSpec(rho_max=1.0, n_rho=10**400, n_phi=4)
+    with pytest.raises(DataError, match=r"rho_max = 1\.8e\+306 takes n_rho"):
+        GridSpec(rho_max=1.8e306, n_rho=100, n_phi=4)  # 1.8e308 is past the doubles
+    assert GridSpec(rho_max=1e308, n_rho=1, n_phi=4).rho_nodes().tolist() == [1e308]
+    assert np.isfinite(GridSpec(rho_max=1.7e306, n_rho=100, n_phi=4).rho_nodes()).all()
+
+
 def test_evolve_needs_enough_angular_nodes():
     # sampling allows small grids; the time stepper does not
     grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=8, dt=0.01)
@@ -267,7 +279,23 @@ def test_evolve_conserves_ring_sums():
     f1 = evolve_fd(f0, P, 2.0 * math.pi / P.omega)
     drift = np.max(np.abs(f1.values.sum(axis=1) - f0.values.sum(axis=1)))
     assert drift <= 1e-8
-    assert f1.meta["ring_sum_drift"] == drift
+
+
+def test_evolve_meta_is_the_start_meta_with_steps_and_courant():
+    grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32, dt=0.125)
+    f0 = sample_field(stationary_field(P, 0), grid, 0.0, P)
+    f0 = Field2D(grid, f0.values, 0.0, meta={"n": 0, "steps": -1})
+    out = evolve_fd(f0, P, 0.25)
+    assert out.meta == {"n": 0, "steps": 2, "courant": P.omega * 0.125 / grid.delta_phi}
+    assert f0.meta == {"n": 0, "steps": -1}
+
+
+def test_residuals_carry_no_meta():
+    grid = GridSpec(rho_max=4.0, n_rho=4, n_phi=32)
+    W = standing_wave_field(P, 0, StandingWaveSpec(ell=3, A=2.0, C=5.0))
+    fields = [sample_field(W, grid, t, P) for t in (0.0, 0.1, 0.2)]
+    assert wave_residual(fields, P).meta == {}
+    assert transport_residual(fields, P).meta == {}
 
 
 def _ring_field(n_phi, courant, time_tag=0.0):
@@ -599,9 +627,9 @@ def test_poly_derivative_examples():
 # -------------------------------------------------------------------- weights
 
 def test_fd_weights_known_stencils():
-    assert _fd_weights(0.0, np.array([-1.0, 0.0, 1.0]), 1) == pytest.approx([-0.5, 0.0, 0.5])
-    assert _fd_weights(0.0, np.array([-1.0, 0.0, 1.0]), 2) == pytest.approx([1.0, -2.0, 1.0])
-    assert _fd_weights(0.0, np.arange(-2.0, 3.0), 3) == pytest.approx([-0.5, 1.0, 0.0, -1.0, 0.5])
+    assert _fd_weights(np.array([-1.0, 0.0, 1.0]), 1) == pytest.approx([-0.5, 0.0, 0.5])
+    assert _fd_weights(np.array([-1.0, 0.0, 1.0]), 2) == pytest.approx([1.0, -2.0, 1.0])
+    assert _fd_weights(np.arange(-2.0, 3.0), 3) == pytest.approx([-0.5, 1.0, 0.0, -1.0, 0.5])
 
 
 def test_fd_weights_differentiate_exponential():
@@ -610,7 +638,7 @@ def test_fd_weights_differentiate_exponential():
         r = (order + 3) // 2
         h = 0.05
         offsets = np.arange(-r, r + 1) * h
-        w = _fd_weights(0.0, offsets, order)
+        w = _fd_weights(offsets, order)
         est = float(np.dot(w, np.exp(a * offsets)))
         assert est == pytest.approx(a**order, rel=1e-4)
 

@@ -131,8 +131,9 @@ def test_json_round_trip_bit_exact(tmp_path):
 
 def test_export_rejects_unknown_format(tmp_path):
     fld = sample_field(stationary_field(P, 0), small_grid(), 0.0, P)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="format must be 'csv' or 'json', got 'xml'"):
         export_field(fld, P, "xml", tmp_path / "w.xml")
+    assert not (tmp_path / "w.xml").exists()
 
 
 @pytest.mark.parametrize("extra, error, match", [
@@ -381,6 +382,27 @@ def test_malformed_json_raises_data_error_naming_the_file(tmp_path, edit, match)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=match) as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["m", "omega", "hbar", "alpha"])
+def test_csv_without_its_units_is_refused(tmp_path, key):
+    # the units fix every row's x and p, so a file without one cannot be checked
+    path = _broken_csv(tmp_path, lambda lines, h: [ln for ln in lines
+                                                   if not ln.startswith(f"# {key}=")])
+    with pytest.raises(DataError, match=f"CSV lacks required metadata '{key}'") as info:
+        read_field(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["n_rhoo", "n"])
+def test_json_grid_block_holds_only_the_grid_fields(tmp_path, key):
+    doc = _json_doc(tmp_path)
+    doc["grid"][key] = 99
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"malformed JSON: .*'{key}'") as info:
         read_field(path)
     assert str(path) in str(info.value)
 
